@@ -9,6 +9,7 @@ command on the same inputs reproduces its outputs byte for byte.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -19,14 +20,57 @@ from .probmap import mean_map
 from .pred_eval import TrajectorySet
 
 
-def _parse_floats(text: str, what: str) -> tuple[float, ...]:
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error on one line, without the usage block."""
+
+    def error(self, message):
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
+def _int_at_least(lo: int):
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        if value < lo:
+            raise argparse.ArgumentTypeError(f"must be >= {lo}, got {value}")
+        return value
+    return parse
+
+
+def _positive_float(text: str) -> float:
     try:
-        values = tuple(float(v) for v in text.split(",") if v.strip() != "")
-    except ValueError as exc:
-        raise io.ConfigError(f"invalid {what}: {text!r}") from exc
-    if not values:
-        raise io.ConfigError(f"empty {what}")
-    return values
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
+    if not (math.isfinite(value) and value > 0.0):
+        raise argparse.ArgumentTypeError(f"must be a finite number > 0, got {text!r}")
+    return value
+
+
+def _float_list(rule: str, valid):
+    """Comma-separated floats, accepted when ``valid(values)`` holds."""
+    def parse(text: str) -> tuple[float, ...]:
+        try:
+            values = tuple(float(v) for v in text.split(",") if v.strip() != "")
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected numbers, got {text!r}") from None
+        if not values or not valid(values):
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {text!r}")
+        return values
+    return parse
+
+
+def _increasing(values) -> bool:
+    return all(b > a for a, b in zip(values, values[1:]))
+
+
+_thresholds = _float_list("positive and strictly increasing",
+                          lambda v: v[0] > 0.0 and _increasing(v))
+_levels = _float_list("strictly between 0 and 1", lambda v: all(0.0 < x < 1.0 for x in v))
+_bin_edges = _float_list("strictly increasing with at least 2 entries",
+                         lambda v: len(v) >= 2 and _increasing(v))
 
 
 def _out_dir(args, manifest_path: Path) -> Path:
@@ -49,7 +93,7 @@ def cmd_generate(args) -> int:
 
 def cmd_eval_map(args) -> int:
     manifest = _load_manifest(args)
-    cfg = map_eval.APConfig(thresholds=_parse_floats(args.ap_thresholds, "thresholds"),
+    cfg = map_eval.APConfig(thresholds=args.ap_thresholds,
                             resample_count=args.resample_count,
                             matching=args.matching)
     pairs = [(observed, gt) for _, gt, observed, _, _ in io.iter_scene_files(manifest)]
@@ -113,7 +157,6 @@ def cmd_eval_pred(args) -> int:
 
 def cmd_calibrate(args) -> int:
     manifest = _load_manifest(args)
-    levels = _parse_floats(args.levels, "levels")
     parts = []
     for _, gt, observed, _, _ in io.iter_scene_files(manifest):
         parts.append(calibration.match_vertex_pairs(
@@ -126,9 +169,9 @@ def cmd_calibrate(args) -> int:
     gt_pts = np.vstack([p.gt for p in parts])
     probs = np.vstack([p.class_probs for p in parts])
     labels = np.concatenate([p.labels for p in parts])
-    cov = calibration.coverage_arrays(mu, b, gt_pts, levels)
+    cov = calibration.coverage_arrays(mu, b, gt_pts, args.levels)
     rel = calibration.reliability(probs, labels, bins=args.bins)
-    effective = {"command": "calibrate", "levels": list(levels), "bins": args.bins,
+    effective = {"command": "calibrate", "levels": list(args.levels), "bins": args.bins,
                  "match_threshold": args.match_threshold,
                  "resample_count": args.resample_count}
     out = _out_dir(args, Path(args.manifest))
@@ -157,7 +200,6 @@ def cmd_calibrate(args) -> int:
 
 def cmd_analyze_uncertainty(args) -> int:
     manifest = _load_manifest(args)
-    edges = _parse_floats(args.bin_edges, "bin edges")
     groups: dict[str, tuple[list[float], list[float]]] = {}
 
     def add(group: str, dist, scale):
@@ -183,13 +225,13 @@ def cmd_analyze_uncertainty(args) -> int:
     stats = {}
     for group in sorted(groups):
         keys, vals = groups[group]
-        stat = pred_eval.binned_ci(keys, vals, edges)
+        stat = pred_eval.binned_ci(keys, vals, args.bin_edges)
         stats[group] = stat
         for i in range(len(stat.count)):
             rows.append([group, float(stat.bin_edges[i]), float(stat.bin_edges[i + 1]),
                          "" if np.isnan(stat.mean[i]) else float(stat.mean[i]),
                          float(stat.ci95_half_width[i]), int(stat.count[i])])
-    effective = {"command": "analyze-uncertainty", "bin_edges": list(edges)}
+    effective = {"command": "analyze-uncertainty", "bin_edges": list(args.bin_edges)}
     out = _out_dir(args, Path(args.manifest))
     io.write_csv(out / "uncertainty_bins.csv",
                  ["group", "bin_lo", "bin_hi", "mean_b", "ci95_half_width", "count"],
@@ -258,7 +300,7 @@ def cmd_compare_predictors(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="uncmap",
         description="Probabilistic vectorized-map pipeline: synthetic scenes, "
                     "map and prediction metrics, calibration analysis.")
@@ -275,41 +317,41 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval-map", help="AP/mAP of observed maps against ground truth")
     p.add_argument("--manifest", required=True)
     p.add_argument("--out", default=None)
-    p.add_argument("--ap-thresholds", default="0.5,1.0,1.5")
-    p.add_argument("--resample-count", type=int, default=20)
+    p.add_argument("--ap-thresholds", type=_thresholds, default="0.5,1.0,1.5")
+    p.add_argument("--resample-count", type=_int_at_least(2), default=20)
     p.add_argument("--matching", choices=["greedy", "hungarian"], default="greedy")
     p.set_defaults(func=cmd_eval_map)
 
     p = sub.add_parser("eval-pred", help="minADE/minFDE/MR of stored predictions")
     p.add_argument("--manifest", required=True)
     p.add_argument("--out", default=None)
-    p.add_argument("--miss-threshold", type=float, default=2.0)
+    p.add_argument("--miss-threshold", type=_positive_float, default=2.0)
     p.set_defaults(func=cmd_eval_pred)
 
     p = sub.add_parser("calibrate", help="interval coverage and classification ECE")
     p.add_argument("--manifest", required=True)
     p.add_argument("--out", default=None)
-    p.add_argument("--levels", default="0.5,0.9")
-    p.add_argument("--bins", type=int, default=10)
-    p.add_argument("--match-threshold", type=float, default=1.5)
-    p.add_argument("--resample-count", type=int, default=20)
+    p.add_argument("--levels", type=_levels, default="0.5,0.9")
+    p.add_argument("--bins", type=_int_at_least(1), default=10)
+    p.add_argument("--match-threshold", type=_positive_float, default=1.5)
+    p.add_argument("--resample-count", type=_int_at_least(2), default=20)
     p.set_defaults(func=cmd_calibrate)
 
     p = sub.add_parser("analyze-uncertainty",
                        help="binned emitted scale vs. distance, per class/condition")
     p.add_argument("--manifest", required=True)
     p.add_argument("--out", default=None)
-    p.add_argument("--bin-edges", default="0,5,10,15,20,25,30,35")
+    p.add_argument("--bin-edges", type=_bin_edges, default="0,5,10,15,20,25,30,35")
     p.set_defaults(func=cmd_analyze_uncertainty)
 
     p = sub.add_parser("compare-predictors",
                        help="side-by-side metrics for the two baseline predictors")
     p.add_argument("--manifest", required=True)
     p.add_argument("--out", default=None)
-    p.add_argument("--modes", type=int, default=6)
+    p.add_argument("--modes", type=_int_at_least(1), default=6)
     p.add_argument("--lam", type=float, default=synth.DEFAULT_LAMBDA)
     p.add_argument("--b0", type=float, default=synth.DEFAULT_B0)
-    p.add_argument("--miss-threshold", type=float, default=2.0)
+    p.add_argument("--miss-threshold", type=_positive_float, default=2.0)
     p.set_defaults(func=cmd_compare_predictors)
     return parser
 

@@ -196,14 +196,22 @@ def resample(p: Polyline, count: int) -> Polyline:
     return Polyline(out, closed=False)
 
 
-def point_along(p: Polyline, s: float) -> np.ndarray:
-    """Point at arclength ``s`` along the polyline, clamped to its extent."""
+def point_along(p: Polyline, s):
+    """Point(s) at arclength ``s`` along the polyline, clamped to its extent.
+
+    ``s`` is a scalar, giving a ``(2,)`` point, or a 1-D array of
+    arclengths, giving an ``(N, 2)`` array. Closed polylines wrap ``s``
+    modulo their length first. The arclength table is built once per call,
+    so walking a whole path costs one call, not one per point.
+    """
     total = p.arclength()
     pts = p.vertices
+    s = np.asarray(s, dtype=float)
     if p.closed:
         pts = np.vstack([pts, pts[:1]])
-        s = s % total if total > 0 else 0.0
-    return _interp_along(pts, np.array([min(max(s, 0.0), total)]))[0]
+        s = np.mod(s, total)
+    out = _interp_along(pts, np.clip(s, 0.0, total).reshape(-1))
+    return out[0] if s.ndim == 0 else out
 
 
 def nearest_point_on_polyline(p: Polyline, q) -> tuple[np.ndarray, float, float]:
@@ -228,18 +236,27 @@ def nearest_point_on_polyline(p: Polyline, q) -> tuple[np.ndarray, float, float]
     return proj[i], float(cum[i] + t[i] * seglen[i]), float(d[i])
 
 
-def segment_intersects_disc(a, b, center, radius: float) -> bool:
-    """True when the closed segment a-b passes through the disc."""
+def segment_intersects_disc(a, b, center, radius):
+    """True when the closed segment a-b passes through the disc.
+
+    Points are ``(..., 2)`` arrays and ``radius`` is a scalar or array; all
+    four broadcast together, so one call tests every segment against every
+    disc (say ``b`` of shape ``(N, 1, 2)`` against centres ``(1, M, 2)`` and
+    radii ``(1, M)`` gives an ``(N, M)`` array). Scalar inputs give a plain
+    ``bool``. A zero-length segment is the point ``a``.
+    """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     center = np.asarray(center, dtype=float)
     seg = b - a
-    seglen2 = float(seg @ seg)
-    if seglen2 == 0.0:
-        return float(np.hypot(*(a - center))) <= radius
-    t = float(np.clip((center - a) @ seg / seglen2, 0.0, 1.0))
-    closest = a + t * seg
-    return float(np.hypot(*(closest - center))) <= radius
+    rel = center - a
+    seglen2 = seg[..., 0] * seg[..., 0] + seg[..., 1] * seg[..., 1]
+    proj = rel[..., 0] * seg[..., 0] + rel[..., 1] * seg[..., 1]
+    # With seg == 0 the projection is 0, so t = 0 and the closest point is a.
+    t = np.clip(proj / np.where(seglen2 > 0.0, seglen2, 1.0), 0.0, 1.0)
+    gap = a + t[..., None] * seg - center
+    hit = np.hypot(gap[..., 0], gap[..., 1]) <= radius
+    return bool(hit) if hit.ndim == 0 else hit
 
 
 @dataclass

@@ -136,10 +136,10 @@ class NoiseModel:
         dist = np.hypot(points[:, 0] - ego[0], points[:, 1] - ego[1])
         b = self.base_b + self.distance_coeff * dist
         if occluders:
-            shadowed = np.array([
-                any(segment_intersects_disc(ego, p, o.center, o.radius) for o in occluders)
-                for p in points
-            ])
+            centers = np.array([[o.x, o.y] for o in occluders])
+            radii = np.array([o.radius for o in occluders])
+            shadowed = segment_intersects_disc(ego, points[:, None, :], centers[None],
+                                               radii[None]).any(axis=1)
             b = np.where(shadowed, b * self.occlusion_multiplier, b)
         b = b * self.condition_multipliers.get((condition, element_class), 1.0)
         return np.maximum(b, B_FLOOR)
@@ -278,7 +278,7 @@ def _agent_on_centerline(rng: np.random.Generator, centerlines: list[MapElement]
     v = float(rng.uniform(v_lo, v_hi))
     s0 = float(rng.uniform(back * v + 0.5, length - fwd * v - 0.5))
     steps = np.arange(-(history_steps - 1), future_steps + 1)
-    pts = np.array([point_along(poly, s0 + v * dt * k) for k in steps])
+    pts = point_along(poly, s0 + v * dt * steps)
     history = pts[:history_steps]
     future = pts[history_steps:]
     # Optional lateral blend onto an adjacent parallel centerline; candidates
@@ -399,8 +399,7 @@ def _cv_path(pos: np.ndarray, vel: np.ndarray, dt: float, horizon: int) -> np.nd
 def _snap_path(poly: Polyline, pos: np.ndarray, speed: float, dt: float,
                horizon: int) -> np.ndarray:
     _, s_entry, _ = nearest_point_on_polyline(poly, pos)
-    ss = s_entry + speed * dt * np.arange(1, horizon + 1)
-    return np.array([point_along(poly, s) for s in ss])
+    return point_along(poly, s_entry + speed * dt * np.arange(1, horizon + 1))
 
 
 def _candidates(pos: np.ndarray, vel: np.ndarray, centerlines: list, dt: float,

@@ -163,7 +163,69 @@ class TestPolylineQueries:
         assert segment_intersects_disc((0, 0), (10, 0), (5, 1), 2.0)
         assert not segment_intersects_disc((0, 0), (10, 0), (5, 3), 2.0)
         assert segment_intersects_disc((0, 0), (0, 0), (0, 1), 1.5)
+        assert segment_intersects_disc((0, 0), (10, 0), (5, 1), 2.0) is True
+        assert segment_intersects_disc((0, 0), (0, 0), (5, 1), 2.0) is False
 
+
+class TestBatchedWalk:
+    VERTICES = np.array([[0.0, 0.0], [3.0, 0.0], [3.0, 4.0], [-1.0, 5.5]])
+
+    @pytest.mark.parametrize("closed", [False, True])
+    def test_array_matches_scalar_calls(self, closed):
+        p = Polyline(self.VERTICES, closed=closed)
+        total = p.arclength()
+        on_vertices = np.concatenate([[0.0], np.cumsum(p.segment_lengths())])
+        ss = np.concatenate([
+            [-2.5, -1e-12, 0.0, total, total + 1e-9, total + 7.0],
+            on_vertices,
+            np.random.default_rng(0).uniform(-total, 2.0 * total, 25),
+            [2.5 * total, 3.0 * total + 0.3, -1.7 * total] if closed else [],
+        ])
+        batched = point_along(p, ss)
+        assert batched.shape == (len(ss), 2)
+        assert np.array_equal(batched, np.array([point_along(p, s) for s in ss]))
+
+    def test_lands_on_vertices(self):
+        p = Polyline(self.VERTICES)
+        on_vertices = np.concatenate([[0.0], np.cumsum(p.segment_lengths())])
+        np.testing.assert_allclose(point_along(p, on_vertices), self.VERTICES, atol=1e-12)
+
+    def test_closed_wraps_whole_laps(self):
+        p = Polyline(self.VERTICES, closed=True)
+        total = p.arclength()
+        laps = 1.25 + np.array([-2.0, -1.0, 0.0, 1.0, 3.0]) * total
+        np.testing.assert_allclose(point_along(p, laps),
+                                   np.repeat(point_along(p, 1.25)[None], 5, axis=0),
+                                   atol=1e-12)
+
+    def test_scalar_returns_one_point(self):
+        p = Polyline(self.VERTICES)
+        for s in (0.7, np.float64(0.7), 3, -1.0, 99.0):
+            assert point_along(p, s).shape == (2,)
+        assert point_along(p, np.array([0.7])).shape == (1, 2)
+
+
+class TestBroadcastDiscTest:
+    def test_matches_scalar_calls_on_grid(self):
+        rng = np.random.default_rng(5)
+        a = np.array([0.5, -1.0])
+        ends = np.vstack([rng.uniform(-10.0, 10.0, (40, 2)),
+                          a,                       # zero-length segment
+                          [10.5, -1.0]])           # horizontal, for the tangent disc
+        centers = np.vstack([rng.uniform(-10.0, 10.0, (6, 2)),
+                             a + [0.5, 0.0],       # holds the zero-length segment
+                             [5.5, 1.0],           # tangent to the horizontal segment
+                             ends[3] + [0.3, 0.2]])  # holds an endpoint
+        radii = np.concatenate([rng.uniform(0.5, 4.0, 6), [1.0, 2.0, 1.0]])
+        hit = segment_intersects_disc(a, ends[:, None, :], centers[None], radii[None])
+        assert hit.shape == (len(ends), len(centers))
+        expected = np.array([[segment_intersects_disc(a, b, c, r)
+                              for c, r in zip(centers, radii)] for b in ends])
+        assert np.array_equal(hit, expected)
+        assert hit[40, 6] and not hit[40, 7]
+        assert hit[41, 7]
+        assert hit[3, 8]
+        assert hit.any() and not hit.all()
 
 class TestMapElement:
     def test_confidence_bounds(self):

@@ -7,7 +7,8 @@ import pytest
 
 from uncmap import io as uio
 from uncmap.cli import main
-from uncmap.geometry import ElementClass, MapElement, Pose2, VectorMap
+from uncmap.geometry import (ElementClass, MapElement, Pose2, VectorMap,
+                             nearest_point_on_polyline)
 from uncmap.probmap import B_FLOOR, ProbMapElement, ProbVectorMap
 from uncmap.synth import AgentTrack, DatasetConfig
 
@@ -180,6 +181,43 @@ class TestCliGenerate:
         assert _tree_digest(tmp_path / "a") != _tree_digest(tmp_path / "b")
 
 
+# sha256 of the tree that `generate` writes for GOLDEN_CONFIG, recorded before
+# the batched arclength walk and the broadcast occlusion test went in. Any
+# change to the generator's output bits shows up here.
+GOLDEN_CONFIG = {"n_scenes": 12, "seed": 0, "n_agents": 2,
+                 "noise": {"base_b": 0.15, "distance_coeff": 0.01,
+                           "occlusion_multiplier": 6.0}}
+GOLDEN_DIGEST = "80cd731c581fdf39e9f66183778d0a5a56c6cb5fccd691e6f8eb5a229d17eef8"
+
+
+def _lane_changes(gt, agents) -> int:
+    """Agents whose future ends off every centerline their history ends on."""
+    lanes = [e.as_polyline() for e in gt.by_class(ElementClass.LANE_CENTERLINE)]
+    count = 0
+    for agent in agents:
+        on = [p for p in lanes if nearest_point_on_polyline(p, agent.history[-1])[2] < 1e-6]
+        if all(nearest_point_on_polyline(p, agent.future[-1])[2] > 1.0 for p in on):
+            count += 1
+    return count
+
+
+class TestGoldenGenerate:
+    def test_tree_digest_pinned(self, tmp_path):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(GOLDEN_CONFIG))
+        out = tmp_path / "d"
+        assert main(["generate", "--config", str(cfg), "--out", str(out)]) == 0
+        digest = hashlib.sha256(
+            json.dumps(_tree_digest(out), sort_keys=True).encode()).hexdigest()
+        manifest = uio.load_manifest(out / "manifest.json")
+        scenes = list(uio.iter_scene_files(manifest))
+        assert {s["layout"] for s, *_ in scenes} == {"straight_road", "intersection",
+                                                     "parking_lot"}
+        assert any(s["occluders"] for s, *_ in scenes)
+        assert sum(_lane_changes(gt, agents) for _, gt, _, agents, _ in scenes) >= 1
+        assert digest == GOLDEN_DIGEST
+
+
 @pytest.fixture(scope="module")
 def dataset_dir(tmp_path_factory):
     """One shared small dataset for the evaluation commands."""
@@ -269,6 +307,43 @@ class TestCliEval:
     def test_missing_manifest_exits_3(self, tmp_path):
         assert main(["eval-map", "--manifest", str(tmp_path / "none.json"),
                      "--out", str(tmp_path / "r")]) == 3
+
+    def test_scene_without_path_exits_3(self, dataset_dir, tmp_path, capsys):
+        manifest = json.loads((dataset_dir / "manifest.json").read_text())
+        for scene in manifest["scenes"]:
+            for key in ("gt_map", "observed_map", "trajectories"):
+                scene[key] = str(dataset_dir / scene[key])
+        for key in ("gt_map", "observed_map", "trajectories"):
+            broken = json.loads(json.dumps(manifest))
+            del broken["scenes"][1][key]
+            path = tmp_path / f"no_{key}.json"
+            uio.write_json(path, broken)
+            with pytest.raises(uio.DataError, match=key):
+                uio.load_manifest(path)
+            assert main(["eval-map", "--manifest", str(path),
+                         "--out", str(tmp_path / "r")]) == 3
+            err = capsys.readouterr().err
+            assert err.startswith("data error:") and err.count("\n") == 1
+
+
+class TestCliInvalidValues:
+    @pytest.mark.parametrize("command, flag, value", [
+        ("eval-map", "--resample-count", "1"),
+        ("calibrate", "--bins", "0"),
+        ("calibrate", "--levels", "1.5"),
+        ("compare-predictors", "--modes", "0"),
+        ("analyze-uncertainty", "--bin-edges", "10,5,0"),
+        ("eval-pred", "--miss-threshold", "nan"),
+    ])
+    def test_exits_2_with_one_line(self, command, flag, value, dataset_dir, tmp_path,
+                                   capsys):
+        rc = main([command, "--manifest", str(dataset_dir / "manifest.json"),
+                   "--out", str(tmp_path / "r"), flag, value])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and flag in captured.err
+        assert not (tmp_path / "r").exists()
 
 
 class TestCliCalibrate:

@@ -125,6 +125,25 @@ class TestObserve:
             np.testing.assert_allclose(obs_el.b[:, 0], expected, rtol=1e-12)
             np.testing.assert_array_equal(obs_el.b[:, 0], obs_el.b[:, 1])
 
+    @pytest.mark.parametrize("n_occluders", [0, 1, 3])
+    def test_true_scale_matches_reference_loop(self, n_occluders):
+        occluders = (Occluder(3.0, 6.0, 2.0), Occluder(-4.0, 9.0, 1.5),
+                     Occluder(0.0, -8.0, 3.0))[:n_occluders]
+        pts = np.random.default_rng(n_occluders).uniform([-15, -30], [15, 30], (200, 2))
+        ego = np.zeros(2)
+        noise = NoiseModel(base_b=0.1, distance_coeff=0.02, occlusion_multiplier=4.0)
+        got = noise.true_scale(pts, ego, ElementClass.PED_CROSSING, Condition.NIGHT,
+                               occluders)
+        expected, shadowed = [], 0
+        for p in pts:
+            b = 0.1 + 0.02 * np.hypot(p[0], p[1])
+            if any(segment_intersects_disc(ego, p, o.center, o.radius) for o in occluders):
+                b *= 4.0
+                shadowed += 1
+            expected.append(max(b * 2.0, B_FLOOR))  # default night crossing multiplier
+        assert np.array_equal(got, expected)
+        assert (shadowed > 0) == (n_occluders > 0)
+
     def test_occlusion_ratio_exact(self):
         gt = VectorMap([
             MapElement(np.array([[-5.0, -10.0], [-5.0, 10.0]]),
