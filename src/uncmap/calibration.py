@@ -7,7 +7,8 @@ calibration error (ECE).
 
 Pairing a predicted map with ground truth for coverage is inherently
 approximate (point sets have no canonical correspondence); the rule here
-is deterministic: elements are matched greedily as in map evaluation, the
+is deterministic: elements are matched with map evaluation's
+:func:`~uncmap.map_eval.greedy_match` at a Chamfer threshold, the
 ground-truth polyline is resampled to the prediction's vertex count
 (predicted vertices are never resampled, since their scales belong to
 specific vertices), oriented forward or reversed to minimize the summed
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import CLASS_INDEX, VectorMap, resample
-from .map_eval import _scene_chamfer_matrix
+from .map_eval import chamfer_matrix, greedy_match
 from .probmap import LaplaceParam, ProbVectorMap, softmax
 
 
@@ -127,8 +128,9 @@ def match_vertex_pairs(pred_map: ProbVectorMap, gt_map: VectorMap,
                        resample_count: int = 20) -> MatchedVertices:
     """Pair predicted vertices with ground-truth points for calibration.
 
-    Elements are matched per class with the greedy confidence-ordered rule
-    at the given Chamfer threshold; unmatched elements contribute nothing.
+    Elements are matched per class by ``map_eval.greedy_match`` at the
+    given Chamfer threshold; unmatched elements contribute nothing. Pairs
+    are appended in descending prediction confidence.
     """
     mu_parts, b_parts, gt_parts, prob_parts, label_parts = [], [], [], [], []
     classes = {el.element_class for el in pred_map.elements}
@@ -138,19 +140,13 @@ def match_vertex_pairs(pred_map: ProbVectorMap, gt_map: VectorMap,
         gts = gt_map.by_class(cls)
         if not preds or not gts:
             continue
-        mat = _scene_chamfer_matrix(preds, gts, resample_count)
-        order = np.argsort(-np.array([p.confidence for p in preds]), kind="stable")
-        unmatched = list(range(len(gts)))
-        for pi in order:
-            if not unmatched:
-                break
-            row = mat[pi, unmatched]
-            j = int(np.argmin(row))
-            if row[j] >= threshold:
+        conf = np.array([p.confidence for p in preds], dtype=float)
+        match = greedy_match(conf, chamfer_matrix(preds, gts, resample_count), threshold)
+        for pi in np.argsort(-conf, kind="stable"):
+            if match[pi] < 0:
                 continue
-            gi = unmatched.pop(j)
             pred = preds[pi]
-            gt_poly = gts[gi].as_polyline()
+            gt_poly = gts[match[pi]].as_polyline()
             gt_pts = resample(gt_poly, pred.n_vertices).vertices
             fwd = np.hypot(*(pred.mu - gt_pts).T).sum()
             rev_pts = gt_pts[::-1]

@@ -39,14 +39,21 @@ def _int_at_least(lo: int):
     return parse
 
 
-def _positive_float(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
-    if not (math.isfinite(value) and value > 0.0):
-        raise argparse.ArgumentTypeError(f"must be a finite number > 0, got {text!r}")
-    return value
+def _finite_float(rule: str, valid):
+    """A finite float, accepted when ``valid(value)`` holds."""
+    def parse(text: str) -> float:
+        try:
+            value = float(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
+        if not (math.isfinite(value) and valid(value)):
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {text!r}")
+        return value
+    return parse
+
+
+_positive_float = _finite_float("a finite number > 0", lambda v: v > 0.0)
+_nonnegative_float = _finite_float("a finite number >= 0", lambda v: v >= 0.0)
 
 
 def _float_list(rule: str, valid):
@@ -349,8 +356,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest", required=True)
     p.add_argument("--out", default=None)
     p.add_argument("--modes", type=_int_at_least(1), default=6)
-    p.add_argument("--lam", type=float, default=synth.DEFAULT_LAMBDA)
-    p.add_argument("--b0", type=float, default=synth.DEFAULT_B0)
+    p.add_argument("--lam", type=_nonnegative_float, default=synth.DEFAULT_LAMBDA)
+    p.add_argument("--b0", type=_positive_float, default=synth.DEFAULT_B0)
     p.add_argument("--miss-threshold", type=_positive_float, default=2.0)
     p.set_defaults(func=cmd_compare_predictors)
     return parser

@@ -341,9 +341,10 @@ def load_manifest(path) -> dict:
         raise DataError("manifest has no scene list")
     root = path.parent
     for i, scene in enumerate(data["scenes"]):
-        for key in ("gt_map", "observed_map", "trajectories"):
+        for key in ("id", "condition", "gt_map", "observed_map", "trajectories"):
             if not isinstance(scene, dict) or not isinstance(scene.get(key), str):
-                raise DataError(f"manifest scene {i} has no {key!r} path")
+                raise DataError(f"manifest scene {i} has no {key!r} string")
+        for key in ("gt_map", "observed_map", "trajectories"):
             if not (root / scene[key]).exists():
                 raise DataError(f"manifest references missing file {scene[key]!r}")
     data["_root"] = root

@@ -9,8 +9,9 @@ AP follows the detection convention: predictions are pooled across scenes,
 sorted by confidence (ties keep input order), and greedily matched to the
 unmatched ground-truth element of the same scene with the smallest Chamfer
 distance; a match counts as a true positive when that distance is strictly
-below the threshold. The PR curve is integrated with the precision
-envelope (all-point interpolation) by default.
+below the threshold. :func:`greedy_match` is that one matching rule; the
+calibration pairing uses it too. The PR curve is integrated with the
+precision envelope (all-point interpolation).
 """
 
 from __future__ import annotations
@@ -41,8 +42,6 @@ class APConfig:
     classes: tuple[ElementClass, ...] = ALL_CLASSES
     resample_count: int = 20
     matching: str = "greedy"           # or "hungarian" (sensitivity analysis)
-    interpolation: str = "all_point"   # or "101_point"
-    granularity: str = "pooled"        # or "per_scene"
 
     def __post_init__(self):
         t = tuple(float(v) for v in self.thresholds)
@@ -51,10 +50,6 @@ class APConfig:
         self.thresholds = t
         if self.matching not in ("greedy", "hungarian"):
             raise ValueError(f"unknown matching mode {self.matching!r}")
-        if self.interpolation not in ("all_point", "101_point"):
-            raise ValueError(f"unknown interpolation {self.interpolation!r}")
-        if self.granularity not in ("pooled", "per_scene"):
-            raise ValueError(f"unknown granularity {self.granularity!r}")
 
 
 def chamfer(s1, s2) -> float:
@@ -110,7 +105,9 @@ def chamfer_elements(a, b, cfg: ChamferConfig | None = None) -> float:
 # Matching and AP
 # ---------------------------------------------------------------------------
 
-def _scene_chamfer_matrix(preds, gts, count) -> np.ndarray:
+def chamfer_matrix(preds, gts, count) -> np.ndarray:
+    """(P, G) Chamfer distances between two element lists after
+    fixed-count resampling."""
     mat = np.empty((len(preds), len(gts)))
     pred_pts = [_element_points(p, count) for p in preds]
     gt_pts = [_element_points(g, count) for g in gts]
@@ -120,57 +117,63 @@ def _scene_chamfer_matrix(preds, gts, count) -> np.ndarray:
     return mat
 
 
-def _greedy_labels(scene_preds: list[list], scene_gts: list[list], threshold: float,
-                   count: int) -> tuple[np.ndarray, list[float], int]:
-    """TP/FP labels in pooled confidence order under greedy matching.
+def greedy_match(confidence, cost, threshold: float) -> np.ndarray:
+    """Greedy confidence-ordered matching of predictions (rows of ``cost``)
+    to ground truths (columns).
 
-    Returns (labels, matched chamfer values, total ground-truth count).
+    Predictions are visited by descending confidence, ties in input order.
+    Each takes the unmatched column of least cost (the first on ties), and
+    the match stands only when that cost is strictly below ``threshold``.
+
+    Returns:
+        (P,) matched column per prediction, -1 when unmatched.
     """
-    pooled = [(si, pi) for si, preds in enumerate(scene_preds) for pi in range(len(preds))]
-    conf = np.array([scene_preds[si][pi].confidence for si, pi in pooled])
-    order = np.argsort(-conf, kind="stable")
-    mats = [_scene_chamfer_matrix(p, g, count) for p, g in zip(scene_preds, scene_gts)]
-    unmatched = [list(range(len(g))) for g in scene_gts]
-    labels = np.zeros(len(pooled), dtype=bool)
-    matched_values: list[float] = []
-    for rank, k in enumerate(order):
-        si, pi = pooled[k]
-        cands = unmatched[si]
-        if not cands:
-            continue
-        row = mats[si][pi, cands]
+    cost = np.asarray(cost, dtype=float)
+    match = np.full(len(cost), -1, dtype=int)
+    free = list(range(cost.shape[1]))
+    for i in np.argsort(-np.asarray(confidence, dtype=float), kind="stable"):
+        if not free:
+            break
+        row = cost[i, free]
         j = int(np.argmin(row))
         if row[j] < threshold:
-            labels[rank] = True
-            matched_values.append(float(row[j]))
-            cands.pop(j)
-    n_gt = sum(len(g) for g in scene_gts)
-    return labels, matched_values, n_gt
+            match[i] = free.pop(j)
+    return match
 
 
-def _hungarian_labels(scene_preds, scene_gts, threshold, count):
+def _hungarian_match(confidence, cost, threshold: float) -> np.ndarray:
+    """Minimum-total-cost assignment, kept where the cost is below
+    ``threshold``; ``confidence`` is unused. Same return as greedy_match."""
     from scipy.optimize import linear_sum_assignment
 
-    pooled = [(si, pi) for si, preds in enumerate(scene_preds) for pi in range(len(preds))]
-    conf = np.array([scene_preds[si][pi].confidence for si, pi in pooled])
-    order = np.argsort(-conf, kind="stable")
-    tp_flag = {}
-    matched_values = []
-    for si, (preds, gts) in enumerate(zip(scene_preds, scene_gts)):
-        if not preds or not gts:
-            continue
-        mat = _scene_chamfer_matrix(preds, gts, count)
-        rows, cols = linear_sum_assignment(mat)
-        for r, c in zip(rows, cols):
-            if mat[r, c] < threshold:
-                tp_flag[(si, r)] = True
-                matched_values.append(float(mat[r, c]))
-    labels = np.array([tp_flag.get(pooled[k], False) for k in order])
-    n_gt = sum(len(g) for g in scene_gts)
-    return labels, matched_values, n_gt
+    match = np.full(len(cost), -1, dtype=int)
+    if cost.size:
+        rows, cols = linear_sum_assignment(cost)
+        keep = cost[rows, cols] < threshold
+        match[rows[keep]] = cols[keep]
+    return match
 
 
-def _ap_from_labels(labels: np.ndarray, n_gt: int, interpolation: str) -> float | None:
+def _pooled_labels(matcher, confs: list[np.ndarray], mats: list[np.ndarray],
+                   threshold: float) -> tuple[np.ndarray, np.ndarray]:
+    """TP/FP labels in pooled confidence order, and the matched costs.
+
+    Each scene is matched on its own: scenes share no ground truth, and the
+    stable sort of the pooled confidences, restricted to one scene, is that
+    scene's stable sort. Greedy costs come in confidence order, Hungarian
+    costs in pooled-index order; their mean is rounded in that order.
+    """
+    cost = np.array([mat[i, j] if j >= 0 else np.inf
+                     for conf, mat in zip(confs, mats)
+                     for i, j in enumerate(matcher(conf, mat, threshold))])
+    order = np.argsort(-np.array([c for conf in confs for c in conf]), kind="stable")
+    labels = np.isfinite(cost[order])
+    if matcher is greedy_match:
+        return labels, cost[order][labels]
+    return labels, cost[np.isfinite(cost)]
+
+
+def _ap_from_labels(labels: np.ndarray, n_gt: int) -> float | None:
     """Area under the PR curve built from confidence-ordered TP/FP labels."""
     if n_gt == 0:
         return 0.0 if len(labels) else None
@@ -180,13 +183,6 @@ def _ap_from_labels(labels: np.ndarray, n_gt: int, interpolation: str) -> float 
     ranks = np.arange(1, len(labels) + 1)
     recall = tp / n_gt
     precision = tp / ranks
-    if interpolation == "101_point":
-        grid = np.linspace(0.0, 1.0, 101)
-        best = np.zeros_like(grid)
-        for i, r in enumerate(grid):
-            mask = recall >= r
-            best[i] = precision[mask].max() if mask.any() else 0.0
-        return float(best.mean())
     mrec = np.concatenate([[0.0], recall])
     mpre = np.concatenate([[0.0], precision])
     mpre = np.maximum.accumulate(mpre[::-1])[::-1]
@@ -203,9 +199,11 @@ def average_precision(preds: list, gts: list, element_class: ElementClass,
     cfg = cfg or APConfig()
     preds = [p for p in preds if p.element_class == element_class]
     gts = [g for g in gts if g.element_class == element_class]
-    labeler = _hungarian_labels if cfg.matching == "hungarian" else _greedy_labels
-    labels, _, n_gt = labeler([preds], [gts], threshold, cfg.resample_count)
-    return _ap_from_labels(labels, n_gt, cfg.interpolation)
+    matcher = _hungarian_match if cfg.matching == "hungarian" else greedy_match
+    conf = np.array([p.confidence for p in preds], dtype=float)
+    mat = chamfer_matrix(preds, gts, cfg.resample_count)
+    labels, _ = _pooled_labels(matcher, [conf], [mat], threshold)
+    return _ap_from_labels(labels, len(gts))
 
 
 @dataclass
@@ -244,29 +242,23 @@ def evaluate_scenes(pairs: list[tuple[ProbVectorMap | VectorMap, VectorMap]],
     matched_chamfer = np.full(len(classes), np.nan)
     n_pred = np.zeros(len(classes), dtype=int)
     n_gt = np.zeros(len(classes), dtype=int)
-    labeler = _hungarian_labels if cfg.matching == "hungarian" else _greedy_labels
+    matcher = _hungarian_match if cfg.matching == "hungarian" else greedy_match
 
     for ci, cls in enumerate(classes):
         scene_preds = [pred.by_class(cls) for pred, _ in pairs]
         scene_gts = [gt.by_class(cls) for _, gt in pairs]
         n_pred[ci] = sum(len(p) for p in scene_preds)
         n_gt[ci] = sum(len(g) for g in scene_gts)
+        confs = [np.array([p.confidence for p in preds], dtype=float)
+                 for preds in scene_preds]
+        mats = [chamfer_matrix(p, g, cfg.resample_count)
+                for p, g in zip(scene_preds, scene_gts)]
         for ti, thr in enumerate(cfg.thresholds):
-            if cfg.granularity == "per_scene":
-                vals = []
-                for p, g in zip(scene_preds, scene_gts):
-                    labels, _, gt_count = labeler([p], [g], thr, cfg.resample_count)
-                    cell = _ap_from_labels(labels, gt_count, cfg.interpolation)
-                    if cell is not None:
-                        vals.append(cell)
-                ap[ci, ti] = float(np.mean(vals)) if vals else np.nan
-            else:
-                labels, matched, gt_count = labeler(scene_preds, scene_gts, thr,
-                                                    cfg.resample_count)
-                cell = _ap_from_labels(labels, gt_count, cfg.interpolation)
-                ap[ci, ti] = np.nan if cell is None else cell
-                if thr == cfg.thresholds[-1] and matched:
-                    matched_chamfer[ci] = float(np.mean(matched))
+            labels, matched = _pooled_labels(matcher, confs, mats, thr)
+            cell = _ap_from_labels(labels, n_gt[ci])
+            ap[ci, ti] = np.nan if cell is None else cell
+            if thr == cfg.thresholds[-1] and len(matched):
+                matched_chamfer[ci] = float(np.mean(matched))
 
     defined = ap[~np.isnan(ap)]
     map_score = float(defined.mean()) if len(defined) else float("nan")

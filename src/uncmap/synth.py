@@ -521,6 +521,10 @@ class DatasetConfig:
             raise ValueError("layout_weights must sum to 1")
         if abs(sum(self.condition_weights.values()) - 1.0) > 1e-9:
             raise ValueError("condition_weights must sum to 1")
+        if not (math.isfinite(self.lam) and self.lam >= 0.0):
+            raise ValueError("lam must be a finite number >= 0")
+        if not (math.isfinite(self.b0) and self.b0 > 0.0):
+            raise ValueError("b0 must be a finite number > 0")
 
 
 @dataclass

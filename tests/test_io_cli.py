@@ -164,6 +164,14 @@ class TestCliGenerate:
         assert main(["generate", "--config", str(cfg),
                      "--out", str(tmp_path / "x")]) == 2
 
+    @pytest.mark.parametrize("key, value", [("b0", -0.1), ("lam", float("nan"))])
+    def test_invalid_predictor_knob_exits_2(self, key, value, tmp_path, capsys):
+        cfg = write_config(tmp_path, **{key: value})
+        assert main(["generate", "--config", str(cfg),
+                     "--out", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and key in err
+
     def test_invalid_json_exits_2(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{nope")
@@ -216,6 +224,35 @@ class TestGoldenGenerate:
         assert any(s["occluders"] for s, *_ in scenes)
         assert sum(_lane_changes(gt, agents) for _, gt, _, agents, _ in scenes) >= 1
         assert digest == GOLDEN_DIGEST
+
+
+# sha256 of the reports that eval-map and calibrate write for the GOLDEN_CONFIG
+# tree, recorded before the matchers were merged into map_eval.greedy_match.
+GOLDEN_REPORTS = [
+    (["eval-map", "--matching", "greedy"], "eval_map.json",
+     "ba94d05bddb4510a661a25f939718700b3ff4c8843552404f72e32b1c0074e71"),
+    (["eval-map", "--matching", "hungarian"], "eval_map.json",
+     "9f085def40e754ea333fdc0e8e2fb6fe99710e8499a89f87cd6787eaac4dc7d7"),
+    (["calibrate"], "calibration.json",
+     "af5246a3657741c034cf6c0a13ca6ca36945ad6f7dc7396eb8bfe73deb14fca3"),
+]
+
+
+@pytest.fixture(scope="module")
+def golden_dir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("golden")
+    cfg = root / "config.json"
+    cfg.write_text(json.dumps(GOLDEN_CONFIG))
+    assert main(["generate", "--config", str(cfg), "--out", str(root / "d")]) == 0
+    return root / "d"
+
+
+class TestGoldenReports:
+    @pytest.mark.parametrize("command, report, digest", GOLDEN_REPORTS)
+    def test_report_digest_pinned(self, command, report, digest, golden_dir, tmp_path):
+        assert main(command + ["--manifest", str(golden_dir / "manifest.json"),
+                               "--out", str(tmp_path)]) == 0
+        assert hashlib.sha256((tmp_path / report).read_bytes()).hexdigest() == digest
 
 
 @pytest.fixture(scope="module")
@@ -326,6 +363,23 @@ class TestCliEval:
             assert err.startswith("data error:") and err.count("\n") == 1
 
 
+    def test_scene_without_id_or_condition_exits_3(self, dataset_dir, tmp_path, capsys):
+        manifest = json.loads((dataset_dir / "manifest.json").read_text())
+        for scene in manifest["scenes"]:
+            for key in ("gt_map", "observed_map", "trajectories"):
+                scene[key] = str(dataset_dir / scene[key])
+            del scene["id"], scene["condition"]
+        path = tmp_path / "manifest.json"
+        uio.write_json(path, manifest)
+        with pytest.raises(uio.DataError, match="'id'"):
+            uio.load_manifest(path)
+        for command in ("eval-pred", "analyze-uncertainty"):
+            assert main([command, "--manifest", str(path),
+                         "--out", str(tmp_path / "r")]) == 3
+            err = capsys.readouterr().err
+            assert err.startswith("data error:") and err.count("\n") == 1
+
+
 class TestCliInvalidValues:
     @pytest.mark.parametrize("command, flag, value", [
         ("eval-map", "--resample-count", "1"),
@@ -334,6 +388,8 @@ class TestCliInvalidValues:
         ("compare-predictors", "--modes", "0"),
         ("analyze-uncertainty", "--bin-edges", "10,5,0"),
         ("eval-pred", "--miss-threshold", "nan"),
+        ("compare-predictors", "--lam", "-5"),
+        ("compare-predictors", "--b0", "0"),
     ])
     def test_exits_2_with_one_line(self, command, flag, value, dataset_dir, tmp_path,
                                    capsys):

@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from uncmap import map_eval
 from uncmap.geometry import ElementClass, MapElement, Polyline, Pose2, VectorMap
 from uncmap.map_eval import (
     APConfig,
@@ -12,6 +15,7 @@ from uncmap.map_eval import (
     chamfer_elements,
     evaluate_map,
     evaluate_scenes,
+    greedy_match,
 )
 
 CLS = ElementClass.LANE_DIVIDER
@@ -294,3 +298,65 @@ class TestEvaluateMap:
         pred2, gt2 = _scene_maps(np.array([5.0, 0.0]))
         report = evaluate_scenes([(pred1, gt1), (pred2, gt2)])
         assert 0.0 < report.map_score < 1.0
+
+    def test_chamfer_once_per_pair_and_scene(self, monkeypatch):
+        calls = []
+        original = map_eval.chamfer
+
+        def counting(a, b):
+            calls.append(1)
+            return original(a, b)
+
+        monkeypatch.setattr(map_eval, "chamfer", counting)
+        pairs = [_scene_maps(), _scene_maps(np.array([0.7, 0.0])),
+                 (VectorMap([seg(0, 0, 0, 10), seg(4, 0, 4, 10)], Pose2.identity()),
+                  VectorMap([seg(0.2, 0, 0.2, 10), seg(9, 0, 9, 10), seg(3, 0, 3, 10)],
+                            Pose2.identity()))]
+        expected = sum(len(pred.by_class(cls)) * len(gt.by_class(cls))
+                       for pred, gt in pairs for cls in APConfig().classes)
+        for matching in ("greedy", "hungarian"):
+            calls.clear()
+            evaluate_scenes(pairs, APConfig(thresholds=(0.5, 1.0, 1.5), matching=matching))
+            assert len(calls) == expected
+
+
+def reference_greedy(confidence, cost, threshold):
+    """The matching loop as first written: visit predictions by descending
+    confidence (ties by index); each takes the first free column of least
+    cost, kept only when that cost is strictly below the threshold."""
+    order = sorted(range(len(confidence)), key=lambda i: (-confidence[i], i))
+    free = list(range(len(cost[0]) if len(cost) else 0))
+    match = [-1] * len(confidence)
+    for i in order:
+        best = None
+        for j in free:
+            if best is None or cost[i][j] < cost[i][best]:
+                best = j
+        if best is not None and cost[i][best] < threshold:
+            match[i] = best
+            free.remove(best)
+    return match
+
+
+@st.composite
+def matching_problems(draw):
+    n_pred = draw(st.integers(0, 6))
+    n_gt = draw(st.integers(0, 6))
+    # Few distinct values, so tied confidences and tied costs are common.
+    conf = draw(st.lists(st.sampled_from([0.0, 0.3, 0.7, 1.0]),
+                         min_size=n_pred, max_size=n_pred))
+    cost = draw(st.lists(st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.0, 7.5]),
+                                  min_size=n_gt, max_size=n_gt),
+                         min_size=n_pred, max_size=n_pred))
+    threshold = draw(st.sampled_from([0.0, 0.5, 1.0, 3.0, 100.0]))
+    return conf, cost, n_gt, threshold
+
+
+class TestGreedyMatch:
+    @settings(max_examples=300, deadline=None)
+    @given(matching_problems())
+    def test_matches_reference_loop(self, problem):
+        conf, cost, n_gt, threshold = problem
+        mat = np.array(cost, dtype=float).reshape(len(conf), n_gt)
+        got = greedy_match(np.array(conf), mat, threshold)
+        assert got.tolist() == reference_greedy(conf, cost, threshold)
