@@ -103,7 +103,8 @@ def cmd_eval_map(args) -> int:
     cfg = map_eval.APConfig(thresholds=args.ap_thresholds,
                             resample_count=args.resample_count,
                             matching=args.matching)
-    pairs = [(observed, gt) for _, gt, observed, _, _ in io.iter_scene_files(manifest)]
+    pairs = [(observed, gt) for _, gt, observed in
+             io.iter_scene_files(manifest, "gt_map", "observed_map")]
     if not pairs:
         raise io.DataError("manifest contains no scenes")
     report = map_eval.evaluate_scenes(pairs, cfg)
@@ -127,7 +128,7 @@ def cmd_eval_map(args) -> int:
 
 def _trajectory_sets(manifest) -> tuple[list[TrajectorySet], list[list]]:
     sets, rows = [], []
-    for scene, _, _, agents, modes in io.iter_scene_files(manifest):
+    for scene, agents, modes in io.iter_scene_files(manifest, "trajectories"):
         for ai, (agent, agent_modes) in enumerate(zip(agents, modes)):
             if agent_modes.size == 0:
                 raise io.DataError(
@@ -165,7 +166,7 @@ def cmd_eval_pred(args) -> int:
 def cmd_calibrate(args) -> int:
     manifest = _load_manifest(args)
     parts = []
-    for _, gt, observed, _, _ in io.iter_scene_files(manifest):
+    for _, gt, observed in io.iter_scene_files(manifest, "gt_map", "observed_map"):
         parts.append(calibration.match_vertex_pairs(
             observed, gt, threshold=args.match_threshold,
             resample_count=args.resample_count))
@@ -215,7 +216,7 @@ def cmd_analyze_uncertainty(args) -> int:
         vals.extend(scale)
 
     n_scenes = 0
-    for scene, gt, observed, _, _ in io.iter_scene_files(manifest):
+    for scene, observed in io.iter_scene_files(manifest, "observed_map"):
         n_scenes += 1
         ego = observed.ego_pose.position
         for el in observed.elements:
@@ -260,7 +261,8 @@ def cmd_analyze_uncertainty(args) -> int:
 def cmd_compare_predictors(args) -> int:
     manifest = _load_manifest(args)
     blind_sets, weighted_sets = [], []
-    for _, _, observed, agents, _ in io.iter_scene_files(manifest):
+    for _, observed, agents, _ in io.iter_scene_files(manifest, "observed_map",
+                                                      "trajectories"):
         plain = mean_map(observed)
         for agent in agents:
             blind = synth.predict_blind(agent.history, plain, args.modes)

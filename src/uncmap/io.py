@@ -4,6 +4,15 @@ Everything is plain JSON, human-diffable, with floats serialized by
 Python's shortest round-trip repr (values reload bit-exactly). A map file
 either carries a scale ``b`` on every vertex (probabilistic map) or on
 none (mean map); mixing is a data error.
+
+Every file is byte-identical to ``json.dumps(obj, indent=2)`` plus a final
+newline. ``io`` writes it with its own encoder because, on CPython 3.11,
+``JSONEncoder.iterencode`` uses the C encoder only when ``indent`` is None;
+with an indent, each of the hundreds of thousands of floats in a dataset
+goes through the pure-Python generators, which made encoding the largest
+cost of ``generate``. The encoder writes each list of floats with one
+``str.join`` over ``float.__repr__`` and hands every value it does not
+write itself to ``json.dumps``.
 """
 
 from __future__ import annotations
@@ -32,6 +41,8 @@ from .synth import (
 MAP_SCHEMA = "uncmap/1"
 TRAJ_SCHEMA = "uncmap-traj/1"
 MANIFEST_SCHEMA = "uncmap-manifest/1"
+# The per-scene files a manifest references, by their manifest keys.
+SCENE_FILES = ("gt_map", "observed_map", "trajectories")
 
 
 class ConfigError(ValueError):
@@ -42,8 +53,9 @@ class DataError(ValueError):
     """Missing, malformed, or inconsistent data files (CLI exit code 3)."""
 
 
-def _points(arr) -> list[list[float]]:
-    return [[float(x), float(y)] for x, y in np.asarray(arr, dtype=float)]
+def _float_lists(arr) -> list:
+    """An array-like as nested lists of Python floats."""
+    return np.asarray(arr, dtype=float).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -60,13 +72,12 @@ def map_to_dict(m: VectorMap | ProbVectorMap) -> dict:
         }
         if isinstance(el, ProbMapElement):
             entry["vertices"] = [
-                {"mu": [float(mu[0]), float(mu[1])],
-                 "b": [float(b[0]), float(b[1])],
-                 "class_logits": [float(v) for v in logits]}
-                for mu, b, logits in zip(el.mu, el.b, el.class_logits)
+                {"mu": mu, "b": b, "class_logits": logits}
+                for mu, b, logits in zip(_float_lists(el.mu), _float_lists(el.b),
+                                         _float_lists(el.class_logits))
             ]
         else:
-            entry["vertices"] = [{"mu": [float(p[0]), float(p[1])]} for p in el.vertices]
+            entry["vertices"] = [{"mu": mu} for mu in _float_lists(el.vertices)]
         elements.append(entry)
     return {
         "schema_version": MAP_SCHEMA,
@@ -136,9 +147,9 @@ def trajectories_to_dict(agents: list[AgentTrack], modes: list[np.ndarray],
             if len(mode) != len(agent.future):
                 raise ValueError("every mode must span the future horizon")
         entries.append({
-            "history": _points(agent.history),
-            "future_gt": _points(agent.future),
-            "modes": [_points(mode) for mode in agent_modes],
+            "history": _float_lists(agent.history),
+            "future_gt": _float_lists(agent.future),
+            "modes": _float_lists(agent_modes),
         })
     return {"schema_version": TRAJ_SCHEMA, "rate_hz": int(rate_hz), "agents": entries}
 
@@ -341,24 +352,38 @@ def load_manifest(path) -> dict:
         raise DataError("manifest has no scene list")
     root = path.parent
     for i, scene in enumerate(data["scenes"]):
-        for key in ("id", "condition", "gt_map", "observed_map", "trajectories"):
+        for key in ("id", "condition") + SCENE_FILES:
             if not isinstance(scene, dict) or not isinstance(scene.get(key), str):
                 raise DataError(f"manifest scene {i} has no {key!r} string")
-        for key in ("gt_map", "observed_map", "trajectories"):
+        for key in SCENE_FILES:
             if not (root / scene[key]).exists():
                 raise DataError(f"manifest references missing file {scene[key]!r}")
     data["_root"] = root
     return data
 
 
-def iter_scene_files(manifest: dict):
-    """Yield (scene entry, gt map, observed map, agents, modes) per scene."""
+def iter_scene_files(manifest: dict, *parts: str):
+    """Yield ``(scene entry, *loaded parts)`` per scene, reading only ``parts``.
+
+    ``parts`` names files of :data:`SCENE_FILES`, in the order wanted
+    (default: all three). A map loads as one value and the trajectory file
+    as two, agents and modes, so the default yields
+    ``(scene, gt map, observed map, agents, modes)``.
+    """
+    parts = parts or SCENE_FILES
+    unknown = set(parts) - set(SCENE_FILES)
+    if unknown:
+        raise ValueError(f"unknown scene files {sorted(unknown)}")
     root = manifest["_root"]
     for scene in manifest["scenes"]:
-        gt = load_map(root / scene["gt_map"])
-        observed = load_map(root / scene["observed_map"])
-        agents, modes, _ = load_trajectories(root / scene["trajectories"])
-        yield scene, gt, observed, agents, modes
+        row = [scene]
+        for part in parts:
+            if part == "trajectories":
+                agents, modes, _ = load_trajectories(root / scene[part])
+                row += (agents, modes)
+            else:
+                row.append(load_map(root / scene[part]))
+        yield tuple(row)
 
 
 # ---------------------------------------------------------------------------
@@ -375,10 +400,86 @@ def _read_json(path) -> dict:
         raise DataError(f"{path} is not valid JSON: {exc}") from exc
 
 
+_float_repr = float.__repr__
+_encode_str = json.encoder.encode_basestring_ascii
+# Text around the items of a container at nesting level L (L = 0 at the top):
+# the opening bracket and first line break, the separator between items, and
+# the closing line break and bracket. Deeper nesting falls back to json.dumps.
+_MAX_LEVEL = 32
+_ITEM = ["\n" + "  " * (level + 1) for level in range(_MAX_LEVEL)]
+_OPEN_LIST = ["[" + item for item in _ITEM]
+_OPEN_DICT = ["{" + item for item in _ITEM]
+_SEP = ["," + item for item in _ITEM]
+_CLOSE_LIST = ["\n" + "  " * level + "]" for level in range(_MAX_LEVEL)]
+_CLOSE_DICT = ["\n" + "  " * level + "}" for level in range(_MAX_LEVEL)]
+
+
+def _encode(o, level: int, out: list) -> None:
+    """Append the ``json.dumps(indent=2)`` text of ``o`` at ``level`` to ``out``.
+
+    Containers, strings and finite floats are written here, tested with
+    ``isinstance`` as ``json.encoder`` does; every other value (ints, bools,
+    None, NaN, infinities, unknown types) is written by ``json.dumps``, so
+    its text and its exceptions are json's own.
+    """
+    if isinstance(o, (list, tuple)):
+        if not o:
+            out.append("[]")
+            return
+        sep = _SEP[level]
+        try:
+            # float.__repr__ raises TypeError on any item that is not a float.
+            text = sep.join(map(_float_repr, o))
+        except TypeError:
+            text = None
+        if text is not None and "n" not in text:  # no nan, inf or -inf
+            out += (_OPEN_LIST[level], text, _CLOSE_LIST[level])
+            return
+        head = _OPEN_LIST[level]
+        for value in o:
+            out.append(head)
+            head = sep
+            _encode(value, level + 1, out)
+        out.append(_CLOSE_LIST[level])
+    elif isinstance(o, dict):
+        if not o:
+            out.append("{}")
+            return
+        sep = _SEP[level]
+        head = _OPEN_DICT[level]
+        for key, value in o.items():
+            # json.dumps quotes a non-str key as it does in a dict, or raises
+            # json's TypeError for it.
+            key = _encode_str(key) if isinstance(key, str) else json.dumps({key: 0})[1:-4]
+            out += (head, key, ": ")
+            head = sep
+            _encode(value, level + 1, out)
+        out.append(_CLOSE_DICT[level])
+    elif isinstance(o, str):
+        out.append(_encode_str(o))
+    elif isinstance(o, float):
+        text = _float_repr(o)
+        out.append(text if "n" not in text else json.dumps(o))
+    else:
+        out.append(json.dumps(o))
+
+
+def _dumps_indent2(obj) -> str:
+    """``json.dumps(obj, indent=2)``, byte for byte, one ``join`` per list of floats."""
+    out: list[str] = []
+    try:
+        _encode(obj, 0, out)
+    except (IndexError, RecursionError):
+        # Nesting deeper than _MAX_LEVEL, or a circular structure: json
+        # writes the former and raises its own error for the latter.
+        return json.dumps(obj, indent=2)
+    return "".join(out)
+
+
 def write_json(path, obj: dict) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(obj, indent=2) + "\n", encoding="utf-8")
+    path.write_text(_dumps_indent2(obj) + "\n", encoding="utf-8")
 
 
 def write_csv(path, header: list[str], rows: list[list]) -> None:

@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uncmap.geometry import (
+    MERGE_EPS,
     MapElement,
     ElementClass,
     Polyline,
@@ -34,6 +37,67 @@ class TestPolylineConstruction:
     def test_closed_drops_explicit_closure(self):
         p = Polyline(np.array([[0, 0], [1, 0], [1, 1], [0, 0]]), closed=True)
         assert len(p) == 3
+
+    def test_rejects_empty(self):
+        with pytest.raises(ValueError):
+            Polyline(np.empty((0, 2)))
+
+
+def reference_merge(vertices, closed):
+    """Vertex merging as first written: keep a vertex when it lies at least
+    MERGE_EPS from the last vertex kept, then drop a closed polyline's
+    trailing repeat of its first vertex; fewer than 2 left is degenerate."""
+    pts = np.asarray(vertices, dtype=float)
+    keep = [0]
+    for i in range(1, len(pts)):
+        if np.hypot(*(pts[i] - pts[keep[-1]])) >= MERGE_EPS:
+            keep.append(i)
+    pts = pts[keep]
+    if closed and len(pts) > 2 and np.hypot(*(pts[-1] - pts[0])) < MERGE_EPS:
+        pts = pts[:-1]
+    if len(pts) < 2:
+        raise ValueError("degenerate")
+    return pts
+
+
+# Offsets around MERGE_EPS, so that runs of near-duplicates below it, steps
+# just above it and short steps that add up to more than it are all common.
+_NUDGES = [0.0, 3e-10, 6e-10, 9.99e-10, 1e-9, 1.5e-9]
+
+
+@st.composite
+def vertex_chains(draw):
+    pts = [(draw(st.sampled_from([-2.0, 0.0, 1.0, 3.5])),
+            draw(st.sampled_from([-1.0, 0.0, 2.0])))]
+    for _ in range(draw(st.integers(0, 7))):
+        if draw(st.booleans()):
+            x, y = pts[-1]
+            pts.append((x + draw(st.sampled_from(_NUDGES)),
+                        y - draw(st.sampled_from(_NUDGES))))
+        else:
+            pts.append((draw(st.sampled_from([-2.0, 0.0, 1.0, 3.5])),
+                        draw(st.sampled_from([-1.0, 0.0, 2.0]))))
+    closed = draw(st.booleans())
+    if closed and draw(st.booleans()):
+        x, y = pts[0]
+        pts.append((x + draw(st.sampled_from(_NUDGES)), y))
+    return np.array(pts), closed
+
+
+class TestPolylineMerge:
+    @settings(max_examples=400, deadline=None)
+    @given(vertex_chains())
+    def test_matches_reference_loop(self, chain):
+        vertices, closed = chain
+        try:
+            expected = reference_merge(vertices, closed)
+        except ValueError:
+            with pytest.raises(ValueError):
+                Polyline(vertices.copy(), closed=closed)
+            return
+        p = Polyline(vertices, closed=closed)
+        np.testing.assert_array_equal(p.vertices, expected)
+        assert not np.shares_memory(p.vertices, vertices)
 
 
 class TestResample:

@@ -1,9 +1,12 @@
 import hashlib
 import json
+import shutil
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uncmap import io as uio
 from uncmap.cli import main
@@ -97,6 +100,60 @@ class TestTrajectoryRoundTrip:
         agents = [AgentTrack(np.zeros((20, 2)), np.zeros((30, 2)))]
         with pytest.raises(ValueError):
             uio.trajectories_to_dict(agents, [np.zeros((2, 29, 2))])
+
+
+# Values json writes with indent=2: floats of every kind (alone and in the
+# all-float lists that io writes in one piece), np.float64, big ints, bools,
+# None and strings that need escapes, in lists, tuples and dicts with str or
+# int keys.
+_SPECIAL_FLOATS = [float("nan"), float("inf"), float("-inf"), -0.0, 5e-324, 1e300]
+_json_floats = st.one_of(st.floats(), st.sampled_from(_SPECIAL_FLOATS),
+                         st.floats().map(np.float64))
+_json_values = st.recursive(
+    st.one_of(_json_floats, st.lists(_json_floats, max_size=4),
+              st.integers(-10**30, 10**30), st.booleans(), st.none(),
+              st.text(max_size=6)),
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(st.one_of(st.text(max_size=4), st.integers(-5, 5)), children,
+                        max_size=4)),
+    max_leaves=20)
+
+
+class TestWriteJson:
+    @settings(max_examples=400, deadline=None)
+    @given(_json_values)
+    def test_bytes_match_json_dumps(self, tmp_path_factory, obj):
+        path = tmp_path_factory.getbasetemp() / "write_json.json"
+        uio.write_json(path, obj)
+        assert path.read_bytes() == (json.dumps(obj, indent=2) + "\n").encode("utf-8")
+
+    @pytest.mark.parametrize("obj", [
+        {"a": [1.0, np.zeros(2)]},
+        {"a": {(1, 2): 0.5}},
+        [np.int64(3)],
+    ])
+    def test_unserialisable_raises_json_type_error(self, obj, tmp_path):
+        with pytest.raises(TypeError) as expected:
+            json.dumps(obj, indent=2)
+        with pytest.raises(TypeError) as got:
+            uio.write_json(tmp_path / "x.json", obj)
+        assert str(got.value) == str(expected.value)
+        assert not (tmp_path / "x.json").exists()
+
+    def test_circular_raises_json_value_error(self, tmp_path):
+        obj = {"a": []}
+        obj["a"].append(obj)
+        with pytest.raises(ValueError, match="Circular reference"):
+            uio.write_json(tmp_path / "x.json", obj)
+
+    def test_deep_nesting(self, tmp_path):
+        obj = [1.5]
+        for i in range(60):
+            obj = {"k": obj, "i": i} if i % 2 else [obj, 0.5]
+        uio.write_json(tmp_path / "x.json", obj)
+        assert (tmp_path / "x.json").read_text() == json.dumps(obj, indent=2) + "\n"
 
 
 class TestConfigParsing:
@@ -235,6 +292,28 @@ GOLDEN_REPORTS = [
      "9f085def40e754ea333fdc0e8e2fb6fe99710e8499a89f87cd6787eaac4dc7d7"),
     (["calibrate"], "calibration.json",
      "af5246a3657741c034cf6c0a13ca6ca36945ad6f7dc7396eb8bfe73deb14fca3"),
+    # The other report files of the five stages, recorded before io got its
+    # own JSON encoder and before each stage read only the scene files it
+    # uses. uncertainty_bins.json holds nulls, which the encoder hands to
+    # json.dumps.
+    (["eval-map"], "eval_map.csv",
+     "d433ac8c171f6de34f6c12c710c15c4b0eff59bea4ce8d917d1e8217d845c87b"),
+    (["eval-pred"], "eval_pred.json",
+     "5505b976dd0e92d057b9dad86cdaa898d7313a02082100fa1f87f36827b4864c"),
+    (["eval-pred"], "eval_pred_agents.csv",
+     "2af3359e83de9c6fa6f22e46f02eba691e7ae12dec676c1d1d7867eb0bf44bc9"),
+    (["calibrate"], "coverage.csv",
+     "b74e57d601e49c231251343f12873360ed4c96268c5a4cbd0a07bf6a4c539e65"),
+    (["calibrate"], "reliability.csv",
+     "17af996ede8b1c2621635c1df264d454f7b1633ae198e6ade930f6095397cadd"),
+    (["analyze-uncertainty"], "uncertainty_bins.json",
+     "c18ff42ef76f87e394de77f7966e331284775d84126986d153ded8c14c59c73b"),
+    (["analyze-uncertainty"], "uncertainty_bins.csv",
+     "c191c2fad2a6c8bac852de97330349f6572a89a2df320363403569203cb14f25"),
+    (["compare-predictors"], "compare_predictors.json",
+     "bd637ed24f6933d04dc928270a3722df388515416d490477163a11e5d98616e9"),
+    (["compare-predictors"], "compare_predictors.csv",
+     "83f1278101eb101f3dbf5fe24d3c937446c8d47e253d027faf0a86339c409560"),
 ]
 
 
@@ -378,6 +457,60 @@ class TestCliEval:
                          "--out", str(tmp_path / "r")]) == 3
             err = capsys.readouterr().err
             assert err.startswith("data error:") and err.count("\n") == 1
+
+
+# The scene files each report stage reads.
+STAGE_READS = {
+    "eval-map": ("gt_map", "observed_map"),
+    "eval-pred": ("trajectories",),
+    "calibrate": ("gt_map", "observed_map"),
+    "analyze-uncertainty": ("observed_map",),
+    "compare-predictors": ("observed_map", "trajectories"),
+}
+
+
+class TestSceneFileReads:
+    def test_iter_scene_files_parts(self, dataset_dir):
+        manifest = uio.load_manifest(dataset_dir / "manifest.json")
+        rows = list(uio.iter_scene_files(manifest, "trajectories", "observed_map"))
+        assert len(rows) == len(manifest["scenes"])
+        scene, agents, modes, observed = rows[0]
+        assert scene is manifest["scenes"][0]
+        assert isinstance(observed, ProbVectorMap) and len(agents) == len(modes)
+        assert all(len(row) == 5 for row in uio.iter_scene_files(manifest))
+        with pytest.raises(ValueError, match="unknown scene files"):
+            next(uio.iter_scene_files(manifest, "lidar"))
+
+    @pytest.mark.parametrize("command", sorted(STAGE_READS))
+    def test_stage_reads_only_its_files(self, command, dataset_dir, tmp_path,
+                                        monkeypatch):
+        manifest = json.loads((dataset_dir / "manifest.json").read_text())
+        kind = {dataset_dir / scene[key]: key for scene in manifest["scenes"]
+                for key in uio.SCENE_FILES}
+        read = []
+        for name in ("load_map", "load_trajectories"):
+            def spy(path, _load=getattr(uio, name)):
+                read.append(kind[Path(path)])
+                return _load(path)
+            monkeypatch.setattr(uio, name, spy)
+        assert main([command, "--manifest", str(dataset_dir / "manifest.json"),
+                     "--out", str(tmp_path)]) == 0
+        assert sorted(read) == sorted(STAGE_READS[command] * len(manifest["scenes"]))
+
+    @pytest.mark.parametrize("command, key", [
+        (command, key) for command, keys in STAGE_READS.items() for key in keys])
+    def test_truncated_file_exits_3(self, command, key, dataset_dir, tmp_path, capsys):
+        data = tmp_path / "data"
+        shutil.copytree(dataset_dir, data)
+        manifest = json.loads((data / "manifest.json").read_text())
+        target = data / manifest["scenes"][1][key]
+        text = target.read_bytes()
+        target.write_bytes(text[:len(text) // 2])
+        assert main([command, "--manifest", str(data / "manifest.json"),
+                     "--out", str(tmp_path / "r")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and err.count("\n") == 1
+        assert "Traceback" not in err
 
 
 class TestCliInvalidValues:
