@@ -13,6 +13,12 @@ ground-truth polyline is resampled to the prediction's vertex count
 (predicted vertices are never resampled, since their scales belong to
 specific vertices), oriented forward or reversed to minimize the summed
 pairing distance, and then paired by index.
+
+When the prediction has the Chamfer resample count of vertices and the
+ground truth does not, the resampled ground truth is exactly the point set
+the Chamfer matching already built, so it is reused rather than resampled
+again. (A ground truth that already has that count enters the Chamfer
+matrix verbatim, while pairing resamples it, so it keeps its own resample.)
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import CLASS_INDEX, VectorMap, resample
-from .map_eval import chamfer_matrix, greedy_match
+from .map_eval import _chamfer_points, _element_points, greedy_match
 from .probmap import LaplaceParam, ProbVectorMap, softmax
 
 
@@ -130,24 +136,31 @@ def match_vertex_pairs(pred_map: ProbVectorMap, gt_map: VectorMap,
 
     Elements are matched per class by ``map_eval.greedy_match`` at the
     given Chamfer threshold; unmatched elements contribute nothing. Pairs
-    are appended in descending prediction confidence.
+    are appended in descending prediction confidence. The Chamfer matrices
+    of all classes come from one pooled-kernel call.
     """
     mu_parts, b_parts, gt_parts, prob_parts, label_parts = [], [], [], [], []
     classes = {el.element_class for el in pred_map.elements}
     classes |= {el.element_class for el in gt_map.elements}
-    for cls in sorted(classes, key=lambda c: c.value):
-        preds = pred_map.by_class(cls)
-        gts = gt_map.by_class(cls)
-        if not preds or not gts:
-            continue
+    groups = [(cls, pred_map.by_class(cls), gt_map.by_class(cls))
+              for cls in sorted(classes, key=lambda c: c.value)]
+    groups = [(cls, preds, gts) for cls, preds, gts in groups if preds and gts]
+    points = [([_element_points(p, resample_count) for p in preds],
+               [_element_points(g, resample_count) for g in gts])
+              for _, preds, gts in groups]
+    mats = _chamfer_points(points, resample_count)
+    for (cls, preds, gts), (_, gt_sets), mat in zip(groups, points, mats):
         conf = np.array([p.confidence for p in preds], dtype=float)
-        match = greedy_match(conf, chamfer_matrix(preds, gts, resample_count), threshold)
+        match = greedy_match(conf, mat, threshold)
         for pi in np.argsort(-conf, kind="stable"):
             if match[pi] < 0:
                 continue
             pred = preds[pi]
-            gt_poly = gts[match[pi]].as_polyline()
-            gt_pts = resample(gt_poly, pred.n_vertices).vertices
+            gt = gts[match[pi]]
+            if pred.n_vertices == resample_count and len(gt.vertices) != resample_count:
+                gt_pts = gt_sets[match[pi]]
+            else:
+                gt_pts = resample(gt.as_polyline(), pred.n_vertices).vertices
             fwd = np.hypot(*(pred.mu - gt_pts).T).sum()
             rev_pts = gt_pts[::-1]
             rev = np.hypot(*(pred.mu - rev_pts).T).sum()

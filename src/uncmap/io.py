@@ -290,8 +290,10 @@ def load_dataset_config(path) -> DatasetConfig:
         raise ConfigError(f"config file not found: {path}")
     try:
         raw = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
+    except OSError as exc:
+        raise ConfigError(f"cannot read config {path}: {exc.strerror or exc}") from exc
     return parse_dataset_config(raw)
 
 
@@ -395,9 +397,14 @@ def _read_json(path) -> dict:
     if not path.exists():
         raise DataError(f"file not found: {path}")
     try:
-        return json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+        data = json.loads(path.read_text(encoding="utf-8"))
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise DataError(f"{path} is not valid JSON: {exc}") from exc
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc.strerror or exc}") from exc
+    if not isinstance(data, dict):
+        raise DataError(f"{path} does not hold a JSON object")
+    return data
 
 
 _float_repr = float.__repr__

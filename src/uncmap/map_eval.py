@@ -5,6 +5,13 @@ nearest-neighbor distances (one per direction), which makes its value
 symmetric under exchanging the sets. Elements are compared after
 resampling both polylines to a fixed vertex count.
 
+Every Chamfer matrix comes from one pooled kernel,
+:func:`chamfer_matrices`: it resamples each element once and evaluates
+the pairs of all its (predictions, ground truths) groups in fixed-size
+blocks of one broadcast distance tensor, giving the values of
+:func:`chamfer` bit for bit. AP evaluation calls it once per class over
+all scenes; the calibration pairing runs the same kernel once per scene.
+
 AP follows the detection convention: predictions are pooled across scenes,
 sorted by confidence (ties keep input order), and greedily matched to the
 unmatched ground-truth element of the same scene with the smallest Chamfer
@@ -105,16 +112,61 @@ def chamfer_elements(a, b, cfg: ChamferConfig | None = None) -> float:
 # Matching and AP
 # ---------------------------------------------------------------------------
 
-def chamfer_matrix(preds, gts, count) -> np.ndarray:
-    """(P, G) Chamfer distances between two element lists after
-    fixed-count resampling."""
-    mat = np.empty((len(preds), len(gts)))
-    pred_pts = [_element_points(p, count) for p in preds]
-    gt_pts = [_element_points(g, count) for g in gts]
-    for i, pp in enumerate(pred_pts):
-        for j, gp in enumerate(gt_pts):
-            mat[i, j] = chamfer(pp, gp)
-    return mat
+# Pairs per block of the pooled kernel. Each (64, 20, 20) float64 array of a
+# block is 200 KB, so evaluating thousands of pairs does not raise peak memory.
+_BLOCK = 64
+
+
+def chamfer_matrices(groups, count: int) -> list[np.ndarray]:
+    """(P, G) Chamfer matrices, one per ``(preds, gts)`` group of elements,
+    after fixed-count resampling.
+
+    Every element is resampled once, and the pairs of all groups go
+    through one pooled kernel; each value equals :func:`chamfer` of the two
+    resampled point sets bit for bit.
+    """
+    return _chamfer_points([([_element_points(p, count) for p in preds],
+                             [_element_points(g, count) for g in gts])
+                            for preds, gts in groups], count)
+
+
+def _chamfer_points(groups, count: int) -> list[np.ndarray]:
+    """:func:`chamfer_matrices` of already resampled point sets.
+
+    Pairs of two ``count``-long sets are evaluated in blocks of
+    ``_BLOCK`` pairs; any other pair (resampling merges near-duplicate
+    points of a tiny element) falls back to :func:`chamfer`.
+    """
+    mats = [np.empty((len(a_sets), len(b_sets))) for a_sets, b_sets in groups]
+    pairs = []
+    for mat, (a_sets, b_sets) in zip(mats, groups):
+        for i, a in enumerate(a_sets):
+            for j, b in enumerate(b_sets):
+                if len(a) == count and len(b) == count:
+                    pairs.append((mat, i, j, a, b))
+                else:
+                    mat[i, j] = chamfer(a, b)
+    for start in range(0, len(pairs), _BLOCK):
+        block = pairs[start:start + _BLOCK]
+        for (mat, i, j, _, _), value in zip(block, _chamfer_block(
+                np.array([pair[3] for pair in block]),
+                np.array([pair[4] for pair in block]))):
+            mat[i, j] = value
+    return mats
+
+
+def _chamfer_block(a: np.ndarray, b: np.ndarray) -> list[float]:
+    """:func:`chamfer` of each pair of (B, V, 2) point-set stacks, with the
+    same operations in the same order, so the values are bit-identical."""
+    d = a[:, :, None, 0] - b[:, None, :, 0]
+    dy = a[:, :, None, 1] - b[:, None, :, 1]
+    d *= d
+    dy *= dy
+    d += dy
+    np.sqrt(d, out=d)
+    n_a, n_b = a.shape[1], b.shape[1]
+    return [math.fsum(rows) / n_a + math.fsum(cols) / n_b
+            for rows, cols in zip(d.min(axis=2).tolist(), d.min(axis=1).tolist())]
 
 
 def greedy_match(confidence, cost, threshold: float) -> np.ndarray:
@@ -201,7 +253,7 @@ def average_precision(preds: list, gts: list, element_class: ElementClass,
     gts = [g for g in gts if g.element_class == element_class]
     matcher = _hungarian_match if cfg.matching == "hungarian" else greedy_match
     conf = np.array([p.confidence for p in preds], dtype=float)
-    mat = chamfer_matrix(preds, gts, cfg.resample_count)
+    mat = chamfer_matrices([(preds, gts)], cfg.resample_count)[0]
     labels, _ = _pooled_labels(matcher, [conf], [mat], threshold)
     return _ap_from_labels(labels, len(gts))
 
@@ -251,8 +303,7 @@ def evaluate_scenes(pairs: list[tuple[ProbVectorMap | VectorMap, VectorMap]],
         n_gt[ci] = sum(len(g) for g in scene_gts)
         confs = [np.array([p.confidence for p in preds], dtype=float)
                  for preds in scene_preds]
-        mats = [chamfer_matrix(p, g, cfg.resample_count)
-                for p, g in zip(scene_preds, scene_gts)]
+        mats = chamfer_matrices(zip(scene_preds, scene_gts), cfg.resample_count)
         for ti, thr in enumerate(cfg.thresholds):
             labels, matched = _pooled_labels(matcher, confs, mats, thr)
             cell = _ap_from_labels(labels, n_gt[ci])

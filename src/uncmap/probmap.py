@@ -321,11 +321,6 @@ def encode_vertex(v: ProbVertex) -> VertexFeature:
     return VertexFeature(values)
 
 
-def encode_element(el: ProbMapElement) -> np.ndarray:
-    """Per-vertex features for a whole element, shape (V, 4 + C)."""
-    return np.hstack([el.mu, el.b, softmax(el.class_logits)])
-
-
 def mean_map(pmap: ProbVectorMap) -> VectorMap:
     """Strip uncertainty: keep only vertex locations, classes, confidences."""
     elements = [

@@ -10,12 +10,14 @@ from uncmap.calibration import (
     match_vertex_pairs,
     reliability,
 )
-from uncmap.geometry import ElementClass, MapElement, Pose2, VectorMap
+from uncmap.geometry import CLASS_INDEX, ElementClass, MapElement, Pose2, VectorMap, resample
+from uncmap.map_eval import _element_points, chamfer, greedy_match
 from uncmap.probmap import (
     LaplaceParam,
     ProbMapElement,
     ProbVectorMap,
     ProbVertex,
+    softmax,
     standardize_map,
 )
 
@@ -172,6 +174,84 @@ class TestVertexPairing:
                                    ElementClass.LANE_DIVIDER)], Pose2.identity())
         matched = match_vertex_pairs(pred, gt, threshold=1.5)
         assert len(matched.mu) == 0
+
+
+def reference_match_vertex_pairs(pred_map, gt_map, threshold=1.5, resample_count=20):
+    """The pairing as written before the pooled Chamfer kernel: one chamfer
+    call per pair, and every matched ground truth resampled again to the
+    prediction's vertex count."""
+    mu_parts, b_parts, gt_parts, prob_parts, label_parts = [], [], [], [], []
+    classes = {el.element_class for el in pred_map.elements}
+    classes |= {el.element_class for el in gt_map.elements}
+    for cls in sorted(classes, key=lambda c: c.value):
+        preds = pred_map.by_class(cls)
+        gts = gt_map.by_class(cls)
+        if not preds or not gts:
+            continue
+        conf = np.array([p.confidence for p in preds], dtype=float)
+        mat = np.array([[chamfer(_element_points(p, resample_count),
+                                 _element_points(g, resample_count)) for g in gts]
+                        for p in preds])
+        match = greedy_match(conf, mat, threshold)
+        for pi in np.argsort(-conf, kind="stable"):
+            if match[pi] < 0:
+                continue
+            pred = preds[pi]
+            gt_pts = resample(gts[match[pi]].as_polyline(), pred.n_vertices).vertices
+            fwd = np.hypot(*(pred.mu - gt_pts).T).sum()
+            rev_pts = gt_pts[::-1]
+            rev = np.hypot(*(pred.mu - rev_pts).T).sum()
+            if rev < fwd:
+                gt_pts = rev_pts
+            mu_parts.append(pred.mu)
+            b_parts.append(pred.b)
+            gt_parts.append(gt_pts)
+            prob_parts.append(softmax(pred.class_logits))
+            label_parts.append(np.full(pred.n_vertices, CLASS_INDEX[cls], dtype=int))
+    return (np.vstack(mu_parts), np.vstack(b_parts), np.vstack(gt_parts),
+            np.vstack(prob_parts), np.concatenate(label_parts))
+
+
+def _pairing_case(name):
+    """(pred map, gt map, resample count) for one pinned pairing case. Each
+    has a second class and an unmatched prediction besides its subject."""
+    t = np.linspace(0.0, 1.0, 20)
+    line = np.column_stack([10 * t, np.zeros(20)])
+    boundary = MapElement(np.array([[0.0, 5.0], [4.0, 6.0], [9.0, 6.0]]),
+                          ElementClass.ROAD_BOUNDARY)
+    count = 20
+    if name == "gt_has_resample_count":
+        # 20 gt vertices, bunched towards the start: a resample moves them.
+        gt = MapElement(np.column_stack([10 * t ** 2, np.sin(3 * t)]),
+                        ElementClass.LANE_DIVIDER)
+        pred_mu = [line + np.array([0.0, 0.3]), line + np.array([0.0, 40.0])]
+    elif name == "count_10_with_20_vertex_predictions":
+        count = 10
+        gt = MapElement(np.array([[0.0, 0.0], [4.0, 1.0], [10.0, 0.0]]),
+                        ElementClass.LANE_DIVIDER)
+        pred_mu = [line + np.array([0.0, 0.2]), line + np.array([0.0, 40.0])]
+    else:
+        gt = MapElement(np.array([[10.0, 0.0], [6.0, 1.0], [0.0, 0.5]]),
+                        ElementClass.LANE_DIVIDER)
+        pred_mu = [line + np.array([0.0, 0.4]), line + np.array([0.0, 40.0])]
+    pred = _prob_map(pred_mu, conf=0.8)
+    pred.elements += _prob_map([boundary.vertices + 0.1], cls=ElementClass.ROAD_BOUNDARY,
+                               conf=0.6).elements
+    return pred, VectorMap([gt, boundary], Pose2.identity()), count
+
+
+class TestPairingPinned:
+    @pytest.mark.parametrize("name", ["gt_has_resample_count",
+                                      "count_10_with_20_vertex_predictions",
+                                      "reversed_gt"])
+    def test_matches_per_pair_loop(self, name):
+        pred, gt, count = _pairing_case(name)
+        matched = match_vertex_pairs(pred, gt, resample_count=count)
+        expected = reference_match_vertex_pairs(pred, gt, resample_count=count)
+        assert len(matched.mu) == 20 + 3   # one divider and the boundary
+        for got, want in zip((matched.mu, matched.b, matched.gt, matched.class_probs,
+                              matched.labels), expected):
+            np.testing.assert_array_equal(got, want)
 
 
 class TestStandardizeConsistency:

@@ -161,6 +161,31 @@ class TestResample:
             assert np.ptp(gaps) < 1e-9
 
 
+@st.composite
+def open_polylines(draw):
+    """Open polylines whose steps are at least 0.01 long and turn by less
+    than 70 degrees, so that no two consecutive resampled points fall
+    within MERGE_EPS of each other (a hairpin can fold two onto one)."""
+    n_seg = draw(st.integers(1, 6))
+    heading = draw(st.floats(-math.pi, math.pi))
+    pts = [np.array([draw(st.floats(-50, 50)), draw(st.floats(-50, 50))])]
+    for _ in range(n_seg):
+        heading += draw(st.floats(-1.2, 1.2))
+        step = draw(st.floats(0.01, 10))
+        pts.append(pts[-1] + step * np.array([math.cos(heading), math.sin(heading)]))
+    return Polyline(np.array(pts))
+
+
+class TestResampleProperties:
+    @given(open_polylines(), st.integers(2, 60))
+    @settings(max_examples=300, deadline=None)
+    def test_keeps_endpoints_and_count(self, p, count):
+        out = resample(p, count)
+        assert len(out.vertices) == count and not out.closed
+        np.testing.assert_array_equal(out.vertices[0], p.vertices[0])
+        np.testing.assert_array_equal(out.vertices[-1], p.vertices[-1])
+
+
 class TestTransforms:
     def test_identity(self):
         np.testing.assert_allclose(transform_point((1, 0), Pose2.identity()), [1, 0])

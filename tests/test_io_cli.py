@@ -235,6 +235,18 @@ class TestCliGenerate:
         assert main(["generate", "--config", str(bad),
                      "--out", str(tmp_path / "x")]) == 2
 
+    @pytest.mark.parametrize("damage", ["undecodable", "directory"])
+    def test_unreadable_config_exits_2(self, damage, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        if damage == "undecodable":
+            bad.write_bytes(b"\xff\xfe{}")
+        else:
+            bad.mkdir()
+        assert main(["generate", "--config", str(bad),
+                     "--out", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1
+
     def test_usage_error_exits_2(self):
         assert main(["generate"]) == 2
 
@@ -506,6 +518,32 @@ class TestSceneFileReads:
         target = data / manifest["scenes"][1][key]
         text = target.read_bytes()
         target.write_bytes(text[:len(text) // 2])
+        assert main([command, "--manifest", str(data / "manifest.json"),
+                     "--out", str(tmp_path / "r")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command, key, damage", [
+        ("eval-map", "observed_map", "undecodable"),
+        ("eval-map", "gt_map", "not_an_object"),
+        ("eval-map", "manifest", "not_an_object"),
+        ("eval-pred", "trajectories", "directory"),
+    ])
+    def test_unreadable_file_exits_3(self, command, key, damage, dataset_dir, tmp_path,
+                                     capsys):
+        data = tmp_path / "data"
+        shutil.copytree(dataset_dir, data)
+        manifest = json.loads((data / "manifest.json").read_text())
+        target = data / ("manifest.json" if key == "manifest"
+                         else manifest["scenes"][0][key])
+        if damage == "undecodable":
+            target.write_bytes(b"\xff\xfe" + target.read_bytes())
+        elif damage == "not_an_object":
+            target.write_text("[1, 2]\n")
+        else:
+            target.unlink()
+            target.mkdir()
         assert main([command, "--manifest", str(data / "manifest.json"),
                      "--out", str(tmp_path / "r")]) == 3
         err = capsys.readouterr().err

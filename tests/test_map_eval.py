@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from uncmap import map_eval
@@ -10,9 +10,11 @@ from uncmap.geometry import ElementClass, MapElement, Polyline, Pose2, VectorMap
 from uncmap.map_eval import (
     APConfig,
     ChamferConfig,
+    _element_points,
     average_precision,
     chamfer,
     chamfer_elements,
+    chamfer_matrices,
     evaluate_map,
     evaluate_scenes,
     greedy_match,
@@ -79,6 +81,22 @@ class TestChamfer:
             assert chamfer(s1, s1) == 0.0
 
 
+point_sets = st.lists(st.tuples(st.floats(-50, 50), st.floats(-50, 50)),
+                      min_size=1, max_size=12).map(np.array)
+
+
+class TestChamferProperties:
+    @given(point_sets, point_sets)
+    @settings(max_examples=200, deadline=None)
+    def test_symmetric(self, s1, s2):
+        assert chamfer(s1, s2) == chamfer(s2, s1)
+
+    @given(point_sets)
+    @settings(max_examples=200, deadline=None)
+    def test_zero_against_itself(self, s1):
+        assert chamfer(s1, s1) == 0.0
+
+
 class TestChamferElements:
     def test_identical_polylines(self):
         p = Polyline(np.array([[0, 0], [5, 1], [10, 0]], float))
@@ -110,6 +128,73 @@ class TestChamferElements:
         b = Polyline(np.array([[0.0, 1.0], [10.0, 1.0]]))
         assert chamfer_elements(a, b, ChamferConfig(resample_count=5)) == \
             pytest.approx(2.0, rel=1e-12)
+
+
+def tiny(x, y):
+    """A 5e-9 m element: resampling merges its points below MERGE_EPS, so
+    its point set is shorter than any resample count of 7 or more."""
+    return MapElement(np.array([[x, y], [x + 5e-9, y]]), CLS)
+
+
+@st.composite
+def elements(draw, count):
+    """A map element (open or closed), a tiny element, or a raw point set
+    of exactly ``count`` points, which is used verbatim."""
+    kind = draw(st.sampled_from(["open", "closed", "tiny", "points"]))
+    coord = st.integers(-40, 40).map(lambda v: v / 4)
+    if kind == "tiny":
+        return tiny(draw(coord), draw(coord))
+    size = count if kind == "points" else draw(st.integers(2, 6))
+    pts = draw(st.lists(st.tuples(coord, coord), min_size=size, max_size=size)
+               .filter(lambda p: all(a != b for a, b in zip(p, p[1:]))))
+    if kind == "points":
+        return np.array(pts)
+    el = MapElement(np.array(pts), CLS, closed=kind == "closed")
+    try:
+        _element_points(el, count)
+    except ValueError:   # a hairpin whose samples all fold onto one point
+        reject()
+    return el
+
+
+def assert_equals_per_pair_chamfer(groups, count):
+    mats = chamfer_matrices(groups, count)
+    assert len(mats) == len(groups)
+    for mat, (preds, gts) in zip(mats, groups):
+        assert mat.shape == (len(preds), len(gts))
+        for i, p in enumerate(preds):
+            for j, g in enumerate(gts):
+                assert mat[i, j] == chamfer(_element_points(p, count),
+                                            _element_points(g, count))
+
+
+class TestChamferMatrices:
+    @given(st.integers(2, 8).flatmap(lambda count: st.tuples(st.just(count), st.lists(
+        st.tuples(st.lists(elements(count), max_size=4),
+                  st.lists(elements(count), max_size=4)), max_size=4))))
+    @settings(max_examples=100, deadline=None)
+    def test_equals_per_pair_chamfer(self, problem):
+        count, groups = problem
+        assert_equals_per_pair_chamfer(groups, count)
+
+    @given(st.integers(7, 9).flatmap(lambda count: st.tuples(
+        st.just(count),
+        st.lists(elements(count), max_size=3), st.lists(elements(count), max_size=3),
+        st.lists(elements(count), min_size=9, max_size=10),
+        st.lists(elements(count), min_size=8, max_size=8))))
+    @settings(max_examples=30, deadline=None)
+    def test_group_straddles_block_edge(self, problem):
+        count, preds0, gts0, preds, gts = problem
+        preds = preds[:4] + [tiny(0.0, 0.0)] + preds[4:]
+        assert len(_element_points(preds[4], count)) < count
+        assert len(preds) * len(gts) > map_eval._BLOCK
+        assert_equals_per_pair_chamfer([(preds0, gts0), (preds, gts), ([], gts)], count)
+
+    def test_empty_groups(self):
+        assert chamfer_matrices([], 20) == []
+        mats = chamfer_matrices([([], []), ([seg(0, 0, 1, 0)], []),
+                                 ([], [seg(0, 0, 1, 0)])], 20)
+        assert [m.shape for m in mats] == [(0, 0), (1, 0), (0, 1)]
 
 
 def seg(x0, y0, x1, y1, conf=1.0, cls=CLS):
@@ -300,14 +385,28 @@ class TestEvaluateMap:
         assert 0.0 < report.map_score < 1.0
 
     def test_chamfer_once_per_pair_and_scene(self, monkeypatch):
-        calls = []
-        original = map_eval.chamfer
+        # Distances are evaluated in the pooled kernel's blocks, or by
+        # chamfer for a pair it cannot stack; count the pairs through both,
+        # and the pairs handed to chamfer_matrices.
+        passed, evaluated = [], []
+        original = (map_eval.chamfer_matrices, map_eval._chamfer_block, map_eval.chamfer)
 
-        def counting(a, b):
-            calls.append(1)
-            return original(a, b)
+        def counting_matrices(groups, count):
+            groups = [(list(p), list(g)) for p, g in groups]
+            passed.extend(1 for p, g in groups for _ in range(len(p) * len(g)))
+            return original[0](groups, count)
 
-        monkeypatch.setattr(map_eval, "chamfer", counting)
+        def counting_block(a, b):
+            evaluated.extend([1] * len(a))
+            return original[1](a, b)
+
+        def counting_chamfer(a, b):
+            evaluated.append(1)
+            return original[2](a, b)
+
+        monkeypatch.setattr(map_eval, "chamfer_matrices", counting_matrices)
+        monkeypatch.setattr(map_eval, "_chamfer_block", counting_block)
+        monkeypatch.setattr(map_eval, "chamfer", counting_chamfer)
         pairs = [_scene_maps(), _scene_maps(np.array([0.7, 0.0])),
                  (VectorMap([seg(0, 0, 0, 10), seg(4, 0, 4, 10)], Pose2.identity()),
                   VectorMap([seg(0.2, 0, 0.2, 10), seg(9, 0, 9, 10), seg(3, 0, 3, 10)],
@@ -315,9 +414,40 @@ class TestEvaluateMap:
         expected = sum(len(pred.by_class(cls)) * len(gt.by_class(cls))
                        for pred, gt in pairs for cls in APConfig().classes)
         for matching in ("greedy", "hungarian"):
-            calls.clear()
+            passed.clear()
+            evaluated.clear()
             evaluate_scenes(pairs, APConfig(thresholds=(0.5, 1.0, 1.5), matching=matching))
-            assert len(calls) == expected
+            assert len(passed) == expected
+            assert len(evaluated) == expected
+
+
+@st.composite
+def scenes(draw):
+    """(pred, gt) maps of up to four two-point elements of two classes."""
+    coord = st.integers(-20, 20).map(float)
+
+    def elements(with_conf):
+        return st.lists(st.builds(
+            lambda x0, y0, dx, dy, conf, cls: seg(x0, y0, x0 + dx, y0 + dy, conf, cls),
+            coord, coord, st.integers(1, 6).map(float), st.integers(-3, 3).map(float),
+            st.floats(0, 1) if with_conf else st.just(1.0),
+            st.sampled_from([CLS, ElementClass.ROAD_BOUNDARY])), max_size=4)
+
+    return (VectorMap(draw(elements(True)), Pose2.identity()),
+            VectorMap(draw(elements(False)), Pose2.identity()))
+
+
+class TestAPBounds:
+    @given(st.lists(scenes(), min_size=1, max_size=3),
+           st.sampled_from(["greedy", "hungarian"]))
+    @settings(max_examples=100, deadline=None)
+    def test_defined_cells_lie_in_unit_interval(self, pairs, matching):
+        report = evaluate_scenes(pairs, APConfig(thresholds=(0.5, 2.0, 8.0),
+                                                 matching=matching))
+        defined = report.ap[~np.isnan(report.ap)]
+        assert np.all((defined >= 0.0) & (defined <= 1.0))
+        if len(defined):
+            assert 0.0 <= report.map_score <= 1.0
 
 
 def reference_greedy(confidence, cost, threshold):
