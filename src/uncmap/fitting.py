@@ -1,23 +1,32 @@
 """Laplace maximum-likelihood estimation on raw samples and on map stacks.
 
 The closed form (median location, mean absolute deviation scale) is the
-exact minimizer of the Laplace NLL and serves as the oracle for the
+exact minimizer of the Laplace NLL and serves as the reference for the
 gradient-descent fit, which minimizes the same loss numerically over
-(mu, log b).
+(mu, log b). The descent sorts the samples once and evaluates the loss and
+its gradient from prefix sums in O(log n) per point. It reports
+``converged`` only with an optimality certificate: 0 lies in the
+subdifferential in mu, and the derivative in log b is within tolerance
+or b rests on the scale floor.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .geometry import CLASS_INDEX, NUM_CLASSES, VectorMap
-from .probmap import B_FLOOR, ProbMapElement, ProbVectorMap, nll_loss
+from .probmap import B_FLOOR, ProbMapElement, ProbVectorMap
 
 # Logit assigned to non-template classes in fitted maps; the template's own
 # class gets 0, so the softmax is effectively one-hot.
 _OFF_CLASS_LOGIT = -16.0
+_LOG2 = math.log(2.0)
+# Largest rise of log b in one step. Below the optimum the loss grows like
+# exp(-log b), so an unbounded step there overshoots b by orders of magnitude.
+_MAX_LOG_B_RISE = 1.0
 
 
 @dataclass
@@ -35,7 +44,13 @@ class FitResult:
 
 @dataclass
 class FitConfig:
-    """Gradient-descent settings for :func:`fit_gradient`."""
+    """Gradient-descent settings for :func:`fit_gradient`.
+
+    ``tol`` bounds ``|d loss / d log b|`` in the convergence certificate;
+    the mu half of the certificate is exact and needs no tolerance.
+    ``step_size`` is the first trial step of each line search and
+    ``armijo_c`` its sufficient-decrease constant.
+    """
 
     step_size: float = 1.0
     max_iters: int = 10_000
@@ -74,13 +89,106 @@ def fit_closed_form(samples) -> FitResult:
                      converged=True, clamped=clamped)
 
 
+def _sorted_prefix(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """Sorted samples, their prefix sums about the lower median, and that median.
+
+    Centring on the lower median keeps the prefix sums, and the differences
+    :func:`_abs_sum` and :func:`_mu_step` take of them, small next to the
+    loss.
+    """
+    xs = np.sort(x)
+    centre = _lower_median(xs)
+    return xs, np.concatenate(([0.0], np.cumsum(xs - centre))), centre
+
+
+def _abs_sum(sorted_x: np.ndarray, prefix: np.ndarray, centre: float,
+             mu: float) -> tuple[float, int, int]:
+    """``sum |x - mu|`` with the counts of samples ``< mu`` and ``<= mu``.
+
+    ``prefix[k]`` is the sum of the ``k`` smallest samples minus ``centre``
+    each, so the sum takes two binary searches and O(1) arithmetic.
+    """
+    n = len(sorted_x)
+    below = int(sorted_x.searchsorted(mu))
+    upto = below
+    if below < n and sorted_x.item(below) == mu:
+        upto = int(sorted_x.searchsorted(mu, "right"))
+    t = mu - centre
+    total = (t * (below + upto - n) - prefix.item(below) - prefix.item(upto)
+             + prefix.item(n))
+    return total, below, upto
+
+
+def _sorted_oracle(sorted_x: np.ndarray, prefix: np.ndarray, centre: float, mu: float,
+                   s: float) -> tuple[float, float, float, int, int]:
+    """Mean Laplace NLL at (mu, log b = s) from sorted samples, in O(log n).
+
+    Returns ``(loss, g_mu, g_s, below, upto)``: ``g_mu`` is the
+    minimum-norm subgradient in mu (0 exactly when 0 lies in the
+    subdifferential), ``g_s`` the derivative in s, and ``below``/``upto``
+    the counts of samples ``< mu`` and ``<= mu``.
+    """
+    n = len(sorted_x)
+    total, below, upto = _abs_sum(sorted_x, prefix, centre, mu)
+    r = total / n * math.exp(-s)  # mean |x - mu| / b
+    # The subdifferential of sum |x - mu| is [2 below - n, 2 upto - n].
+    lo, hi = 2 * below - n, 2 * upto - n
+    g = lo if lo > 0 else hi if hi < 0 else 0
+    return s + _LOG2 + r, g * math.exp(-s) / n, 1.0 - r, below, upto
+
+
+def _mu_step(sorted_x: np.ndarray, prefix: np.ndarray, centre: float, target: float,
+             g_mu: float, below: int, upto: int) -> tuple[float, float]:
+    """Where a mu step towards ``target`` stops, and how far it passed samples.
+
+    A step that would cross samples stops on the farthest of them, so a
+    step past the optimum lands exactly on a kink of the loss. Returns the
+    new mu and the summed distance from it of the samples strictly passed.
+    """
+    if g_mu > 0.0:  # moving down past samples below..j
+        j = int(sorted_x.searchsorted(target))
+        if j == below:
+            return target, 0.0
+        mu = sorted_x.item(j)
+        k = int(sorted_x.searchsorted(mu, "right"))
+        return mu, prefix.item(below) - prefix.item(k) - (below - k) * (mu - centre)
+    if g_mu < 0.0:  # moving up past samples upto..j - 1
+        j = int(sorted_x.searchsorted(target, "right"))
+        if j == upto:
+            return target, 0.0
+        mu = sorted_x.item(j - 1)
+        k = int(sorted_x.searchsorted(mu))
+        return mu, (k - upto) * (mu - centre) - (prefix.item(k) - prefix.item(upto))
+    return target, 0.0
+
+
 def fit_gradient(samples, config: FitConfig | None = None) -> FitResult:
     """Minimize the mean per-sample Laplace NLL by gradient descent.
 
-    Optimizes over (mu, log b) so b stays positive by construction, with a
-    backtracking (halving) line search under an Armijo sufficient-decrease
-    test. Convergence is declared when an accepted step changes the loss by
-    less than ``config.tol``.
+    Optimizes over (mu, log b), so b stays positive by construction. The
+    samples are sorted once, with prefix sums centred on the lower median,
+    so the loss and gradient at any point cost two binary searches
+    (:func:`_sorted_oracle`).
+
+    Each step descends along the minimum-norm subgradient in mu. A mu move
+    that would cross samples stops on the farthest of them
+    (:func:`_mu_step`), so a step past the optimum lands exactly on a kink
+    of the loss. A backtracking (halving) line search applies the Armijo
+    sufficient-decrease test to the step actually taken. A trial's loss
+    change follows from the slope at mu and the samples it passes, not from
+    the difference of two rounded losses, so the test resolves decreases
+    far below the rounding of the loss itself. ``loss_trace`` starts at the
+    initial loss and adds each accepted change, so it never rises.
+
+    log b stays at or above ``log(B_FLOOR)`` and rises by at most
+    ``_MAX_LOG_B_RISE`` per step.
+
+    ``converged`` is a certificate, not a stall test. It holds when 0 lies
+    in the mu subdifferential (the counts of samples below and above mu
+    differ by at most the count at mu) and ``|d loss / d log b| <=
+    config.tol``, or when b sits on the floor and the loss still falls
+    towards smaller b; that result is flagged ``clamped``, as in
+    :func:`fit_closed_form`.
     """
     cfg = config or FitConfig()
     x = np.asarray(samples, dtype=float).ravel()
@@ -88,7 +196,8 @@ def fit_gradient(samples, config: FitConfig | None = None) -> FitResult:
         raise ValueError("need at least 2 samples")
     if not np.all(np.isfinite(x)):
         raise ValueError("samples must be finite")
-    if np.all(x == x[0]):
+    sorted_x, prefix, centre = _sorted_prefix(x)
+    if sorted_x[0] == sorted_x[-1]:
         # NLL is unbounded below in b for identical samples; report the
         # floored closed form instead of iterating.
         res = fit_closed_form(x)
@@ -96,49 +205,49 @@ def fit_gradient(samples, config: FitConfig | None = None) -> FitResult:
                          converged=True, clamped=True,
                          loss_trace=np.array([res.final_loss]))
 
-    mu = float(np.mean(x)) if cfg.init_mu is None else float(cfg.init_mu)
-    b0 = float(np.abs(x - mu).mean()) if cfg.init_b is None else float(cfg.init_b)
-    s = np.log(max(b0, B_FLOOR))
+    n = len(x)
+    mu = centre + prefix.item(n) / n if cfg.init_mu is None else float(cfg.init_mu)
+    b0 = _abs_sum(sorted_x, prefix, centre, mu)[0] / n if cfg.init_b is None \
+        else float(cfg.init_b)
+    s_floor = math.log(B_FLOOR)
+    s = max(math.log(b0), s_floor) if b0 > 0.0 else s_floor
 
-    def loss_and_grad(mu_v: float, s_v: float) -> tuple[float, float, float]:
-        b_v = np.exp(s_v)
-        total, grad_mu, grad_b = nll_loss(np.full_like(x, mu_v), np.full_like(x, b_v), x)
-        # chain rule through b = exp(s)
-        return total / len(x), float(grad_mu.mean()), float(grad_b.mean()) * b_v
-
-    loss, gmu, gs = loss_and_grad(mu, s)
+    loss, gmu, gs, below, upto = _sorted_oracle(sorted_x, prefix, centre, mu, s)
     trace = [loss]
     iterations = 0
     converged = False
     for _ in range(cfg.max_iters):
-        gnorm2 = gmu * gmu + gs * gs
-        if gnorm2 == 0.0:
+        if gmu == 0.0 and (abs(gs) <= cfg.tol or (s == s_floor and gs > 0.0)):
             converged = True
             break
+        r = 1.0 - gs  # mean |x - mu| / b
+        w = math.exp(-s) / n  # d loss / d sum |x - mu|
         alpha = cfg.step_size
         accepted = False
         while alpha > 1e-20:
-            cand = loss_and_grad(mu - alpha * gmu, s - alpha * gs)
-            if cand[0] <= loss - cfg.armijo_c * alpha * gnorm2:
+            mu_new, crossed = _mu_step(sorted_x, prefix, centre, mu - alpha * gmu,
+                                       gmu, below, upto)
+            s_new = min(max(s - alpha * gs, s_floor), s + _MAX_LOG_B_RISE)
+            dmu, ds = mu_new - mu, s_new - s
+            if dmu == 0.0 and ds == 0.0:
+                break  # the step is below float resolution
+            # sum |x - mu| changes by its slope at mu times dmu, plus twice
+            # the distances of the samples passed from the new mu.
+            change = (ds + r * math.expm1(-ds)
+                      + (gmu * dmu + 2.0 * w * crossed) * math.exp(-ds))
+            if change <= cfg.armijo_c * (gmu * dmu + gs * ds):
                 accepted = True
                 break
             alpha *= 0.5
         if not accepted:
-            # No step of any length improves the loss: numerically stationary.
-            converged = True
             break
         iterations += 1
-        delta = loss - cand[0]
-        mu, s = mu - alpha * gmu, s - alpha * gs
-        loss, gmu, gs = cand
+        mu, s = mu_new, s_new
+        _, gmu, gs, below, upto = _sorted_oracle(sorted_x, prefix, centre, mu, s)
+        loss += change
         trace.append(loss)
-        if delta < cfg.tol:
-            converged = True
-            break
-    b = float(np.exp(s))
-    clamped = b < B_FLOOR
-    if clamped:
-        b = B_FLOOR
+    clamped = s == s_floor and gs > 0.0  # the optimal b lies below the floor
+    b = B_FLOOR if clamped else math.exp(s)
     return FitResult(mu, b, iterations, _mean_nll(x, mu, b),
                      converged=converged, clamped=clamped,
                      loss_trace=np.asarray(trace))

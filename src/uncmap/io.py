@@ -3,7 +3,9 @@
 Everything is plain JSON, human-diffable, with floats serialized by
 Python's shortest round-trip repr (values reload bit-exactly). A map file
 either carries a scale ``b`` on every vertex (probabilistic map) or on
-none (mean map); mixing is a data error.
+none (mean map); mixing is a data error. So is an element that no
+``Polyline`` can be built from, whose vertices all lie within
+``MERGE_EPS`` of its first.
 
 Every file is byte-identical to ``json.dumps(obj, indent=2)`` plus a final
 newline. ``io`` writes it with its own encoder because, on CPython 3.11,
@@ -26,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .geometry import ElementClass, MapElement, Pose2, VectorMap
+from .geometry import MERGE_EPS, ElementClass, MapElement, Pose2, VectorMap
 from .probmap import ProbMapElement, ProbVectorMap
 from .synth import (
     AgentTrack,
@@ -88,6 +90,26 @@ def map_to_dict(m: VectorMap | ProbVectorMap) -> dict:
     }
 
 
+def _check_distinct_vertices(vertex_arrays: list[np.ndarray]) -> None:
+    """Raise :class:`DataError` for an element no ``Polyline`` can be built from.
+
+    ``Polyline`` merges vertices closer than ``MERGE_EPS`` to the last one it
+    kept, so it keeps a second vertex exactly when some vertex lies at least
+    ``MERGE_EPS`` from the first. One pass over all elements of a map.
+    """
+    if not vertex_arrays:
+        return
+    counts = [len(v) for v in vertex_arrays]
+    starts = np.cumsum([0] + counts[:-1])
+    pts = np.concatenate(vertex_arrays)
+    step = pts - np.repeat(pts[starts], counts, axis=0)
+    far = np.hypot(step[:, 0], step[:, 1]) >= MERGE_EPS
+    degenerate = np.flatnonzero(~np.logical_or.reduceat(far, starts))
+    if len(degenerate):
+        raise DataError(f"map element {degenerate[0]} has fewer than 2 vertices "
+                        f"at least {MERGE_EPS:g} apart")
+
+
 def map_from_dict(data: dict) -> VectorMap | ProbVectorMap:
     if data.get("schema_version") != MAP_SCHEMA:
         raise DataError(f"expected map schema {MAP_SCHEMA!r}, "
@@ -116,6 +138,7 @@ def map_from_dict(data: dict) -> VectorMap | ProbVectorMap:
         raise
     except (KeyError, TypeError, ValueError, IndexError) as exc:
         raise DataError(f"malformed map file: {exc}") from exc
+    _check_distinct_vertices([el.mu if probabilistic else el.vertices for el in elements])
     if probabilistic:
         # The range check already ran when the map was first built.
         with warnings.catch_warnings():

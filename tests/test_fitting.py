@@ -1,10 +1,15 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import spearmanr
 
-from uncmap.fitting import FitConfig, fit_closed_form, fit_gradient, fit_map
+from uncmap.fitting import (FitConfig, _sorted_oracle, _sorted_prefix, fit_closed_form,
+                            fit_gradient, fit_map)
 from uncmap.geometry import ElementClass, MapElement, Pose2, VectorMap
-from uncmap.probmap import B_FLOOR
+from uncmap.probmap import B_FLOOR, nll_loss
 
 
 class TestClosedForm:
@@ -59,6 +64,29 @@ class TestGradientFit:
                             int(rng.integers(10, 500)))
             gd = fit_gradient(x)
             assert np.all(np.diff(gd.loss_trace) <= 0)
+            assert gd.converged
+
+    def test_short_series_certified(self):
+        # Short series put the optimum on a kink of the L1 term, where a
+        # rule that stops when the loss stops moving stalls or stops early.
+        rng = np.random.default_rng(0)
+        for _ in range(200):
+            n = int(rng.integers(10, 51))
+            x = rng.laplace(rng.uniform(-2, 2), rng.uniform(0.1, 2.0), n)
+            gd = fit_gradient(x, FitConfig(max_iters=300))
+            cf = fit_closed_form(x)
+            assert gd.converged
+            assert abs(gd.final_loss - cf.final_loss) <= 1e-9 * abs(cf.final_loss)
+            # The trace adds up per-step changes; it must end at the loss.
+            assert gd.loss_trace[-1] == pytest.approx(gd.final_loss, rel=1e-12)
+
+    def test_long_skewed_series_certified(self):
+        # The mean starts 13 000 samples from the median; steps must pass
+        # many samples at once, not one per iteration.
+        x = np.random.default_rng(1).exponential(1.0, 100_000)
+        gd = fit_gradient(x)
+        assert gd.converged and gd.iterations < 100
+        assert gd.final_loss == pytest.approx(fit_closed_form(x).final_loss, rel=1e-12)
 
     def test_closed_form_attains_global_optimum(self):
         rng = np.random.default_rng(4)
@@ -73,10 +101,54 @@ class TestGradientFit:
         gd = fit_gradient(x)
         assert gd.b_hat > 0
 
+    @pytest.mark.parametrize("x", [[0.0, 1e-9, -1e-9, 2e-9], [0.0, 5e-324],
+                                   [0.0, 1e-300, 2e-300]])
+    def test_scale_floored_below_b_floor(self, x):
+        gd = fit_gradient(x)
+        assert gd.converged and gd.clamped and gd.b_hat == B_FLOOR
+        assert gd.final_loss == fit_closed_form(x).final_loss
+
+    def test_start_far_below_the_scale(self):
+        # Below the optimum the loss grows like exp(-log b), so an unbounded
+        # step in log b overshoots b by orders of magnitude.
+        x = np.random.default_rng(2).laplace(2.0, 3.0, 200)
+        gd = fit_gradient(x, FitConfig(init_mu=-40.0, init_b=6e-6))
+        assert gd.converged and gd.iterations < 100
+        assert gd.final_loss == pytest.approx(fit_closed_form(x).final_loss, rel=1e-12)
+
     def test_identical_samples_short_circuit(self):
         gd = fit_gradient([3.0, 3.0, 3.0])
         assert gd.clamped
         assert gd.b_hat == B_FLOOR
+
+
+# Samples on a coarse grid, so that ties are common, mixed with free floats.
+_samples = st.lists(st.one_of(st.integers(-8, 8).map(lambda k: k / 4),
+                              st.floats(-10, 10)), min_size=2, max_size=40)
+
+
+class TestSortedOracle:
+    """The sorted-prefix oracle inside fit_gradient against nll_loss."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(samples=_samples, data=st.data(), s=st.floats(-3, 3))
+    def test_matches_nll_loss(self, samples, data, s):
+        x = np.array(samples)
+        on_sample = data.draw(st.booleans())
+        mu = data.draw(st.sampled_from(samples) if on_sample else st.floats(-12, 12))
+        n, b = len(x), math.exp(s)
+        loss, g_mu, g_s, below, upto = _sorted_oracle(*_sorted_prefix(x), mu, s)
+        total, grad_mu, grad_b = nll_loss(np.full(n, mu), np.full(n, b), x)
+        # Rounding scales with the size of the two terms, not of their sum.
+        scale = abs(math.log(2 * b)) + np.abs(x - mu).mean() / b
+        assert loss == pytest.approx(total / n, rel=1e-12, abs=1e-12 * scale)
+        assert g_s == pytest.approx(grad_b.mean() * b, rel=1e-12, abs=1e-12 * scale)
+        n_below, n_above = int(np.sum(x < mu)), int(np.sum(x > mu))
+        n_at = n - n_below - n_above
+        assert (below, upto) == (n_below, n_below + n_at)
+        assert (g_mu == 0.0) == (abs(n_below - n_above) <= n_at)
+        if n_at == 0:
+            assert g_mu == pytest.approx(grad_mu.mean(), rel=1e-12)
 
 
 def _template_map():

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import shutil
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -10,8 +11,8 @@ from hypothesis import strategies as st
 
 from uncmap import io as uio
 from uncmap.cli import main
-from uncmap.geometry import (ElementClass, MapElement, Pose2, VectorMap,
-                             nearest_point_on_polyline)
+from uncmap.geometry import (MERGE_EPS, ElementClass, MapElement, Polyline, Pose2,
+                             VectorMap, nearest_point_on_polyline)
 from uncmap.probmap import B_FLOOR, ProbMapElement, ProbVectorMap
 from uncmap.synth import AgentTrack, DatasetConfig
 
@@ -78,6 +79,122 @@ class TestMapRoundTrip:
     def test_missing_file(self, tmp_path):
         with pytest.raises(uio.DataError):
             uio.load_map(tmp_path / "nope.json")
+
+
+class TestCoincidentVertices:
+    @settings(max_examples=100, deadline=None)
+    @given(steps=st.lists(st.tuples(st.floats(-2e-9, 2e-9), st.floats(-2e-9, 2e-9)),
+                          min_size=1, max_size=6),
+           closed=st.booleans())
+    def test_rejected_exactly_when_polyline_is(self, steps, closed):
+        # Tiny steps drift in and out of MERGE_EPS of the first vertex.
+        pts = np.cumsum(np.vstack([[3.0, -1.0], steps]), axis=0)
+        good = MapElement(np.array([[0.0, 0.0], [1.0, 0.0]]), ElementClass.LANE_DIVIDER)
+        data = uio.map_to_dict(VectorMap(
+            [good, MapElement(pts, ElementClass.ROAD_BOUNDARY, closed=closed)],
+            Pose2.identity()))
+        try:
+            Polyline(pts, closed=closed)
+        except ValueError:
+            with pytest.raises(uio.DataError, match="map element 1 "):
+                uio.map_from_dict(data)
+        else:
+            uio.map_from_dict(data)
+
+    def test_spacing_at_merge_eps_accepted(self):
+        pts = np.array([[0.0, 0.0], [0.0, 0.5 * MERGE_EPS], [0.0, MERGE_EPS]])
+        data = uio.map_to_dict(VectorMap([MapElement(pts, ElementClass.LANE_DIVIDER)],
+                                         Pose2.identity()))
+        uio.map_from_dict(data)
+        data["elements"][0]["vertices"].pop()
+        with pytest.raises(uio.DataError, match="map element 0 "):
+            uio.map_from_dict(data)
+
+
+# Floats whose text and bits json must keep: signed zero, the smallest
+# subnormal, huge magnitudes, and ordinary values.
+_BIT_FLOATS = st.one_of(st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 1e300, -1e300]),
+                        st.floats(-1e300, 1e300))
+_POSITIVE_FLOATS = st.one_of(st.sampled_from([5e-324, 1e-300, 1e300]),
+                             st.floats(1e-300, 1e300))
+
+
+def _bits_equal(a, b) -> bool:
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def _arrays(draw, shape, elements=_BIT_FLOATS):
+    return np.array(draw(st.lists(elements, min_size=int(np.prod(shape)),
+                                  max_size=int(np.prod(shape))))).reshape(shape)
+
+
+@st.composite
+def _maps(draw):
+    probabilistic = draw(st.booleans())
+    elements = []
+    # A map without vertices has no scales to tell its kind by and loads as
+    # a mean map, so every drawn map has an element.
+    for _ in range(draw(st.integers(1, 3))):
+        n = draw(st.integers(2, 5))
+        mu = _arrays(draw, (n, 2))
+        # A vertex far from the first keeps the element a valid polyline.
+        mu[-1] = np.where(np.abs(mu[0]) >= 1.0, -mu[0], mu[0] + 1.0)
+        cls = draw(st.sampled_from(list(ElementClass)))
+        confidence = draw(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)))
+        closed = draw(st.booleans())
+        if probabilistic:
+            elements.append(ProbMapElement(mu, _arrays(draw, (n, 2), _POSITIVE_FLOATS),
+                                           _arrays(draw, (n, 4)), cls, confidence, closed))
+        else:
+            elements.append(MapElement(mu, cls, confidence, closed))
+    heading = draw(st.one_of(st.sampled_from([np.pi, -np.pi, np.nextafter(np.pi, 0),
+                                              np.nextafter(-np.pi, 0)]),
+                             st.floats(-3.2, 3.2)))
+    pose = Pose2(draw(st.floats(-1e3, 1e3)), draw(st.floats(-1e3, 1e3)), heading)
+    rng = (draw(st.floats(1.0, 200.0)), draw(st.floats(1.0, 200.0)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # vertices outside the perception range
+        return (ProbVectorMap if probabilistic else VectorMap)(elements, pose, rng)
+
+
+class TestBitExactRoundTrip:
+    @settings(max_examples=80, deadline=None)
+    @given(m=_maps())
+    def test_maps(self, m, tmp_path_factory):
+        path = tmp_path_factory.mktemp("map") / "m.json"
+        uio.save_map(m, path)
+        back = uio.load_map(path)
+        assert type(back) is type(m)
+        assert _bits_equal([back.ego_pose.x, back.ego_pose.y, back.ego_pose.heading],
+                           [m.ego_pose.x, m.ego_pose.y, m.ego_pose.heading])
+        assert _bits_equal(back.perception_range, m.perception_range)
+        assert len(back.elements) == len(m.elements)
+        for a, b in zip(back.elements, m.elements):
+            assert (a.element_class, a.closed) == (b.element_class, b.closed)
+            assert _bits_equal(a.confidence, b.confidence)
+            if isinstance(m, ProbVectorMap):
+                assert _bits_equal(a.mu, b.mu) and _bits_equal(a.b, b.b)
+                assert _bits_equal(a.class_logits, b.class_logits)
+            else:
+                assert _bits_equal(a.vertices, b.vertices)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_trajectories(self, data, tmp_path_factory):
+        n_agents = data.draw(st.integers(1, 3))
+        horizon = data.draw(st.integers(1, 4))
+        agents = [AgentTrack(_arrays(data.draw, (data.draw(st.integers(1, 4)), 2)),
+                             _arrays(data.draw, (horizon, 2))) for _ in range(n_agents)]
+        modes = [_arrays(data.draw, (data.draw(st.integers(0, 3)), horizon, 2))
+                 for _ in range(n_agents)]
+        path = tmp_path_factory.mktemp("traj") / "t.json"
+        uio.save_trajectories(agents, modes, path)
+        back_agents, back_modes, _ = uio.load_trajectories(path)
+        for a, b in zip(back_agents, agents, strict=True):
+            assert _bits_equal(a.history, b.history) and _bits_equal(a.future, b.future)
+        for a, b in zip(back_modes, modes, strict=True):
+            assert _bits_equal(a, b)
 
 
 class TestTrajectoryRoundTrip:
@@ -549,6 +666,25 @@ class TestSceneFileReads:
         err = capsys.readouterr().err
         assert err.startswith("data error:") and err.count("\n") == 1
         assert "Traceback" not in err
+
+
+    @pytest.mark.parametrize("command, key", [
+        ("eval-map", "gt_map"), ("calibrate", "gt_map"),
+        ("compare-predictors", "observed_map")])
+    def test_coincident_vertices_exit_3(self, command, key, dataset_dir, tmp_path, capsys):
+        data = tmp_path / "data"
+        shutil.copytree(dataset_dir, data)
+        manifest = json.loads((data / "manifest.json").read_text())
+        target = data / manifest["scenes"][0][key]
+        m = json.loads(target.read_text())
+        element = next(el for el in m["elements"] if el["class"] == "lane_centerline")
+        element["vertices"] = [element["vertices"][0]] * len(element["vertices"])
+        target.write_text(json.dumps(m))
+        assert main([command, "--manifest", str(data / "manifest.json"),
+                     "--out", str(tmp_path / "r")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and err.count("\n") == 1
+        assert "fewer than 2 vertices" in err
 
 
 class TestCliInvalidValues:
