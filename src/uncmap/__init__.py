@@ -89,5 +89,6 @@ from .synth import (  # noqa: F401
     generate_scene,
     observe,
     predict_blind,
+    predict_scene,
     predict_weighted,
 )

@@ -28,8 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import CLASS_INDEX, VectorMap, resample
-from .map_eval import _chamfer_points, _element_points, greedy_match
+from .geometry import CLASS_INDEX, VectorMap, group_indices, resample_all
+from .map_eval import _chamfer_points, _split_point_sets, greedy_match
 from .probmap import LaplaceParam, ProbVectorMap, softmax
 
 
@@ -137,45 +137,55 @@ def match_vertex_pairs(pred_map: ProbVectorMap, gt_map: VectorMap,
     Elements are matched per class by ``map_eval.greedy_match`` at the
     given Chamfer threshold; unmatched elements contribute nothing. Pairs
     are appended in descending prediction confidence. The Chamfer matrices
-    of all classes come from one pooled-kernel call.
+    of all classes come from one pooled-kernel call, after one grouped
+    resampling of all elements; the ground truths that pairing resamples
+    to the prediction's vertex count go through one more grouped call.
     """
-    mu_parts, b_parts, gt_parts, prob_parts, label_parts = [], [], [], [], []
     classes = {el.element_class for el in pred_map.elements}
     classes |= {el.element_class for el in gt_map.elements}
     groups = [(cls, pred_map.by_class(cls), gt_map.by_class(cls))
               for cls in sorted(classes, key=lambda c: c.value)]
     groups = [(cls, preds, gts) for cls, preds, gts in groups if preds and gts]
-    points = [([_element_points(p, resample_count) for p in preds],
-               [_element_points(g, resample_count) for g in gts])
-              for _, preds, gts in groups]
+    points = _split_point_sets([(preds, gts) for _, preds, gts in groups], resample_count)
     mats = _chamfer_points(points, resample_count)
-    for (cls, preds, gts), (_, gt_sets), mat in zip(groups, points, mats):
-        conf = np.array([p.confidence for p in preds], dtype=float)
+    # One entry per pair: the prediction, its class index, and its ground
+    # truth's point set, which is the element itself until it is resampled.
+    preds, labels, gt_sets, todo = [], [], [], []
+    for (cls, cls_preds, gts), (_, chamfer_sets), mat in zip(groups, points, mats):
+        conf = np.array([p.confidence for p in cls_preds], dtype=float)
         match = greedy_match(conf, mat, threshold)
         for pi in np.argsort(-conf, kind="stable"):
             if match[pi] < 0:
                 continue
-            pred = preds[pi]
-            gt = gts[match[pi]]
+            pred, gt = cls_preds[pi], gts[match[pi]]
             if pred.n_vertices == resample_count and len(gt.vertices) != resample_count:
-                gt_pts = gt_sets[match[pi]]
+                gt = chamfer_sets[match[pi]]
             else:
-                gt_pts = resample(gt.as_polyline(), pred.n_vertices).vertices
-            fwd = np.hypot(*(pred.mu - gt_pts).T).sum()
-            rev_pts = gt_pts[::-1]
-            rev = np.hypot(*(pred.mu - rev_pts).T).sum()
-            if rev < fwd:
-                gt_pts = rev_pts
-            mu_parts.append(pred.mu)
-            b_parts.append(pred.b)
-            gt_parts.append(gt_pts)
-            prob_parts.append(softmax(pred.class_logits))
-            label_parts.append(np.full(pred.n_vertices, CLASS_INDEX[cls], dtype=int))
-    if not mu_parts:
+                todo.append(len(gt_sets))
+            preds.append(pred)
+            labels.append(CLASS_INDEX[cls])
+            gt_sets.append(gt)
+    if not preds:
         return MatchedVertices(np.empty((0, 2)), np.empty((0, 2)), np.empty((0, 2)),
                                np.empty((0, len(CLASS_INDEX))), np.empty(0, dtype=int))
-    return MatchedVertices(np.vstack(mu_parts), np.vstack(b_parts), np.vstack(gt_parts),
-                           np.vstack(prob_parts), np.concatenate(label_parts))
+    for i, pts in zip(todo, resample_all([gt_sets[i].vertices for i in todo],
+                                         [gt_sets[i].closed for i in todo],
+                                         [preds[i].n_vertices for i in todo])):
+        gt_sets[i] = pts
+    # Orient each ground truth to the smaller summed pairing distance, one
+    # stack of pairs per (prediction, ground truth) shape.
+    for _, rows in group_indices((p.mu.shape, g.shape) for p, g in zip(preds, gt_sets)):
+        mu = np.array([preds[i].mu for i in rows])
+        gt = np.array([gt_sets[i] for i in rows])
+        fwd, rev = mu - gt, mu - gt[:, ::-1]
+        flip = (np.hypot(rev[..., 0], rev[..., 1]).sum(axis=1)
+                < np.hypot(fwd[..., 0], fwd[..., 1]).sum(axis=1))
+        for i in np.asarray(rows)[flip]:
+            gt_sets[i] = gt_sets[i][::-1]
+    return MatchedVertices(
+        np.vstack([p.mu for p in preds]), np.vstack([p.b for p in preds]), np.vstack(gt_sets),
+        softmax(np.vstack([p.class_logits for p in preds])),
+        np.repeat(np.array(labels, dtype=int), [p.n_vertices for p in preds]))
 
 
 @dataclass

@@ -263,13 +263,13 @@ def cmd_compare_predictors(args) -> int:
     blind_sets, weighted_sets = [], []
     for _, observed, agents, _ in io.iter_scene_files(manifest, "observed_map",
                                                       "trajectories"):
-        plain = mean_map(observed)
-        for agent in agents:
-            blind = synth.predict_blind(agent.history, plain, args.modes)
-            weighted = synth.predict_weighted(agent.history, observed, args.modes,
-                                              args.lam, args.b0)
-            blind_sets.append(TrajectorySet(blind, agent.future))
-            weighted_sets.append(TrajectorySet(weighted, agent.future))
+        histories = [agent.history for agent in agents]
+        blind = synth.predict_scene(histories, mean_map(observed), args.modes)
+        weighted = synth.predict_scene(histories, observed, args.modes, args.lam, args.b0,
+                                       weighted=True)
+        for agent, b_modes, w_modes in zip(agents, blind, weighted):
+            blind_sets.append(TrajectorySet(b_modes, agent.future))
+            weighted_sets.append(TrajectorySet(w_modes, agent.future))
     if not blind_sets:
         raise io.DataError("manifest contains no agents")
     rep_blind = pred_eval.evaluate_trajectories(blind_sets, args.miss_threshold)
@@ -383,3 +383,7 @@ def main(argv=None) -> int:
 
 def console_main() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    console_main()

@@ -4,6 +4,24 @@ Points are length-2 float arrays in meters. Frames follow a heading-up
 convention: expressing a world point in a pose's frame applies
 ``R(-heading) @ (p - position)``, so the pose's forward direction
 ``(-sin(heading), cos(heading))`` lands on the +y axis of its own frame.
+
+Polyline walks (resampling, ``point_along`` and the nearest point) run on
+stacks: one core takes an (R, N, 2) stack of equal-length vertex chains
+with one ``closed`` flag, builds every row's arclength table with one
+``cumsum(axis=1)`` and row sums, and finds each target's segment by a
+comparison count in place of ``searchsorted``. The single-polyline
+functions are R = 1 calls into it. The grouped functions
+(:func:`resample_all`, :func:`points_along`, :func:`nearest_points`) split
+a ragged list into stacks of one shape and flag, so a caller walks all
+elements of a map or scene in one call.
+
+Rows are grouped by length rather than padded to one: numpy sums a row of
+8 or more values pairwise, so a padded row's total rounds differently from
+the polyline's own, while row sums and running sums of equal-length rows
+match the single-row results bit for bit. ``Polyline`` normalisation (the
+merging of steps shorter than ``MERGE_EPS`` and the trailing repeat of a
+closed loop) is checked for a whole stack at once, on input and on output;
+only the rows that need it build a ``Polyline``.
 """
 
 from __future__ import annotations
@@ -166,16 +184,136 @@ class Polyline:
         return Polyline(self.vertices[::-1].copy(), closed=self.closed)
 
 
-def _interp_along(pts: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    """Points at the given arclength positions along a vertex chain."""
-    seg = np.diff(pts, axis=0)
-    seglen = np.hypot(seg[:, 0], seg[:, 1])
-    cum = np.concatenate([[0.0], np.cumsum(seglen)])
-    idx = np.searchsorted(cum, targets, side="right") - 1
-    idx = np.clip(idx, 0, len(seglen) - 1)
-    denom = np.where(seglen[idx] > 0, seglen[idx], 1.0)
-    t = np.clip((targets - cum[idx]) / denom, 0.0, 1.0)
-    return pts[idx] + t[:, None] * seg[idx]
+def group_indices(keys) -> list[tuple[tuple, list[int]]]:
+    """(key, row indices) for each distinct key, in order of first appearance.
+
+    The stacked kernels take one stack of equal-shape rows per call; this
+    splits a ragged list into such stacks, say by (shape, closed).
+    """
+    groups: dict[tuple, list[int]] = {}
+    for i, key in enumerate(keys):
+        groups.setdefault(key, []).append(i)
+    return list(groups.items())
+
+
+def _stack(chains, rows) -> np.ndarray:
+    """The chains at ``rows``, which share one shape, as one float stack."""
+    return np.array([chains[r] for r in rows], dtype=float)
+
+
+def _irregular(stack: np.ndarray, closed: bool) -> np.ndarray:
+    """(R,) rows of an (R, N, 2) stack that ``Polyline`` would change or
+    reject: a step shorter than ``MERGE_EPS``, a closed loop's trailing
+    repeat of its first vertex, a non-finite value, or a bad shape."""
+    if stack.ndim != 3 or stack.shape[1] < 2 or stack.shape[2] != 2:
+        return np.ones(len(stack), dtype=bool)
+    step = np.diff(stack, axis=1)
+    bad = (np.hypot(step[..., 0], step[..., 1]) < MERGE_EPS).any(axis=1)
+    bad |= ~np.isfinite(stack).all(axis=(1, 2))
+    if closed and stack.shape[1] > 2:
+        gap = stack[:, -1] - stack[:, 0]
+        bad |= np.hypot(gap[:, 0], gap[:, 1]) < MERGE_EPS
+    return bad
+
+
+def _normalised(stack: np.ndarray, closed: bool) -> list[np.ndarray]:
+    """The vertices ``Polyline`` keeps of each row; only irregular rows
+    build one."""
+    rows = list(stack)
+    for r in np.flatnonzero(_irregular(stack, closed)):
+        rows[r] = Polyline(stack[r], closed=closed).vertices
+    return rows
+
+
+def polyline_vertices(chains, closed) -> list[np.ndarray]:
+    """The vertices ``Polyline(chain, closed=flag).vertices`` holds, for
+    each chain and flag, with the same errors.
+
+    Chains of one shape and flag are checked as one stack.
+    """
+    closed = [bool(c) for c in closed]
+    out: list = [None] * len(chains)
+    for (_, flag), rows in group_indices(zip(map(np.shape, chains), closed)):
+        for r, pts in zip(rows, _normalised(_stack(chains, rows), flag)):
+            out[r] = pts
+    return out
+
+
+def _chain(stack: np.ndarray, closed: bool) -> np.ndarray:
+    """Vertex chains to walk: a closed loop repeats its first vertex last."""
+    return np.concatenate([stack, stack[:, :1]], axis=1) if closed else stack
+
+
+def _cumulative(seglen: np.ndarray) -> np.ndarray:
+    """(R, K + 1) arclength at each vertex of (R, K) segment lengths."""
+    cum = np.zeros((seglen.shape[0], seglen.shape[1] + 1))
+    np.cumsum(seglen, axis=1, out=cum[:, 1:])
+    return cum
+
+
+def _walk(stack: np.ndarray, closed: bool, targets) -> np.ndarray:
+    """(R, M, 2) points along each row of the stack.
+
+    ``targets`` maps the (R, 1) row lengths (the row sums of the segment
+    lengths) to the (R, M) arclengths to walk to. Closed rows are walked
+    around the loop, back to the first vertex.
+    """
+    chain = _chain(stack, closed)
+    seg = np.diff(chain, axis=1)
+    seglen = np.hypot(seg[..., 0], seg[..., 1])
+    cum = _cumulative(seglen)
+    s = targets(seglen.sum(axis=1)[:, None])
+    # The segment of each target: the number of vertex arclengths at or
+    # below it, less one (``searchsorted(side="right") - 1`` of each row).
+    idx = np.clip((cum[:, None, :] <= s[..., None]).sum(axis=2) - 1, 0, seglen.shape[1] - 1)
+    rows = np.arange(len(chain))[:, None]
+    denom = np.where(seglen[rows, idx] > 0, seglen[rows, idx], 1.0)
+    t = np.clip((s - cum[rows, idx]) / denom, 0.0, 1.0)
+    return chain[rows, idx] + t[..., None] * seg[rows, idx]
+
+
+def _resample(stack: np.ndarray, closed: bool, count: int) -> np.ndarray:
+    """(R, count, 2) resampled rows, before ``Polyline`` normalisation."""
+    if count < 2:
+        raise ValueError("resample count must be >= 2")
+
+    def targets(total):
+        if np.any(total <= 0.0):
+            raise ValueError("cannot resample a zero-length polyline")
+        return np.arange(count) * (total / (count if closed else count - 1))
+
+    out = _walk(stack, closed, targets)
+    out[:, 0] = stack[:, 0]
+    if not closed:
+        out[:, -1] = stack[:, -1]
+    return out
+
+
+def _point_along(stack: np.ndarray, closed: bool, s: np.ndarray) -> np.ndarray:
+    """(R, M, 2) points at arclengths ``s`` (R, M), clamped to each row's
+    extent; closed rows wrap ``s`` modulo their length first."""
+    def targets(total):
+        return np.clip(np.mod(s, total) if closed else s, 0.0, total)
+
+    return _walk(stack, closed, targets)
+
+
+def _nearest(stack: np.ndarray, closed: bool, q: np.ndarray):
+    """Closest point of each row to its query ``q`` (R, 2): the (R, 2)
+    points, their (R,) arclengths and (R,) distances."""
+    chain = _chain(stack, closed)
+    a = chain[:, :-1]
+    seg = chain[:, 1:] - a
+    seglen2 = (seg * seg).sum(axis=2)
+    seglen2_safe = np.where(seglen2 > 0, seglen2, 1.0)
+    t = np.clip(((q[:, None, :] - a) * seg).sum(axis=2) / seglen2_safe, 0.0, 1.0)
+    proj = a + t[..., None] * seg
+    d = np.hypot(proj[..., 0] - q[:, None, 0], proj[..., 1] - q[:, None, 1])
+    i = np.argmin(d, axis=1)
+    seglen = np.sqrt(seglen2)
+    rows = np.arange(len(chain))
+    s = _cumulative(seglen)[rows, i] + t[rows, i] * seglen[rows, i]
+    return proj[rows, i], s, d[rows, i]
 
 
 def resample(p: Polyline, count: int) -> Polyline:
@@ -184,22 +322,24 @@ def resample(p: Polyline, count: int) -> Polyline:
     Open polylines keep both endpoints exactly; closed polylines are sampled
     uniformly around the loop starting at (and keeping) the first vertex.
     """
-    if count < 2:
-        raise ValueError("resample count must be >= 2")
-    total = p.arclength()
-    if total <= 0.0:
-        raise ValueError("cannot resample a zero-length polyline")
-    if p.closed:
-        chain = np.vstack([p.vertices, p.vertices[:1]])
-        targets = np.arange(count) * (total / count)
-        out = _interp_along(chain, targets)
-        out[0] = p.vertices[0]
-        return Polyline(out, closed=True)
-    targets = np.arange(count) * (total / (count - 1))
-    out = _interp_along(p.vertices, targets)
-    out[0] = p.vertices[0]
-    out[-1] = p.vertices[-1]
-    return Polyline(out, closed=False)
+    return Polyline(_resample(p.vertices[None], p.closed, count)[0], closed=p.closed)
+
+
+def resample_all(chains, closed, counts) -> list[np.ndarray]:
+    """``resample(Polyline(chain, closed=flag), count).vertices`` for each
+    chain, flag and count, bit for bit and with the same errors.
+
+    Chains of one shape, flag and count are resampled as one stack, and
+    only rows that need merging build a ``Polyline``, on input or output.
+    """
+    closed = [bool(c) for c in closed]
+    verts = polyline_vertices(chains, closed)
+    out: list = [None] * len(verts)
+    for (_, flag, count), rows in group_indices(zip(map(np.shape, verts), closed, counts)):
+        for r, pts in zip(rows, _normalised(_resample(_stack(verts, rows), flag, count),
+                                            flag)):
+            out[r] = pts
+    return out
 
 
 def point_along(p: Polyline, s):
@@ -210,14 +350,21 @@ def point_along(p: Polyline, s):
     modulo their length first. The arclength table is built once per call,
     so walking a whole path costs one call, not one per point.
     """
-    total = p.arclength()
-    pts = p.vertices
     s = np.asarray(s, dtype=float)
-    if p.closed:
-        pts = np.vstack([pts, pts[:1]])
-        s = np.mod(s, total)
-    out = _interp_along(pts, np.clip(s, 0.0, total).reshape(-1))
+    out = _point_along(p.vertices[None], p.closed, s.reshape(1, -1))[0]
     return out[0] if s.ndim == 0 else out
+
+
+def points_along(chains, closed, s) -> np.ndarray:
+    """(R, M, 2) ``point_along`` of each chain at its row of arclengths ``s``
+    (R, M), bit for bit. Chains are vertices as ``Polyline`` keeps them
+    (see :func:`polyline_vertices`); chains of one shape and flag are
+    walked as one stack."""
+    s = np.asarray(s, dtype=float)
+    out = np.empty(s.shape + (2,))
+    for (_, flag), rows in group_indices(zip(map(np.shape, chains), map(bool, closed))):
+        out[rows] = _point_along(_stack(chains, rows), flag, s[rows])
+    return out
 
 
 def nearest_point_on_polyline(p: Polyline, q) -> tuple[np.ndarray, float, float]:
@@ -225,21 +372,21 @@ def nearest_point_on_polyline(p: Polyline, q) -> tuple[np.ndarray, float, float]
 
     Returns (point, arclength of that point, distance to q).
     """
-    q = np.asarray(q, dtype=float)
-    pts = p.vertices
-    if p.closed:
-        pts = np.vstack([pts, pts[:1]])
-    a = pts[:-1]
-    seg = pts[1:] - a
-    seglen2 = (seg * seg).sum(axis=1)
-    seglen2_safe = np.where(seglen2 > 0, seglen2, 1.0)
-    t = np.clip(((q - a) * seg).sum(axis=1) / seglen2_safe, 0.0, 1.0)
-    proj = a + t[:, None] * seg
-    d = np.hypot(proj[:, 0] - q[0], proj[:, 1] - q[1])
-    i = int(np.argmin(d))
-    seglen = np.sqrt(seglen2)
-    cum = np.concatenate([[0.0], np.cumsum(seglen)])
-    return proj[i], float(cum[i] + t[i] * seglen[i]), float(d[i])
+    proj, s, d = _nearest(p.vertices[None], p.closed,
+                          np.asarray(q, dtype=float).reshape(1, 2))
+    return proj[0], float(s[0]), float(d[0])
+
+
+def nearest_points(chains, closed, queries) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``nearest_point_on_polyline`` of each chain to its query (R, 2), bit
+    for bit, as (R, 2) points, (R,) arclengths and (R,) distances. Chains
+    are vertices as ``Polyline`` keeps them (see :func:`polyline_vertices`);
+    chains of one shape and flag are searched as one stack."""
+    queries = np.asarray(queries, dtype=float).reshape(-1, 2)
+    proj, s, d = np.empty((len(chains), 2)), np.empty(len(chains)), np.empty(len(chains))
+    for (_, flag), rows in group_indices(zip(map(np.shape, chains), map(bool, closed))):
+        proj[rows], s[rows], d[rows] = _nearest(_stack(chains, rows), flag, queries[rows])
+    return proj, s, d
 
 
 def segment_intersects_disc(a, b, center, radius):

@@ -177,19 +177,34 @@ def trajectories_to_dict(agents: list[AgentTrack], modes: list[np.ndarray],
     return {"schema_version": TRAJ_SCHEMA, "rate_hz": int(rate_hz), "agents": entries}
 
 
+def _track_points(entry: dict, key: str, agent: int, horizon: int | None = None) -> np.ndarray:
+    """``entry[key]`` as a finite float array: (N, 2) points with N >= 1, or,
+    given the future's ``horizon``, (K, horizon, 2) modes."""
+    arr = np.array(entry[key], dtype=float)
+    if horizon is None:
+        want = "(N, 2) with N >= 1"
+        ok = arr.ndim == 2 and arr.shape[1] == 2 and len(arr) >= 1
+    else:
+        want = f"(K, {horizon}, 2)"
+        ok = arr.ndim == 3 and arr.shape[1:] == (horizon, 2)
+    if not ok:
+        raise DataError(f"agent {agent} {key} must have shape {want}, got {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise DataError(f"agent {agent} {key} holds a non-finite value")
+    return arr
+
+
 def trajectories_from_dict(data: dict) -> tuple[list[AgentTrack], list[np.ndarray], int]:
     if data.get("schema_version") != TRAJ_SCHEMA:
         raise DataError(f"expected trajectory schema {TRAJ_SCHEMA!r}, "
                         f"got {data.get('schema_version')!r}")
     try:
         agents, modes = [], []
-        for entry in data["agents"]:
-            history = np.array(entry["history"], dtype=float)
-            future = np.array(entry["future_gt"], dtype=float)
-            agent_modes = np.array(entry["modes"], dtype=float) if entry["modes"] \
+        for i, entry in enumerate(data["agents"]):
+            history = _track_points(entry, "history", i)
+            future = _track_points(entry, "future_gt", i)
+            agent_modes = _track_points(entry, "modes", i, len(future)) if entry["modes"] \
                 else np.empty((0, len(future), 2))
-            if agent_modes.size and agent_modes.shape[1] != len(future):
-                raise DataError("mode length differs from future length")
             agents.append(AgentTrack(history, future))
             modes.append(agent_modes)
         return agents, modes, int(data["rate_hz"])

@@ -6,9 +6,12 @@ symmetric under exchanging the sets. Elements are compared after
 resampling both polylines to a fixed vertex count.
 
 Every Chamfer matrix comes from one pooled kernel,
-:func:`chamfer_matrices`: it resamples each element once and evaluates
-the pairs of all its (predictions, ground truths) groups in fixed-size
-blocks of one broadcast distance tensor, giving the values of
+:func:`chamfer_matrices`: it resamples the elements of all its
+(predictions, ground truths) groups in one grouped call of
+:func:`~uncmap.geometry.resample_all`, which walks each stack of
+equal-length elements at once (grouped by length, not padded, so every
+row keeps the rounding of its own polyline), and evaluates the pairs in
+fixed-size blocks of one broadcast distance tensor, giving the values of
 :func:`chamfer` bit for bit. AP evaluation calls it once per class over
 all scenes; the calibration pairing runs the same kernel once per scene.
 
@@ -28,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import ALL_CLASSES, ElementClass, MapElement, Polyline, VectorMap, resample
+from .geometry import ALL_CLASSES, ElementClass, MapElement, Polyline, VectorMap, resample_all
 from .probmap import ProbMapElement, ProbVectorMap
 
 
@@ -79,33 +82,42 @@ def chamfer(s1, s2) -> float:
     return term1 + term2
 
 
-def _element_points(obj, count: int) -> np.ndarray:
-    """Fixed-count vertex set of a map element or polyline (mu for
-    probabilistic elements).
+def _element_point_sets(objs, count: int) -> list[np.ndarray]:
+    """Fixed-count vertex sets of map elements or polylines (mu for
+    probabilistic elements), resampled in one grouped call.
 
     An element that already has exactly ``count`` vertices is used
     verbatim: its vertices are the predicted point set, and re-resampling
     a closed element would drift points around the loop (chords cut the
     corners, shortening the perimeter).
     """
-    if isinstance(obj, ProbMapElement):
-        pts, closed = obj.mu, obj.closed
-    elif isinstance(obj, MapElement):
-        pts, closed = obj.vertices, obj.closed
-    elif isinstance(obj, Polyline):
-        pts, closed = obj.vertices, obj.closed
-    else:
-        pts, closed = np.asarray(obj, dtype=float), False
-    if len(pts) == count:
-        return np.array(pts, dtype=float)
-    return resample(Polyline(np.array(pts), closed=closed), count).vertices
+    chains, closed = [], []
+    for obj in objs:
+        if isinstance(obj, ProbMapElement):
+            pts, flag = obj.mu, obj.closed
+        elif isinstance(obj, (MapElement, Polyline)):
+            pts, flag = obj.vertices, obj.closed
+        else:
+            pts, flag = np.asarray(obj, dtype=float), False
+        chains.append(pts)
+        closed.append(flag)
+    out = [np.array(pts, dtype=float) if len(pts) == count else None for pts in chains]
+    todo = [i for i, pts in enumerate(out) if pts is None]
+    for i, pts in zip(todo, resample_all([chains[i] for i in todo],
+                                         [closed[i] for i in todo], [count] * len(todo))):
+        out[i] = pts
+    return out
+
+
+def _element_points(obj, count: int) -> np.ndarray:
+    """:func:`_element_point_sets` of one element."""
+    return _element_point_sets([obj], count)[0]
 
 
 def chamfer_elements(a, b, cfg: ChamferConfig | None = None) -> float:
     """Chamfer distance between two elements after fixed-count resampling."""
     cfg = cfg or ChamferConfig()
-    return chamfer(_element_points(a, cfg.resample_count),
-                   _element_points(b, cfg.resample_count))
+    return chamfer(*_element_point_sets([a, b], cfg.resample_count))
 
 
 # ---------------------------------------------------------------------------
@@ -121,13 +133,21 @@ def chamfer_matrices(groups, count: int) -> list[np.ndarray]:
     """(P, G) Chamfer matrices, one per ``(preds, gts)`` group of elements,
     after fixed-count resampling.
 
-    Every element is resampled once, and the pairs of all groups go
-    through one pooled kernel; each value equals :func:`chamfer` of the two
-    resampled point sets bit for bit.
+    The elements of all groups are resampled in one grouped call, and the
+    pairs of all groups go through one pooled kernel; each value equals
+    :func:`chamfer` of the two resampled point sets bit for bit.
     """
-    return _chamfer_points([([_element_points(p, count) for p in preds],
-                             [_element_points(g, count) for g in gts])
-                            for preds, gts in groups], count)
+    return _chamfer_points(_split_point_sets(groups, count), count)
+
+
+def _split_point_sets(groups, count: int) -> list[tuple[list, list]]:
+    """``(preds, gts)`` groups of elements as groups of their fixed-count
+    point sets, all resampled in one :func:`_element_point_sets` call."""
+    groups = [(list(preds), list(gts)) for preds, gts in groups]
+    points = iter(_element_point_sets(
+        [el for preds, gts in groups for el in preds + gts], count))
+    return [([next(points) for _ in preds], [next(points) for _ in gts])
+            for preds, gts in groups]
 
 
 def _chamfer_points(groups, count: int) -> list[np.ndarray]:

@@ -28,11 +28,12 @@ from .geometry import (
     NUM_CLASSES,
     ElementClass,
     MapElement,
-    Polyline,
     VectorMap,
-    nearest_point_on_polyline,
+    nearest_points,
     point_along,
-    resample,
+    points_along,
+    polyline_vertices,
+    resample_all,
     segment_intersects_disc,
 )
 from .probmap import B_FLOOR, ProbMapElement, ProbVectorMap, mean_map
@@ -290,14 +291,15 @@ def _agent_on_centerline(rng: np.random.Generator, centerlines: list[MapElement]
             if i == idx:
                 continue
             cand_poly = cand.as_polyline()
-            gap0 = nearest_point_on_polyline(cand_poly, future[0])[2]
-            gap1 = nearest_point_on_polyline(cand_poly, future[-1])[2]
+            gap0, gap1 = nearest_points([cand_poly.vertices] * 2, [cand_poly.closed] * 2,
+                                        future[[0, -1]])[2]
             if abs(gap0 - LANE_WIDTH) < 0.1 and abs(gap1 - LANE_WIDTH) < 0.1:
                 target = cand_poly
                 break
         if target is not None:
             ramp = 0.5 * (1.0 - np.cos(np.pi * np.arange(1, future_steps + 1) / future_steps))
-            onto = np.array([nearest_point_on_polyline(target, p)[0] for p in future])
+            onto = nearest_points([target.vertices] * len(future),
+                                  [target.closed] * len(future), future)[0]
             future = future + ramp[:, None] * (onto - future)
     return AgentTrack(history, future)
 
@@ -358,9 +360,11 @@ def observe(gt: VectorMap, noise: NoiseModel, spec: SceneSpec, seed: int,
     """
     rng = np.random.default_rng(seed)
     ego = gt.ego_pose.position
+    points = resample_all([el.vertices for el in gt.elements],
+                          [el.closed for el in gt.elements],
+                          [resample_count] * len(gt.elements))
     out = []
-    for el in gt.elements:
-        pts = resample(el.as_polyline(), resample_count).vertices
+    for el, pts in zip(gt.elements, points):
         b_true = noise.true_scale(pts, ego, el.element_class, spec.condition,
                                   spec.occluders)
         mu = rng.laplace(pts, b_true[:, None])
@@ -385,92 +389,98 @@ def observe(gt: VectorMap, noise: NoiseModel, spec: SceneSpec, seed: int,
 # Baseline predictors
 # ---------------------------------------------------------------------------
 
-def _velocity(history: np.ndarray, dt: float) -> np.ndarray:
-    if len(history) < 2:
-        return np.zeros(2)
-    return (history[-1] - history[-2]) / dt
+def predict_scene(histories, vmap: VectorMap | ProbVectorMap, k: int = DEFAULT_MODES,
+                  lam: float = DEFAULT_LAMBDA, b0: float = DEFAULT_B0,
+                  dt: float = 1.0 / RATE_HZ, horizon: int = FUTURE_STEPS,
+                  weighted: bool = False) -> list[np.ndarray]:
+    """Goal-snapping predictions for every agent of one scene.
 
+    Each agent's history (current position last) gives its position and a
+    constant velocity. Candidate goals are the nearest points on the K
+    centerlines closest to the constant-velocity endpoint; each mode runs
+    along its centerline at the agent's current speed from the snapped
+    entry point. An agent that does not move, or a map without
+    centerlines, gets the single constant-velocity mode.
 
-def _cv_path(pos: np.ndarray, vel: np.ndarray, dt: float, horizon: int) -> np.ndarray:
-    steps = np.arange(1, horizon + 1)[:, None]
-    return pos + steps * (vel * dt)
+    With ``weighted``, ``vmap`` is a :class:`ProbVectorMap` and candidates
+    are ranked by snap distance plus ``lam`` times the centerline's mean
+    scale above the floor, so unreliable centerlines are demoted. Each
+    snapped mode is then blended toward the constant-velocity path with
+    weight w = excess / (excess + b0), so modes on confident centerlines
+    stay put while modes on uncertain ones defer to the agent's own
+    motion. With every scale at the floor the output is bit-identical to
+    the unweighted one on the mean map.
 
+    The goal distances of every (agent, centerline) pair take one
+    nearest-point call, and the snap paths of every (agent, mode) one
+    nearest-point call and one walk.
 
-def _snap_path(poly: Polyline, pos: np.ndarray, speed: float, dt: float,
-               horizon: int) -> np.ndarray:
-    _, s_entry, _ = nearest_point_on_polyline(poly, pos)
-    return point_along(poly, s_entry + speed * dt * np.arange(1, horizon + 1))
-
-
-def _candidates(pos: np.ndarray, vel: np.ndarray, centerlines: list, dt: float,
-                horizon: int) -> tuple[list[Polyline], np.ndarray]:
-    endpoint = pos + vel * dt * horizon
-    polys = [Polyline(c.mu.copy(), closed=c.closed) if isinstance(c, ProbMapElement)
-             else c.as_polyline() for c in centerlines]
-    goal_dist = np.array([nearest_point_on_polyline(p, endpoint)[2] for p in polys])
-    return polys, goal_dist
+    Returns one (n_modes, horizon, 2) array per agent, n_modes <= k.
+    """
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    histories = [np.asarray(h, dtype=float) for h in histories]
+    pos = np.array([h[-1] for h in histories], dtype=float).reshape(len(histories), 2)
+    vel = np.array([(h[-1] - h[-2]) / dt if len(h) >= 2 else np.zeros(2)
+                    for h in histories], dtype=float).reshape(len(histories), 2)
+    speed = np.hypot(vel[:, 0], vel[:, 1])
+    steps = np.arange(1, horizon + 1)
+    cv = pos[:, None, :] + steps[:, None] * (vel * dt)[:, None, :]
+    out = [path[None] for path in cv]
+    centerlines = vmap.by_class(ElementClass.LANE_CENTERLINE)
+    movers = np.flatnonzero(speed >= 1e-9)
+    if not centerlines or not len(movers):
+        return out
+    closed = [c.closed for c in centerlines]
+    chains = polyline_vertices([c.mu if isinstance(c, ProbMapElement) else c.vertices
+                                for c in centerlines], closed)
+    n_lines = len(chains)
+    endpoint = pos[movers] + vel[movers] * dt * horizon
+    goal_dist = nearest_points(chains * len(movers), closed * len(movers),
+                               np.repeat(endpoint, n_lines, axis=0))[2]
+    goal_dist = goal_dist.reshape(len(movers), n_lines)
+    if weighted:
+        excess = np.array([max(float(c.b.mean()) - B_FLOOR, 0.0) for c in centerlines])
+        goal_dist = goal_dist + lam * excess
+    else:
+        excess = np.zeros(n_lines)
+    order = np.argsort(goal_dist, axis=1, kind="stable")[:, :k]
+    n_modes = order.shape[1]
+    agent = np.repeat(movers, n_modes)
+    line = order.reshape(-1)
+    s_entry = nearest_points([chains[i] for i in line], [closed[i] for i in line],
+                             pos[agent])[1]
+    paths = points_along([chains[i] for i in line], [closed[i] for i in line],
+                         s_entry[:, None] + (speed[agent] * dt)[:, None] * steps)
+    w = excess[line] / (excess[line] + b0)
+    blend = w > 0.0
+    paths[blend] += w[blend, None, None] * (cv[agent[blend]] - paths[blend])
+    for j, a in enumerate(movers):
+        out[a] = paths[j * n_modes:(j + 1) * n_modes]
+    return out
 
 
 def predict_blind(history: np.ndarray, vmap: VectorMap, k: int = DEFAULT_MODES,
                   dt: float = 1.0 / RATE_HZ, horizon: int = FUTURE_STEPS) -> np.ndarray:
-    """Goal-snapping predictor that ignores map uncertainty.
-
-    Candidate goals are the nearest points on the K centerlines closest to
-    the constant-velocity endpoint; each mode runs along its centerline at
-    the agent's current speed from the snapped entry point. With no
-    centerlines in the map the single mode is plain constant velocity.
+    """Goal-snapping predictor that ignores map uncertainty: the one-agent
+    :func:`predict_scene`.
 
     Returns an (n_modes, horizon, 2) array, n_modes <= k.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    history = np.asarray(history, dtype=float)
-    centerlines = vmap.by_class(ElementClass.LANE_CENTERLINE)
-    pos = history[-1]
-    vel = _velocity(history, dt)
-    if not centerlines or float(np.hypot(*vel)) < 1e-9:
-        return _cv_path(pos, vel, dt, horizon)[None]
-    polys, goal_dist = _candidates(pos, vel, centerlines, dt, horizon)
-    order = np.argsort(goal_dist, kind="stable")[:k]
-    speed = float(np.hypot(*vel))
-    return np.stack([_snap_path(polys[i], pos, speed, dt, horizon) for i in order])
+    return predict_scene([history], vmap, k, dt=dt, horizon=horizon)[0]
 
 
 def predict_weighted(history: np.ndarray, pmap: ProbVectorMap, k: int = DEFAULT_MODES,
                      lam: float = DEFAULT_LAMBDA, b0: float = DEFAULT_B0,
                      dt: float = 1.0 / RATE_HZ,
                      horizon: int = FUTURE_STEPS) -> np.ndarray:
-    """Goal-snapping predictor that listens to map uncertainty.
+    """Goal-snapping predictor that listens to map uncertainty: the
+    one-agent :func:`predict_scene` with ``weighted=True``.
 
-    Candidates are ranked by snap distance plus ``lam`` times the
-    centerline's mean scale above the floor, so unreliable centerlines are
-    demoted. Each snapped mode is then blended toward plain constant
-    velocity with weight w = excess / (excess + b0), so modes on confident
-    centerlines stay put while modes on uncertain ones defer to the
-    agent's own motion. With every scale at the floor the output is
-    bit-identical to :func:`predict_blind` on the mean map.
+    With every scale at the floor the output is bit-identical to
+    :func:`predict_blind` on the mean map.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    history = np.asarray(history, dtype=float)
-    centerlines = pmap.by_class(ElementClass.LANE_CENTERLINE)
-    pos = history[-1]
-    vel = _velocity(history, dt)
-    if not centerlines or float(np.hypot(*vel)) < 1e-9:
-        return _cv_path(pos, vel, dt, horizon)[None]
-    polys, goal_dist = _candidates(pos, vel, centerlines, dt, horizon)
-    excess = np.array([max(float(c.b.mean()) - B_FLOOR, 0.0) for c in centerlines])
-    order = np.argsort(goal_dist + lam * excess, kind="stable")[:k]
-    speed = float(np.hypot(*vel))
-    cv = _cv_path(pos, vel, dt, horizon)
-    modes = []
-    for i in order:
-        path = _snap_path(polys[i], pos, speed, dt, horizon)
-        w = excess[i] / (excess[i] + b0)
-        if w > 0.0:
-            path = path + w * (cv - path)
-        modes.append(path)
-    return np.stack(modes)
+    return predict_scene([history], pmap, k, lam, b0, dt, horizon, weighted=True)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -558,17 +568,15 @@ def _build_record(item: tuple[int, SceneSpec, int], cfg: DatasetConfig) -> Scene
     i, spec, observe_seed = item
     gt, agents = generate_scene(spec)
     observed = observe(gt, cfg.noise, spec, observe_seed, cfg.resample_count)
-    modes = []
-    if cfg.predictor != "none":
-        plain = mean_map(observed) if cfg.predictor == "blind" else None
-        for agent in agents:
-            if cfg.predictor == "exact":
-                modes.append(agent.future[None].copy())
-            elif cfg.predictor == "weighted":
-                modes.append(predict_weighted(agent.history, observed, cfg.modes,
-                                              cfg.lam, cfg.b0))
-            else:
-                modes.append(predict_blind(agent.history, plain, cfg.modes))
+    histories = [agent.history for agent in agents]
+    if cfg.predictor == "exact":
+        modes = [agent.future[None].copy() for agent in agents]
+    elif cfg.predictor == "weighted":
+        modes = predict_scene(histories, observed, cfg.modes, cfg.lam, cfg.b0, weighted=True)
+    elif cfg.predictor == "blind":
+        modes = predict_scene(histories, mean_map(observed), cfg.modes)
+    else:
+        modes = []
     return SceneRecord(f"scene_{i:04d}", spec, observe_seed, gt, observed, agents, modes)
 
 

@@ -12,9 +12,13 @@ from uncmap.geometry import (
     Polyline,
     Pose2,
     nearest_point_on_polyline,
+    nearest_points,
     point_along,
+    points_along,
+    polyline_vertices,
     pose_in_frame,
     resample,
+    resample_all,
     segment_intersects_disc,
     transform_point,
     wrap_angle,
@@ -326,3 +330,193 @@ class TestMapElement:
         v = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 0.0]])
         el = MapElement(v, ElementClass.ROAD_BOUNDARY)
         assert el.vertices.shape == (3, 2)
+
+
+# The per-polyline kernels as they were before they became stacked, kept as
+# the reference the stacked ones must match bit for bit.
+
+def reference_interp_along(pts, targets):
+    seg = np.diff(pts, axis=0)
+    seglen = np.hypot(seg[:, 0], seg[:, 1])
+    cum = np.concatenate([[0.0], np.cumsum(seglen)])
+    idx = np.searchsorted(cum, targets, side="right") - 1
+    idx = np.clip(idx, 0, len(seglen) - 1)
+    denom = np.where(seglen[idx] > 0, seglen[idx], 1.0)
+    t = np.clip((targets - cum[idx]) / denom, 0.0, 1.0)
+    return pts[idx] + t[:, None] * seg[idx]
+
+
+def reference_resample(p, count):
+    if count < 2:
+        raise ValueError("resample count must be >= 2")
+    total = p.arclength()
+    if total <= 0.0:
+        raise ValueError("cannot resample a zero-length polyline")
+    if p.closed:
+        chain = np.vstack([p.vertices, p.vertices[:1]])
+        targets = np.arange(count) * (total / count)
+        out = reference_interp_along(chain, targets)
+        out[0] = p.vertices[0]
+        return Polyline(out, closed=True).vertices
+    targets = np.arange(count) * (total / (count - 1))
+    out = reference_interp_along(p.vertices, targets)
+    out[0] = p.vertices[0]
+    out[-1] = p.vertices[-1]
+    return Polyline(out, closed=False).vertices
+
+
+def reference_point_along(p, s):
+    total = p.arclength()
+    pts = p.vertices
+    s = np.asarray(s, dtype=float)
+    if p.closed:
+        pts = np.vstack([pts, pts[:1]])
+        s = np.mod(s, total)
+    out = reference_interp_along(pts, np.clip(s, 0.0, total).reshape(-1))
+    return out[0] if s.ndim == 0 else out
+
+
+def reference_nearest(p, q):
+    q = np.asarray(q, dtype=float)
+    pts = p.vertices
+    if p.closed:
+        pts = np.vstack([pts, pts[:1]])
+    a = pts[:-1]
+    seg = pts[1:] - a
+    seglen2 = (seg * seg).sum(axis=1)
+    seglen2_safe = np.where(seglen2 > 0, seglen2, 1.0)
+    t = np.clip(((q - a) * seg).sum(axis=1) / seglen2_safe, 0.0, 1.0)
+    proj = a + t[:, None] * seg
+    d = np.hypot(proj[:, 0] - q[0], proj[:, 1] - q[1])
+    i = int(np.argmin(d))
+    seglen = np.sqrt(seglen2)
+    cum = np.concatenate([[0.0], np.cumsum(seglen)])
+    return proj[i], float(cum[i] + t[i] * seglen[i]), float(d[i])
+
+
+def bits(a):
+    return np.asarray(a, dtype=float).view(np.int64)
+
+
+@st.composite
+def raw_chains(draw):
+    """A raw vertex chain and its closed flag: a plain random walk, one with
+    steps shorter than MERGE_EPS, a tiny one that resampling merges (or
+    that is degenerate), or a closed loop with a trailing repeat. Vertex
+    counts cluster on a few values so that rows share stacks, and reach 41
+    (40 segments) across numpy's pairwise-summation block of 8."""
+    kind = draw(st.sampled_from(["plain", "short_steps", "tiny", "trailing_repeat"]))
+    n = draw(st.one_of(st.sampled_from([2, 3, 9, 20]), st.integers(2, 41)))
+    closed = kind == "trailing_repeat" or draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = 2e-9 if kind == "tiny" else rng.uniform(0.1, 5.0)
+    angles = rng.uniform(-math.pi, math.pi, n - 1)
+    steps = scale * rng.uniform(0.5, 1.5, (n - 1, 1)) * np.column_stack(
+        [np.cos(angles), np.sin(angles)])
+    pts = np.cumsum(np.vstack([rng.uniform(-20, 20, (1, 2)), steps]), axis=0)
+    if kind == "short_steps":
+        for i in sorted(rng.choice(n, size=min(n, 3), replace=False))[::-1]:
+            pts = np.insert(pts, i + 1, pts[i] + rng.choice(_NUDGES), axis=0)
+    if kind == "trailing_repeat":
+        pts = np.vstack([pts, pts[:1] + np.array([rng.choice(_NUDGES), 0.0])])
+    return pts, closed
+
+
+def polyline_or_none(pts, closed):
+    try:
+        return Polyline(pts.copy(), closed=closed)
+    except ValueError:
+        return None
+
+
+class TestStackedKernels:
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(raw_chains(), min_size=1, max_size=12),
+           st.lists(st.sampled_from([2, 3, 7, 20]), min_size=12, max_size=12))
+    def test_resample_all_matches_per_polyline(self, chains, counts):
+        counts = counts[:len(chains)]
+        expected = []
+        for (pts, closed), count in zip(chains, counts):
+            try:
+                expected.append(reference_resample(Polyline(pts.copy(), closed=closed),
+                                                   count))
+            except ValueError:
+                expected.append(None)
+        args = ([pts for pts, _ in chains], [closed for _, closed in chains], counts)
+        if any(e is None for e in expected):
+            with pytest.raises(ValueError):
+                resample_all(*args)
+            return
+        got = resample_all(*args)
+        assert len(got) == len(expected)
+        for g, e in zip(got, expected):
+            assert g.shape == e.shape and np.array_equal(bits(g), bits(e))
+        for (pts, closed), count, e in zip(chains, counts, expected):
+            single = resample(Polyline(pts.copy(), closed=closed), count).vertices
+            assert np.array_equal(bits(single), bits(e))
+        for (pts, closed), v in zip(chains, polyline_vertices(*args[:2])):
+            assert np.array_equal(bits(v), bits(Polyline(pts.copy(), closed=closed).vertices))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(raw_chains(), min_size=1, max_size=12), st.integers(1, 12),
+           st.integers(0, 2**32 - 1))
+    def test_points_along_matches_per_polyline(self, chains, m, seed):
+        polys = [p for p in (polyline_or_none(*c) for c in chains) if p is not None]
+        if not polys:
+            return
+        rng = np.random.default_rng(seed)
+        s = np.empty((len(polys), m))
+        for row, p in zip(s, polys):
+            total = p.arclength()
+            on_vertices = np.concatenate([[0.0], np.cumsum(p.segment_lengths())])
+            row[:] = rng.choice(np.concatenate([
+                on_vertices, [-1.0, total, total + 1.0, 2.5 * total, -1.5 * total],
+                rng.uniform(-total, 2 * total, 8)]), m)
+        got = points_along([p.vertices for p in polys], [p.closed for p in polys], s)
+        assert got.shape == (len(polys), m, 2)
+        for g, p, row in zip(got, polys, s):
+            assert np.array_equal(bits(g), bits(reference_point_along(p, row)))
+            assert np.array_equal(bits(point_along(p, row)), bits(g))
+            assert np.array_equal(bits(point_along(p, row[0])), bits(g[0]))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(raw_chains(), min_size=1, max_size=12), st.integers(0, 2**32 - 1))
+    def test_nearest_points_matches_per_polyline(self, chains, seed):
+        polys = [p for p in (polyline_or_none(*c) for c in chains) if p is not None]
+        if not polys:
+            return
+        rng = np.random.default_rng(seed)
+        queries = np.array([p.vertices[rng.integers(len(p))] + rng.normal(0, 3, 2)
+                            for p in polys])
+        proj, s, d = nearest_points([p.vertices for p in polys],
+                                    [p.closed for p in polys], queries)
+        for i, (p, q) in enumerate(zip(polys, queries)):
+            e_proj, e_s, e_d = reference_nearest(p, q)
+            assert np.array_equal(bits(proj[i]), bits(e_proj))
+            assert np.array_equal(bits([s[i], d[i]]), bits([e_s, e_d]))
+            one = nearest_point_on_polyline(p, q)
+            assert np.array_equal(bits(one[0]), bits(e_proj))
+            assert np.array_equal(bits(one[1:]), bits([e_s, e_d]))
+
+    def test_long_rows_share_a_stack(self):
+        # Rows of 8 to 40 segments, several per length, open and closed.
+        rng = np.random.default_rng(3)
+        chains = [np.cumsum(rng.normal(0, 2, (n, 2)), axis=0)
+                  for n in range(9, 42) for _ in range(3)]
+        closed = [i % 2 == 1 for i in range(len(chains))]
+        got = resample_all(chains, closed, [20] * len(chains))
+        for g, pts, flag in zip(got, chains, closed):
+            e = reference_resample(Polyline(pts.copy(), closed=flag), 20)
+            assert np.array_equal(bits(g), bits(e))
+
+    def test_empty_and_errors(self):
+        assert resample_all([], [], []) == []
+        assert polyline_vertices([], []) == []
+        with pytest.raises(ValueError, match="count"):
+            resample_all([np.array([[0.0, 0.0], [1.0, 0.0]])], [False], [1])
+        with pytest.raises(ValueError):
+            resample_all([np.array([[0.0, 0.0], [0.0, 0.0]])], [False], [5])
+        with pytest.raises(ValueError):
+            polyline_vertices([np.array([[0.0, 0.0], [np.nan, 1.0]])], [False])
+        with pytest.raises(ValueError):
+            polyline_vertices([np.zeros((3, 3))], [False])

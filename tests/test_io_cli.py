@@ -1,6 +1,9 @@
 import hashlib
 import json
+import os
 import shutil
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -685,6 +688,50 @@ class TestSceneFileReads:
         err = capsys.readouterr().err
         assert err.startswith("data error:") and err.count("\n") == 1
         assert "fewer than 2 vertices" in err
+
+    @pytest.mark.parametrize("command", ["eval-pred", "compare-predictors"])
+    @pytest.mark.parametrize("key, damage", [
+        ("history", "empty"), ("history", "three_columns"), ("history", "nan"),
+        ("future_gt", "empty"), ("future_gt", "three_columns"), ("future_gt", "nan"),
+        ("modes", "three_columns"), ("modes", "nan"),
+    ])
+    def test_malformed_trajectory_exits_3(self, command, key, damage, dataset_dir,
+                                          tmp_path, capsys):
+        data = tmp_path / "data"
+        shutil.copytree(dataset_dir, data)
+        manifest = json.loads((data / "manifest.json").read_text())
+        target = data / manifest["scenes"][0]["trajectories"]
+        traj = json.loads(target.read_text())
+        agent = traj["agents"][0]
+        value = np.array(agent[key], dtype=float)
+        if damage == "empty":
+            value = value[:0]
+        elif damage == "three_columns":
+            value = np.concatenate([value, np.zeros(value.shape[:-1] + (1,))], axis=-1)
+        else:
+            value.flat[3] = np.nan
+        agent[key] = value.tolist()
+        target.write_text(json.dumps(traj))
+        assert main([command, "--manifest", str(data / "manifest.json"),
+                     "--out", str(tmp_path / "r")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and err.count("\n") == 1
+        assert f"agent 0 {key}" in err
+
+
+class TestModuleEntryPoints:
+    @pytest.mark.parametrize("module", ["uncmap", "uncmap.cli"])
+    def test_version_and_data_error(self, module, tmp_path):
+        src = str(Path(uio.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        run = [sys.executable, "-m", module]
+        done = subprocess.run(run + ["--version"], env=env, cwd=tmp_path,
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0 and done.stdout.startswith("uncmap ")
+        done = subprocess.run(run + ["eval-map", "--manifest", str(tmp_path / "none.json")],
+                              env=env, cwd=tmp_path, capture_output=True, text=True,
+                              timeout=60)
+        assert done.returncode == 3 and done.stderr.startswith("data error:")
 
 
 class TestCliInvalidValues:

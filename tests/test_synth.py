@@ -5,13 +5,15 @@ from scipy.stats import spearmanr
 from uncmap.geometry import (
     ElementClass,
     MapElement,
+    Polyline,
     Pose2,
     VectorMap,
     nearest_point_on_polyline,
+    point_along,
     segment_intersects_disc,
 )
 from uncmap.map_eval import evaluate_scenes
-from uncmap.probmap import B_FLOOR, mean_map
+from uncmap.probmap import B_FLOOR, ProbMapElement, ProbVectorMap, mean_map
 from uncmap.synth import (
     LANE_WIDTH,
     Condition,
@@ -24,6 +26,7 @@ from uncmap.synth import (
     generate_scene,
     observe,
     predict_blind,
+    predict_scene,
     predict_weighted,
 )
 
@@ -293,3 +296,118 @@ class TestDataset:
         ds = build_dataset(cfg)
         rec = ds.records[0]
         np.testing.assert_array_equal(rec.modes[0][0], rec.agents[0].future)
+
+
+# The per-agent predictors as they were before the per-scene form, kept as
+# the reference it must match bit for bit.
+
+def reference_candidates(pos, vel, centerlines, dt, horizon):
+    endpoint = pos + vel * dt * horizon
+    polys = [Polyline(c.mu.copy(), closed=c.closed) if isinstance(c, ProbMapElement)
+             else c.as_polyline() for c in centerlines]
+    goal_dist = np.array([nearest_point_on_polyline(p, endpoint)[2] for p in polys])
+    return polys, goal_dist
+
+
+def reference_snap_path(poly, pos, speed, dt, horizon):
+    _, s_entry, _ = nearest_point_on_polyline(poly, pos)
+    return point_along(poly, s_entry + speed * dt * np.arange(1, horizon + 1))
+
+
+def reference_predict(history, vmap, k, lam=None, b0=None, dt=0.1, horizon=30):
+    """predict_blind when ``lam`` is None, else predict_weighted."""
+    history = np.asarray(history, dtype=float)
+    centerlines = vmap.by_class(ElementClass.LANE_CENTERLINE)
+    pos = history[-1]
+    vel = (history[-1] - history[-2]) / dt if len(history) >= 2 else np.zeros(2)
+    cv = pos + np.arange(1, horizon + 1)[:, None] * (vel * dt)
+    if not centerlines or float(np.hypot(*vel)) < 1e-9:
+        return cv[None]
+    polys, goal_dist = reference_candidates(pos, vel, centerlines, dt, horizon)
+    speed = float(np.hypot(*vel))
+    if lam is None:
+        order = np.argsort(goal_dist, kind="stable")[:k]
+        return np.stack([reference_snap_path(polys[i], pos, speed, dt, horizon)
+                         for i in order])
+    excess = np.array([max(float(c.b.mean()) - B_FLOOR, 0.0) for c in centerlines])
+    order = np.argsort(goal_dist + lam * excess, kind="stable")[:k]
+    modes = []
+    for i in order:
+        path = reference_snap_path(polys[i], pos, speed, dt, horizon)
+        w = excess[i] / (excess[i] + b0)
+        if w > 0.0:
+            path = path + w * (cv - path)
+        modes.append(path)
+    return np.stack(modes)
+
+
+def assert_scene_matches_reference(histories, observed, k, lam=1.0, b0=0.5):
+    plain = mean_map(observed)
+    blind = predict_scene(histories, plain, k)
+    weighted = predict_scene(histories, observed, k, lam, b0, weighted=True)
+    assert len(blind) == len(weighted) == len(histories)
+    for h, b, w in zip(histories, blind, weighted):
+        for got, expected in ((b, reference_predict(h, plain, k)),
+                              (w, reference_predict(h, observed, k, lam, b0))):
+            assert got.shape == expected.shape
+            assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+        assert np.array_equal(predict_blind(h, plain, k), b)
+        assert np.array_equal(predict_weighted(h, observed, k, lam, b0), w)
+
+
+def prob_centerline(mu, b, closed=False):
+    logits = np.zeros((len(mu), 4))
+    return ProbMapElement(np.asarray(mu, dtype=float), np.full((len(mu), 2), b), logits,
+                          ElementClass.LANE_CENTERLINE, 0.9, closed)
+
+
+class TestPerScenePredictor:
+    @pytest.mark.parametrize("layout, duplicate", [
+        (Layout.STRAIGHT_ROAD, False), (Layout.INTERSECTION, False),
+        (Layout.PARKING_LOT, False), (Layout.INTERSECTION, True),
+        (Layout.STRAIGHT_ROAD, True)])
+    @pytest.mark.parametrize("k", [1, 3, 12])
+    def test_generated_scenes_match_per_agent_loop(self, layout, duplicate, k):
+        for seed in range(4):
+            spec = SceneSpec(layout, seed=seed, n_agents=4, lane_change_prob=0.5,
+                             duplicate_centerlines=duplicate)
+            gt, agents = generate_scene(spec)
+            observed = observe(gt, NoiseModel(), spec, seed=seed + 10)
+            histories = [a.history for a in agents]
+            # A stationary agent, a one-point history and a short history ride
+            # along with the moving agents of the scene.
+            histories += [np.repeat(agents[0].history[-1:], 5, axis=0),
+                          agents[1].history[-1:], agents[2].history[-3:]]
+            assert_scene_matches_reference(histories, observed, k, lam=0.7, b0=0.4)
+
+    def test_mixed_vertex_counts_and_closed_centerline(self):
+        loop = [[-6.0, -6.0], [6.0, -6.0], [6.0, 6.0], [-6.0, 6.0]]
+        arc = np.column_stack([10 * np.cos(np.linspace(0, 1.5, 9)),
+                               10 * np.sin(np.linspace(0, 1.5, 9))])
+        pmap = ProbVectorMap([
+            prob_centerline([[-1.75, -30.0], [-1.75, 30.0]], 0.05),
+            prob_centerline([[1.75, -30.0], [1.75, 0.0], [1.75, 30.0]], 0.9),
+            prob_centerline(loop, 0.3, closed=True),
+            prob_centerline(loop[::-1], 0.3, closed=True),
+            prob_centerline(arc, 1.5),
+            prob_centerline(arc + 0.2, B_FLOOR),
+        ], Pose2.identity())
+        rng = np.random.default_rng(4)
+        histories = [np.cumsum(rng.normal(0, 0.4, (n, 2)), axis=0) + rng.uniform(-8, 8, 2)
+                     for n in (20, 2, 7, 20, 1)]
+        for k in (1, 4, 6, 9):
+            assert_scene_matches_reference(histories, pmap, k)
+
+    def test_map_without_centerlines(self):
+        boundary = MapElement(np.array([[0.0, 0.0], [0.0, 10.0]]), ElementClass.ROAD_BOUNDARY)
+        history = np.column_stack([np.zeros(20), np.linspace(-2, 0, 20)])
+        modes = predict_scene([history, history[-1:]], VectorMap([boundary]), k=6)
+        expected = [reference_predict(history, VectorMap([boundary]), 6),
+                    reference_predict(history[-1:], VectorMap([boundary]), 6)]
+        for got, e in zip(modes, expected):
+            assert got.shape == (1, 30, 2) and np.array_equal(got, e)
+
+    def test_no_agents_and_bad_k(self):
+        assert predict_scene([], VectorMap([]), k=3) == []
+        with pytest.raises(ValueError):
+            predict_scene([np.zeros((2, 2))], VectorMap([]), k=0)
