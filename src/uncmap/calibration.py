@@ -12,7 +12,9 @@ is deterministic: elements are matched with map evaluation's
 ground-truth polyline is resampled to the prediction's vertex count
 (predicted vertices are never resampled, since their scales belong to
 specific vertices), oriented forward or reversed to minimize the summed
-pairing distance, and then paired by index.
+pairing distance, and then paired by index. A ground truth so short that
+resampling merges its points cannot be paired by index and raises
+``ValueError``.
 
 When the prediction has the Chamfer resample count of vertices and the
 ground truth does not, the resampled ground truth is exactly the point set
@@ -172,6 +174,11 @@ def match_vertex_pairs(pred_map: ProbVectorMap, gt_map: VectorMap,
                                          [gt_sets[i].closed for i in todo],
                                          [preds[i].n_vertices for i in todo])):
         gt_sets[i] = pts
+    for pred, gt in zip(preds, gt_sets):
+        if len(gt) != pred.n_vertices:
+            raise ValueError(f"a matched {pred.element_class.value} ground truth is too "
+                             f"short to resample to {pred.n_vertices} points; resampling "
+                             f"merges them to {len(gt)}")
     # Orient each ground truth to the smaller summed pairing distance, one
     # stack of pairs per (prediction, ground truth) shape.
     for _, rows in group_indices((p.mu.shape, g.shape) for p, g in zip(preds, gt_sets)):

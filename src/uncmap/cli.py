@@ -166,10 +166,13 @@ def cmd_eval_pred(args) -> int:
 def cmd_calibrate(args) -> int:
     manifest = _load_manifest(args)
     parts = []
-    for _, gt, observed in io.iter_scene_files(manifest, "gt_map", "observed_map"):
-        parts.append(calibration.match_vertex_pairs(
-            observed, gt, threshold=args.match_threshold,
-            resample_count=args.resample_count))
+    for scene, gt, observed in io.iter_scene_files(manifest, "gt_map", "observed_map"):
+        try:
+            parts.append(calibration.match_vertex_pairs(
+                observed, gt, threshold=args.match_threshold,
+                resample_count=args.resample_count))
+        except ValueError as exc:
+            raise io.DataError(f"scene {scene['id']}: {exc}") from exc
     if not parts or not any(len(p.mu) for p in parts):
         raise io.DataError("no matched vertices; nothing to calibrate")
     mu = np.vstack([p.mu for p in parts])
@@ -208,32 +211,35 @@ def cmd_calibrate(args) -> int:
 
 def cmd_analyze_uncertainty(args) -> int:
     manifest = _load_manifest(args)
-    groups: dict[str, tuple[list[float], list[float]]] = {}
-
-    def add(group: str, dist, scale):
-        keys, vals = groups.setdefault(group, ([], []))
-        keys.extend(dist)
-        vals.extend(scale)
-
+    # Per group, the (distance, mean scale) arrays of each map's vertices in
+    # the group, in scene, element and vertex order.
+    parts: dict[str, list[tuple[np.ndarray, np.ndarray]]] = {}
     n_scenes = 0
     for scene, observed in io.iter_scene_files(manifest, "observed_map"):
         n_scenes += 1
+        if not observed.elements:
+            continue
         ego = observed.ego_pose.position
-        for el in observed.elements:
-            dist = np.hypot(el.mu[:, 0] - ego[0], el.mu[:, 1] - ego[1])
-            scale = el.b.mean(axis=1)
-            add("all", dist, scale)
-            add(f"class:{el.element_class.value}", dist, scale)
-            add(f"condition:{scene['condition']}", dist, scale)
-            add(f"condition:{scene['condition']}|class:{el.element_class.value}",
-                dist, scale)
+        mu = np.vstack([el.mu for el in observed.elements])
+        dist = np.hypot(mu[:, 0] - ego[0], mu[:, 1] - ego[1])
+        scale = np.vstack([el.b for el in observed.elements]).mean(axis=1)
+        classes = [el.element_class.value for el in observed.elements]
+        vertex_class = np.repeat(classes, [el.n_vertices for el in observed.elements])
+        condition = f"condition:{scene['condition']}"
+        for group in ("all", condition):
+            parts.setdefault(group, []).append((dist, scale))
+        for cls in dict.fromkeys(classes):
+            mask = vertex_class == cls
+            for group in (f"class:{cls}", f"{condition}|class:{cls}"):
+                parts.setdefault(group, []).append((dist[mask], scale[mask]))
     if n_scenes == 0:
         raise io.DataError("manifest contains no scenes")
     rows = []
     stats = {}
-    for group in sorted(groups):
-        keys, vals = groups[group]
-        stat = pred_eval.binned_ci(keys, vals, args.bin_edges)
+    for group in sorted(parts):
+        stat = pred_eval.binned_ci(np.concatenate([d for d, _ in parts[group]]),
+                                   np.concatenate([v for _, v in parts[group]]),
+                                   args.bin_edges)
         stats[group] = stat
         for i in range(len(stat.count)):
             rows.append([group, float(stat.bin_edges[i]), float(stat.bin_edges[i + 1]),
@@ -254,7 +260,7 @@ def cmd_analyze_uncertainty(args) -> int:
         },
         "reproducibility": io.reproducibility_block(effective, manifest),
     })
-    print(f"binned scale statistics for {len(groups)} groups -> {out}")
+    print(f"binned scale statistics for {len(parts)} groups -> {out}")
     return 0
 
 

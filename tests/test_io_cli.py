@@ -8,6 +8,7 @@ import warnings
 from pathlib import Path
 
 import numpy as np
+import orjson
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -229,16 +230,21 @@ class TestTrajectoryRoundTrip:
 _SPECIAL_FLOATS = [float("nan"), float("inf"), float("-inf"), -0.0, 5e-324, 1e300]
 _json_floats = st.one_of(st.floats(), st.sampled_from(_SPECIAL_FLOATS),
                          st.floats().map(np.float64))
-_json_values = st.recursive(
-    st.one_of(_json_floats, st.lists(_json_floats, max_size=4),
-              st.integers(-10**30, 10**30), st.booleans(), st.none(),
-              st.text(max_size=6)),
-    lambda children: st.one_of(
-        st.lists(children, max_size=4),
-        st.lists(children, max_size=4).map(tuple),
-        st.dictionaries(st.one_of(st.text(max_size=4), st.integers(-5, 5)), children,
-                        max_size=4)),
-    max_leaves=20)
+
+
+def _json_tree(integers):
+    return st.recursive(
+        st.one_of(_json_floats, st.lists(_json_floats, max_size=4), integers,
+                  st.booleans(), st.none(), st.text(max_size=6)),
+        lambda children: st.one_of(
+            st.lists(children, max_size=4),
+            st.lists(children, max_size=4).map(tuple),
+            st.dictionaries(st.one_of(st.text(max_size=4), st.integers(-5, 5)), children,
+                            max_size=4)),
+        max_leaves=20)
+
+
+_json_values = _json_tree(st.integers(-10**30, 10**30))
 
 
 class TestWriteJson:
@@ -274,6 +280,89 @@ class TestWriteJson:
             obj = {"k": obj, "i": i} if i % 2 else [obj, 0.5]
         uio.write_json(tmp_path / "x.json", obj)
         assert (tmp_path / "x.json").read_text() == json.dumps(obj, indent=2) + "\n"
+
+
+# JSON objects whose integers fit in 64 bits, as scene files hold: orjson
+# reads an integer outside the int64 and uint64 ranges as a float.
+_json_objects_64 = st.dictionaries(st.text(max_size=4),
+                                   _json_tree(st.integers(-2**63, 2**64 - 1)), max_size=4)
+
+
+def _same_json(a, b) -> bool:
+    """Equal decoded JSON values, with floats compared by their bits."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, float):
+        return _bits_equal(a, b)
+    if isinstance(a, list):
+        return len(a) == len(b) and all(map(_same_json, a, b))
+    if isinstance(a, dict):
+        return list(a) == list(b) and all(_same_json(a[k], b[k]) for k in a)
+    return a == b
+
+
+def _read_as_before(path):
+    """What scene files read as with ``json`` alone: the value, or the message."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        return f"{path} is not valid JSON: {exc}"
+
+
+def _read_scene(path):
+    try:
+        return uio._read_json(path, uio._scene_loads)
+    except uio.DataError as exc:
+        return str(exc)
+
+
+class TestReadSceneJson:
+    @settings(max_examples=400, deadline=None)
+    @given(_json_objects_64)
+    def test_value_matches_json_loads(self, tmp_path_factory, obj):
+        path = tmp_path_factory.getbasetemp() / "read_json.json"
+        uio.write_json(path, obj)
+        assert _same_json(_read_scene(path), json.loads(path.read_text(encoding="utf-8")))
+
+    @pytest.mark.parametrize("raw", [
+        b'{"a": NaN}',
+        b'{"a": [Infinity, -Infinity, 0.5]}',
+        b'{"a": 1e400, "b": -1e400}',
+        b'{"a": "\\ud800"}',
+        b'{"a": "\xff"}',
+        b'\xef\xbb\xbf{"a": 1}',
+        b'{"a": [1.5,\r\n  2',
+        b'{\r"a":\r\n[0.25,\r\r',
+        b'',
+    ], ids=["nan", "infinity", "overflow", "lone_surrogate", "invalid_utf8", "bom",
+            "truncated_crlf", "truncated_cr", "empty"])
+    def test_refused_by_orjson_reads_as_before(self, raw, tmp_path):
+        with pytest.raises(orjson.JSONDecodeError):
+            orjson.loads(raw)
+        path = tmp_path / "scene.json"
+        path.write_bytes(raw)
+        expected = _read_as_before(path)
+        assert _same_json(_read_scene(path), expected)
+        if isinstance(expected, str):
+            for load in (uio.load_map, uio.load_trajectories):
+                with pytest.raises(uio.DataError) as exc:
+                    load(path)
+                assert str(exc.value) == expected
+
+    def test_orjson_once_per_scene_file(self, dataset_dir, monkeypatch):
+        decoded = []
+
+        def spy(raw, _loads=orjson.loads):
+            decoded.append(raw)
+            return _loads(raw)
+        monkeypatch.setattr(orjson, "loads", spy)
+        manifest = uio.load_manifest(dataset_dir / "manifest.json")
+        assert decoded == []
+        files = [dataset_dir / scene[key] for scene in manifest["scenes"]
+                 for key in uio.SCENE_FILES]
+        for path in files:
+            (uio.load_trajectories if path.parent.name == "traj" else uio.load_map)(path)
+        assert decoded == [path.read_bytes() for path in files]
 
 
 class TestConfigParsing:
@@ -718,6 +807,23 @@ class TestSceneFileReads:
         assert err.startswith("data error:") and err.count("\n") == 1
         assert f"agent 0 {key}" in err
 
+    @pytest.mark.parametrize("command", ["eval-pred", "compare-predictors"])
+    @pytest.mark.parametrize("rate", [20, 10.9, True, "10", 2**70])
+    def test_rate_other_than_int_10_exits_3(self, command, rate, dataset_dir, tmp_path,
+                                            capsys):
+        data = tmp_path / "data"
+        shutil.copytree(dataset_dir, data)
+        manifest = json.loads((data / "manifest.json").read_text())
+        target = data / manifest["scenes"][0]["trajectories"]
+        traj = json.loads(target.read_text())
+        traj["rate_hz"] = rate
+        target.write_text(json.dumps(traj))
+        assert main([command, "--manifest", str(data / "manifest.json"),
+                     "--out", str(tmp_path / "r")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error: rate_hz must be the integer 10")
+        assert err.count("\n") == 1
+
 
 class TestModuleEntryPoints:
     @pytest.mark.parametrize("module", ["uncmap", "uncmap.cli"])
@@ -757,6 +863,32 @@ class TestCliInvalidValues:
 
 
 class TestCliCalibrate:
+    def test_ground_truth_too_short_to_pair_exits_3(self, dataset_dir, tmp_path, capsys):
+        # A 1e-8 m divider passes the load check (two vertices MERGE_EPS
+        # apart) but resamples to fewer points than the 20-vertex prediction
+        # matched to it, so its points cannot be paired by index.
+        data = tmp_path / "data"
+        shutil.copytree(dataset_dir, data)
+        scene = json.loads((data / "manifest.json").read_text())["scenes"][0]
+        gt = json.loads((data / scene["gt_map"]).read_text())
+        gt["elements"].append({"class": "lane_divider", "confidence": 1.0, "closed": False,
+                               "vertices": [{"mu": [20.0, 20.0]}, {"mu": [20.0, 20.0 + 1e-8]}]})
+        (data / scene["gt_map"]).write_text(json.dumps(gt))
+        observed = json.loads((data / scene["observed_map"]).read_text())
+        observed["elements"].append({
+            "class": "lane_divider", "confidence": 1.0, "closed": False,
+            "vertices": [{"mu": [20.1, 20.0 + 0.01 * k], "b": [0.2, 0.2],
+                          "class_logits": [0.0, 3.0, 0.0, 0.0]} for k in range(20)]})
+        (data / scene["observed_map"]).write_text(json.dumps(observed))
+        manifest = str(data / "manifest.json")
+        assert main(["eval-map", "--manifest", manifest, "--out", str(tmp_path / "r")]) == 0
+        capsys.readouterr()
+        assert main(["calibrate", "--manifest", manifest, "--out", str(tmp_path / "r")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: scene {scene['id']}: a matched lane_divider "
+                              "ground truth is too short")
+        assert err.count("\n") == 1
+
     def test_well_calibrated_dataset(self, tmp_path):
         cfg = write_config(tmp_path, n_scenes=30,
                            noise={"base_b": 0.2, "distance_coeff": 0.005,
