@@ -2,7 +2,8 @@
 
 Builds a tiny two-element map whose vertices carry Laplace location/scale
 pairs, evaluates densities and the NLL training loss, converts scales to
-standard deviations, and re-expresses the whole map in a rotated ego frame.
+standard deviations, re-expresses the whole map in a rotated ego frame, and
+builds the per-vertex feature rows a downstream encoder consumes.
 
 Run:  python demos/01_probabilistic_map_basics.py
 """
@@ -15,7 +16,6 @@ from uncmap import (
     ProbMapElement,
     ProbVectorMap,
     density,
-    encode_vertex,
     log_density,
     mean_map,
     nll_loss,
@@ -23,6 +23,7 @@ from uncmap import (
     sample_map,
     sigma_from_b,
     standardize_map,
+    vertex_features,
 )
 
 rng = np.random.default_rng(0)
@@ -68,11 +69,11 @@ print("\nafter standardizing into a rotated frame:")
 print("  first divider vertex:", np.round(standardized.elements[0].mu[0], 3))
 print("  its scales:          ", np.round(standardized.elements[0].b[0], 3))
 
-# The flat feature vector a downstream vertex encoder would consume.
-feat = encode_vertex(divider.vertices[0])
-print("\nvertex feature [mu_x mu_y b_x b_y c1..c4]:")
-print(" ", np.round(feat.values, 4))
-print("  class block sums to", feat.class_probs.sum())
+# The feature rows a downstream vertex encoder would consume, one per vertex.
+feats = vertex_features(divider)
+print(f"\nvertex feature rows {feats.shape}, first [mu_x mu_y b_x b_y c1..c4]:")
+print(" ", np.round(feats[0], 4).tolist())
+print("  class blocks sum to", np.round(feats[:, 4:].sum(axis=1), 12))
 
 # Strip uncertainty or draw a plausible map realization.
 plain = mean_map(pmap)

@@ -50,7 +50,7 @@ for i in (0, 4, 9):
           f"(generator used {0.05 + 0.02 * d:.3f})")
 
 # --- interval coverage -------------------------------------------------------
-lo, hi = laplace_interval((0.0, 1.0), 0.9)
+lo, hi = laplace_interval(0.0, 1.0, 0.9)
 print(f"\n90% interval of Laplace(0, 1): [{lo:.3f}, {hi:.3f}]")
 
 matched = match_vertex_pairs(fitted, template)

@@ -3,8 +3,9 @@
 Core layers:
 
 - :mod:`uncmap.geometry` - points, poses, polylines, resampling, frames.
-- :mod:`uncmap.probmap` - Laplace vertex distributions, NLL loss, scale
-  transforms, uncertainty-augmented vertex features.
+- :mod:`uncmap.probmap` - Laplace vertex distributions as (V, 2)
+  location/scale arrays, NLL loss, scale transforms, uncertainty-augmented
+  vertex feature rows.
 - :mod:`uncmap.fitting` - closed-form and gradient Laplace MLE.
 - :mod:`uncmap.map_eval` - Chamfer distance, per-class AP, mAP.
 - :mod:`uncmap.pred_eval` - minADE / minFDE / miss rate, binned CIs.
@@ -29,14 +30,10 @@ from .geometry import (  # noqa: F401
 )
 from .probmap import (  # noqa: F401
     B_FLOOR,
-    LaplaceParam,
     ProbMapElement,
     ProbVectorMap,
-    ProbVertex,
-    VertexFeature,
     b_from_sigma,
     density,
-    encode_vertex,
     log_density,
     mean_map,
     nll_loss,
@@ -44,15 +41,14 @@ from .probmap import (  # noqa: F401
     sample_map,
     sigma_from_b,
     standardize_map,
+    vertex_features,
 )
 from .fitting import FitConfig, FitResult, fit_closed_form, fit_gradient, fit_map  # noqa: F401
 from .map_eval import (  # noqa: F401
     APConfig,
-    ChamferConfig,
     MapEvalReport,
     average_precision,
     chamfer,
-    chamfer_elements,
     evaluate_map,
     evaluate_scenes,
 )
@@ -70,7 +66,6 @@ from .pred_eval import (  # noqa: F401
 from .calibration import (  # noqa: F401
     CoverageReport,
     ReliabilityReport,
-    coverage,
     coverage_arrays,
     laplace_interval,
     match_vertex_pairs,

@@ -2,7 +2,8 @@
 
 Regression calibration: the fraction of ground-truth coordinates falling
 inside central Laplace credibility intervals should equal the nominal
-level. Classification calibration: top-1 reliability diagram and expected
+level. Both :func:`laplace_interval` and :func:`coverage_arrays` take
+location/scale arrays, the form every map element stores. Classification calibration: top-1 reliability diagram and expected
 calibration error (ECE).
 
 Pairing a predicted map with ground truth for coverage is inherently
@@ -32,31 +33,40 @@ import numpy as np
 
 from .geometry import CLASS_INDEX, VectorMap, group_indices, resample_all
 from .map_eval import _chamfer_points, _split_point_sets, greedy_match
-from .probmap import LaplaceParam, ProbVectorMap, softmax
+from .probmap import ProbVectorMap, softmax
 
 
-def laplace_interval(param, level: float) -> tuple[float, float]:
-    """Central credibility interval of a Laplace coordinate.
+def _check_level(level) -> float:
+    level = float(level)
+    if not 0.0 < level < 1.0:
+        raise ValueError("level must lie strictly between 0 and 1")
+    return level
 
-    The interval mu +/- b * ln(1 / (1 - level)) contains probability mass
-    ``level``. ``param`` is a LaplaceParam or a (mu, b) pair.
+
+def _half_width(b, level: float):
+    """Half-width b * ln(1 / (1 - level)) of the central Laplace interval
+    holding probability mass ``level``."""
+    return -b * math.log1p(-level)
+
+
+def laplace_interval(mu, b, level: float) -> tuple[np.ndarray, np.ndarray]:
+    """Central credibility interval mu +/- b * ln(1 / (1 - level)), which
+    holds probability mass ``level`` of each Laplace coordinate.
 
     Args:
-        param: location/scale of the coordinate.
+        mu: locations; broadcasts against ``b``.
+        b: positive scales.
         level: nominal mass in (0, 1).
 
     Returns:
-        (lo, hi) interval endpoints in meters.
+        (lo, hi) interval endpoints in meters, of the broadcast shape.
     """
-    if not 0.0 < level < 1.0:
-        raise ValueError("level must lie strictly between 0 and 1")
-    if isinstance(param, LaplaceParam):
-        mu, b = param.mu, param.b
-    else:
-        mu, b = float(param[0]), float(param[1])
-    if b <= 0.0:
+    level = _check_level(level)
+    mu = np.asarray(mu, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if np.any(b <= 0.0):
         raise ValueError("b must be positive")
-    half = -b * math.log1p(-level)
+    half = _half_width(b, level)
     return mu - half, mu + half
 
 
@@ -90,34 +100,17 @@ def coverage_arrays(mu: np.ndarray, b: np.ndarray, gt: np.ndarray,
         raise ValueError("coverage needs at least one pair")
     if mu.shape != b.shape or mu.shape != gt.shape:
         raise ValueError("mu, b, gt must share one shape")
-    levels = tuple(float(v) for v in levels)
-    for lv in levels:
-        if not 0.0 < lv < 1.0:
-            raise ValueError("levels must lie strictly between 0 and 1")
+    levels = tuple(_check_level(v) for v in levels)
     resid = np.abs(gt - mu)
     pooled = np.empty(len(levels))
     cov_x = np.empty(len(levels))
     cov_y = np.empty(len(levels))
     for i, lv in enumerate(levels):
-        half = -b * math.log1p(-lv)
-        inside = resid <= half
+        inside = resid <= _half_width(b, lv)
         pooled[i] = inside.mean()
         cov_x[i] = inside[:, 0].mean()
         cov_y[i] = inside[:, 1].mean()
     return CoverageReport(levels, pooled, cov_x, cov_y, resid.size)
-
-
-def coverage(pairs, levels) -> CoverageReport:
-    """Coverage from (ProbVertex, ground-truth point) pairs.
-
-    x and y residuals are pooled; per-axis coverage is also reported.
-    """
-    if not pairs:
-        raise ValueError("coverage needs at least one pair")
-    mu = np.array([[v.x.mu, v.y.mu] for v, _ in pairs])
-    b = np.array([[v.x.b, v.y.b] for v, _ in pairs])
-    gt = np.array([[p[0], p[1]] for _, p in pairs], dtype=float)
-    return coverage_arrays(mu, b, gt, levels)
 
 
 @dataclass

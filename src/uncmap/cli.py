@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, calibration, io, map_eval, pred_eval, synth
-from .probmap import mean_map
+from .probmap import ProbVectorMap, mean_map
 from .pred_eval import TrajectorySet
 
 
@@ -88,11 +88,19 @@ def _load_manifest(args) -> dict:
     return io.load_manifest(Path(args.manifest))
 
 
+def _scaled_map(scene: dict, observed):
+    """``observed`` for a stage that reads vertex scales: a mean map with
+    elements is a data error (an empty map has no scales to miss)."""
+    if observed.elements and not isinstance(observed, ProbVectorMap):
+        raise io.DataError(f"scene {scene['id']}: observed map carries no scales")
+    return observed
+
+
 def cmd_generate(args) -> int:
     cfg = io.load_dataset_config(args.config)
     if args.seed is not None:
         cfg.seed = int(args.seed)
-    dataset = synth.build_dataset(cfg, threads=args.threads)
+    dataset = synth.build_dataset(cfg)
     manifest_path = io.write_dataset(dataset, args.out)
     print(f"wrote {len(dataset.records)} scenes to {manifest_path}")
     return 0
@@ -167,6 +175,7 @@ def cmd_calibrate(args) -> int:
     manifest = _load_manifest(args)
     parts = []
     for scene, gt, observed in io.iter_scene_files(manifest, "gt_map", "observed_map"):
+        observed = _scaled_map(scene, observed)
         try:
             parts.append(calibration.match_vertex_pairs(
                 observed, gt, threshold=args.match_threshold,
@@ -217,6 +226,7 @@ def cmd_analyze_uncertainty(args) -> int:
     n_scenes = 0
     for scene, observed in io.iter_scene_files(manifest, "observed_map"):
         n_scenes += 1
+        observed = _scaled_map(scene, observed)
         if not observed.elements:
             continue
         ego = observed.ego_pose.position
@@ -267,8 +277,9 @@ def cmd_analyze_uncertainty(args) -> int:
 def cmd_compare_predictors(args) -> int:
     manifest = _load_manifest(args)
     blind_sets, weighted_sets = [], []
-    for _, observed, agents, _ in io.iter_scene_files(manifest, "observed_map",
-                                                      "trajectories"):
+    for scene, observed, agents, _ in io.iter_scene_files(manifest, "observed_map",
+                                                          "trajectories"):
+        observed = _scaled_map(scene, observed)
         histories = [agent.history for agent in agents]
         blind = synth.predict_scene(histories, mean_map(observed), args.modes)
         weighted = synth.predict_scene(histories, observed, args.modes, args.lam, args.b0,
@@ -326,7 +337,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True, help="dataset config JSON")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--seed", type=int, default=None, help="override the config seed")
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, choices=[1], default=1,
+                   help="accepted for compatibility; scenes are built serially")
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("eval-map", help="AP/mAP of observed maps against ground truth")

@@ -36,15 +36,6 @@ from .probmap import ProbMapElement, ProbVectorMap
 
 
 @dataclass
-class ChamferConfig:
-    resample_count: int = 20
-
-    def __post_init__(self):
-        if self.resample_count < 2:
-            raise ValueError("resample_count must be >= 2")
-
-
-@dataclass
 class APConfig:
     """Settings for AP/mAP evaluation."""
 
@@ -112,12 +103,6 @@ def _element_point_sets(objs, count: int) -> list[np.ndarray]:
 def _element_points(obj, count: int) -> np.ndarray:
     """:func:`_element_point_sets` of one element."""
     return _element_point_sets([obj], count)[0]
-
-
-def chamfer_elements(a, b, cfg: ChamferConfig | None = None) -> float:
-    """Chamfer distance between two elements after fixed-count resampling."""
-    cfg = cfg or ChamferConfig()
-    return chamfer(*_element_point_sets([a, b], cfg.resample_count))
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,12 @@
 """Probabilistic vectorized maps.
 
 Each map vertex carries two independent univariate Laplace distributions
-(one per coordinate) plus per-vertex class logits. This module provides the
+(one per coordinate) plus per-vertex class logits. A map element holds them
+as arrays: ``mu`` and ``b`` of shape (V, 2) and ``class_logits`` of shape
+(V, C); every function here takes those arrays. This module provides the
 joint vertex density and its negative log-likelihood with analytic
 gradients, scale/standard-deviation conversions, the frame transform for
-axis-aligned uncertainty, and the flat feature vector that downstream
+axis-aligned uncertainty, and the per-vertex feature rows that downstream
 encoders consume.
 """
 
@@ -152,35 +154,6 @@ def rotate_uncertainty(sigma_x, sigma_y, theta):
 # Data model
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class LaplaceParam:
-    """Location/scale pair of one univariate Laplace coordinate."""
-
-    mu: float
-    b: float
-
-    def __post_init__(self):
-        if not math.isfinite(self.mu):
-            raise ValueError("mu must be finite")
-        if not (math.isfinite(self.b) and self.b > 0.0):
-            raise ValueError("b must be positive and finite")
-
-
-@dataclass(frozen=True)
-class ProbVertex:
-    """A 2D map vertex as two Laplace coordinates plus class logits."""
-
-    x: LaplaceParam
-    y: LaplaceParam
-    class_logits: np.ndarray
-
-    def __post_init__(self):
-        logits = np.asarray(self.class_logits, dtype=float)
-        if logits.shape != (NUM_CLASSES,) or not np.all(np.isfinite(logits)):
-            raise ValueError(f"class_logits must be {NUM_CLASSES} finite values")
-        object.__setattr__(self, "class_logits", logits)
-
-
 @dataclass
 class ProbMapElement:
     """Fixed-length sequence of probabilistic vertices with a class label.
@@ -213,35 +186,9 @@ class ProbMapElement:
         if not 0.0 <= self.confidence <= 1.0:
             raise ValueError("confidence must lie in [0, 1]")
 
-    @classmethod
-    def from_vertices(cls, vertices: list[ProbVertex], element_class: ElementClass,
-                      confidence: float = 1.0, closed: bool = False) -> "ProbMapElement":
-        mu = np.array([[v.x.mu, v.y.mu] for v in vertices])
-        b = np.array([[v.x.b, v.y.b] for v in vertices])
-        logits = np.array([v.class_logits for v in vertices])
-        return cls(mu, b, logits, element_class, confidence, closed)
-
     @property
     def n_vertices(self) -> int:
         return len(self.mu)
-
-    @property
-    def vertices(self) -> list[ProbVertex]:
-        return [
-            ProbVertex(LaplaceParam(self.mu[i, 0], self.b[i, 0]),
-                       LaplaceParam(self.mu[i, 1], self.b[i, 1]),
-                       self.class_logits[i])
-            for i in range(self.n_vertices)
-        ]
-
-    def density(self, sample) -> float:
-        return density(self.mu, self.b, sample)
-
-    def log_density(self, sample) -> float:
-        return log_density(self.mu, self.b, sample)
-
-    def nll(self, target) -> tuple[float, np.ndarray, np.ndarray]:
-        return nll_loss(self.mu, self.b, target)
 
 
 @dataclass
@@ -291,34 +238,15 @@ def softmax(logits) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-@dataclass(frozen=True)
-class VertexFeature:
-    """Flat per-vertex feature: [mu_x, mu_y, b_x, b_y, c_1 .. c_C].
+def vertex_features(el: ProbMapElement) -> np.ndarray:
+    """Uncertainty-augmented feature rows of an element, shape (V, 4 + C).
 
-    The class block is the softmax of the vertex logits, so it is a
-    probability vector. This is the concatenation handed to a downstream
-    vertex encoder; the encoder itself is out of scope here.
+    Row i is [mu_x, mu_y, b_x, b_y, c_1 .. c_C] of vertex i, where the class
+    block is the softmax of the vertex logits, so it is a probability
+    vector. This is the concatenation handed to a downstream vertex encoder;
+    the encoder itself is out of scope here.
     """
-
-    values: np.ndarray
-
-    @property
-    def mu(self) -> np.ndarray:
-        return self.values[:2]
-
-    @property
-    def b(self) -> np.ndarray:
-        return self.values[2:4]
-
-    @property
-    def class_probs(self) -> np.ndarray:
-        return self.values[4:]
-
-
-def encode_vertex(v: ProbVertex) -> VertexFeature:
-    """Build the uncertainty-augmented feature vector for one vertex."""
-    values = np.concatenate([[v.x.mu, v.y.mu, v.x.b, v.y.b], softmax(v.class_logits)])
-    return VertexFeature(values)
+    return np.hstack([el.mu, el.b, softmax(el.class_logits)])
 
 
 def mean_map(pmap: ProbVectorMap) -> VectorMap:

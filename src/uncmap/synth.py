@@ -564,8 +564,8 @@ def _sample_occluders(rng: np.random.Generator, max_count: int,
     return tuple(out)
 
 
-def _build_record(item: tuple[int, SceneSpec, int], cfg: DatasetConfig) -> SceneRecord:
-    i, spec, observe_seed = item
+def _build_record(i: int, spec: SceneSpec, observe_seed: int,
+                  cfg: DatasetConfig) -> SceneRecord:
     gt, agents = generate_scene(spec)
     observed = observe(gt, cfg.noise, spec, observe_seed, cfg.resample_count)
     histories = [agent.history for agent in agents]
@@ -580,32 +580,24 @@ def _build_record(item: tuple[int, SceneSpec, int], cfg: DatasetConfig) -> Scene
     return SceneRecord(f"scene_{i:04d}", spec, observe_seed, gt, observed, agents, modes)
 
 
-def build_dataset(config: DatasetConfig | None = None, threads: int = 1) -> SyntheticDataset:
+def build_dataset(config: DatasetConfig | None = None) -> SyntheticDataset:
     """Generate a full deterministic dataset from one master seed.
 
-    All randomness is drawn from the master stream up front (scene specs
-    and per-scene seeds), so scene construction is independent per scene
-    and the result does not depend on ``threads``.
+    The master stream draws only the scene specs and per-scene seeds, so
+    each scene is built from its own seeds alone.
     """
     cfg = config or DatasetConfig()
     master = np.random.default_rng(cfg.seed)
-    items = []
+    records = []
     for i in range(cfg.n_scenes):
         layout = _weighted_choice(master, cfg.layout_weights)
         condition = _weighted_choice(master, cfg.condition_weights)
         occluders = _sample_occluders(master, cfg.max_occluders, cfg.occluder_radius)
         scene_seed = int(master.integers(0, 2**63 - 1))
         observe_seed = int(master.integers(0, 2**63 - 1))
-        items.append((i, SceneSpec(layout=layout, seed=scene_seed, n_agents=cfg.n_agents,
-                                   condition=condition, occluders=occluders,
-                                   lane_change_prob=cfg.lane_change_prob,
-                                   duplicate_centerlines=cfg.duplicate_centerlines),
-                      observe_seed))
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            records = list(pool.map(lambda it: _build_record(it, cfg), items))
-    else:
-        records = [_build_record(it, cfg) for it in items]
+        spec = SceneSpec(layout=layout, seed=scene_seed, n_agents=cfg.n_agents,
+                         condition=condition, occluders=occluders,
+                         lane_change_prob=cfg.lane_change_prob,
+                         duplicate_centerlines=cfg.duplicate_centerlines)
+        records.append(_build_record(i, spec, observe_seed, cfg))
     return SyntheticDataset(records, cfg)

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from uncmap.calibration import (
-    coverage,
     coverage_arrays,
     laplace_interval,
     match_vertex_pairs,
@@ -13,10 +12,8 @@ from uncmap.calibration import (
 from uncmap.geometry import CLASS_INDEX, ElementClass, MapElement, Pose2, VectorMap, resample
 from uncmap.map_eval import _element_points, chamfer, greedy_match
 from uncmap.probmap import (
-    LaplaceParam,
     ProbMapElement,
     ProbVectorMap,
-    ProbVertex,
     softmax,
     standardize_map,
 )
@@ -24,28 +21,42 @@ from uncmap.probmap import (
 
 class TestLaplaceInterval:
     def test_half_mass(self):
-        lo, hi = laplace_interval(LaplaceParam(0.0, 1.0), 0.5)
+        lo, hi = laplace_interval(0.0, 1.0, 0.5)
         assert hi == pytest.approx(math.log(2), rel=1e-12)
         assert lo == pytest.approx(-math.log(2), rel=1e-12)
 
     def test_ninety_percent(self):
-        lo, hi = laplace_interval((0.0, 1.0), 0.9)
+        lo, hi = laplace_interval(0.0, 1.0, 0.9)
         assert hi == pytest.approx(math.log(10), rel=1e-12)
 
     def test_collapses_at_tiny_level(self):
-        lo, hi = laplace_interval((3.0, 2.0), 1e-12)
+        lo, hi = laplace_interval(3.0, 2.0, 1e-12)
         assert hi - lo == pytest.approx(0.0, abs=1e-10)
         assert lo == pytest.approx(3.0, abs=1e-10)
 
     def test_monotone_in_level(self):
-        widths = [laplace_interval((0.0, 1.0), lv)[1] for lv in
+        widths = [laplace_interval(0.0, 1.0, lv)[1] for lv in
                   (0.1, 0.3, 0.5, 0.7, 0.9, 0.99)]
         assert all(a < b for a, b in zip(widths, widths[1:]))
 
     def test_level_out_of_range(self):
         for lv in (0.0, 1.0, -0.2, 1.5):
             with pytest.raises(ValueError):
-                laplace_interval((0.0, 1.0), lv)
+                laplace_interval(0.0, 1.0, lv)
+
+    def test_broadcast(self):
+        # (3, 1) locations against (2,) scales give a (3, 2) interval grid.
+        mu = np.array([[0.0], [1.0], [-2.0]])
+        b = np.array([1.0, 0.5])
+        lo, hi = laplace_interval(mu, b, 0.5)
+        assert lo.shape == hi.shape == (3, 2)
+        np.testing.assert_allclose(hi - mu, np.broadcast_to(b * math.log(2), (3, 2)),
+                                   rtol=1e-12)
+        np.testing.assert_allclose(mu - lo, hi - mu, rtol=1e-12)
+
+    def test_nonpositive_scale_rejected(self):
+        with pytest.raises(ValueError):
+            laplace_interval(np.zeros(2), np.array([1.0, 0.0]), 0.5)
 
 
 class TestCoverage:
@@ -84,9 +95,7 @@ class TestCoverage:
         assert np.all(np.diff(rep.empirical_coverage) >= 0)
 
     def test_pair_interface(self):
-        pairs = [(ProbVertex(LaplaceParam(0, 1), LaplaceParam(0, 1), np.zeros(4)),
-                  (0.0, 10.0))]
-        rep = coverage(pairs, [0.5])
+        rep = coverage_arrays([[0.0, 0.0]], [[1.0, 1.0]], [[0.0, 10.0]], [0.5])
         # x hits, y misses
         assert rep.empirical_coverage[0] == pytest.approx(0.5)
         assert rep.coverage_x[0] == 1.0
@@ -94,7 +103,7 @@ class TestCoverage:
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            coverage([], [0.5])
+            coverage_arrays(np.empty((0, 2)), np.empty((0, 2)), np.empty((0, 2)), [0.5])
 
 
 class TestReliability:
@@ -259,10 +268,9 @@ class TestStandardizeConsistency:
         pmap = _prob_map([np.array([[1.0, 2.0], [3.0, 4.0]])], b=0.4)
         pmap.elements[0].b[:, 1] = 0.9
         out = standardize_map(pmap, Pose2(0, 0, np.pi / 2))
+        old, new = pmap.elements[0], out.elements[0]
         for i in range(2):
-            vx = pmap.elements[0].vertices[i]
-            vy = out.elements[0].vertices[i]
-            lo_old, hi_old = laplace_interval(vx.y, 0.8)
-            lo_new, hi_new = laplace_interval(vy.x, 0.8)
+            lo_old, hi_old = laplace_interval(old.mu[i, 1], old.b[i, 1], 0.8)
+            lo_new, hi_new = laplace_interval(new.mu[i, 0], new.b[i, 0], 0.8)
             # after a quarter turn the old y axis becomes the new x axis
             assert hi_new - lo_new == pytest.approx(hi_old - lo_old, rel=1e-9)

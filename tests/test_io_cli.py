@@ -459,6 +459,17 @@ class TestCliGenerate:
     def test_usage_error_exits_2(self):
         assert main(["generate"]) == 2
 
+    def test_threads_other_than_1_exits_2(self, tmp_path, capsys):
+        # Scenes are built serially; --threads only accepts 1.
+        cfg = write_config(tmp_path)
+        assert main(["generate", "--config", str(cfg), "--out", str(tmp_path / "x"),
+                     "--threads", "2"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "--threads" in err
+        assert not (tmp_path / "x").exists()
+        assert main(["generate", "--config", str(cfg), "--out", str(tmp_path / "y"),
+                     "--threads", "1"]) == 0
+
     def test_seed_override_changes_data(self, tmp_path):
         cfg = write_config(tmp_path)
         main(["generate", "--config", str(cfg), "--out", str(tmp_path / "a")])
@@ -823,6 +834,40 @@ class TestSceneFileReads:
         err = capsys.readouterr().err
         assert err.startswith("data error: rate_hz must be the integer 10")
         assert err.count("\n") == 1
+
+
+def _strip_scales(dataset_dir, tmp_path) -> Path:
+    """A copy of the dataset whose scene 0 observed map is a mean map."""
+    data = tmp_path / "data"
+    shutil.copytree(dataset_dir, data)
+    manifest = json.loads((data / "manifest.json").read_text())
+    target = data / manifest["scenes"][0]["observed_map"]
+    m = json.loads(target.read_text())
+    assert m["elements"]
+    for el in m["elements"]:
+        for v in el["vertices"]:
+            del v["b"], v["class_logits"]
+    target.write_text(json.dumps(m))
+    assert isinstance(uio.load_map(target), VectorMap)
+    return data / "manifest.json"
+
+
+class TestCliMeanObservedMap:
+    @pytest.mark.parametrize("command", ["analyze-uncertainty", "calibrate",
+                                         "compare-predictors"])
+    def test_stage_reading_scales_exits_3(self, command, dataset_dir, tmp_path, capsys):
+        manifest = _strip_scales(dataset_dir, tmp_path)
+        scene_id = json.loads(manifest.read_text())["scenes"][0]["id"]
+        assert main([command, "--manifest", str(manifest),
+                     "--out", str(tmp_path / "r")]) == 3
+        err = capsys.readouterr().err
+        assert err == f"data error: scene {scene_id}: observed map carries no scales\n"
+
+    @pytest.mark.parametrize("command", ["eval-map", "eval-pred"])
+    def test_stage_ignoring_scales_accepts_it(self, command, dataset_dir, tmp_path):
+        manifest = _strip_scales(dataset_dir, tmp_path)
+        assert main([command, "--manifest", str(manifest),
+                     "--out", str(tmp_path / "r")]) == 0
 
 
 class TestModuleEntryPoints:

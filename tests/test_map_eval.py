@@ -9,11 +9,9 @@ from uncmap import map_eval
 from uncmap.geometry import ElementClass, MapElement, Polyline, Pose2, VectorMap
 from uncmap.map_eval import (
     APConfig,
-    ChamferConfig,
     _element_points,
     average_precision,
     chamfer,
-    chamfer_elements,
     chamfer_matrices,
     evaluate_map,
     evaluate_scenes,
@@ -97,15 +95,20 @@ class TestChamferProperties:
         assert chamfer(s1, s1) == 0.0
 
 
+def chamfer_pair(a, b, count: int = 20) -> float:
+    """Chamfer distance of two elements after fixed-count resampling."""
+    return chamfer_matrices([([a], [b])], count)[0][0, 0]
+
+
 class TestChamferElements:
     def test_identical_polylines(self):
         p = Polyline(np.array([[0, 0], [5, 1], [10, 0]], float))
-        assert chamfer_elements(p, p) == 0.0
+        assert chamfer_pair(p, p) == 0.0
 
     def test_parallel_offset_segments(self):
         a = Polyline(np.array([[0.0, 0.0], [10.0, 0.0]]))
         b = Polyline(np.array([[0.0, 0.7], [10.0, 0.7]]))
-        assert chamfer_elements(a, b) == pytest.approx(2 * 0.7, rel=1e-12)
+        assert chamfer_pair(a, b) == pytest.approx(2 * 0.7, rel=1e-12)
 
     def test_direction_invariance(self):
         rng = np.random.default_rng(45)
@@ -113,21 +116,20 @@ class TestChamferElements:
             pts = rng.uniform(-10, 10, size=(5, 2))
             p = Polyline(pts)
             q = Polyline(rng.uniform(-10, 10, size=(4, 2)))
-            assert chamfer_elements(p, q) == pytest.approx(
-                chamfer_elements(p.reversed(), q), abs=1e-12)
+            assert chamfer_pair(p, q) == pytest.approx(chamfer_pair(p.reversed(), q),
+                                                       abs=1e-12)
 
     def test_probabilistic_element_uses_locations(self):
         from uncmap.probmap import ProbMapElement
 
         mu = np.array([[0.0, 0.0], [10.0, 0.0]])
         el = ProbMapElement(mu, np.full((2, 2), 3.0), np.zeros((2, 4)), CLS)
-        assert chamfer_elements(el, Polyline(mu.copy())) == 0.0
+        assert chamfer_pair(el, Polyline(mu.copy())) == 0.0
 
     def test_resample_count_respected(self):
         a = Polyline(np.array([[0.0, 0.0], [10.0, 0.0]]))
         b = Polyline(np.array([[0.0, 1.0], [10.0, 1.0]]))
-        assert chamfer_elements(a, b, ChamferConfig(resample_count=5)) == \
-            pytest.approx(2.0, rel=1e-12)
+        assert chamfer_pair(a, b, count=5) == pytest.approx(2.0, rel=1e-12)
 
 
 def tiny(x, y):

@@ -6,13 +6,10 @@ from scipy.integrate import quad
 
 from uncmap.geometry import ElementClass, Pose2
 from uncmap.probmap import (
-    LaplaceParam,
     ProbMapElement,
     ProbVectorMap,
-    ProbVertex,
     b_from_sigma,
     density,
-    encode_vertex,
     laplace_pdf,
     log_density,
     mean_map,
@@ -22,6 +19,7 @@ from uncmap.probmap import (
     sigma_from_b,
     softmax,
     standardize_map,
+    vertex_features,
 )
 
 V1 = (np.array([[0.0, 0.0]]), np.array([[1.0, 1.0]]))
@@ -212,26 +210,27 @@ class TestStandardize:
 
 class TestEncodeVertex:
     def test_uniform_logits(self):
-        v = ProbVertex(LaplaceParam(0, 1), LaplaceParam(0, 1), np.zeros(4))
-        feat = encode_vertex(v)
-        np.testing.assert_allclose(feat.class_probs, 0.25, rtol=1e-12)
+        feat = vertex_features(_element(np.zeros((2, 2)), np.ones((2, 2))))
+        np.testing.assert_allclose(feat[:, 4:], 0.25, rtol=1e-12)
 
     def test_hand_feature(self):
-        v = ProbVertex(LaplaceParam(1.0, 0.1), LaplaceParam(2.0, 0.2),
-                       np.array([math.log(2), 0.0, 0.0, 0.0]))
-        feat = encode_vertex(v)
+        el = ProbMapElement(np.array([[1.0, 2.0], [0.0, 0.0]]),
+                            np.array([[0.1, 0.2], [1.0, 1.0]]),
+                            np.array([[math.log(2), 0.0, 0.0, 0.0], [0.0] * 4]),
+                            ElementClass.LANE_DIVIDER)
         np.testing.assert_allclose(
-            feat.values, [1, 2, 0.1, 0.2, 0.4, 0.2, 0.2, 0.2], rtol=1e-12)
+            vertex_features(el)[0], [1, 2, 0.1, 0.2, 0.4, 0.2, 0.2, 0.2], rtol=1e-12)
 
     def test_length_and_simplex(self):
         rng = np.random.default_rng(5)
-        for _ in range(100):
-            v = ProbVertex(LaplaceParam(0, 1), LaplaceParam(0, 1),
-                           rng.uniform(-10, 10, 4))
-            feat = encode_vertex(v)
-            assert len(feat.values) == 8
-            assert feat.class_probs.sum() == pytest.approx(1.0, abs=1e-9)
-            assert np.all(feat.class_probs >= 0)
+        el = ProbMapElement(np.zeros((100, 2)), np.ones((100, 2)),
+                            rng.uniform(-10, 10, (100, 4)), ElementClass.LANE_DIVIDER)
+        feat = vertex_features(el)
+        assert feat.shape == (100, 8)
+        np.testing.assert_array_equal(feat[:, :2], el.mu)
+        np.testing.assert_array_equal(feat[:, 2:4], el.b)
+        np.testing.assert_allclose(feat[:, 4:].sum(axis=1), 1.0, atol=1e-9)
+        assert np.all(feat[:, 4:] >= 0)
 
     def test_logit_shift_invariance(self):
         rng = np.random.default_rng(6)
@@ -290,10 +289,3 @@ class TestValidation:
         el = _element(np.array([[0.0, 0.0], [100.0, 0.0]]), np.ones((2, 2)))
         with pytest.warns(UserWarning):
             ProbVectorMap([el], Pose2.identity())
-
-    def test_vertices_roundtrip(self):
-        el = _small_map().elements[0]
-        rebuilt = ProbMapElement.from_vertices(el.vertices, el.element_class,
-                                               el.confidence)
-        np.testing.assert_array_equal(rebuilt.mu, el.mu)
-        np.testing.assert_array_equal(rebuilt.b, el.b)

@@ -259,16 +259,6 @@ class TestPredictors:
 
 
 class TestDataset:
-    def test_thread_count_does_not_change_output(self):
-        cfg = DatasetConfig(n_scenes=6, seed=2)
-        seq = build_dataset(cfg, threads=1)
-        par = build_dataset(cfg, threads=4)
-        for a, b in zip(seq.records, par.records):
-            np.testing.assert_array_equal(a.observed_map.elements[0].mu,
-                                          b.observed_map.elements[0].mu)
-            for ma, mb in zip(a.modes, b.modes):
-                np.testing.assert_array_equal(ma, mb)
-
     def test_distance_trend(self):
         cfg = DatasetConfig(
             n_scenes=20, seed=6, predictor="none", max_occluders=0,
