@@ -115,7 +115,10 @@ def cmd_eval_map(args) -> int:
              io.iter_scene_files(manifest, "gt_map", "observed_map")]
     if not pairs:
         raise io.DataError("manifest contains no scenes")
-    report = map_eval.evaluate_scenes(pairs, cfg)
+    try:
+        report = map_eval.evaluate_scenes(pairs, cfg)
+    except ValueError as exc:  # coordinates so large that a polyline walk overflows
+        raise io.DataError(f"cannot evaluate the maps: {exc}") from exc
     effective = {"command": "eval-map", "thresholds": list(cfg.thresholds),
                  "resample_count": cfg.resample_count, "matching": cfg.matching}
     out = _out_dir(args, Path(args.manifest))
@@ -281,12 +284,15 @@ def cmd_compare_predictors(args) -> int:
                                                           "trajectories"):
         observed = _scaled_map(scene, observed)
         histories = [agent.history for agent in agents]
-        blind = synth.predict_scene(histories, mean_map(observed), args.modes)
-        weighted = synth.predict_scene(histories, observed, args.modes, args.lam, args.b0,
-                                       weighted=True)
-        for agent, b_modes, w_modes in zip(agents, blind, weighted):
-            blind_sets.append(TrajectorySet(b_modes, agent.future))
-            weighted_sets.append(TrajectorySet(w_modes, agent.future))
+        try:
+            blind = synth.predict_scene(histories, mean_map(observed), args.modes)
+            weighted = synth.predict_scene(histories, observed, args.modes, args.lam,
+                                           args.b0, weighted=True)
+            for agent, b_modes, w_modes in zip(agents, blind, weighted):
+                blind_sets.append(TrajectorySet(b_modes, agent.future))
+                weighted_sets.append(TrajectorySet(w_modes, agent.future))
+        except ValueError as exc:  # coordinates so large that a prediction overflows
+            raise io.DataError(f"scene {scene['id']}: {exc}") from exc
     if not blind_sets:
         raise io.DataError("manifest contains no agents")
     rep_blind = pred_eval.evaluate_trajectories(blind_sets, args.miss_threshold)

@@ -133,6 +133,8 @@ def map_from_dict(data: dict) -> VectorMap | ProbVectorMap:
         ego = Pose2(data["ego_pose"]["position"][0], data["ego_pose"]["position"][1],
                     data["ego_pose"]["heading"])
         rng = tuple(float(v) for v in data["perception_range"])
+        if len(rng) != 2:
+            raise DataError(f"perception_range must hold 2 numbers, got {len(rng)}")
         has_b = [("b" in v) for el in data["elements"] for v in el["vertices"]]
         if has_b and any(has_b) != all(has_b):
             raise DataError("scale b must be present on all vertices or none")

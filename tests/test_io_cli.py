@@ -5,6 +5,8 @@ import shutil
 import subprocess
 import sys
 import warnings
+from contextlib import redirect_stderr
+from io import StringIO
 from pathlib import Path
 
 import numpy as np
@@ -1072,3 +1074,90 @@ class TestPipelineDeterminism:
             main(["compare-predictors", "--manifest", man, "--out", str(base / "r")])
             digests.append(_tree_digest(base))
         assert digests[0] == digests[1]
+
+
+@pytest.fixture(scope="module")
+def probe_dir(tmp_path_factory):
+    """A three-scene dataset for the contract probe."""
+    root = tmp_path_factory.mktemp("probe")
+    cfg = write_config(root, n_scenes=3)
+    assert main(["generate", "--config", str(cfg), "--out", str(root / "data")]) == 0
+    return root / "data"
+
+
+def _json_leaves(obj, path=()):
+    """(path, value) of every non-container value in a JSON tree, and of
+    every empty container."""
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj) \
+        if isinstance(obj, list) else None
+    if not items:
+        return [(path, obj)]
+    return [leaf for key, value in items for leaf in _json_leaves(value, path + (key,))]
+
+
+# Replacement values: wrong types, non-finite and extreme numbers, huge
+# integers and empty containers.
+_LEAF_VALUES = st.sampled_from([None, True, 0, -1, 2**70, 0.0, -3.5, 1e-300, 1e308,
+                                float("nan"), float("inf"), "", "x", [], {}, [0.0, 0.0]])
+
+
+class TestContractProbe:
+    """Every report stage on a dataset with one or two JSON leaves replaced
+    or deleted ends with exit 0 or 3, and never with a traceback."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_mutated_dataset_exits_0_or_3(self, data, probe_dir, tmp_path_factory):
+        root = tmp_path_factory.mktemp("mutated")
+        shutil.copytree(probe_dir, root / "data")
+        manifest = root / "data" / "manifest.json"
+        scene_files = sorted(str(p.relative_to(root / "data"))
+                             for p in (root / "data").rglob("*.json"))
+        for _ in range(data.draw(st.integers(1, 2))):
+            target = root / "data" / data.draw(st.sampled_from(scene_files))
+            tree = json.loads(target.read_text())
+            path, _ = data.draw(st.sampled_from(_json_leaves(tree)))
+            if not path:
+                continue
+            parent = tree
+            for key in path[:-1]:
+                parent = parent[key]
+            if data.draw(st.booleans()):
+                del parent[path[-1]]
+            else:
+                parent[path[-1]] = data.draw(_LEAF_VALUES)
+            target.write_text(json.dumps(tree))
+        for command in STAGE_READS:
+            err = StringIO()
+            with redirect_stderr(err):
+                rc = main([command, "--manifest", str(manifest),
+                           "--out", str(root / "r")])
+            assert rc in (0, 3), (command, rc, err.getvalue())
+            assert "Traceback" not in err.getvalue()
+            if rc == 3:
+                assert err.getvalue().splitlines()[-1].startswith("data error:")
+
+    def test_short_perception_range_is_a_data_error(self):
+        data = uio.map_to_dict(small_prob_map())
+        data["perception_range"] = [60.0]
+        with pytest.raises(uio.DataError, match="perception_range must hold 2 numbers"):
+            uio.map_from_dict(data)
+
+    @pytest.mark.parametrize("command, key", [("eval-map", "gt_map"),
+                                              ("compare-predictors", "observed_map")])
+    def test_overflowing_coordinate_exits_3(self, command, key, dataset_dir, tmp_path,
+                                            capsys):
+        # Finite, but a polyline walk over it overflows to infinity.
+        data = tmp_path / "data"
+        shutil.copytree(dataset_dir, data)
+        manifest = json.loads((data / "manifest.json").read_text())
+        scene = manifest["scenes"][0]
+        target = data / scene[key]
+        m = json.loads(target.read_text())
+        el = next(e for e in m["elements"] if e["class"] == "lane_centerline")
+        el["vertices"][0]["mu"][1], el["vertices"][1]["mu"][1] = -1e308, 1e308
+        target.write_text(json.dumps(m))
+        assert main([command, "--manifest", str(data / "manifest.json"),
+                     "--out", str(tmp_path / "r")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and err.count("\n") == 1
