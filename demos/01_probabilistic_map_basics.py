@@ -1,7 +1,9 @@
 """Walkthrough: probabilistic map vertices and what you can do with them.
 
 Builds a tiny two-element map whose vertices carry Laplace location/scale
-pairs, evaluates densities and the NLL training loss, converts scales to
+pairs and class logits (a ``VectorMap`` of ``MapElement``s given ``b`` and
+``class_logits``; the same types without them hold a plain map), evaluates
+densities and the NLL training loss, converts scales to
 standard deviations, re-expresses the whole map in a rotated ego frame, and
 builds the per-vertex feature rows a downstream encoder consumes.
 
@@ -12,9 +14,9 @@ import numpy as np
 
 from uncmap import (
     ElementClass,
+    MapElement,
     Pose2,
-    ProbMapElement,
-    ProbVectorMap,
+    VectorMap,
     density,
     log_density,
     mean_map,
@@ -32,14 +34,14 @@ rng = np.random.default_rng(0)
 mu = np.column_stack([np.full(6, 1.75), np.linspace(2.0, 27.0, 6)])
 b = np.column_stack([np.linspace(0.05, 0.6, 6), np.linspace(0.08, 0.9, 6)])
 logits = np.tile([0.0, -3.0, 4.0, -1.0], (6, 1))
-divider = ProbMapElement(mu, b, logits, ElementClass.LANE_DIVIDER, confidence=0.95)
+divider = MapElement(mu, ElementClass.LANE_DIVIDER, confidence=0.95, b=b, class_logits=logits)
 
 # A crosswalk with uniform moderate uncertainty.
 quad = np.array([[-3.5, 10.0], [3.5, 10.0], [3.5, 13.0], [-3.5, 13.0]])
-crossing = ProbMapElement(quad, np.full((4, 2), 0.35), np.zeros((4, 4)),
-                          ElementClass.PED_CROSSING, confidence=0.8, closed=True)
+crossing = MapElement(quad, ElementClass.PED_CROSSING, confidence=0.8, closed=True,
+                      b=np.full((4, 2), 0.35), class_logits=np.zeros((4, 4)))
 
-pmap = ProbVectorMap([divider, crossing], Pose2.identity())
+pmap = VectorMap([divider, crossing], Pose2.identity())
 print(f"map with {len(pmap.elements)} elements, "
       f"{sum(e.n_vertices for e in pmap.elements)} probabilistic vertices")
 
@@ -75,9 +77,12 @@ print(f"\nvertex feature rows {feats.shape}, first [mu_x mu_y b_x b_y c1..c4]:")
 print(" ", np.round(feats[0], 4).tolist())
 print("  class blocks sum to", np.round(feats[:, 4:].sum(axis=1), 12))
 
-# Strip uncertainty or draw a plausible map realization.
+# Strip uncertainty or draw a plausible map realization: both are maps of
+# the same type whose elements carry no scales.
 plain = mean_map(pmap)
 draw = sample_map(pmap, seed=7)
+print(f"\nmean map element scales: {plain.elements[0].b}, "
+      f"sampled map element logits: {draw.elements[0].class_logits}")
 shift = np.abs(draw.elements[0].vertices - plain.elements[0].vertices)
 print(f"\nsampled realization differs from the mean map by up to "
       f"{shift.max():.2f} m (largest where b is largest)")

@@ -41,6 +41,8 @@ def observe_once(k):
     return VectorMap([MapElement(pts + noise, ElementClass.LANE_CENTERLINE)],
                      Pose2.identity())
 
+# The fitted map is a VectorMap like the template, whose elements now also
+# carry per-vertex scales b and class logits.
 fitted = fit_map([observe_once(k) for k in range(300)], template)
 el = fitted.elements[0]
 print("\nfitted per-vertex scales grow with distance from the ego:")

@@ -32,6 +32,8 @@ ap = average_precision(preds, gts, ElementClass.LANE_DIVIDER, threshold=1.0)
 print(f"\nAP with a mid-ranked false positive: {ap:.4f} (envelope area 5/6)")
 
 # --- full map evaluation -----------------------------------------------------
+# Predicted and ground-truth maps are both VectorMaps; scales, when an
+# estimated map carries them, play no part in Chamfer distance or AP.
 gt_map = VectorMap(gts + [MapElement(np.array([[-8, -8], [8, 8.0]]),
                                      ElementClass.ROAD_BOUNDARY)], Pose2.identity())
 pred_map = VectorMap(

@@ -40,6 +40,8 @@ manifest_path = uio.write_dataset(dataset, out / "dataset")
 print(f"wrote {len(dataset.records)} scenes to {manifest_path}")
 
 # --- how good are the observed maps? ----------------------------------------
+# Observed and ground-truth maps are both VectorMaps; only the observed
+# maps' elements carry scales b and class logits.
 pairs = [(r.observed_map, r.gt_map) for r in dataset.records]
 map_report = evaluate_scenes(pairs)
 print(f"\nmap estimation: mAP = {map_report.map_score:.4f} at thresholds "

@@ -3,9 +3,10 @@
 Core layers:
 
 - :mod:`uncmap.geometry` - points, poses, polylines, resampling, frames.
-- :mod:`uncmap.probmap` - Laplace vertex distributions as (V, 2)
-  location/scale arrays, NLL loss, scale transforms, uncertainty-augmented
-  vertex feature rows.
+- :mod:`uncmap.probmap` - the one map type (``VectorMap`` of
+  ``MapElement``), whose vertices may carry Laplace scales and class
+  logits as (V, 2) and (V, C) arrays; NLL loss, scale transforms,
+  uncertainty-augmented vertex feature rows.
 - :mod:`uncmap.fitting` - closed-form and gradient Laplace MLE.
 - :mod:`uncmap.map_eval` - Chamfer distance, per-class AP, mAP.
 - :mod:`uncmap.pred_eval` - minADE / minFDE / miss rate, binned CIs.
@@ -20,18 +21,16 @@ __version__ = "0.1.0"
 
 from .geometry import (  # noqa: F401
     ElementClass,
-    MapElement,
     Polyline,
     Pose2,
-    VectorMap,
     resample,
     transform_point,
     transform_points,
 )
 from .probmap import (  # noqa: F401
     B_FLOOR,
-    ProbMapElement,
-    ProbVectorMap,
+    MapElement,
+    VectorMap,
     b_from_sigma,
     density,
     log_density,

@@ -31,9 +31,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import CLASS_INDEX, VectorMap, group_indices, resample_all
+from .geometry import CLASS_INDEX, group_indices, resample_all
 from .map_eval import _chamfer_points, _split_point_sets, greedy_match
-from .probmap import ProbVectorMap, softmax
+from .probmap import VectorMap, softmax
 
 
 def _check_level(level) -> float:
@@ -124,7 +124,7 @@ class MatchedVertices:
     labels: np.ndarray      # (N,) true class index from the matched element
 
 
-def match_vertex_pairs(pred_map: ProbVectorMap, gt_map: VectorMap,
+def match_vertex_pairs(pred_map: VectorMap, gt_map: VectorMap,
                        threshold: float = 1.5,
                        resample_count: int = 20) -> MatchedVertices:
     """Pair predicted vertices with ground-truth points for calibration.

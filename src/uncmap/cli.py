@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, calibration, io, map_eval, pred_eval, synth
-from .probmap import ProbVectorMap, mean_map
+from .probmap import mean_map
 from .pred_eval import TrajectorySet
 
 
@@ -89,9 +89,9 @@ def _load_manifest(args) -> dict:
 
 
 def _scaled_map(scene: dict, observed):
-    """``observed`` for a stage that reads vertex scales: a mean map with
-    elements is a data error (an empty map has no scales to miss)."""
-    if observed.elements and not isinstance(observed, ProbVectorMap):
+    """``observed`` for a stage that reads vertex scales: an element
+    without scales is a data error."""
+    if any(el.b is None for el in observed.elements):
         raise io.DataError(f"scene {scene['id']}: observed map carries no scales")
     return observed
 
@@ -284,15 +284,17 @@ def cmd_compare_predictors(args) -> int:
                                                           "trajectories"):
         observed = _scaled_map(scene, observed)
         histories = [agent.history for agent in agents]
-        try:
-            blind = synth.predict_scene(histories, mean_map(observed), args.modes)
-            weighted = synth.predict_scene(histories, observed, args.modes, args.lam,
-                                           args.b0, weighted=True)
-            for agent, b_modes, w_modes in zip(agents, blind, weighted):
+        blind = synth.predict_scene(histories, mean_map(observed), args.modes)
+        weighted = synth.predict_scene(histories, observed, args.modes, args.lam, args.b0,
+                                       weighted=True)
+        for ai, (agent, b_modes, w_modes) in enumerate(zip(agents, blind, weighted)):
+            try:
                 blind_sets.append(TrajectorySet(b_modes, agent.future))
                 weighted_sets.append(TrajectorySet(w_modes, agent.future))
-        except ValueError as exc:  # coordinates so large that a prediction overflows
-            raise io.DataError(f"scene {scene['id']}: {exc}") from exc
+            except ValueError as exc:
+                # A future of other than synth.FUTURE_STEPS points, or map
+                # coordinates so large that a prediction overflows.
+                raise io.DataError(f"scene {scene['id']} agent {ai}: {exc}") from exc
     if not blind_sets:
         raise io.DataError("manifest contains no agents")
     rep_blind = pred_eval.evaluate_trajectories(blind_sets, args.miss_threshold)

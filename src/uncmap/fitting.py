@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import CLASS_INDEX, NUM_CLASSES, VectorMap
-from .probmap import B_FLOOR, ProbMapElement, ProbVectorMap
+from .geometry import CLASS_INDEX, NUM_CLASSES
+from .probmap import B_FLOOR, MapElement, VectorMap
 
 # Logit assigned to non-template classes in fitted maps; the template's own
 # class gets 0, so the softmax is effectively one-hot.
@@ -259,7 +259,7 @@ def _one_hot_logits(n_vertices: int, element_class) -> np.ndarray:
     return logits
 
 
-def fit_map(observations: list[VectorMap], template: VectorMap) -> ProbVectorMap:
+def fit_map(observations: list[VectorMap], template: VectorMap) -> VectorMap:
     """Fit one probabilistic map from repeated observations of a true map.
 
     Every observation must share the template's element and vertex counts;
@@ -285,6 +285,6 @@ def fit_map(observations: list[VectorMap], template: VectorMap) -> ProbVectorMap
         order = np.sort(stack, axis=0)
         mu = order[(n - 1) // 2]
         b = np.maximum(np.abs(stack - mu).mean(axis=0), B_FLOOR)
-        fitted.append(ProbMapElement(mu, b, _one_hot_logits(len(mu), tel.element_class),
-                                     tel.element_class, tel.confidence, tel.closed))
-    return ProbVectorMap(fitted, template.ego_pose, template.perception_range)
+        fitted.append(MapElement(mu, tel.element_class, tel.confidence, tel.closed, b=b,
+                                 class_logits=_one_hot_logits(len(mu), tel.element_class)))
+    return VectorMap(fitted, template.ego_pose, template.perception_range)

@@ -1,4 +1,6 @@
-"""Planar geometry shared by every other module.
+"""Planar geometry shared by every other module: points, poses and frames,
+polylines and their walks, and the perception-window check. The map
+element and map types built on it live in :mod:`uncmap.probmap`.
 
 Points are length-2 float arrays in meters. Frames follow a heading-up
 convention: expressing a world point in a pose's frame applies
@@ -28,7 +30,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -89,14 +91,6 @@ class Pose2:
     @classmethod
     def identity(cls) -> "Pose2":
         return cls(0.0, 0.0, 0.0)
-
-    @classmethod
-    def facing(cls, x: float, y: float, direction) -> "Pose2":
-        """Pose at (x, y) whose forward axis points along ``direction``."""
-        dx, dy = float(direction[0]), float(direction[1])
-        if dx == 0.0 and dy == 0.0:
-            raise ValueError("direction must be nonzero")
-        return cls(x, y, math.atan2(-dx, dy))
 
     @property
     def position(self) -> np.ndarray:
@@ -412,41 +406,7 @@ def segment_intersects_disc(a, b, center, radius):
     return bool(hit) if hit.ndim == 0 else hit
 
 
-@dataclass
-class MapElement:
-    """One typed map element: a raw vertex sequence, class, and confidence."""
-
-    vertices: np.ndarray
-    element_class: ElementClass
-    confidence: float = 1.0
-    closed: bool = False
-
-    def __post_init__(self):
-        self.vertices = _as_points(self.vertices)
-        if len(self.vertices) < 2:
-            raise ValueError("map element needs at least 2 vertices")
-        if not isinstance(self.element_class, ElementClass):
-            raise TypeError("element_class must be an ElementClass")
-        if not 0.0 <= self.confidence <= 1.0:
-            raise ValueError("confidence must lie in [0, 1]")
-
-    def as_polyline(self) -> Polyline:
-        return Polyline(self.vertices.copy(), closed=self.closed)
-
-
 DEFAULT_PERCEPTION_RANGE = (60.0, 30.0)
-
-
-@dataclass
-class VectorMap:
-    """Map elements inside one perception window, with the ego pose."""
-
-    elements: list[MapElement]
-    ego_pose: Pose2 = field(default_factory=Pose2.identity)
-    perception_range: tuple[float, float] = DEFAULT_PERCEPTION_RANGE
-
-    def by_class(self, element_class: ElementClass) -> list[MapElement]:
-        return [e for e in self.elements if e.element_class == element_class]
 
 
 def check_perception_range(vertices: np.ndarray, ego_pose: Pose2,

@@ -43,8 +43,8 @@ import numpy as np
 import orjson
 
 from . import __version__
-from .geometry import MERGE_EPS, ElementClass, MapElement, Pose2, VectorMap
-from .probmap import ProbMapElement, ProbVectorMap
+from .geometry import MERGE_EPS, ElementClass, Pose2
+from .probmap import MapElement, VectorMap
 from .synth import (
     AgentTrack,
     Condition,
@@ -79,7 +79,7 @@ def _float_lists(arr) -> list:
 # Maps
 # ---------------------------------------------------------------------------
 
-def map_to_dict(m: VectorMap | ProbVectorMap) -> dict:
+def map_to_dict(m: VectorMap) -> dict:
     elements = []
     for el in m.elements:
         entry = {
@@ -87,14 +87,14 @@ def map_to_dict(m: VectorMap | ProbVectorMap) -> dict:
             "confidence": float(el.confidence),
             "closed": bool(el.closed),
         }
-        if isinstance(el, ProbMapElement):
+        if el.b is None:
+            entry["vertices"] = [{"mu": mu} for mu in _float_lists(el.mu)]
+        else:
             entry["vertices"] = [
                 {"mu": mu, "b": b, "class_logits": logits}
                 for mu, b, logits in zip(_float_lists(el.mu), _float_lists(el.b),
                                          _float_lists(el.class_logits))
             ]
-        else:
-            entry["vertices"] = [{"mu": mu} for mu in _float_lists(el.vertices)]
         elements.append(entry)
     return {
         "schema_version": MAP_SCHEMA,
@@ -125,7 +125,7 @@ def _check_distinct_vertices(vertex_arrays: list[np.ndarray]) -> None:
                         f"at least {MERGE_EPS:g} apart")
 
 
-def map_from_dict(data: dict) -> VectorMap | ProbVectorMap:
+def map_from_dict(data: dict) -> VectorMap:
     if data.get("schema_version") != MAP_SCHEMA:
         raise DataError(f"expected map schema {MAP_SCHEMA!r}, "
                         f"got {data.get('schema_version')!r}")
@@ -145,30 +145,27 @@ def map_from_dict(data: dict) -> VectorMap | ProbVectorMap:
             conf = float(el["confidence"])
             closed = bool(el.get("closed", False))
             mu = np.array([v["mu"] for v in el["vertices"]], dtype=float)
+            b = logits = None
             if probabilistic:
                 b = np.array([v["b"] for v in el["vertices"]], dtype=float)
                 logits = np.array([v["class_logits"] for v in el["vertices"]], dtype=float)
-                elements.append(ProbMapElement(mu, b, logits, cls, conf, closed))
-            else:
-                elements.append(MapElement(mu, cls, conf, closed))
+            elements.append(MapElement(mu, cls, conf, closed, b=b, class_logits=logits))
     except DataError:
         raise
     except (KeyError, TypeError, ValueError, IndexError) as exc:
         raise DataError(f"malformed map file: {exc}") from exc
-    _check_distinct_vertices([el.mu if probabilistic else el.vertices for el in elements])
-    if probabilistic:
-        # The range check already ran when the map was first built.
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            return ProbVectorMap(elements, ego, rng)
-    return VectorMap(elements, ego, rng)
+    _check_distinct_vertices([el.mu for el in elements])
+    # The range check already ran when the map was first built.
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return VectorMap(elements, ego, rng)
 
 
-def save_map(m: VectorMap | ProbVectorMap, path) -> None:
+def save_map(m: VectorMap, path) -> None:
     write_json(path, map_to_dict(m))
 
 
-def load_map(path) -> VectorMap | ProbVectorMap:
+def load_map(path) -> VectorMap:
     return map_from_dict(_read_json(path, _scene_loads))
 
 

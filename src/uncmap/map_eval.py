@@ -31,8 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import ALL_CLASSES, ElementClass, MapElement, Polyline, VectorMap, resample_all
-from .probmap import ProbMapElement, ProbVectorMap
+from .geometry import ALL_CLASSES, ElementClass, resample_all
+from .probmap import VectorMap
 
 
 @dataclass
@@ -74,24 +74,16 @@ def chamfer(s1, s2) -> float:
 
 
 def _element_point_sets(objs, count: int) -> list[np.ndarray]:
-    """Fixed-count vertex sets of map elements or polylines (mu for
-    probabilistic elements), resampled in one grouped call.
+    """Fixed-count vertex sets of map elements, polylines or raw point
+    arrays, resampled in one grouped call.
 
     An element that already has exactly ``count`` vertices is used
     verbatim: its vertices are the predicted point set, and re-resampling
     a closed element would drift points around the loop (chords cut the
     corners, shortening the perimeter).
     """
-    chains, closed = [], []
-    for obj in objs:
-        if isinstance(obj, ProbMapElement):
-            pts, flag = obj.mu, obj.closed
-        elif isinstance(obj, (MapElement, Polyline)):
-            pts, flag = obj.vertices, obj.closed
-        else:
-            pts, flag = np.asarray(obj, dtype=float), False
-        chains.append(pts)
-        closed.append(flag)
+    chains = [np.asarray(getattr(obj, "vertices", obj), dtype=float) for obj in objs]
+    closed = [getattr(obj, "closed", False) for obj in objs]
     out = [np.array(pts, dtype=float) if len(pts) == count else None for pts in chains]
     todo = [i for i, pts in enumerate(out) if pts is None]
     for i, pts in zip(todo, resample_all([chains[i] for i in todo],
@@ -290,7 +282,7 @@ class MapEvalReport:
         }
 
 
-def evaluate_scenes(pairs: list[tuple[ProbVectorMap | VectorMap, VectorMap]],
+def evaluate_scenes(pairs: list[tuple[VectorMap, VectorMap]],
                     cfg: APConfig | None = None) -> MapEvalReport:
     """Pooled multi-scene evaluation of predicted maps against ground truth."""
     cfg = cfg or APConfig()
@@ -322,7 +314,7 @@ def evaluate_scenes(pairs: list[tuple[ProbVectorMap | VectorMap, VectorMap]],
                          n_pred, n_gt)
 
 
-def evaluate_map(pred_map: ProbVectorMap | VectorMap, gt_map: VectorMap,
+def evaluate_map(pred_map: VectorMap, gt_map: VectorMap,
                  cfg: APConfig | None = None) -> MapEvalReport:
     """Evaluate one predicted map against one ground-truth map."""
     return evaluate_scenes([(pred_map, gt_map)], cfg)

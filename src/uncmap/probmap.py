@@ -1,13 +1,15 @@
-"""Probabilistic vectorized maps.
+"""Vectorized maps and their vertex uncertainty: the map data model.
 
-Each map vertex carries two independent univariate Laplace distributions
-(one per coordinate) plus per-vertex class logits. A map element holds them
-as arrays: ``mu`` and ``b`` of shape (V, 2) and ``class_logits`` of shape
-(V, C); every function here takes those arrays. This module provides the
-joint vertex density and its negative log-likelihood with analytic
-gradients, scale/standard-deviation conversions, the frame transform for
-axis-aligned uncertainty, and the per-vertex feature rows that downstream
-encoders consume.
+A map is one type, :class:`VectorMap`, of one element type,
+:class:`MapElement`. Every element holds its vertex locations ``mu`` (V, 2).
+An estimated map's elements also carry, per vertex, two independent
+univariate Laplace scales ``b`` (V, 2), one per coordinate, and class logits
+``class_logits`` (V, C); a ground-truth or mean map's elements carry neither.
+Every function here takes those arrays. This module provides the joint
+vertex density and its negative log-likelihood with analytic gradients,
+scale/standard-deviation conversions, the frame transform for axis-aligned
+uncertainty, the mean and sampled maps, and the per-vertex feature rows
+that downstream encoders consume.
 """
 
 from __future__ import annotations
@@ -21,9 +23,8 @@ from .geometry import (
     DEFAULT_PERCEPTION_RANGE,
     NUM_CLASSES,
     ElementClass,
-    MapElement,
+    Polyline,
     Pose2,
-    VectorMap,
     check_perception_range,
     pose_in_frame,
     transform_points,
@@ -154,57 +155,82 @@ def rotate_uncertainty(sigma_x, sigma_y, theta):
 # Data model
 # ---------------------------------------------------------------------------
 
-@dataclass
-class ProbMapElement:
-    """Fixed-length sequence of probabilistic vertices with a class label.
+@dataclass(slots=True)
+class MapElement:
+    """One typed map element: vertex locations, a class and a confidence.
 
-    ``mu`` and ``b`` are (V, 2) arrays; ``class_logits`` is (V, C).
+    ``mu`` is the (V, 2) array of vertex locations; ``vertices`` is the
+    same array. An estimated element also carries per-vertex Laplace
+    scales ``b`` (V, 2) and class logits ``class_logits`` (V, C), both or
+    neither; a ground-truth or mean-map element carries neither. Slots in
+    place of an instance dict keep an element small: a stack of sampled
+    maps holds tens of thousands of them.
     """
 
     mu: np.ndarray
-    b: np.ndarray
-    class_logits: np.ndarray
     element_class: ElementClass
     confidence: float = 1.0
     closed: bool = False
+    b: np.ndarray | None = None
+    class_logits: np.ndarray | None = None
 
     def __post_init__(self):
         self.mu = np.asarray(self.mu, dtype=float)
-        self.b = np.asarray(self.b, dtype=float)
-        self.class_logits = np.asarray(self.class_logits, dtype=float)
         if self.mu.ndim != 2 or self.mu.shape[1] != 2 or len(self.mu) < 2:
-            raise ValueError("mu must be (V, 2) with V >= 2")
-        if self.b.shape != self.mu.shape:
-            raise ValueError("b must match mu's shape")
-        if self.class_logits.shape != (len(self.mu), NUM_CLASSES):
-            raise ValueError(f"class_logits must be (V, {NUM_CLASSES})")
-        if not np.all(np.isfinite(self.mu)) or not np.all(np.isfinite(self.class_logits)):
-            raise ValueError("mu and class_logits must be finite")
-        _validate_scale(self.b)
+            raise ValueError(f"mu must be (V, 2) with V >= 2, got shape {self.mu.shape}")
+        if not np.all(np.isfinite(self.mu)):
+            raise ValueError("mu must be finite")
+        if (self.b is None) != (self.class_logits is None):
+            raise ValueError("b and class_logits must be given together")
+        if self.b is not None:
+            self.b = _validate_scale(self.b)
+            self.class_logits = np.asarray(self.class_logits, dtype=float)
+            if self.b.shape != self.mu.shape:
+                raise ValueError("b must match mu's shape")
+            if self.class_logits.shape != (len(self.mu), NUM_CLASSES):
+                raise ValueError(f"class_logits must be (V, {NUM_CLASSES})")
+            if not np.all(np.isfinite(self.class_logits)):
+                raise ValueError("class_logits must be finite")
         if not isinstance(self.element_class, ElementClass):
             raise TypeError("element_class must be an ElementClass")
         if not 0.0 <= self.confidence <= 1.0:
             raise ValueError("confidence must lie in [0, 1]")
 
     @property
+    def vertices(self) -> np.ndarray:
+        """The vertex locations: ``mu`` itself."""
+        return self.mu
+
+    @property
     def n_vertices(self) -> int:
         return len(self.mu)
 
+    def as_polyline(self) -> Polyline:
+        return Polyline(self.mu.copy(), closed=self.closed)
+
 
 @dataclass
-class ProbVectorMap:
-    """Probabilistic map elements inside one perception window."""
+class VectorMap:
+    """Map elements inside one perception window, with the ego pose.
 
-    elements: list[ProbMapElement]
+    Either every element carries scales (an estimated map) or none does
+    (a ground-truth or mean map). Building an estimated map counts its
+    vertices outside the perception range and warns when there are any.
+    """
+
+    elements: list[MapElement]
     ego_pose: Pose2 = field(default_factory=Pose2.identity)
     perception_range: tuple[float, float] = DEFAULT_PERCEPTION_RANGE
 
     def __post_init__(self):
-        if self.elements:
-            all_mu = np.vstack([e.mu for e in self.elements])
+        scaled = [el.b is not None for el in self.elements]
+        if any(scaled):
+            if not all(scaled):
+                raise ValueError("either every element of a map carries scales or none does")
+            all_mu = np.vstack([el.mu for el in self.elements])
             check_perception_range(all_mu, self.ego_pose, self.perception_range)
 
-    def by_class(self, element_class: ElementClass) -> list[ProbMapElement]:
+    def by_class(self, element_class: ElementClass) -> list[MapElement]:
         return [e for e in self.elements if e.element_class == element_class]
 
 
@@ -212,7 +238,7 @@ class ProbVectorMap:
 # Map-level operations
 # ---------------------------------------------------------------------------
 
-def standardize_map(pmap: ProbVectorMap, frame: Pose2) -> ProbVectorMap:
+def standardize_map(pmap: VectorMap, frame: Pose2) -> VectorMap:
     """Express a probabilistic map in ``frame``'s coordinates.
 
     Locations are rigidly transformed; scales go through sigma space,
@@ -225,9 +251,9 @@ def standardize_map(pmap: ProbVectorMap, frame: Pose2) -> ProbVectorMap:
         sx, sy = rotate_uncertainty(sigma_from_b(el.b[:, 0]), sigma_from_b(el.b[:, 1]),
                                     frame.heading)
         b = np.column_stack([b_from_sigma(sx), b_from_sigma(sy)])
-        out.append(ProbMapElement(mu, b, el.class_logits.copy(), el.element_class,
-                                  el.confidence, el.closed))
-    return ProbVectorMap(out, pose_in_frame(pmap.ego_pose, frame), pmap.perception_range)
+        out.append(MapElement(mu, el.element_class, el.confidence, el.closed,
+                              b=b, class_logits=el.class_logits.copy()))
+    return VectorMap(out, pose_in_frame(pmap.ego_pose, frame), pmap.perception_range)
 
 
 def softmax(logits) -> np.ndarray:
@@ -238,7 +264,7 @@ def softmax(logits) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def vertex_features(el: ProbMapElement) -> np.ndarray:
+def vertex_features(el: MapElement) -> np.ndarray:
     """Uncertainty-augmented feature rows of an element, shape (V, 4 + C).
 
     Row i is [mu_x, mu_y, b_x, b_y, c_1 .. c_C] of vertex i, where the class
@@ -249,7 +275,7 @@ def vertex_features(el: ProbMapElement) -> np.ndarray:
     return np.hstack([el.mu, el.b, softmax(el.class_logits)])
 
 
-def mean_map(pmap: ProbVectorMap) -> VectorMap:
+def mean_map(pmap: VectorMap) -> VectorMap:
     """Strip uncertainty: keep only vertex locations, classes, confidences."""
     elements = [
         MapElement(el.mu.copy(), el.element_class, el.confidence, el.closed)
@@ -258,7 +284,7 @@ def mean_map(pmap: ProbVectorMap) -> VectorMap:
     return VectorMap(elements, pmap.ego_pose, pmap.perception_range)
 
 
-def sample_map(pmap: ProbVectorMap, seed: int) -> VectorMap:
+def sample_map(pmap: VectorMap, seed: int) -> VectorMap:
     """Draw one map realization, each coordinate from its own Laplace."""
     rng = np.random.default_rng(seed)
     elements = [

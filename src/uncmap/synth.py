@@ -27,8 +27,6 @@ from .geometry import (
     CLASS_INDEX,
     NUM_CLASSES,
     ElementClass,
-    MapElement,
-    VectorMap,
     nearest_points,
     point_along,
     points_along,
@@ -36,7 +34,7 @@ from .geometry import (
     resample_all,
     segment_intersects_disc,
 )
-from .probmap import B_FLOOR, ProbMapElement, ProbVectorMap, mean_map
+from .probmap import B_FLOOR, MapElement, VectorMap, mean_map
 
 LANE_WIDTH = 3.5
 RATE_HZ = 10
@@ -350,7 +348,7 @@ def _calibrated_logits(rng: np.random.Generator, n: int, true_idx: int,
 
 
 def observe(gt: VectorMap, noise: NoiseModel, spec: SceneSpec, seed: int,
-            resample_count: int = 20) -> ProbVectorMap:
+            resample_count: int = 20) -> VectorMap:
     """Emulate a probabilistic map estimate of a ground-truth map.
 
     Every element is resampled to ``resample_count`` vertices; each vertex
@@ -377,19 +375,19 @@ def observe(gt: VectorMap, noise: NoiseModel, spec: SceneSpec, seed: int,
         else:
             logits = _calibrated_logits(rng, len(pts), true_idx, NUM_CLASSES)
         conf = float(rng.uniform(0.7, 1.0))
-        out.append(ProbMapElement(mu, b, logits, el.element_class, conf, el.closed))
+        out.append(MapElement(mu, el.element_class, conf, el.closed, b=b, class_logits=logits))
     # Noise draws can push window-edge vertices just outside the perception
     # range; that is the intended output, so the soft range warning is muted.
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        return ProbVectorMap(out, gt.ego_pose, gt.perception_range)
+        return VectorMap(out, gt.ego_pose, gt.perception_range)
 
 
 # ---------------------------------------------------------------------------
 # Baseline predictors
 # ---------------------------------------------------------------------------
 
-def predict_scene(histories, vmap: VectorMap | ProbVectorMap, k: int = DEFAULT_MODES,
+def predict_scene(histories, vmap: VectorMap, k: int = DEFAULT_MODES,
                   lam: float = DEFAULT_LAMBDA, b0: float = DEFAULT_B0,
                   dt: float = 1.0 / RATE_HZ, horizon: int = FUTURE_STEPS,
                   weighted: bool = False) -> list[np.ndarray]:
@@ -402,7 +400,7 @@ def predict_scene(histories, vmap: VectorMap | ProbVectorMap, k: int = DEFAULT_M
     entry point. An agent that does not move, or a map without
     centerlines, gets the single constant-velocity mode.
 
-    With ``weighted``, ``vmap`` is a :class:`ProbVectorMap` and candidates
+    With ``weighted``, ``vmap``'s elements carry scales and candidates
     are ranked by snap distance plus ``lam`` times the centerline's mean
     scale above the floor, so unreliable centerlines are demoted. Each
     snapped mode is then blended toward the constant-velocity path with
@@ -432,8 +430,7 @@ def predict_scene(histories, vmap: VectorMap | ProbVectorMap, k: int = DEFAULT_M
     if not centerlines or not len(movers):
         return out
     closed = [c.closed for c in centerlines]
-    chains = polyline_vertices([c.mu if isinstance(c, ProbMapElement) else c.vertices
-                                for c in centerlines], closed)
+    chains = polyline_vertices([c.mu for c in centerlines], closed)
     n_lines = len(chains)
     endpoint = pos[movers] + vel[movers] * dt * horizon
     goal_dist = nearest_points(chains * len(movers), closed * len(movers),
@@ -470,7 +467,7 @@ def predict_blind(history: np.ndarray, vmap: VectorMap, k: int = DEFAULT_MODES,
     return predict_scene([history], vmap, k, dt=dt, horizon=horizon)[0]
 
 
-def predict_weighted(history: np.ndarray, pmap: ProbVectorMap, k: int = DEFAULT_MODES,
+def predict_weighted(history: np.ndarray, pmap: VectorMap, k: int = DEFAULT_MODES,
                      lam: float = DEFAULT_LAMBDA, b0: float = DEFAULT_B0,
                      dt: float = 1.0 / RATE_HZ,
                      horizon: int = FUTURE_STEPS) -> np.ndarray:
@@ -493,7 +490,7 @@ class SceneRecord:
     spec: SceneSpec
     observe_seed: int
     gt_map: VectorMap
-    observed_map: ProbVectorMap
+    observed_map: VectorMap
     agents: list[AgentTrack]
     modes: list[np.ndarray]   # one (K, F, 2) array per agent; may be empty
 

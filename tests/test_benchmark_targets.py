@@ -33,3 +33,33 @@ def test_target_resolves(name, module, path):
         assert hasattr(owner, part), f"{name}: uncmap.{module} has no {path}"
         owner = getattr(owner, part)
     assert callable(owner)
+
+
+def test_fit_workload_attributes_resolve():
+    """The attributes ``perfbench/run.py``'s fit workload reads resolve on
+    the maps it builds: one scene through ``observe``, ``mean_map``,
+    ``sample_map`` and ``fit_map``."""
+    import numpy as np
+
+    from uncmap import fitting, probmap, synth
+
+    spec = synth.SceneSpec(synth.Layout.INTERSECTION, seed=7)
+    observed = synth.observe(synth.generate_scene(spec)[0], synth.NoiseModel(), spec, seed=8)
+    template = probmap.mean_map(observed)
+    draws = [probmap.sample_map(observed, seed) for seed in range(5)]
+    fitted = fitting.fit_map(draws, template)
+    # The check stacks each element's realisations by index, ...
+    stacks = [np.stack([d.elements[e].vertices for d in draws])
+              for e in range(len(template.elements))]
+    assert [s.shape for s in stacks] == [(5,) + el.mu.shape for el in template.elements]
+    # ... compares the fitted mu and b and the classes, and pools the
+    # fitted and generating scales.
+    for fit_el, obs_el, tmpl_el in zip(fitted.elements, observed.elements,
+                                       template.elements, strict=True):
+        assert fit_el.mu.shape == fit_el.b.shape == obs_el.b.shape
+        assert fit_el.element_class == obs_el.element_class == tmpl_el.element_class
+        assert fit_el.confidence == obs_el.confidence == tmpl_el.confidence
+    assert all(el.b is None for m in [template] + draws for el in m.elements)
+    for m in [observed, template, fitted] + draws:
+        assert m.elements
+        assert all(el.vertices is el.mu for el in m.elements)

@@ -9,11 +9,11 @@ from uncmap.calibration import (
     match_vertex_pairs,
     reliability,
 )
-from uncmap.geometry import CLASS_INDEX, ElementClass, MapElement, Pose2, VectorMap, resample
+from uncmap.geometry import CLASS_INDEX, ElementClass, Pose2, resample
 from uncmap.map_eval import _element_points, chamfer, greedy_match
 from uncmap.probmap import (
-    ProbMapElement,
-    ProbVectorMap,
+    MapElement,
+    VectorMap,
     softmax,
     standardize_map,
 )
@@ -153,8 +153,8 @@ def _prob_map(mu_elements, b=0.4, cls=ElementClass.LANE_DIVIDER, conf=1.0):
         mu = np.asarray(mu, float)
         logits = np.full((len(mu), 4), -16.0)
         logits[:, 2] = 0.0
-        els.append(ProbMapElement(mu, np.full_like(mu, b), logits, cls, conf))
-    return ProbVectorMap(els, Pose2.identity(), perception_range=(1e6, 1e6))
+        els.append(MapElement(mu, cls, conf, b=np.full_like(mu, b), class_logits=logits))
+    return VectorMap(els, Pose2.identity(), perception_range=(1e6, 1e6))
 
 
 class TestVertexPairing:

@@ -8,8 +8,8 @@ from scipy.stats import spearmanr
 
 from uncmap.fitting import (FitConfig, _sorted_oracle, _sorted_prefix, fit_closed_form,
                             fit_gradient, fit_map)
-from uncmap.geometry import ElementClass, MapElement, Pose2, VectorMap
-from uncmap.probmap import B_FLOOR, nll_loss
+from uncmap.geometry import ElementClass, Pose2
+from uncmap.probmap import B_FLOOR, MapElement, VectorMap, nll_loss
 
 
 class TestClosedForm:

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from uncmap.geometry import (
     MERGE_EPS,
-    MapElement,
     ElementClass,
     Polyline,
     Pose2,
@@ -23,6 +22,7 @@ from uncmap.geometry import (
     transform_point,
     wrap_angle,
 )
+from uncmap.probmap import MapElement
 
 
 class TestPolylineConstruction:

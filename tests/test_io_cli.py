@@ -17,9 +17,8 @@ from hypothesis import strategies as st
 
 from uncmap import io as uio
 from uncmap.cli import main
-from uncmap.geometry import (MERGE_EPS, ElementClass, MapElement, Polyline, Pose2,
-                             VectorMap, nearest_point_on_polyline)
-from uncmap.probmap import B_FLOOR, ProbMapElement, ProbVectorMap
+from uncmap.geometry import MERGE_EPS, ElementClass, Polyline, Pose2, nearest_point_on_polyline
+from uncmap.probmap import B_FLOOR, MapElement, VectorMap
 from uncmap.synth import AgentTrack, DatasetConfig
 
 
@@ -30,9 +29,9 @@ def small_prob_map():
         mu = rng.uniform(-10, 10, (5, 2))
         b = rng.uniform(0.05, 1.5, (5, 2))
         logits = rng.uniform(-4, 4, (5, 4))
-        els.append(ProbMapElement(mu, b, logits, cls, confidence=0.83,
-                                  closed=cls is ElementClass.PED_CROSSING))
-    return ProbVectorMap(els, Pose2(1.25, -3.5, 0.7), (60.0, 30.0))
+        els.append(MapElement(mu, cls, confidence=0.83, closed=cls is ElementClass.PED_CROSSING,
+                              b=b, class_logits=logits))
+    return VectorMap(els, Pose2(1.25, -3.5, 0.7), (60.0, 30.0))
 
 
 def small_mean_map():
@@ -47,7 +46,7 @@ class TestMapRoundTrip:
         path = tmp_path / "m.json"
         uio.save_map(m, path)
         back = uio.load_map(path)
-        assert isinstance(back, ProbVectorMap)
+        assert isinstance(back, VectorMap) and all(el.b is not None for el in back.elements)
         assert back.ego_pose == m.ego_pose
         for a, b in zip(back.elements, m.elements):
             np.testing.assert_array_equal(a.mu, b.mu)
@@ -63,6 +62,7 @@ class TestMapRoundTrip:
         uio.save_map(m, path)
         back = uio.load_map(path)
         assert isinstance(back, VectorMap)
+        assert back.elements[0].b is None and back.elements[0].class_logits is None
         np.testing.assert_array_equal(back.elements[0].vertices,
                                       m.elements[0].vertices)
 
@@ -139,9 +139,7 @@ def _arrays(draw, shape, elements=_BIT_FLOATS):
 def _maps(draw):
     probabilistic = draw(st.booleans())
     elements = []
-    # A map without vertices has no scales to tell its kind by and loads as
-    # a mean map, so every drawn map has an element.
-    for _ in range(draw(st.integers(1, 3))):
+    for _ in range(draw(st.integers(0, 3))):
         n = draw(st.integers(2, 5))
         mu = _arrays(draw, (n, 2))
         # A vertex far from the first keeps the element a valid polyline.
@@ -149,11 +147,10 @@ def _maps(draw):
         cls = draw(st.sampled_from(list(ElementClass)))
         confidence = draw(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)))
         closed = draw(st.booleans())
+        b = logits = None
         if probabilistic:
-            elements.append(ProbMapElement(mu, _arrays(draw, (n, 2), _POSITIVE_FLOATS),
-                                           _arrays(draw, (n, 4)), cls, confidence, closed))
-        else:
-            elements.append(MapElement(mu, cls, confidence, closed))
+            b, logits = _arrays(draw, (n, 2), _POSITIVE_FLOATS), _arrays(draw, (n, 4))
+        elements.append(MapElement(mu, cls, confidence, closed, b=b, class_logits=logits))
     heading = draw(st.one_of(st.sampled_from([np.pi, -np.pi, np.nextafter(np.pi, 0),
                                               np.nextafter(-np.pi, 0)]),
                              st.floats(-3.2, 3.2)))
@@ -161,7 +158,7 @@ def _maps(draw):
     rng = (draw(st.floats(1.0, 200.0)), draw(st.floats(1.0, 200.0)))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # vertices outside the perception range
-        return (ProbVectorMap if probabilistic else VectorMap)(elements, pose, rng)
+        return VectorMap(elements, pose, rng)
 
 
 class TestBitExactRoundTrip:
@@ -179,11 +176,11 @@ class TestBitExactRoundTrip:
         for a, b in zip(back.elements, m.elements):
             assert (a.element_class, a.closed) == (b.element_class, b.closed)
             assert _bits_equal(a.confidence, b.confidence)
-            if isinstance(m, ProbVectorMap):
-                assert _bits_equal(a.mu, b.mu) and _bits_equal(a.b, b.b)
-                assert _bits_equal(a.class_logits, b.class_logits)
+            assert _bits_equal(a.mu, b.mu)
+            if b.b is None:
+                assert a.b is None and a.class_logits is None
             else:
-                assert _bits_equal(a.vertices, b.vertices)
+                assert _bits_equal(a.b, b.b) and _bits_equal(a.class_logits, b.class_logits)
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
@@ -710,7 +707,8 @@ class TestSceneFileReads:
         assert len(rows) == len(manifest["scenes"])
         scene, agents, modes, observed = rows[0]
         assert scene is manifest["scenes"][0]
-        assert isinstance(observed, ProbVectorMap) and len(agents) == len(modes)
+        assert observed.elements and all(el.b is not None for el in observed.elements)
+        assert len(agents) == len(modes)
         assert all(len(row) == 5 for row in uio.iter_scene_files(manifest))
         with pytest.raises(ValueError, match="unknown scene files"):
             next(uio.iter_scene_files(manifest, "lidar"))
@@ -850,7 +848,7 @@ def _strip_scales(dataset_dir, tmp_path) -> Path:
         for v in el["vertices"]:
             del v["b"], v["class_logits"]
     target.write_text(json.dumps(m))
-    assert isinstance(uio.load_map(target), VectorMap)
+    assert all(el.b is None for el in uio.load_map(target).elements)
     return data / "manifest.json"
 
 
@@ -864,6 +862,20 @@ class TestCliMeanObservedMap:
                      "--out", str(tmp_path / "r")]) == 3
         err = capsys.readouterr().err
         assert err == f"data error: scene {scene_id}: observed map carries no scales\n"
+
+    @pytest.mark.parametrize("command", ["analyze-uncertainty", "calibrate",
+                                         "compare-predictors"])
+    def test_stage_reading_scales_accepts_an_empty_map(self, command, dataset_dir,
+                                                       tmp_path):
+        data = tmp_path / "data"
+        shutil.copytree(dataset_dir, data)
+        manifest = json.loads((data / "manifest.json").read_text())
+        target = data / manifest["scenes"][0]["observed_map"]
+        m = json.loads(target.read_text())
+        m["elements"] = []
+        target.write_text(json.dumps(m))
+        assert main([command, "--manifest", str(data / "manifest.json"),
+                     "--out", str(tmp_path / "r")]) == 0
 
     @pytest.mark.parametrize("command", ["eval-map", "eval-pred"])
     def test_stage_ignoring_scales_accepts_it(self, command, dataset_dir, tmp_path):
@@ -1111,10 +1123,10 @@ class TestContractProbe:
         root = tmp_path_factory.mktemp("mutated")
         shutil.copytree(probe_dir, root / "data")
         manifest = root / "data" / "manifest.json"
-        scene_files = sorted(str(p.relative_to(root / "data"))
-                             for p in (root / "data").rglob("*.json"))
+        files = sorted(str(p.relative_to(root / "data"))
+                       for p in (root / "data").rglob("*.json"))
         for _ in range(data.draw(st.integers(1, 2))):
-            target = root / "data" / data.draw(st.sampled_from(scene_files))
+            target = root / "data" / data.draw(st.sampled_from(files))
             tree = json.loads(target.read_text())
             path, _ = data.draw(st.sampled_from(_json_leaves(tree)))
             if not path:
@@ -1136,6 +1148,19 @@ class TestContractProbe:
             assert "Traceback" not in err.getvalue()
             if rc == 3:
                 assert err.getvalue().splitlines()[-1].startswith("data error:")
+
+    def test_future_of_other_length_than_predictions_exits_3(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, n_scenes=2, predictor="none")
+        assert main(["generate", "--config", str(cfg), "--out", str(tmp_path / "d")]) == 0
+        manifest = tmp_path / "d" / "manifest.json"
+        target = tmp_path / "d" / json.loads(manifest.read_text())["scenes"][0]["trajectories"]
+        traj = json.loads(target.read_text())
+        traj["agents"][0]["future_gt"].pop()
+        target.write_text(json.dumps(traj))
+        assert main(["compare-predictors", "--manifest", str(manifest),
+                     "--out", str(tmp_path / "r")]) == 3
+        assert capsys.readouterr().err.startswith(
+            "data error: scene scene_0000 agent 0: modes must be (K, T, 2) matching gt")
 
     def test_short_perception_range_is_a_data_error(self):
         data = uio.map_to_dict(small_prob_map())

@@ -6,7 +6,7 @@ from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from uncmap import map_eval
-from uncmap.geometry import ElementClass, MapElement, Polyline, Pose2, VectorMap
+from uncmap.geometry import ElementClass, Polyline, Pose2
 from uncmap.map_eval import (
     APConfig,
     _element_points,
@@ -17,6 +17,7 @@ from uncmap.map_eval import (
     evaluate_scenes,
     greedy_match,
 )
+from uncmap.probmap import MapElement, VectorMap
 
 CLS = ElementClass.LANE_DIVIDER
 
@@ -120,10 +121,8 @@ class TestChamferElements:
                                                        abs=1e-12)
 
     def test_probabilistic_element_uses_locations(self):
-        from uncmap.probmap import ProbMapElement
-
         mu = np.array([[0.0, 0.0], [10.0, 0.0]])
-        el = ProbMapElement(mu, np.full((2, 2), 3.0), np.zeros((2, 4)), CLS)
+        el = MapElement(mu, CLS, b=np.full((2, 2), 3.0), class_logits=np.zeros((2, 4)))
         assert chamfer_pair(el, Polyline(mu.copy())) == 0.0
 
     def test_resample_count_respected(self):

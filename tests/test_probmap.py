@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,8 +7,8 @@ from scipy.integrate import quad
 
 from uncmap.geometry import ElementClass, Pose2
 from uncmap.probmap import (
-    ProbMapElement,
-    ProbVectorMap,
+    MapElement,
+    VectorMap,
     b_from_sigma,
     density,
     laplace_pdf,
@@ -27,8 +28,8 @@ V1 = (np.array([[0.0, 0.0]]), np.array([[1.0, 1.0]]))
 
 def _element(mu, b, cls=ElementClass.LANE_DIVIDER, confidence=1.0):
     logits = np.zeros((len(mu), 4))
-    return ProbMapElement(np.asarray(mu, float), np.asarray(b, float), logits, cls,
-                          confidence)
+    return MapElement(np.asarray(mu, float), cls, confidence, b=np.asarray(b, float),
+                      class_logits=logits)
 
 
 class TestDensity:
@@ -153,14 +154,14 @@ class TestRotateUncertainty:
 
 
 def _small_map(b=(0.3, 0.8)):
-    el = ProbMapElement(
+    el = MapElement(
         np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 5.0]]),
-        np.tile(np.asarray(b, float), (3, 1)),
-        np.arange(12, dtype=float).reshape(3, 4),
         ElementClass.ROAD_BOUNDARY,
         confidence=0.9,
+        b=np.tile(np.asarray(b, float), (3, 1)),
+        class_logits=np.arange(12, dtype=float).reshape(3, 4),
     )
-    return ProbVectorMap([el], Pose2.identity())
+    return VectorMap([el], Pose2.identity())
 
 
 class TestStandardize:
@@ -214,17 +215,16 @@ class TestEncodeVertex:
         np.testing.assert_allclose(feat[:, 4:], 0.25, rtol=1e-12)
 
     def test_hand_feature(self):
-        el = ProbMapElement(np.array([[1.0, 2.0], [0.0, 0.0]]),
-                            np.array([[0.1, 0.2], [1.0, 1.0]]),
-                            np.array([[math.log(2), 0.0, 0.0, 0.0], [0.0] * 4]),
-                            ElementClass.LANE_DIVIDER)
+        el = MapElement(np.array([[1.0, 2.0], [0.0, 0.0]]), ElementClass.LANE_DIVIDER,
+                        b=np.array([[0.1, 0.2], [1.0, 1.0]]),
+                        class_logits=np.array([[math.log(2), 0.0, 0.0, 0.0], [0.0] * 4]))
         np.testing.assert_allclose(
             vertex_features(el)[0], [1, 2, 0.1, 0.2, 0.4, 0.2, 0.2, 0.2], rtol=1e-12)
 
     def test_length_and_simplex(self):
         rng = np.random.default_rng(5)
-        el = ProbMapElement(np.zeros((100, 2)), np.ones((100, 2)),
-                            rng.uniform(-10, 10, (100, 4)), ElementClass.LANE_DIVIDER)
+        el = MapElement(np.zeros((100, 2)), ElementClass.LANE_DIVIDER, b=np.ones((100, 2)),
+                        class_logits=rng.uniform(-10, 10, (100, 4)))
         feat = vertex_features(el)
         assert feat.shape == (100, 8)
         np.testing.assert_array_equal(feat[:, :2], el.mu)
@@ -246,7 +246,7 @@ class TestMeanAndSampleMap:
                                       mean_map(narrow).elements[0].vertices)
 
     def test_empty_map(self):
-        out = mean_map(ProbVectorMap([], Pose2.identity()))
+        out = mean_map(VectorMap([], Pose2.identity()))
         assert out.elements == []
 
     def test_vertex_count_preserved(self):
@@ -267,9 +267,9 @@ class TestMeanAndSampleMap:
                                    atol=1e-9)
 
     def test_sample_moments(self):
-        el = ProbMapElement(np.zeros((50_000, 2)), np.ones((50_000, 2)),
-                            np.zeros((50_000, 4)), ElementClass.LANE_DIVIDER)
-        pmap = ProbVectorMap([el], Pose2.identity(), perception_range=(1e6, 1e6))
+        el = MapElement(np.zeros((50_000, 2)), ElementClass.LANE_DIVIDER,
+                        b=np.ones((50_000, 2)), class_logits=np.zeros((50_000, 4)))
+        pmap = VectorMap([el], Pose2.identity(), perception_range=(1e6, 1e6))
         draws = sample_map(pmap, seed=123).elements[0].vertices.ravel()
         assert len(draws) == 100_000
         assert abs(np.median(draws)) < 0.01
@@ -288,4 +288,33 @@ class TestValidation:
     def test_range_check_warns(self):
         el = _element(np.array([[0.0, 0.0], [100.0, 0.0]]), np.ones((2, 2)))
         with pytest.warns(UserWarning):
-            ProbVectorMap([el], Pose2.identity())
+            VectorMap([el], Pose2.identity())
+
+    def test_range_check_skips_maps_without_scales(self):
+        el = MapElement(np.array([[0.0, 0.0], [100.0, 0.0]]), ElementClass.LANE_DIVIDER)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            VectorMap([el], Pose2.identity())
+
+    @pytest.mark.parametrize("given", ["b", "class_logits"])
+    def test_scales_and_logits_come_together(self, given):
+        arrays = {"b": np.ones((2, 2)), "class_logits": np.zeros((2, 4))}
+        with pytest.raises(ValueError, match="b and class_logits must be given together"):
+            MapElement(np.zeros((2, 2)) + [[0.0], [1.0]], ElementClass.LANE_DIVIDER,
+                       **{given: arrays[given]})
+
+    def test_map_mixing_scaled_and_plain_elements_rejected(self):
+        scaled = _element([[0.0, 0.0], [1.0, 0.0]], np.ones((2, 2)))
+        plain = MapElement(np.array([[0.0, 1.0], [1.0, 1.0]]), ElementClass.LANE_DIVIDER)
+        with pytest.raises(ValueError, match="every element"):
+            VectorMap([scaled, plain])
+
+    def test_vertices_is_mu(self):
+        plain = MapElement([[0, 0], [1, 0]], ElementClass.LANE_DIVIDER)
+        scaled = _element([[0.0, 0.0], [1.0, 0.0]], np.ones((2, 2)))
+        for el in (plain, scaled):
+            assert el.vertices is el.mu and el.mu.dtype == float
+            assert el.n_vertices == 2
+            with pytest.raises(AttributeError):
+                el.vertices = np.zeros((2, 2))
+        assert plain.b is None and plain.class_logits is None

@@ -4,16 +4,13 @@ from scipy.stats import spearmanr
 
 from uncmap.geometry import (
     ElementClass,
-    MapElement,
-    Polyline,
     Pose2,
-    VectorMap,
     nearest_point_on_polyline,
     point_along,
     segment_intersects_disc,
 )
 from uncmap.map_eval import evaluate_scenes
-from uncmap.probmap import B_FLOOR, ProbMapElement, ProbVectorMap, mean_map
+from uncmap.probmap import B_FLOOR, MapElement, VectorMap, mean_map
 from uncmap.synth import (
     LANE_WIDTH,
     Condition,
@@ -243,15 +240,13 @@ class TestPredictors:
     def test_uncertain_centerline_demoted(self):
         mu_left = np.array([[-LANE_WIDTH / 2, -30.0], [-LANE_WIDTH / 2, 30.0]])
         mu_right = np.array([[LANE_WIDTH / 2, -30.0], [LANE_WIDTH / 2, 30.0]])
-        from uncmap.probmap import ProbMapElement, ProbVectorMap
-
         logits = np.full((2, 4), -16.0)
         logits[:, 3] = 0.0
-        left = ProbMapElement(mu_left, np.full((2, 2), 2.0), logits,
-                              ElementClass.LANE_CENTERLINE)
-        right = ProbMapElement(mu_right, np.full((2, 2), 0.2), logits,
-                               ElementClass.LANE_CENTERLINE)
-        pmap = ProbVectorMap([left, right], Pose2.identity())
+        left = MapElement(mu_left, ElementClass.LANE_CENTERLINE,
+                          b=np.full((2, 2), 2.0), class_logits=logits)
+        right = MapElement(mu_right, ElementClass.LANE_CENTERLINE,
+                           b=np.full((2, 2), 0.2), class_logits=logits)
+        pmap = VectorMap([left, right], Pose2.identity())
         history = np.column_stack([np.zeros(20), np.linspace(-6, 0, 20)])
         modes = predict_weighted(history, pmap, k=2)
         # first mode must track the confident (right) centerline
@@ -293,8 +288,7 @@ class TestDataset:
 
 def reference_candidates(pos, vel, centerlines, dt, horizon):
     endpoint = pos + vel * dt * horizon
-    polys = [Polyline(c.mu.copy(), closed=c.closed) if isinstance(c, ProbMapElement)
-             else c.as_polyline() for c in centerlines]
+    polys = [c.as_polyline() for c in centerlines]
     goal_dist = np.array([nearest_point_on_polyline(p, endpoint)[2] for p in polys])
     return polys, goal_dist
 
@@ -347,8 +341,8 @@ def assert_scene_matches_reference(histories, observed, k, lam=1.0, b0=0.5):
 
 def prob_centerline(mu, b, closed=False):
     logits = np.zeros((len(mu), 4))
-    return ProbMapElement(np.asarray(mu, dtype=float), np.full((len(mu), 2), b), logits,
-                          ElementClass.LANE_CENTERLINE, 0.9, closed)
+    return MapElement(np.asarray(mu, dtype=float), ElementClass.LANE_CENTERLINE, 0.9, closed,
+                      b=np.full((len(mu), 2), b), class_logits=logits)
 
 
 class TestPerScenePredictor:
@@ -374,7 +368,7 @@ class TestPerScenePredictor:
         loop = [[-6.0, -6.0], [6.0, -6.0], [6.0, 6.0], [-6.0, 6.0]]
         arc = np.column_stack([10 * np.cos(np.linspace(0, 1.5, 9)),
                                10 * np.sin(np.linspace(0, 1.5, 9))])
-        pmap = ProbVectorMap([
+        pmap = VectorMap([
             prob_centerline([[-1.75, -30.0], [-1.75, 30.0]], 0.05),
             prob_centerline([[1.75, -30.0], [1.75, 0.0], [1.75, 30.0]], 0.9),
             prob_centerline(loop, 0.3, closed=True),
