@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import CLASS_INDEX, group_indices, resample_all
+from .geometry import CLASS_INDEX, group_indices, resample
 from .map_eval import _chamfer_points, _split_point_sets, greedy_match
 from .probmap import VectorMap, softmax
 
@@ -163,9 +163,9 @@ def match_vertex_pairs(pred_map: VectorMap, gt_map: VectorMap,
     if not preds:
         return MatchedVertices(np.empty((0, 2)), np.empty((0, 2)), np.empty((0, 2)),
                                np.empty((0, len(CLASS_INDEX))), np.empty(0, dtype=int))
-    for i, pts in zip(todo, resample_all([gt_sets[i].vertices for i in todo],
-                                         [gt_sets[i].closed for i in todo],
-                                         [preds[i].n_vertices for i in todo])):
+    for i, pts in zip(todo, resample([gt_sets[i].vertices for i in todo],
+                                     [gt_sets[i].closed for i in todo],
+                                     [preds[i].n_vertices for i in todo])):
         gt_sets[i] = pts
     for pred, gt in zip(preds, gt_sets):
         if len(gt) != pred.n_vertices:

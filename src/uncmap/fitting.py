@@ -27,6 +27,11 @@ _LOG2 = math.log(2.0)
 # Largest rise of log b in one step. Below the optimum the loss grows like
 # exp(-log b), so an unbounded step there overshoots b by orders of magnitude.
 _MAX_LOG_B_RISE = 1.0
+# The convergence certificate's bound on |d loss / d log b| (its mu half is
+# exact), and each line search's first trial step and Armijo constant.
+_TOL = 1e-10
+_STEP_SIZE = 1.0
+_ARMIJO_C = 1e-4
 
 
 @dataclass
@@ -44,18 +49,9 @@ class FitResult:
 
 @dataclass
 class FitConfig:
-    """Gradient-descent settings for :func:`fit_gradient`.
+    """Gradient-descent settings for :func:`fit_gradient`."""
 
-    ``tol`` bounds ``|d loss / d log b|`` in the convergence certificate;
-    the mu half of the certificate is exact and needs no tolerance.
-    ``step_size`` is the first trial step of each line search and
-    ``armijo_c`` its sufficient-decrease constant.
-    """
-
-    step_size: float = 1.0
     max_iters: int = 10_000
-    tol: float = 1e-10
-    armijo_c: float = 1e-4
     init_mu: float | None = None
     init_b: float | None = None
 
@@ -186,7 +182,7 @@ def fit_gradient(samples, config: FitConfig | None = None) -> FitResult:
     ``converged`` is a certificate, not a stall test. It holds when 0 lies
     in the mu subdifferential (the counts of samples below and above mu
     differ by at most the count at mu) and ``|d loss / d log b| <=
-    config.tol``, or when b sits on the floor and the loss still falls
+    1e-10``, or when b sits on the floor and the loss still falls
     towards smaller b; that result is flagged ``clamped``, as in
     :func:`fit_closed_form`.
     """
@@ -217,12 +213,12 @@ def fit_gradient(samples, config: FitConfig | None = None) -> FitResult:
     iterations = 0
     converged = False
     for _ in range(cfg.max_iters):
-        if gmu == 0.0 and (abs(gs) <= cfg.tol or (s == s_floor and gs > 0.0)):
+        if gmu == 0.0 and (abs(gs) <= _TOL or (s == s_floor and gs > 0.0)):
             converged = True
             break
         r = 1.0 - gs  # mean |x - mu| / b
         w = math.exp(-s) / n  # d loss / d sum |x - mu|
-        alpha = cfg.step_size
+        alpha = _STEP_SIZE
         accepted = False
         while alpha > 1e-20:
             mu_new, crossed = _mu_step(sorted_x, prefix, centre, mu - alpha * gmu,
@@ -235,7 +231,7 @@ def fit_gradient(samples, config: FitConfig | None = None) -> FitResult:
             # the distances of the samples passed from the new mu.
             change = (ds + r * math.expm1(-ds)
                       + (gmu * dmu + 2.0 * w * crossed) * math.exp(-ds))
-            if change <= cfg.armijo_c * (gmu * dmu + gs * ds):
+            if change <= _ARMIJO_C * (gmu * dmu + gs * ds):
                 accepted = True
                 break
             alpha *= 0.5

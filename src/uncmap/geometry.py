@@ -7,23 +7,23 @@ convention: expressing a world point in a pose's frame applies
 ``R(-heading) @ (p - position)``, so the pose's forward direction
 ``(-sin(heading), cos(heading))`` lands on the +y axis of its own frame.
 
-Polyline walks (resampling, ``point_along`` and the nearest point) run on
-stacks: one core takes an (R, N, 2) stack of equal-length vertex chains
-with one ``closed`` flag, builds every row's arclength table with one
-``cumsum(axis=1)`` and row sums, and finds each target's segment by a
-comparison count in place of ``searchsorted``. The single-polyline
-functions are R = 1 calls into it. The grouped functions
-(:func:`resample_all`, :func:`points_along`, :func:`nearest_points`) split
-a ragged list into stacks of one shape and flag, so a caller walks all
-elements of a map or scene in one call.
+There are three polyline walks: :func:`resample` (a fixed count of
+equally spaced vertices), :func:`point_along` (the points at given
+arclengths) and :func:`nearest_point_on_polyline` (the closest point to a
+query, with its arclength and distance). Each takes a list of vertex
+chains with one ``closed`` flag per chain, so a caller walks all elements
+of a map or scene in one call. It splits the chains into stacks of one
+shape and flag and walks each (R, N, 2) stack at once: it builds every
+row's arclength table with one ``cumsum(axis=1)`` and row sums, and finds
+each target's segment by a comparison count in place of ``searchsorted``.
 
 Rows are grouped by length rather than padded to one: numpy sums a row of
 8 or more values pairwise, so a padded row's total rounds differently from
 the polyline's own, while row sums and running sums of equal-length rows
-match the single-row results bit for bit. ``Polyline`` normalisation (the
+match the single-row results bit for bit. Polyline normalisation (the
 merging of steps shorter than ``MERGE_EPS`` and the trailing repeat of a
 closed loop) is checked for a whole stack at once, on input and on output;
-only the rows that need it build a ``Polyline``.
+only the rows that need it build a :class:`Polyline`.
 """
 
 from __future__ import annotations
@@ -131,7 +131,8 @@ def pose_in_frame(pose: Pose2, frame: Pose2) -> Pose2:
 
 @dataclass
 class Polyline:
-    """Ordered vertex sequence, open or closed.
+    """One vertex chain, open or closed, normalised by the reference merge
+    loop, which the walks run only for the rows that need it.
 
     Construction coerces vertices to float64, merges consecutive vertices
     closer than ``MERGE_EPS`` (for closed polylines this includes an explicit
@@ -160,22 +161,6 @@ class Polyline:
         if len(pts) < 2:
             raise ValueError("degenerate polyline: fewer than 2 distinct vertices")
         self.vertices = pts
-
-    def __len__(self) -> int:
-        return len(self.vertices)
-
-    def segment_lengths(self) -> np.ndarray:
-        pts = self.vertices
-        if self.closed:
-            pts = np.vstack([pts, pts[:1]])
-        seg = np.diff(pts, axis=0)
-        return np.hypot(seg[:, 0], seg[:, 1])
-
-    def arclength(self) -> float:
-        return float(self.segment_lengths().sum())
-
-    def reversed(self) -> "Polyline":
-        return Polyline(self.vertices[::-1].copy(), closed=self.closed)
 
 
 def group_indices(keys) -> list[tuple[tuple, list[int]]]:
@@ -310,21 +295,14 @@ def _nearest(stack: np.ndarray, closed: bool, q: np.ndarray):
     return proj[rows, i], s, d[rows, i]
 
 
-def resample(p: Polyline, count: int) -> Polyline:
-    """Resample to exactly ``count`` vertices, equally spaced by arclength.
+def resample(chains, closed, counts) -> list[np.ndarray]:
+    """Each chain resampled to exactly its count of vertices, equally
+    spaced by arclength, as ``Polyline`` keeps them; raw chains are
+    normalised first (see :func:`polyline_vertices`), with the same errors.
 
-    Open polylines keep both endpoints exactly; closed polylines are sampled
+    Open chains keep both endpoints exactly; closed chains are sampled
     uniformly around the loop starting at (and keeping) the first vertex.
-    """
-    return Polyline(_resample(p.vertices[None], p.closed, count)[0], closed=p.closed)
-
-
-def resample_all(chains, closed, counts) -> list[np.ndarray]:
-    """``resample(Polyline(chain, closed=flag), count).vertices`` for each
-    chain, flag and count, bit for bit and with the same errors.
-
-    Chains of one shape, flag and count are resampled as one stack, and
-    only rows that need merging build a ``Polyline``, on input or output.
+    Chains of one shape, flag and count are resampled as one stack.
     """
     closed = [bool(c) for c in closed]
     verts = polyline_vertices(chains, closed)
@@ -336,24 +314,12 @@ def resample_all(chains, closed, counts) -> list[np.ndarray]:
     return out
 
 
-def point_along(p: Polyline, s):
-    """Point(s) at arclength ``s`` along the polyline, clamped to its extent.
-
-    ``s`` is a scalar, giving a ``(2,)`` point, or a 1-D array of
-    arclengths, giving an ``(N, 2)`` array. Closed polylines wrap ``s``
-    modulo their length first. The arclength table is built once per call,
-    so walking a whole path costs one call, not one per point.
-    """
-    s = np.asarray(s, dtype=float)
-    out = _point_along(p.vertices[None], p.closed, s.reshape(1, -1))[0]
-    return out[0] if s.ndim == 0 else out
-
-
-def points_along(chains, closed, s) -> np.ndarray:
-    """(R, M, 2) ``point_along`` of each chain at its row of arclengths ``s``
-    (R, M), bit for bit. Chains are vertices as ``Polyline`` keeps them
-    (see :func:`polyline_vertices`); chains of one shape and flag are
-    walked as one stack."""
+def point_along(chains, closed, s) -> np.ndarray:
+    """(R, M, 2) points of each chain at its row of arclengths ``s`` (R, M),
+    clamped to the chain's extent; closed chains wrap ``s`` modulo their
+    length first. Chains are vertices as ``Polyline`` keeps them (see
+    :func:`polyline_vertices`); chains of one shape and flag are walked as
+    one stack."""
     s = np.asarray(s, dtype=float)
     out = np.empty(s.shape + (2,))
     for (_, flag), rows in group_indices(zip(map(np.shape, chains), map(bool, closed))):
@@ -361,21 +327,12 @@ def points_along(chains, closed, s) -> np.ndarray:
     return out
 
 
-def nearest_point_on_polyline(p: Polyline, q) -> tuple[np.ndarray, float, float]:
-    """Closest point on the polyline to ``q``.
-
-    Returns (point, arclength of that point, distance to q).
-    """
-    proj, s, d = _nearest(p.vertices[None], p.closed,
-                          np.asarray(q, dtype=float).reshape(1, 2))
-    return proj[0], float(s[0]), float(d[0])
-
-
-def nearest_points(chains, closed, queries) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``nearest_point_on_polyline`` of each chain to its query (R, 2), bit
-    for bit, as (R, 2) points, (R,) arclengths and (R,) distances. Chains
-    are vertices as ``Polyline`` keeps them (see :func:`polyline_vertices`);
-    chains of one shape and flag are searched as one stack."""
+def nearest_point_on_polyline(chains, closed,
+                              queries) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Closest point of each chain to its query (R, 2): the (R, 2) points,
+    their (R,) arclengths and (R,) distances. Chains are vertices as
+    ``Polyline`` keeps them (see :func:`polyline_vertices`); chains of one
+    shape and flag are searched as one stack."""
     queries = np.asarray(queries, dtype=float).reshape(-1, 2)
     proj, s, d = np.empty((len(chains), 2)), np.empty(len(chains)), np.empty(len(chains))
     for (_, flag), rows in group_indices(zip(map(np.shape, chains), map(bool, closed))):
@@ -407,18 +364,20 @@ def segment_intersects_disc(a, b, center, radius):
 
 
 DEFAULT_PERCEPTION_RANGE = (60.0, 30.0)
+# A vertex this far past the window's edge still counts as inside.
+_RANGE_SLACK = 1e-6
 
 
 def check_perception_range(vertices: np.ndarray, ego_pose: Pose2,
-                           perception_range: tuple[float, float], slack: float = 1e-6) -> int:
+                           perception_range: tuple[float, float]) -> int:
     """Count vertices outside the ego-centered window; warn when any are.
 
     The window spans half the longitudinal extent forward/backward (local y)
     and half the lateral extent to each side (local x).
     """
     local = transform_points(vertices, ego_pose)
-    lon_half = perception_range[0] / 2 + slack
-    lat_half = perception_range[1] / 2 + slack
+    lon_half = perception_range[0] / 2 + _RANGE_SLACK
+    lat_half = perception_range[1] / 2 + _RANGE_SLACK
     outside = int(np.sum((np.abs(local[:, 1]) > lon_half) | (np.abs(local[:, 0]) > lat_half)))
     if outside:
         warnings.warn(f"{outside} vertices fall outside the perception range", stacklevel=3)

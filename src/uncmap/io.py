@@ -132,9 +132,12 @@ def map_from_dict(data: dict) -> VectorMap:
     try:
         ego = Pose2(data["ego_pose"]["position"][0], data["ego_pose"]["position"][1],
                     data["ego_pose"]["heading"])
-        rng = tuple(float(v) for v in data["perception_range"])
-        if len(rng) != 2:
-            raise DataError(f"perception_range must hold 2 numbers, got {len(rng)}")
+        rng = data["perception_range"]
+        if not (type(rng) is list and len(rng) == 2
+                and all(type(v) in (int, float) and 0 < v < np.inf for v in rng)):
+            raise DataError(f"perception_range must hold 2 numbers, finite and positive; "
+                            f"got {rng!r:.40}")
+        rng = (float(rng[0]), float(rng[1]))
         has_b = [("b" in v) for el in data["elements"] for v in el["vertices"]]
         if has_b and any(has_b) != all(has_b):
             raise DataError("scale b must be present on all vertices or none")
@@ -152,7 +155,7 @@ def map_from_dict(data: dict) -> VectorMap:
             elements.append(MapElement(mu, cls, conf, closed, b=b, class_logits=logits))
     except DataError:
         raise
-    except (KeyError, TypeError, ValueError, IndexError) as exc:
+    except (KeyError, TypeError, ValueError, IndexError, OverflowError) as exc:
         raise DataError(f"malformed map file: {exc}") from exc
     _check_distinct_vertices([el.mu for el in elements])
     # The range check already ran when the map was first built.
@@ -207,7 +210,7 @@ def _track_points(entry: dict, key: str, agent: int, horizon: int | None = None)
     return arr
 
 
-def trajectories_from_dict(data: dict) -> tuple[list[AgentTrack], list[np.ndarray], int]:
+def trajectories_from_dict(data: dict) -> tuple[list[AgentTrack], list[np.ndarray]]:
     if data.get("schema_version") != TRAJ_SCHEMA:
         raise DataError(f"expected trajectory schema {TRAJ_SCHEMA!r}, "
                         f"got {data.get('schema_version')!r}")
@@ -225,7 +228,7 @@ def trajectories_from_dict(data: dict) -> tuple[list[AgentTrack], list[np.ndarra
         # one whose rate is not an int (10.0, "10", true), is refused.
         if type(rate) is not int or rate != RATE_HZ:
             raise DataError(f"rate_hz must be the integer {RATE_HZ}, got {rate!r}")
-        return agents, modes, rate
+        return agents, modes
     except DataError:
         raise
     except (KeyError, TypeError, ValueError) as exc:
@@ -437,8 +440,7 @@ def iter_scene_files(manifest: dict, *parts: str):
         row = [scene]
         for part in parts:
             if part == "trajectories":
-                agents, modes, _ = load_trajectories(root / scene[part])
-                row += (agents, modes)
+                row += load_trajectories(root / scene[part])
             else:
                 row.append(load_map(root / scene[part]))
         yield tuple(row)

@@ -7,8 +7,8 @@ resampling both polylines to a fixed vertex count.
 
 Every Chamfer matrix comes from one pooled kernel,
 :func:`chamfer_matrices`: it resamples the elements of all its
-(predictions, ground truths) groups in one grouped call of
-:func:`~uncmap.geometry.resample_all`, which walks each stack of
+(predictions, ground truths) groups in one call of
+:func:`~uncmap.geometry.resample`, which walks each stack of
 equal-length elements at once (grouped by length, not padded, so every
 row keeps the rounding of its own polyline), and evaluates the pairs in
 fixed-size blocks of one broadcast distance tensor, giving the values of
@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import ALL_CLASSES, ElementClass, resample_all
+from .geometry import ALL_CLASSES, ElementClass, resample
 from .probmap import VectorMap
 
 
@@ -40,7 +40,6 @@ class APConfig:
     """Settings for AP/mAP evaluation."""
 
     thresholds: tuple[float, ...] = (0.5, 1.0, 1.5)
-    classes: tuple[ElementClass, ...] = ALL_CLASSES
     resample_count: int = 20
     matching: str = "greedy"           # or "hungarian" (sensitivity analysis)
 
@@ -73,28 +72,27 @@ def chamfer(s1, s2) -> float:
     return term1 + term2
 
 
-def _element_point_sets(objs, count: int) -> list[np.ndarray]:
-    """Fixed-count vertex sets of map elements, polylines or raw point
-    arrays, resampled in one grouped call.
+def _element_point_sets(elements, count: int) -> list[np.ndarray]:
+    """Fixed-count vertex sets of map elements, resampled in one call.
 
     An element that already has exactly ``count`` vertices is used
     verbatim: its vertices are the predicted point set, and re-resampling
     a closed element would drift points around the loop (chords cut the
     corners, shortening the perimeter).
     """
-    chains = [np.asarray(getattr(obj, "vertices", obj), dtype=float) for obj in objs]
-    closed = [getattr(obj, "closed", False) for obj in objs]
-    out = [np.array(pts, dtype=float) if len(pts) == count else None for pts in chains]
+    out = [np.array(el.mu, dtype=float) if el.n_vertices == count else None
+           for el in elements]
     todo = [i for i, pts in enumerate(out) if pts is None]
-    for i, pts in zip(todo, resample_all([chains[i] for i in todo],
-                                         [closed[i] for i in todo], [count] * len(todo))):
+    for i, pts in zip(todo, resample([elements[i].mu for i in todo],
+                                     [elements[i].closed for i in todo],
+                                     [count] * len(todo))):
         out[i] = pts
     return out
 
 
-def _element_points(obj, count: int) -> np.ndarray:
+def _element_points(element, count: int) -> np.ndarray:
     """:func:`_element_point_sets` of one element."""
-    return _element_point_sets([obj], count)[0]
+    return _element_point_sets([element], count)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -286,14 +284,13 @@ def evaluate_scenes(pairs: list[tuple[VectorMap, VectorMap]],
                     cfg: APConfig | None = None) -> MapEvalReport:
     """Pooled multi-scene evaluation of predicted maps against ground truth."""
     cfg = cfg or APConfig()
-    classes = tuple(cfg.classes)
-    ap = np.full((len(classes), len(cfg.thresholds)), np.nan)
-    matched_chamfer = np.full(len(classes), np.nan)
-    n_pred = np.zeros(len(classes), dtype=int)
-    n_gt = np.zeros(len(classes), dtype=int)
+    ap = np.full((len(ALL_CLASSES), len(cfg.thresholds)), np.nan)
+    matched_chamfer = np.full(len(ALL_CLASSES), np.nan)
+    n_pred = np.zeros(len(ALL_CLASSES), dtype=int)
+    n_gt = np.zeros(len(ALL_CLASSES), dtype=int)
     matcher = _hungarian_match if cfg.matching == "hungarian" else greedy_match
 
-    for ci, cls in enumerate(classes):
+    for ci, cls in enumerate(ALL_CLASSES):
         scene_preds = [pred.by_class(cls) for pred, _ in pairs]
         scene_gts = [gt.by_class(cls) for _, gt in pairs]
         n_pred[ci] = sum(len(p) for p in scene_preds)
@@ -310,7 +307,7 @@ def evaluate_scenes(pairs: list[tuple[VectorMap, VectorMap]],
 
     defined = ap[~np.isnan(ap)]
     map_score = float(defined.mean()) if len(defined) else float("nan")
-    return MapEvalReport(classes, cfg.thresholds, ap, map_score, matched_chamfer,
+    return MapEvalReport(ALL_CLASSES, cfg.thresholds, ap, map_score, matched_chamfer,
                          n_pred, n_gt)
 
 

@@ -23,7 +23,6 @@ from .geometry import (
     DEFAULT_PERCEPTION_RANGE,
     NUM_CLASSES,
     ElementClass,
-    Polyline,
     Pose2,
     check_perception_range,
     pose_in_frame,
@@ -204,9 +203,6 @@ class MapElement:
     @property
     def n_vertices(self) -> int:
         return len(self.mu)
-
-    def as_polyline(self) -> Polyline:
-        return Polyline(self.mu.copy(), closed=self.closed)
 
 
 @dataclass

@@ -27,17 +27,17 @@ from .geometry import (
     CLASS_INDEX,
     NUM_CLASSES,
     ElementClass,
-    nearest_points,
+    nearest_point_on_polyline,
     point_along,
-    points_along,
     polyline_vertices,
-    resample_all,
+    resample,
     segment_intersects_disc,
 )
 from .probmap import B_FLOOR, MapElement, VectorMap, mean_map
 
 LANE_WIDTH = 3.5
 RATE_HZ = 10
+DT = 1.0 / RATE_HZ
 HISTORY_STEPS = 20   # 2 s of history, current position last
 FUTURE_STEPS = 30    # 3 s of future
 DEFAULT_MODES = 6
@@ -264,47 +264,47 @@ _SPEED_RANGE = {
 }
 
 
-def _agent_on_centerline(rng: np.random.Generator, centerlines: list[MapElement],
-                         speed_range: tuple[float, float], lane_change_prob: float,
-                         dt: float, history_steps: int, future_steps: int) -> AgentTrack:
-    idx = int(rng.integers(len(centerlines)))
-    poly = centerlines[idx].as_polyline()
-    length = poly.arclength()
-    back = (history_steps - 1) * dt
-    fwd = future_steps * dt
+def _agent_on_centerline(rng: np.random.Generator, chains: list[np.ndarray],
+                         closed: list[bool], speed_range: tuple[float, float],
+                         lane_change_prob: float) -> AgentTrack:
+    """One agent on the centerline ``chains`` (vertices as ``Polyline``
+    keeps them)."""
+    idx = int(rng.integers(len(chains)))
+    pts = chains[idx]
+    step = np.diff(np.vstack([pts, pts[:1]]) if closed[idx] else pts, axis=0)
+    length = float(np.hypot(step[:, 0], step[:, 1]).sum())
+    back = (HISTORY_STEPS - 1) * DT
+    fwd = FUTURE_STEPS * DT
     v_hi = min(speed_range[1], (length - 2.0) / (back + fwd))
     v_lo = min(speed_range[0], max(v_hi - 0.5, 0.5))
     v = float(rng.uniform(v_lo, v_hi))
     s0 = float(rng.uniform(back * v + 0.5, length - fwd * v - 0.5))
-    steps = np.arange(-(history_steps - 1), future_steps + 1)
-    pts = point_along(poly, s0 + v * dt * steps)
-    history = pts[:history_steps]
-    future = pts[history_steps:]
+    steps = np.arange(-(HISTORY_STEPS - 1), FUTURE_STEPS + 1)
+    track = point_along([pts], [closed[idx]], (s0 + v * DT * steps)[None])[0]
+    history = track[:HISTORY_STEPS]
+    future = track[HISTORY_STEPS:]
     # Optional lateral blend onto an adjacent parallel centerline; candidates
     # must be one lane width away at both ends of the kept future, which
     # keeps every blended point within half a lane of one of the two lanes.
     if rng.random() < lane_change_prob:
         target = None
-        for i, cand in enumerate(centerlines):
+        for i, cand in enumerate(chains):
             if i == idx:
                 continue
-            cand_poly = cand.as_polyline()
-            gap0, gap1 = nearest_points([cand_poly.vertices] * 2, [cand_poly.closed] * 2,
-                                        future[[0, -1]])[2]
+            gap0, gap1 = nearest_point_on_polyline([cand] * 2, [closed[i]] * 2,
+                                                   future[[0, -1]])[2]
             if abs(gap0 - LANE_WIDTH) < 0.1 and abs(gap1 - LANE_WIDTH) < 0.1:
-                target = cand_poly
+                target = i
                 break
         if target is not None:
-            ramp = 0.5 * (1.0 - np.cos(np.pi * np.arange(1, future_steps + 1) / future_steps))
-            onto = nearest_points([target.vertices] * len(future),
-                                  [target.closed] * len(future), future)[0]
+            ramp = 0.5 * (1.0 - np.cos(np.pi * np.arange(1, FUTURE_STEPS + 1) / FUTURE_STEPS))
+            onto = nearest_point_on_polyline([chains[target]] * len(future),
+                                             [closed[target]] * len(future), future)[0]
             future = future + ramp[:, None] * (onto - future)
     return AgentTrack(history, future)
 
 
-def generate_scene(spec: SceneSpec, dt: float = 1.0 / RATE_HZ,
-                   history_steps: int = HISTORY_STEPS,
-                   future_steps: int = FUTURE_STEPS) -> tuple[VectorMap, list[AgentTrack]]:
+def generate_scene(spec: SceneSpec) -> tuple[VectorMap, list[AgentTrack]]:
     """Build the ground-truth map and agent tracks for one scene spec.
 
     Output is a pure function of the spec (same spec, same bits). The ego
@@ -322,9 +322,11 @@ def generate_scene(spec: SceneSpec, dt: float = 1.0 / RATE_HZ,
         elements.extend(dups)
     gt = VectorMap(elements)
     centerlines = gt.by_class(ElementClass.LANE_CENTERLINE)
+    closed = [c.closed for c in centerlines]
+    chains = polyline_vertices([c.mu for c in centerlines], closed)
     agents = [
-        _agent_on_centerline(rng, centerlines, _SPEED_RANGE[spec.layout],
-                             spec.lane_change_prob, dt, history_steps, future_steps)
+        _agent_on_centerline(rng, chains, closed, _SPEED_RANGE[spec.layout],
+                             spec.lane_change_prob)
         for _ in range(spec.n_agents)
     ]
     return gt, agents
@@ -358,9 +360,9 @@ def observe(gt: VectorMap, noise: NoiseModel, spec: SceneSpec, seed: int,
     """
     rng = np.random.default_rng(seed)
     ego = gt.ego_pose.position
-    points = resample_all([el.vertices for el in gt.elements],
-                          [el.closed for el in gt.elements],
-                          [resample_count] * len(gt.elements))
+    points = resample([el.vertices for el in gt.elements],
+                      [el.closed for el in gt.elements],
+                      [resample_count] * len(gt.elements))
     out = []
     for el, pts in zip(gt.elements, points):
         b_true = noise.true_scale(pts, ego, el.element_class, spec.condition,
@@ -389,7 +391,6 @@ def observe(gt: VectorMap, noise: NoiseModel, spec: SceneSpec, seed: int,
 
 def predict_scene(histories, vmap: VectorMap, k: int = DEFAULT_MODES,
                   lam: float = DEFAULT_LAMBDA, b0: float = DEFAULT_B0,
-                  dt: float = 1.0 / RATE_HZ, horizon: int = FUTURE_STEPS,
                   weighted: bool = False) -> list[np.ndarray]:
     """Goal-snapping predictions for every agent of one scene.
 
@@ -413,17 +414,17 @@ def predict_scene(histories, vmap: VectorMap, k: int = DEFAULT_MODES,
     nearest-point call, and the snap paths of every (agent, mode) one
     nearest-point call and one walk.
 
-    Returns one (n_modes, horizon, 2) array per agent, n_modes <= k.
+    Returns one (n_modes, FUTURE_STEPS, 2) array per agent, n_modes <= k.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     histories = [np.asarray(h, dtype=float) for h in histories]
     pos = np.array([h[-1] for h in histories], dtype=float).reshape(len(histories), 2)
-    vel = np.array([(h[-1] - h[-2]) / dt if len(h) >= 2 else np.zeros(2)
+    vel = np.array([(h[-1] - h[-2]) / DT if len(h) >= 2 else np.zeros(2)
                     for h in histories], dtype=float).reshape(len(histories), 2)
     speed = np.hypot(vel[:, 0], vel[:, 1])
-    steps = np.arange(1, horizon + 1)
-    cv = pos[:, None, :] + steps[:, None] * (vel * dt)[:, None, :]
+    steps = np.arange(1, FUTURE_STEPS + 1)
+    cv = pos[:, None, :] + steps[:, None] * (vel * DT)[:, None, :]
     out = [path[None] for path in cv]
     centerlines = vmap.by_class(ElementClass.LANE_CENTERLINE)
     movers = np.flatnonzero(speed >= 1e-9)
@@ -432,9 +433,9 @@ def predict_scene(histories, vmap: VectorMap, k: int = DEFAULT_MODES,
     closed = [c.closed for c in centerlines]
     chains = polyline_vertices([c.mu for c in centerlines], closed)
     n_lines = len(chains)
-    endpoint = pos[movers] + vel[movers] * dt * horizon
-    goal_dist = nearest_points(chains * len(movers), closed * len(movers),
-                               np.repeat(endpoint, n_lines, axis=0))[2]
+    endpoint = pos[movers] + vel[movers] * DT * FUTURE_STEPS
+    goal_dist = nearest_point_on_polyline(chains * len(movers), closed * len(movers),
+                                          np.repeat(endpoint, n_lines, axis=0))[2]
     goal_dist = goal_dist.reshape(len(movers), n_lines)
     if weighted:
         excess = np.array([max(float(c.b.mean()) - B_FLOOR, 0.0) for c in centerlines])
@@ -445,10 +446,10 @@ def predict_scene(histories, vmap: VectorMap, k: int = DEFAULT_MODES,
     n_modes = order.shape[1]
     agent = np.repeat(movers, n_modes)
     line = order.reshape(-1)
-    s_entry = nearest_points([chains[i] for i in line], [closed[i] for i in line],
-                             pos[agent])[1]
-    paths = points_along([chains[i] for i in line], [closed[i] for i in line],
-                         s_entry[:, None] + (speed[agent] * dt)[:, None] * steps)
+    s_entry = nearest_point_on_polyline([chains[i] for i in line],
+                                        [closed[i] for i in line], pos[agent])[1]
+    paths = point_along([chains[i] for i in line], [closed[i] for i in line],
+                        s_entry[:, None] + (speed[agent] * DT)[:, None] * steps)
     w = excess[line] / (excess[line] + b0)
     blend = w > 0.0
     paths[blend] += w[blend, None, None] * (cv[agent[blend]] - paths[blend])
@@ -457,27 +458,24 @@ def predict_scene(histories, vmap: VectorMap, k: int = DEFAULT_MODES,
     return out
 
 
-def predict_blind(history: np.ndarray, vmap: VectorMap, k: int = DEFAULT_MODES,
-                  dt: float = 1.0 / RATE_HZ, horizon: int = FUTURE_STEPS) -> np.ndarray:
+def predict_blind(history: np.ndarray, vmap: VectorMap, k: int = DEFAULT_MODES) -> np.ndarray:
     """Goal-snapping predictor that ignores map uncertainty: the one-agent
     :func:`predict_scene`.
 
-    Returns an (n_modes, horizon, 2) array, n_modes <= k.
+    Returns an (n_modes, FUTURE_STEPS, 2) array, n_modes <= k.
     """
-    return predict_scene([history], vmap, k, dt=dt, horizon=horizon)[0]
+    return predict_scene([history], vmap, k)[0]
 
 
 def predict_weighted(history: np.ndarray, pmap: VectorMap, k: int = DEFAULT_MODES,
-                     lam: float = DEFAULT_LAMBDA, b0: float = DEFAULT_B0,
-                     dt: float = 1.0 / RATE_HZ,
-                     horizon: int = FUTURE_STEPS) -> np.ndarray:
+                     lam: float = DEFAULT_LAMBDA, b0: float = DEFAULT_B0) -> np.ndarray:
     """Goal-snapping predictor that listens to map uncertainty: the
     one-agent :func:`predict_scene` with ``weighted=True``.
 
     With every scale at the floor the output is bit-identical to
     :func:`predict_blind` on the mean map.
     """
-    return predict_scene([history], pmap, k, lam, b0, dt, horizon, weighted=True)[0]
+    return predict_scene([history], pmap, k, lam, b0, weighted=True)[0]
 
 
 # ---------------------------------------------------------------------------

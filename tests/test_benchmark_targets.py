@@ -7,6 +7,7 @@ list is read from that file as it stands.
 
 import importlib
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -14,11 +15,15 @@ import pytest
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
 
-def tracer_targets() -> list[tuple]:
+def load_tracer():
     spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.TARGETS
+    return module
+
+
+def tracer_targets() -> list[tuple]:
+    return load_tracer().TARGETS
 
 
 def test_targets_listed():
@@ -33,6 +38,30 @@ def test_target_resolves(name, module, path):
         assert hasattr(owner, part), f"{name}: uncmap.{module} has no {path}"
         owner = getattr(owner, part)
     assert callable(owner)
+
+
+def test_report_stages_trace_the_walks(tmp_path):
+    """The report stages walk polylines through the names the tracer wraps,
+    so the benchmark's per-layer walk metrics of ``evaluate`` are live."""
+    from uncmap import cli
+
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"n_scenes": 3, "seed": 7}))
+    manifest = tmp_path / "data" / "manifest.json"
+    assert cli.main(["generate", "--config", str(config), "--out", str(manifest.parent)]) == 0
+    tracing = load_tracer()
+    tracer = tracing.Tracer()
+    uninstall = tracing.install(tracer)
+    try:
+        for stage in ("eval-map", "calibrate", "compare-predictors"):
+            assert tracer.stage(stage, cli.main, [stage, "--manifest", str(manifest),
+                                                  "--out", str(tmp_path / "r")]) == 0
+    finally:
+        uninstall()
+    calls = tracer.aggregate()["calls"]
+    for name in ("geometry.resample", "geometry.point_along",
+                 "geometry.nearest_point_on_polyline"):
+        assert calls.get(name, 0) > 0, name
 
 
 def test_fit_workload_attributes_resolve():

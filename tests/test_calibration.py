@@ -206,7 +206,8 @@ def reference_match_vertex_pairs(pred_map, gt_map, threshold=1.5, resample_count
             if match[pi] < 0:
                 continue
             pred = preds[pi]
-            gt_pts = resample(gts[match[pi]].as_polyline(), pred.n_vertices).vertices
+            gt = gts[match[pi]]
+            gt_pts = resample([gt.mu], [gt.closed], [pred.n_vertices])[0]
             fwd = np.hypot(*(pred.mu - gt_pts).T).sum()
             rev_pts = gt_pts[::-1]
             rev = np.hypot(*(pred.mu - rev_pts).T).sum()

@@ -11,13 +11,10 @@ from uncmap.geometry import (
     Polyline,
     Pose2,
     nearest_point_on_polyline,
-    nearest_points,
     point_along,
-    points_along,
     polyline_vertices,
     pose_in_frame,
     resample,
-    resample_all,
     segment_intersects_disc,
     transform_point,
     wrap_angle,
@@ -28,7 +25,7 @@ from uncmap.probmap import MapElement
 class TestPolylineConstruction:
     def test_merges_near_duplicate_vertices(self):
         p = Polyline(np.array([[0, 0], [0, 1e-12], [1, 0]]))
-        assert len(p) == 2
+        assert len(p.vertices) == 2
 
     def test_rejects_degenerate(self):
         with pytest.raises(ValueError):
@@ -40,7 +37,7 @@ class TestPolylineConstruction:
 
     def test_closed_drops_explicit_closure(self):
         p = Polyline(np.array([[0, 0], [1, 0], [1, 1], [0, 0]]), closed=True)
-        assert len(p) == 3
+        assert len(p.vertices) == 3
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
@@ -104,34 +101,44 @@ class TestPolylineMerge:
         assert not np.shares_memory(p.vertices, vertices)
 
 
+def segment_lengths(pts, closed=False):
+    """Lengths of a chain's segments, a closed loop's closing one last."""
+    seg = np.diff(np.vstack([pts, pts[:1]]) if closed else pts, axis=0)
+    return np.hypot(seg[:, 0], seg[:, 1])
+
+
+def arclength(pts, closed=False):
+    return float(segment_lengths(pts, closed).sum())
+
+
+def resample_one(pts, count, closed=False):
+    return resample([np.asarray(pts, dtype=float)], [closed], [count])[0]
+
+
 class TestResample:
     def test_straight_segment_count3(self):
-        p = Polyline(np.array([[0, 0], [1, 0]]))
-        out = resample(p, 3)
-        np.testing.assert_allclose(out.vertices, [[0, 0], [0.5, 0], [1, 0]], atol=1e-15)
+        out = resample_one([[0, 0], [1, 0]], 3)
+        np.testing.assert_allclose(out, [[0, 0], [0.5, 0], [1, 0]], atol=1e-15)
 
     def test_straight_segment_count2_identity(self):
-        p = Polyline(np.array([[0, 0], [1, 0]]))
-        out = resample(p, 2)
-        np.testing.assert_array_equal(out.vertices, p.vertices)
+        pts = np.array([[0.0, 0.0], [1.0, 0.0]])
+        np.testing.assert_array_equal(resample_one(pts, 2), pts)
 
     def test_l_shape_count5(self):
-        p = Polyline(np.array([[0, 0], [1, 0], [1, 1]]))
-        out = resample(p, 5)
+        out = resample_one([[0, 0], [1, 0], [1, 1]], 5)
         expected = [[0, 0], [0.5, 0], [1, 0], [1, 0.5], [1, 1]]
-        np.testing.assert_allclose(out.vertices, expected, atol=1e-12)
+        np.testing.assert_allclose(out, expected, atol=1e-12)
 
     def test_closed_square(self):
-        p = Polyline(np.array([[0, 0], [1, 0], [1, 1], [0, 1]]), closed=True)
-        out = resample(p, 8)
+        out = resample_one([[0, 0], [1, 0], [1, 1], [0, 1]], 8, closed=True)
         expected = [[0, 0], [0.5, 0], [1, 0], [1, 0.5], [1, 1], [0.5, 1], [0, 1], [0, 0.5]]
-        np.testing.assert_allclose(out.vertices, expected, atol=1e-12)
-        assert out.closed
+        np.testing.assert_allclose(out, expected, atol=1e-12)
+        # A closed loop's samples do not repeat the first vertex at the end.
+        assert not np.array_equal(out[-1], out[0])
 
     def test_count_below_two_rejected(self):
-        p = Polyline(np.array([[0, 0], [1, 0]]))
         with pytest.raises(ValueError):
-            resample(p, 1)
+            resample_one([[0, 0], [1, 0]], 1)
 
     def test_arclength_preserved_when_breakpoints_sampled(self):
         # Polylines with equal-length segments, resampled so every original
@@ -145,10 +152,9 @@ class TestResample:
             for _ in range(n_seg):
                 heading += rng.uniform(-0.8, 0.8)
                 pts.append(pts[-1] + step * np.array([np.cos(heading), np.sin(heading)]))
-            p = Polyline(np.array(pts))
             m = int(rng.integers(1, 5))
-            out = resample(p, n_seg * m + 1)
-            assert abs(out.arclength() - p.arclength()) < 1e-9
+            out = resample_one(pts, n_seg * m + 1)
+            assert abs(arclength(out) - arclength(np.array(pts))) < 1e-9
 
     def test_uniform_spacing(self):
         rng = np.random.default_rng(1)
@@ -160,8 +166,8 @@ class TestResample:
             for _ in range(n_seg):
                 heading += rng.uniform(-0.8, 0.8)
                 pts.append(pts[-1] + step * np.array([np.cos(heading), np.sin(heading)]))
-            out = resample(Polyline(np.array(pts)), n_seg * int(rng.integers(1, 5)) + 1)
-            gaps = out.segment_lengths()
+            out = resample_one(pts, n_seg * int(rng.integers(1, 5)) + 1)
+            gaps = segment_lengths(out)
             assert np.ptp(gaps) < 1e-9
 
 
@@ -177,17 +183,17 @@ def open_polylines(draw):
         heading += draw(st.floats(-1.2, 1.2))
         step = draw(st.floats(0.01, 10))
         pts.append(pts[-1] + step * np.array([math.cos(heading), math.sin(heading)]))
-    return Polyline(np.array(pts))
+    return np.array(pts)
 
 
 class TestResampleProperties:
     @given(open_polylines(), st.integers(2, 60))
     @settings(max_examples=300, deadline=None)
-    def test_keeps_endpoints_and_count(self, p, count):
-        out = resample(p, count)
-        assert len(out.vertices) == count and not out.closed
-        np.testing.assert_array_equal(out.vertices[0], p.vertices[0])
-        np.testing.assert_array_equal(out.vertices[-1], p.vertices[-1])
+    def test_keeps_endpoints_and_count(self, pts, count):
+        out = resample_one(pts, count)
+        assert out.shape == (count, 2)
+        np.testing.assert_array_equal(out[0], pts[0])
+        np.testing.assert_array_equal(out[-1], pts[-1])
 
 
 class TestTransforms:
@@ -240,17 +246,17 @@ class TestAngles:
 
 class TestPolylineQueries:
     def test_point_along_clamps(self):
-        p = Polyline(np.array([[0, 0], [2, 0]]))
-        np.testing.assert_allclose(point_along(p, -1.0), [0, 0])
-        np.testing.assert_allclose(point_along(p, 5.0), [2, 0])
-        np.testing.assert_allclose(point_along(p, 0.5), [0.5, 0])
+        out = point_along([np.array([[0.0, 0.0], [2.0, 0.0]])], [False], [[-1.0, 5.0, 0.5]])
+        np.testing.assert_allclose(out[0, 0], [0, 0])
+        np.testing.assert_allclose(out[0, 1], [2, 0])
+        np.testing.assert_allclose(out[0, 2], [0.5, 0])
 
     def test_nearest_point(self):
-        p = Polyline(np.array([[0, 0], [10, 0]]))
-        pt, s, d = nearest_point_on_polyline(p, (3.0, 4.0))
-        np.testing.assert_allclose(pt, [3, 0])
-        assert s == pytest.approx(3.0)
-        assert d == pytest.approx(4.0)
+        pt, s, d = nearest_point_on_polyline([np.array([[0.0, 0.0], [10.0, 0.0]])], [False],
+                                             [(3.0, 4.0)])
+        np.testing.assert_allclose(pt[0], [3, 0])
+        assert s[0] == pytest.approx(3.0)
+        assert d[0] == pytest.approx(4.0)
 
     def test_segment_disc_intersection(self):
         assert segment_intersects_disc((0, 0), (10, 0), (5, 1), 2.0)
@@ -261,41 +267,45 @@ class TestPolylineQueries:
 
 
 class TestBatchedWalk:
+    # Distinct vertices and an open end away from the start: Polyline keeps
+    # them as they are, open or closed.
     VERTICES = np.array([[0.0, 0.0], [3.0, 0.0], [3.0, 4.0], [-1.0, 5.5]])
+
+    def walk(self, s, closed=False):
+        """The points of one row of arclengths along VERTICES."""
+        return point_along([self.VERTICES], [closed], np.asarray(s, dtype=float)[None])[0]
 
     @pytest.mark.parametrize("closed", [False, True])
     def test_array_matches_scalar_calls(self, closed):
-        p = Polyline(self.VERTICES, closed=closed)
-        total = p.arclength()
-        on_vertices = np.concatenate([[0.0], np.cumsum(p.segment_lengths())])
+        total = arclength(self.VERTICES, closed)
+        on_vertices = np.concatenate([[0.0], np.cumsum(segment_lengths(self.VERTICES,
+                                                                       closed))])
         ss = np.concatenate([
             [-2.5, -1e-12, 0.0, total, total + 1e-9, total + 7.0],
             on_vertices,
             np.random.default_rng(0).uniform(-total, 2.0 * total, 25),
             [2.5 * total, 3.0 * total + 0.3, -1.7 * total] if closed else [],
         ])
-        batched = point_along(p, ss)
+        batched = self.walk(ss, closed)
         assert batched.shape == (len(ss), 2)
-        assert np.array_equal(batched, np.array([point_along(p, s) for s in ss]))
+        assert np.array_equal(batched, np.array([self.walk([s], closed)[0] for s in ss]))
 
     def test_lands_on_vertices(self):
-        p = Polyline(self.VERTICES)
-        on_vertices = np.concatenate([[0.0], np.cumsum(p.segment_lengths())])
-        np.testing.assert_allclose(point_along(p, on_vertices), self.VERTICES, atol=1e-12)
+        on_vertices = np.concatenate([[0.0], np.cumsum(segment_lengths(self.VERTICES))])
+        np.testing.assert_allclose(self.walk(on_vertices), self.VERTICES, atol=1e-12)
 
     def test_closed_wraps_whole_laps(self):
-        p = Polyline(self.VERTICES, closed=True)
-        total = p.arclength()
+        total = arclength(self.VERTICES, closed=True)
         laps = 1.25 + np.array([-2.0, -1.0, 0.0, 1.0, 3.0]) * total
-        np.testing.assert_allclose(point_along(p, laps),
-                                   np.repeat(point_along(p, 1.25)[None], 5, axis=0),
+        np.testing.assert_allclose(self.walk(laps, closed=True),
+                                   np.repeat(self.walk([1.25], closed=True), 5, axis=0),
                                    atol=1e-12)
 
     def test_scalar_returns_one_point(self):
-        p = Polyline(self.VERTICES)
         for s in (0.7, np.float64(0.7), 3, -1.0, 99.0):
-            assert point_along(p, s).shape == (2,)
-        assert point_along(p, np.array([0.7])).shape == (1, 2)
+            assert point_along([self.VERTICES], [False], [[s]]).shape == (1, 1, 2)
+        assert point_along([self.VERTICES] * 3, [False, True, False],
+                           np.zeros((3, 4))).shape == (3, 4, 2)
 
 
 class TestBroadcastDiscTest:
@@ -349,7 +359,7 @@ def reference_interp_along(pts, targets):
 def reference_resample(p, count):
     if count < 2:
         raise ValueError("resample count must be >= 2")
-    total = p.arclength()
+    total = arclength(p.vertices, p.closed)
     if total <= 0.0:
         raise ValueError("cannot resample a zero-length polyline")
     if p.closed:
@@ -366,7 +376,7 @@ def reference_resample(p, count):
 
 
 def reference_point_along(p, s):
-    total = p.arclength()
+    total = arclength(p.vertices, p.closed)
     pts = p.vertices
     s = np.asarray(s, dtype=float)
     if p.closed:
@@ -445,14 +455,14 @@ class TestStackedKernels:
         args = ([pts for pts, _ in chains], [closed for _, closed in chains], counts)
         if any(e is None for e in expected):
             with pytest.raises(ValueError):
-                resample_all(*args)
+                resample(*args)
             return
-        got = resample_all(*args)
+        got = resample(*args)
         assert len(got) == len(expected)
         for g, e in zip(got, expected):
             assert g.shape == e.shape and np.array_equal(bits(g), bits(e))
         for (pts, closed), count, e in zip(chains, counts, expected):
-            single = resample(Polyline(pts.copy(), closed=closed), count).vertices
+            single = resample([pts], [closed], [count])[0]
             assert np.array_equal(bits(single), bits(e))
         for (pts, closed), v in zip(chains, polyline_vertices(*args[:2])):
             assert np.array_equal(bits(v), bits(Polyline(pts.copy(), closed=closed).vertices))
@@ -467,17 +477,20 @@ class TestStackedKernels:
         rng = np.random.default_rng(seed)
         s = np.empty((len(polys), m))
         for row, p in zip(s, polys):
-            total = p.arclength()
-            on_vertices = np.concatenate([[0.0], np.cumsum(p.segment_lengths())])
+            total = arclength(p.vertices, p.closed)
+            on_vertices = np.concatenate([[0.0], np.cumsum(segment_lengths(p.vertices,
+                                                                           p.closed))])
             row[:] = rng.choice(np.concatenate([
                 on_vertices, [-1.0, total, total + 1.0, 2.5 * total, -1.5 * total],
                 rng.uniform(-total, 2 * total, 8)]), m)
-        got = points_along([p.vertices for p in polys], [p.closed for p in polys], s)
+        got = point_along([p.vertices for p in polys], [p.closed for p in polys], s)
         assert got.shape == (len(polys), m, 2)
         for g, p, row in zip(got, polys, s):
             assert np.array_equal(bits(g), bits(reference_point_along(p, row)))
-            assert np.array_equal(bits(point_along(p, row)), bits(g))
-            assert np.array_equal(bits(point_along(p, row[0])), bits(g[0]))
+            one = point_along([p.vertices], [p.closed], row[None])[0]
+            assert np.array_equal(bits(one), bits(reference_point_along(p, row)))
+            first = point_along([p.vertices], [p.closed], row[None, :1])[0, 0]
+            assert np.array_equal(bits(first), bits(reference_point_along(p, row[0])))
 
     @settings(max_examples=150, deadline=None)
     @given(st.lists(raw_chains(), min_size=1, max_size=12), st.integers(0, 2**32 - 1))
@@ -486,17 +499,17 @@ class TestStackedKernels:
         if not polys:
             return
         rng = np.random.default_rng(seed)
-        queries = np.array([p.vertices[rng.integers(len(p))] + rng.normal(0, 3, 2)
+        queries = np.array([p.vertices[rng.integers(len(p.vertices))] + rng.normal(0, 3, 2)
                             for p in polys])
-        proj, s, d = nearest_points([p.vertices for p in polys],
-                                    [p.closed for p in polys], queries)
+        proj, s, d = nearest_point_on_polyline([p.vertices for p in polys],
+                                               [p.closed for p in polys], queries)
         for i, (p, q) in enumerate(zip(polys, queries)):
             e_proj, e_s, e_d = reference_nearest(p, q)
             assert np.array_equal(bits(proj[i]), bits(e_proj))
             assert np.array_equal(bits([s[i], d[i]]), bits([e_s, e_d]))
-            one = nearest_point_on_polyline(p, q)
-            assert np.array_equal(bits(one[0]), bits(e_proj))
-            assert np.array_equal(bits(one[1:]), bits([e_s, e_d]))
+            one_proj, one_s, one_d = nearest_point_on_polyline([p.vertices], [p.closed], q[None])
+            assert np.array_equal(bits(one_proj[0]), bits(e_proj))
+            assert np.array_equal(bits([one_s[0], one_d[0]]), bits([e_s, e_d]))
 
     def test_long_rows_share_a_stack(self):
         # Rows of 8 to 40 segments, several per length, open and closed.
@@ -504,18 +517,18 @@ class TestStackedKernels:
         chains = [np.cumsum(rng.normal(0, 2, (n, 2)), axis=0)
                   for n in range(9, 42) for _ in range(3)]
         closed = [i % 2 == 1 for i in range(len(chains))]
-        got = resample_all(chains, closed, [20] * len(chains))
+        got = resample(chains, closed, [20] * len(chains))
         for g, pts, flag in zip(got, chains, closed):
             e = reference_resample(Polyline(pts.copy(), closed=flag), 20)
             assert np.array_equal(bits(g), bits(e))
 
     def test_empty_and_errors(self):
-        assert resample_all([], [], []) == []
+        assert resample([], [], []) == []
         assert polyline_vertices([], []) == []
         with pytest.raises(ValueError, match="count"):
-            resample_all([np.array([[0.0, 0.0], [1.0, 0.0]])], [False], [1])
+            resample([np.array([[0.0, 0.0], [1.0, 0.0]])], [False], [1])
         with pytest.raises(ValueError):
-            resample_all([np.array([[0.0, 0.0], [0.0, 0.0]])], [False], [5])
+            resample([np.array([[0.0, 0.0], [0.0, 0.0]])], [False], [5])
         with pytest.raises(ValueError):
             polyline_vertices([np.array([[0.0, 0.0], [np.nan, 1.0]])], [False])
         with pytest.raises(ValueError):

@@ -17,7 +17,14 @@ from hypothesis import strategies as st
 
 from uncmap import io as uio
 from uncmap.cli import main
-from uncmap.geometry import MERGE_EPS, ElementClass, Polyline, Pose2, nearest_point_on_polyline
+from uncmap.geometry import (
+    MERGE_EPS,
+    ElementClass,
+    Polyline,
+    Pose2,
+    nearest_point_on_polyline,
+    polyline_vertices,
+)
 from uncmap.probmap import B_FLOOR, MapElement, VectorMap
 from uncmap.synth import AgentTrack, DatasetConfig
 
@@ -193,7 +200,7 @@ class TestBitExactRoundTrip:
                  for _ in range(n_agents)]
         path = tmp_path_factory.mktemp("traj") / "t.json"
         uio.save_trajectories(agents, modes, path)
-        back_agents, back_modes, _ = uio.load_trajectories(path)
+        back_agents, back_modes = uio.load_trajectories(path)
         for a, b in zip(back_agents, agents, strict=True):
             assert _bits_equal(a.history, b.history) and _bits_equal(a.future, b.future)
         for a, b in zip(back_modes, modes, strict=True):
@@ -208,8 +215,8 @@ class TestTrajectoryRoundTrip:
         modes = [rng.normal(size=(6, 30, 2)) for _ in range(3)]
         path = tmp_path / "t.json"
         uio.save_trajectories(agents, modes, path)
-        back_agents, back_modes, rate = uio.load_trajectories(path)
-        assert rate == 10
+        back_agents, back_modes = uio.load_trajectories(path)
+        assert json.loads(path.read_text())["rate_hz"] == 10
         for a, b in zip(back_agents, agents):
             np.testing.assert_array_equal(a.history, b.history)
             np.testing.assert_array_equal(a.future, b.future)
@@ -488,11 +495,17 @@ GOLDEN_DIGEST = "80cd731c581fdf39e9f66183778d0a5a56c6cb5fccd691e6f8eb5a229d17eef
 
 def _lane_changes(gt, agents) -> int:
     """Agents whose future ends off every centerline their history ends on."""
-    lanes = [e.as_polyline() for e in gt.by_class(ElementClass.LANE_CENTERLINE)]
+    lanes = gt.by_class(ElementClass.LANE_CENTERLINE)
+    closed = [e.closed for e in lanes]
+    chains = polyline_vertices([e.mu for e in lanes], closed)
+
+    def gap(i, point):
+        return nearest_point_on_polyline([chains[i]], [closed[i]], point[None])[2][0]
+
     count = 0
     for agent in agents:
-        on = [p for p in lanes if nearest_point_on_polyline(p, agent.history[-1])[2] < 1e-6]
-        if all(nearest_point_on_polyline(p, agent.future[-1])[2] > 1.0 for p in on):
+        on = [i for i in range(len(chains)) if gap(i, agent.history[-1]) < 1e-6]
+        if all(gap(i, agent.future[-1]) > 1.0 for i in on):
             count += 1
     return count
 
@@ -1162,10 +1175,25 @@ class TestContractProbe:
         assert capsys.readouterr().err.startswith(
             "data error: scene scene_0000 agent 0: modes must be (K, T, 2) matching gt")
 
-    def test_short_perception_range_is_a_data_error(self):
+    @pytest.mark.parametrize("window", [[60.0], "12", [float("nan"), -5], [60, 0],
+                                        ["60", 30], [True, 30]],
+                             ids=["short", "string", "nan_negative", "zero", "string_item",
+                                  "bool_item"])
+    def test_short_perception_range_is_a_data_error(self, window):
         data = uio.map_to_dict(small_prob_map())
-        data["perception_range"] = [60.0]
+        data["perception_range"] = window
         with pytest.raises(uio.DataError, match="perception_range must hold 2 numbers"):
+            uio.map_from_dict(data)
+
+    @pytest.mark.parametrize("where", ["perception_range", "mu"])
+    def test_integer_past_float_range_is_a_data_error(self, where):
+        # json reads a 400-digit integer exactly; float() of it overflows.
+        data = uio.map_to_dict(small_prob_map())
+        if where == "perception_range":
+            data["perception_range"] = [10**400, 30]
+        else:
+            data["elements"][0]["vertices"][0]["mu"][0] = 10**400
+        with pytest.raises(uio.DataError, match="malformed map file"):
             uio.map_from_dict(data)
 
     @pytest.mark.parametrize("command, key", [("eval-map", "gt_map"),

@@ -6,7 +6,7 @@ from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from uncmap import map_eval
-from uncmap.geometry import ElementClass, Polyline, Pose2
+from uncmap.geometry import ALL_CLASSES, ElementClass, Pose2
 from uncmap.map_eval import (
     APConfig,
     _element_points,
@@ -101,33 +101,37 @@ def chamfer_pair(a, b, count: int = 20) -> float:
     return chamfer_matrices([([a], [b])], count)[0][0, 0]
 
 
+def line(pts) -> MapElement:
+    return MapElement(np.asarray(pts, dtype=float), CLS)
+
+
 class TestChamferElements:
     def test_identical_polylines(self):
-        p = Polyline(np.array([[0, 0], [5, 1], [10, 0]], float))
+        p = line([[0, 0], [5, 1], [10, 0]])
         assert chamfer_pair(p, p) == 0.0
 
     def test_parallel_offset_segments(self):
-        a = Polyline(np.array([[0.0, 0.0], [10.0, 0.0]]))
-        b = Polyline(np.array([[0.0, 0.7], [10.0, 0.7]]))
+        a = line([[0.0, 0.0], [10.0, 0.0]])
+        b = line([[0.0, 0.7], [10.0, 0.7]])
         assert chamfer_pair(a, b) == pytest.approx(2 * 0.7, rel=1e-12)
 
     def test_direction_invariance(self):
         rng = np.random.default_rng(45)
         for _ in range(20):
-            pts = rng.uniform(-10, 10, size=(5, 2))
-            p = Polyline(pts)
-            q = Polyline(rng.uniform(-10, 10, size=(4, 2)))
-            assert chamfer_pair(p, q) == pytest.approx(chamfer_pair(p.reversed(), q),
+            mu = rng.uniform(-10, 10, size=(5, 2))
+            p = line(mu)
+            q = line(rng.uniform(-10, 10, size=(4, 2)))
+            assert chamfer_pair(p, q) == pytest.approx(chamfer_pair(line(mu[::-1]), q),
                                                        abs=1e-12)
 
     def test_probabilistic_element_uses_locations(self):
         mu = np.array([[0.0, 0.0], [10.0, 0.0]])
         el = MapElement(mu, CLS, b=np.full((2, 2), 3.0), class_logits=np.zeros((2, 4)))
-        assert chamfer_pair(el, Polyline(mu.copy())) == 0.0
+        assert chamfer_pair(el, line(mu.copy())) == 0.0
 
     def test_resample_count_respected(self):
-        a = Polyline(np.array([[0.0, 0.0], [10.0, 0.0]]))
-        b = Polyline(np.array([[0.0, 1.0], [10.0, 1.0]]))
+        a = line([[0.0, 0.0], [10.0, 0.0]])
+        b = line([[0.0, 1.0], [10.0, 1.0]])
         assert chamfer_pair(a, b, count=5) == pytest.approx(2.0, rel=1e-12)
 
 
@@ -139,8 +143,8 @@ def tiny(x, y):
 
 @st.composite
 def elements(draw, count):
-    """A map element (open or closed), a tiny element, or a raw point set
-    of exactly ``count`` points, which is used verbatim."""
+    """A map element (open or closed), a tiny element, or an element of
+    exactly ``count`` points, which is used verbatim."""
     kind = draw(st.sampled_from(["open", "closed", "tiny", "points"]))
     coord = st.integers(-40, 40).map(lambda v: v / 4)
     if kind == "tiny":
@@ -149,7 +153,7 @@ def elements(draw, count):
     pts = draw(st.lists(st.tuples(coord, coord), min_size=size, max_size=size)
                .filter(lambda p: all(a != b for a, b in zip(p, p[1:]))))
     if kind == "points":
-        return np.array(pts)
+        return MapElement(np.array(pts), CLS)
     el = MapElement(np.array(pts), CLS, closed=kind == "closed")
     try:
         _element_points(el, count)
@@ -413,7 +417,7 @@ class TestEvaluateMap:
                   VectorMap([seg(0.2, 0, 0.2, 10), seg(9, 0, 9, 10), seg(3, 0, 3, 10)],
                             Pose2.identity()))]
         expected = sum(len(pred.by_class(cls)) * len(gt.by_class(cls))
-                       for pred, gt in pairs for cls in APConfig().classes)
+                       for pred, gt in pairs for cls in ALL_CLASSES)
         for matching in ("greedy", "hungarian"):
             passed.clear()
             evaluated.clear()

@@ -4,9 +4,12 @@ from scipy.stats import spearmanr
 
 from uncmap.geometry import (
     ElementClass,
+    Polyline,
     Pose2,
     nearest_point_on_polyline,
     point_along,
+    polyline_vertices,
+    resample,
     segment_intersects_disc,
 )
 from uncmap.map_eval import evaluate_scenes
@@ -74,12 +77,13 @@ class TestGenerateScene:
             for seed in range(8):
                 spec = SceneSpec(layout, seed=seed, n_agents=3, lane_change_prob=0.5)
                 gt, agents = generate_scene(spec)
-                polys = [el.as_polyline()
-                         for el in gt.by_class(ElementClass.LANE_CENTERLINE)]
+                lanes = gt.by_class(ElementClass.LANE_CENTERLINE)
+                closed = [el.closed for el in lanes]
+                chains = polyline_vertices([el.mu for el in lanes], closed)
                 for agent in agents:
                     for p in agent.future:
-                        gap = min(nearest_point_on_polyline(poly, p)[2]
-                                  for poly in polys)
+                        gap = nearest_point_on_polyline(chains, closed,
+                                                        np.tile(p, (len(chains), 1)))[2].min()
                         assert gap <= LANE_WIDTH / 2 + 1e-6
 
     def test_duplicate_centerline_flag(self):
@@ -99,10 +103,7 @@ class TestObserve:
             np.testing.assert_array_equal(el.b, np.full_like(el.b, B_FLOOR))
         all_mu = np.vstack([el.mu for el in observed.elements])
         # reconstruct the resampled truth to compare against
-        from uncmap.geometry import resample
-
-        all_gt = np.vstack([resample(el.as_polyline(), 20).vertices
-                            for el in gt.elements])
+        all_gt = np.vstack([resample([el.mu], [el.closed], [20])[0] for el in gt.elements])
         assert np.abs(all_mu - all_gt).max() < 1e-4
 
     def test_emitted_scale_matches_noise_model(self):
@@ -111,10 +112,8 @@ class TestObserve:
         gt, _ = generate_scene(spec)
         noise = NoiseModel(base_b=0.1, distance_coeff=0.02, occlusion_multiplier=4.0)
         observed = observe(gt, noise, spec, seed=11)
-        from uncmap.geometry import resample
-
         for gt_el, obs_el in zip(gt.elements, observed.elements):
-            pts = resample(gt_el.as_polyline(), 20).vertices
+            pts = resample([gt_el.mu], [gt_el.closed], [20])[0]
             expected = 0.1 + 0.02 * np.hypot(pts[:, 0], pts[:, 1])
             blocked = np.array([
                 segment_intersects_disc((0, 0), p, (3.0, 6.0), 2.0) for p in pts
@@ -288,14 +287,16 @@ class TestDataset:
 
 def reference_candidates(pos, vel, centerlines, dt, horizon):
     endpoint = pos + vel * dt * horizon
-    polys = [c.as_polyline() for c in centerlines]
-    goal_dist = np.array([nearest_point_on_polyline(p, endpoint)[2] for p in polys])
+    polys = [Polyline(c.mu, closed=c.closed) for c in centerlines]
+    goal_dist = np.array([nearest_point_on_polyline([p.vertices], [p.closed],
+                                                    endpoint[None])[2][0] for p in polys])
     return polys, goal_dist
 
 
 def reference_snap_path(poly, pos, speed, dt, horizon):
-    _, s_entry, _ = nearest_point_on_polyline(poly, pos)
-    return point_along(poly, s_entry + speed * dt * np.arange(1, horizon + 1))
+    s_entry = nearest_point_on_polyline([poly.vertices], [poly.closed], pos[None])[1][0]
+    s = s_entry + speed * dt * np.arange(1, horizon + 1)
+    return point_along([poly.vertices], [poly.closed], s[None])[0]
 
 
 def reference_predict(history, vmap, k, lam=None, b0=None, dt=0.1, horizon=30):
