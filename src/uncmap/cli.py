@@ -16,7 +16,6 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, calibration, io, map_eval, pred_eval, synth
-from .probmap import mean_map
 from .pred_eval import TrajectorySet
 
 
@@ -99,8 +98,11 @@ def _scaled_map(scene: dict, observed):
 def cmd_generate(args) -> int:
     cfg = io.load_dataset_config(args.config)
     if args.seed is not None:
-        cfg.seed = int(args.seed)
-    dataset = synth.build_dataset(cfg)
+        cfg.seed = args.seed
+    try:
+        dataset = synth.build_dataset(cfg)
+    except ValueError as exc:  # values so large that the generated arrays overflow
+        raise io.ConfigError(f"cannot build the dataset: {exc}") from exc
     manifest_path = io.write_dataset(dataset, args.out)
     print(f"wrote {len(dataset.records)} scenes to {manifest_path}")
     return 0
@@ -284,7 +286,7 @@ def cmd_compare_predictors(args) -> int:
                                                           "trajectories"):
         observed = _scaled_map(scene, observed)
         histories = [agent.history for agent in agents]
-        blind = synth.predict_scene(histories, mean_map(observed), args.modes)
+        blind = synth.predict_scene(histories, observed, args.modes)
         weighted = synth.predict_scene(histories, observed, args.modes, args.lam, args.b0,
                                        weighted=True)
         for ai, (agent, b_modes, w_modes) in enumerate(zip(agents, blind, weighted)):
@@ -344,7 +346,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("generate", help="write a synthetic dataset and manifest")
     p.add_argument("--config", required=True, help="dataset config JSON")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--seed", type=int, default=None, help="override the config seed")
+    p.add_argument("--seed", type=_int_at_least(0), default=None,
+                   help="override the config seed")
     p.add_argument("--threads", type=int, choices=[1], default=1,
                    help="accepted for compatibility; scenes are built serially")
     p.set_defaults(func=cmd_generate)

@@ -37,6 +37,7 @@ import csv
 import hashlib
 import json
 import warnings
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -231,7 +232,7 @@ def trajectories_from_dict(data: dict) -> tuple[list[AgentTrack], list[np.ndarra
         return agents, modes
     except DataError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DataError(f"malformed trajectory file: {exc}") from exc
 
 
@@ -247,113 +248,70 @@ def load_trajectories(path):
 # Dataset config
 # ---------------------------------------------------------------------------
 
-def _enum_weights(raw: dict, enum_cls, what: str) -> dict:
-    out = {}
-    for key, value in raw.items():
-        try:
-            out[enum_cls(key)] = float(value)
-        except ValueError as exc:
-            raise ConfigError(f"unknown {what} {key!r}") from exc
-    return out
-
-
-def parse_noise_config(raw: dict) -> NoiseModel:
-    multipliers = None
+def _noise_model(raw: dict) -> NoiseModel:
+    """The ``noise`` object as a :class:`NoiseModel`; a class ``"*"`` in
+    ``condition_multipliers`` sets every class, and a later key wins."""
     if "condition_multipliers" in raw:
-        multipliers = {}
-        for cond_name, per_class in raw["condition_multipliers"].items():
-            try:
-                cond = Condition(cond_name)
-            except ValueError as exc:
-                raise ConfigError(f"unknown condition {cond_name!r}") from exc
-            for cls_name, mult in per_class.items():
-                classes = list(ElementClass) if cls_name == "*" else None
-                if classes is None:
-                    try:
-                        classes = [ElementClass(cls_name)]
-                    except ValueError as exc:
-                        raise ConfigError(f"unknown element class {cls_name!r}") from exc
-                for cls in classes:
-                    multipliers[(cond, cls)] = float(mult)
-    kwargs = {k: raw[k] for k in ("base_b", "distance_coeff", "occlusion_multiplier",
-                                  "miscalibration", "class_mode") if k in raw}
-    if multipliers is not None:
-        kwargs["condition_multipliers"] = multipliers
-    try:
-        return NoiseModel(**kwargs)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid noise model: {exc}") from exc
+        try:
+            multipliers = {
+                (Condition(cond), cls): mult
+                for cond, per_class in raw["condition_multipliers"].items()
+                for name, mult in per_class.items()
+                for cls in (ElementClass if name == "*" else [ElementClass(name)])}
+        except (TypeError, ValueError, AttributeError) as exc:
+            raise ValueError(f"condition_multipliers: {exc}") from exc
+        raw = dict(raw, condition_multipliers=multipliers)
+    return NoiseModel(**raw)
+
+
+# How a config value maps onto its DatasetConfig field; the other fields
+# take the value as it is, and DatasetConfig checks every one.
+_FROM_JSON = {
+    "layout_weights": lambda raw: {Layout(name): w for name, w in raw.items()},
+    "condition_weights": lambda raw: {Condition(name): w for name, w in raw.items()},
+    "noise": _noise_model,
+}
 
 
 def parse_dataset_config(raw: dict) -> DatasetConfig:
+    """The config object ``raw`` as a :class:`DatasetConfig`; an unknown key
+    at any level or an invalid value is a :class:`ConfigError` naming it."""
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
-    known = {"n_scenes", "seed", "layout_weights", "condition_weights", "n_agents",
-             "max_occluders", "occluder_radius", "lane_change_prob",
-             "duplicate_centerlines", "noise", "resample_count", "modes", "predictor",
-             "lam", "b0"}
-    unknown = set(raw) - known
+    unknown = set(raw) - {f.name for f in fields(DatasetConfig)}
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    kwargs = {k: raw[k] for k in known & set(raw) if k not in
-              ("layout_weights", "condition_weights", "noise", "occluder_radius")}
-    if "layout_weights" in raw:
-        kwargs["layout_weights"] = _enum_weights(raw["layout_weights"], Layout, "layout")
-    if "condition_weights" in raw:
-        kwargs["condition_weights"] = _enum_weights(raw["condition_weights"], Condition,
-                                                    "condition")
-    if "occluder_radius" in raw:
-        kwargs["occluder_radius"] = tuple(float(v) for v in raw["occluder_radius"])
-    if "noise" in raw:
-        kwargs["noise"] = parse_noise_config(raw["noise"])
+    kwargs = {}
+    for key, value in raw.items():
+        try:
+            kwargs[key] = _FROM_JSON[key](value) if key in _FROM_JSON else value
+        except (TypeError, ValueError, AttributeError) as exc:
+            raise ConfigError(f"{key}: {exc}") from exc
     try:
         return DatasetConfig(**kwargs)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid config: {exc}") from exc
+    except ValueError as exc:  # the message names the field
+        raise ConfigError(str(exc)) from exc
 
 
 def dataset_config_to_dict(cfg: DatasetConfig) -> dict:
-    noise = cfg.noise
-    multipliers: dict[str, dict[str, float]] = {}
-    for (cond, cls), mult in noise.condition_multipliers.items():
-        multipliers.setdefault(cond.value, {})[cls.value] = float(mult)
-    return {
-        "n_scenes": cfg.n_scenes,
-        "seed": cfg.seed,
-        "layout_weights": {k.value: v for k, v in cfg.layout_weights.items()},
-        "condition_weights": {k.value: v for k, v in cfg.condition_weights.items()},
-        "n_agents": cfg.n_agents,
-        "max_occluders": cfg.max_occluders,
-        "occluder_radius": list(cfg.occluder_radius),
-        "lane_change_prob": cfg.lane_change_prob,
-        "duplicate_centerlines": cfg.duplicate_centerlines,
-        "noise": {
-            "base_b": noise.base_b,
-            "distance_coeff": noise.distance_coeff,
-            "occlusion_multiplier": noise.occlusion_multiplier,
-            "condition_multipliers": multipliers,
-            "miscalibration": noise.miscalibration,
-            "class_mode": noise.class_mode,
-        },
-        "resample_count": cfg.resample_count,
-        "modes": cfg.modes,
-        "predictor": cfg.predictor,
-        "lam": cfg.lam,
-        "b0": cfg.b0,
-    }
+    """``cfg`` as the JSON object :func:`parse_dataset_config` reads, keys in
+    field order."""
+    out = {f.name: getattr(cfg, f.name) for f in fields(cfg)}
+    out["layout_weights"] = {k.value: w for k, w in cfg.layout_weights.items()}
+    out["condition_weights"] = {k.value: w for k, w in cfg.condition_weights.items()}
+    out["occluder_radius"] = list(cfg.occluder_radius)
+    out["noise"] = noise = {f.name: getattr(cfg.noise, f.name) for f in fields(cfg.noise)}
+    noise["condition_multipliers"] = {}
+    for (cond, cls), mult in cfg.noise.condition_multipliers.items():
+        noise["condition_multipliers"].setdefault(cond.value, {})[cls.value] = mult
+    return out
 
 
 def load_dataset_config(path) -> DatasetConfig:
-    path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"config file not found: {path}")
     try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc.strerror or exc}") from exc
-    return parse_dataset_config(raw)
+        return parse_dataset_config(_read_json(path))
+    except DataError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 # ---------------------------------------------------------------------------

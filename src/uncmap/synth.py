@@ -17,6 +17,7 @@ constant-velocity extrapolation.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, field
 from enum import Enum
@@ -33,7 +34,7 @@ from .geometry import (
     resample,
     segment_intersects_disc,
 )
-from .probmap import B_FLOOR, MapElement, VectorMap, mean_map
+from .probmap import B_FLOOR, MapElement, VectorMap
 
 LANE_WIDTH = 3.5
 RATE_HZ = 10
@@ -86,9 +87,40 @@ class SceneSpec:
     lane_change_prob: float = 0.1
     duplicate_centerlines: bool = False
 
-    def __post_init__(self):
-        if self.n_agents < 1:
-            raise ValueError("n_agents must be >= 1")
+
+def _check_int(name: str, value, lo: int) -> int:
+    """``value`` as an int: an integer (numpy's too, not a bool) >= ``lo``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < lo:
+        raise ValueError(f"{name} must be an integer >= {lo}, got {value!r:.40}")
+    return int(value)
+
+
+def _check_real(name: str, value, lo: float, hi: float = math.inf, above: bool = False):
+    """``value`` if it is a finite real number, not a bool, in [lo, hi], or
+    in (lo, hi] with ``above``."""
+    try:
+        ok = (not isinstance(value, bool) and isinstance(value, numbers.Real)
+              and math.isfinite(value) and (value > lo if above else value >= lo)
+              and value <= hi)
+    except OverflowError:  # an int past the float range
+        ok = False
+    if not ok:
+        rule = f"{'>' if above else '>='} {lo}" + (f" and <= {hi}" if hi < math.inf else "")
+        raise ValueError(f"{name} must be a finite number {rule}, got {value!r:.40}")
+    return value
+
+
+def _check_weights(name: str, weights, enum_cls) -> dict:
+    """``weights`` keyed by ``enum_cls`` members, as floats >= 0 that sum to 1."""
+    if not (isinstance(weights, dict) and set(weights) <= set(enum_cls)):
+        raise ValueError(f"{name} must map {enum_cls.__name__} members to numbers")
+    out = {k: float(_check_real(f"{name} {k.value}", w, 0)) for k, w in weights.items()}
+    if abs(sum(out.values()) - 1.0) > 1e-9:
+        raise ValueError(f"{name} must sum to 1")
+    return out
+
+
+_MULTIPLIER_KEYS = {(cond, cls) for cond in Condition for cls in ElementClass}
 
 
 def _default_condition_multipliers() -> dict[tuple[Condition, ElementClass], float]:
@@ -118,15 +150,18 @@ class NoiseModel:
     class_mode: str = "calibrated"   # or "one_hot"
 
     def __post_init__(self):
-        if self.base_b < B_FLOOR:
-            raise ValueError(f"base_b must be >= the scale floor {B_FLOOR}")
-        if self.distance_coeff < 0:
-            raise ValueError("distance_coeff must be >= 0")
-        if self.occlusion_multiplier < 1 or any(m < 1 for m in
-                                                self.condition_multipliers.values()):
-            raise ValueError("multipliers must be >= 1")
-        if self.miscalibration <= 0:
-            raise ValueError("miscalibration must be positive")
+        _check_real("base_b", self.base_b, B_FLOOR)
+        _check_real("distance_coeff", self.distance_coeff, 0)
+        _check_real("occlusion_multiplier", self.occlusion_multiplier, 1)
+        _check_real("miscalibration", self.miscalibration, 0, above=True)
+        if not (isinstance(self.condition_multipliers, dict)
+                and set(self.condition_multipliers) <= _MULTIPLIER_KEYS):
+            raise ValueError("condition_multipliers must map (Condition, ElementClass) "
+                             "pairs to numbers")
+        self.condition_multipliers = {
+            (cond, cls): float(_check_real(f"condition_multipliers {cond.value} {cls.value}",
+                                           mult, 1))
+            for (cond, cls), mult in self.condition_multipliers.items()}
         if self.class_mode not in ("calibrated", "one_hot"):
             raise ValueError(f"unknown class_mode {self.class_mode!r}")
 
@@ -518,18 +553,28 @@ class DatasetConfig:
     b0: float = DEFAULT_B0
 
     def __post_init__(self):
-        if self.n_scenes < 1:
-            raise ValueError("n_scenes must be >= 1")
+        for name, lo in (("n_scenes", 1), ("seed", 0), ("n_agents", 1), ("max_occluders", 0),
+                         ("resample_count", 2), ("modes", 1)):
+            setattr(self, name, _check_int(name, getattr(self, name), lo))
+        self.layout_weights = _check_weights("layout_weights", self.layout_weights, Layout)
+        self.condition_weights = _check_weights("condition_weights", self.condition_weights,
+                                                Condition)
+        radius = self.occluder_radius   # rng.uniform's (low, high); it refuses high < low
+        if not (isinstance(radius, (tuple, list)) and len(radius) == 2):
+            raise ValueError(f"occluder_radius must hold 2 numbers, got {radius!r:.40}")
+        low = float(_check_real("occluder_radius low", radius[0], 0, above=True))
+        high = float(_check_real("occluder_radius high", radius[1], low))
+        self.occluder_radius = (low, high)
+        _check_real("lane_change_prob", self.lane_change_prob, 0, 1)
+        dup = self.duplicate_centerlines
+        if not isinstance(dup, bool):
+            raise ValueError(f"duplicate_centerlines must be true or false, got {dup!r:.40}")
+        if not isinstance(self.noise, NoiseModel):
+            raise ValueError(f"noise must be a NoiseModel, got {self.noise!r:.40}")
         if self.predictor not in ("blind", "weighted", "exact", "none"):
             raise ValueError(f"unknown predictor {self.predictor!r}")
-        if abs(sum(self.layout_weights.values()) - 1.0) > 1e-9:
-            raise ValueError("layout_weights must sum to 1")
-        if abs(sum(self.condition_weights.values()) - 1.0) > 1e-9:
-            raise ValueError("condition_weights must sum to 1")
-        if not (math.isfinite(self.lam) and self.lam >= 0.0):
-            raise ValueError("lam must be a finite number >= 0")
-        if not (math.isfinite(self.b0) and self.b0 > 0.0):
-            raise ValueError("b0 must be a finite number > 0")
+        _check_real("lam", self.lam, 0)
+        _check_real("b0", self.b0, 0, above=True)
 
 
 @dataclass
@@ -569,7 +614,7 @@ def _build_record(i: int, spec: SceneSpec, observe_seed: int,
     elif cfg.predictor == "weighted":
         modes = predict_scene(histories, observed, cfg.modes, cfg.lam, cfg.b0, weighted=True)
     elif cfg.predictor == "blind":
-        modes = predict_scene(histories, mean_map(observed), cfg.modes)
+        modes = predict_scene(histories, observed, cfg.modes)
     else:
         modes = []
     return SceneRecord(f"scene_{i:04d}", spec, observe_seed, gt, observed, agents, modes)

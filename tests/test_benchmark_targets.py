@@ -5,6 +5,7 @@
 list is read from that file as it stands.
 """
 
+import ast
 import importlib
 import importlib.util
 import json
@@ -13,6 +14,7 @@ from pathlib import Path
 import pytest
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+RUN = TRACER.with_name("run.py")
 
 
 def load_tracer():
@@ -92,3 +94,34 @@ def test_fit_workload_attributes_resolve():
     for m in [observed, template, fitted] + draws:
         assert m.elements
         assert all(el.vertices is el.mu for el in m.elements)
+
+
+def run_constants(*names: str) -> dict:
+    """The values ``perfbench/run.py`` assigns to ``names`` at module level,
+    read from its syntax tree without importing it."""
+    found = {}
+    for node in ast.parse(RUN.read_text(encoding="utf-8")).body:
+        if isinstance(node, ast.Assign) and len(node.targets) == 1 \
+                and getattr(node.targets[0], "id", None) in names:
+            expr = ast.Expression(node.value)
+            found[node.targets[0].id] = eval(compile(expr, str(RUN), "eval"),
+                                             {"__builtins__": {}})
+    assert sorted(found) == sorted(names)
+    return found
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7])
+def test_benchmark_configs_parse(seed):
+    """Every dataset config the ``generate`` and ``fit`` workloads build is
+    one ``io.parse_dataset_config`` accepts."""
+    from uncmap import io
+
+    consts = run_constants("README_CONFIG", "FIT_LAYOUTS")
+    readme, layouts = consts["README_CONFIG"], consts["FIT_LAYOUTS"]
+    configs = [dict(readme, seed=seed)] + [
+        dict(readme, n_scenes=1, seed=seed * len(layouts) + j, predictor="none",
+             layout_weights={layout: 1.0})
+        for j, layout in enumerate(layouts)]
+    for raw in configs:
+        cfg = io.parse_dataset_config(raw)
+        assert cfg.seed == raw["seed"] and cfg.n_scenes == raw["n_scenes"]

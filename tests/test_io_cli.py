@@ -476,6 +476,14 @@ class TestCliGenerate:
         assert main(["generate", "--config", str(cfg), "--out", str(tmp_path / "y"),
                      "--threads", "1"]) == 0
 
+    def test_negative_seed_exits_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        assert main(["generate", "--config", str(cfg), "--out", str(tmp_path / "x"),
+                     "--seed", "-1"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "--seed: must be >= 0" in err
+        assert not (tmp_path / "x").exists()
+
     def test_seed_override_changes_data(self, tmp_path):
         cfg = write_config(tmp_path)
         main(["generate", "--config", str(cfg), "--out", str(tmp_path / "a")])
@@ -830,6 +838,22 @@ class TestSceneFileReads:
         err = capsys.readouterr().err
         assert err.startswith("data error:") and err.count("\n") == 1
         assert f"agent 0 {key}" in err
+
+    @pytest.mark.parametrize("command", ["eval-pred", "compare-predictors"])
+    def test_integer_past_float_range_exits_3(self, command, dataset_dir, tmp_path, capsys):
+        # orjson refuses a 400-digit integer; json reads it exactly, and float()
+        # of it overflows.
+        data = tmp_path / "data"
+        shutil.copytree(dataset_dir, data)
+        manifest = json.loads((data / "manifest.json").read_text())
+        target = data / manifest["scenes"][0]["trajectories"]
+        traj = json.loads(target.read_text())
+        traj["agents"][0]["history"][0][0] = 10**400
+        target.write_text(json.dumps(traj))
+        assert main([command, "--manifest", str(data / "manifest.json"),
+                     "--out", str(tmp_path / "r")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error: malformed trajectory file") and err.count("\n") == 1
 
     @pytest.mark.parametrize("command", ["eval-pred", "compare-predictors"])
     @pytest.mark.parametrize("rate", [20, 10.9, True, "10", 2**70])
@@ -1214,3 +1238,131 @@ class TestContractProbe:
                      "--out", str(tmp_path / "r")]) == 3
         err = capsys.readouterr().err
         assert err.startswith("data error:") and err.count("\n") == 1
+
+
+# A config that sets every key, with integer-valued floats and a "*" multiplier.
+FULL_CONFIG = {
+    "n_scenes": 2, "seed": 11,
+    "layout_weights": {"straight_road": 0.5, "intersection": 0.5, "parking_lot": 0},
+    "condition_weights": {"day": 0.5, "night": 0.25, "rain": 0.25},
+    "n_agents": 2, "max_occluders": 3, "occluder_radius": [1, 2.5], "lane_change_prob": 0.5,
+    "duplicate_centerlines": True,
+    "noise": {"base_b": 0.15, "distance_coeff": 0.01, "occlusion_multiplier": 2,
+              "condition_multipliers": {"night": {"*": 2, "lane_centerline": 3.0}},
+              "miscalibration": 1, "class_mode": "calibrated"},
+    "resample_count": 15, "modes": 4, "predictor": "weighted", "lam": 2, "b0": 1,
+}
+_NAN, _INF = float("nan"), float("inf")
+
+
+def _set(tree: dict, path: tuple, value) -> dict:
+    """A deep copy of ``tree`` with the value at ``path`` replaced."""
+    tree = json.loads(json.dumps(tree))
+    parent = tree
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return tree
+
+
+class TestConfigContract:
+    """A malformed dataset config ends ``generate`` with exit 2 and one line
+    that names the key, and ``parse_dataset_config`` raises nothing but
+    :class:`ConfigError`."""
+
+    @pytest.mark.parametrize("path, value, needle", [
+        # The wrong JSON type for every top-level key.
+        (("n_scenes",), "3", "n_scenes"),
+        (("seed",), [1], "seed"),
+        (("layout_weights",), [], "layout_weights"),
+        (("condition_weights",), 1.0, "condition_weights"),
+        (("n_agents",), None, "n_agents"),
+        (("max_occluders",), {}, "max_occluders"),
+        (("occluder_radius",), "x", "occluder_radius"),
+        (("occluder_radius",), 3.0, "occluder_radius"),
+        (("lane_change_prob",), "0.5", "lane_change_prob"),
+        (("duplicate_centerlines",), "no", "duplicate_centerlines"),
+        (("duplicate_centerlines",), 1, "duplicate_centerlines"),
+        (("noise",), [], "noise"),
+        (("noise",), "x", "noise"),
+        (("resample_count",), "20", "resample_count"),
+        (("modes",), [6], "modes"),
+        (("predictor",), 1, "predictor"),
+        (("lam",), "1", "lam"),
+        (("b0",), None, "b0"),
+        # The wrong JSON type for every noise key.
+        (("noise", "base_b"), "0.2", "base_b"),
+        (("noise", "distance_coeff"), None, "distance_coeff"),
+        (("noise", "occlusion_multiplier"), True, "occlusion_multiplier"),
+        (("noise", "condition_multipliers"), [], "condition_multipliers"),
+        (("noise", "condition_multipliers"), {"rain": 1.5}, "condition_multipliers"),
+        (("noise", "condition_multipliers", "night", "*"), "2", "condition_multipliers"),
+        (("noise", "miscalibration"), [1.0], "miscalibration"),
+        (("noise", "class_mode"), 0, "class_mode"),
+        # NaN or infinity in each float.
+        (("layout_weights", "parking_lot"), _NAN, "layout_weights"),
+        (("condition_weights", "day"), _INF, "condition_weights"),
+        (("occluder_radius",), [1.0, _INF], "occluder_radius"),
+        (("lane_change_prob",), _NAN, "lane_change_prob"),
+        (("noise", "base_b"), _NAN, "base_b"),
+        (("noise", "distance_coeff"), _INF, "distance_coeff"),
+        (("noise", "occlusion_multiplier"), _INF, "occlusion_multiplier"),
+        (("noise", "condition_multipliers", "night", "*"), _NAN, "condition_multipliers"),
+        (("noise", "miscalibration"), _INF, "miscalibration"),
+        (("lam",), _INF, "lam"),
+        (("b0",), _NAN, "b0"),
+        # Floats or bools where integers belong, and negative counts.
+        (("n_scenes",), True, "n_scenes"),
+        (("seed",), 3.0, "seed"),
+        (("n_agents",), False, "n_agents"),
+        (("max_occluders",), 1.5, "max_occluders"),
+        (("resample_count",), 20.5, "resample_count"),
+        (("modes",), 2.0, "modes"),
+        (("n_scenes",), -1, "n_scenes"),
+        (("seed",), -1, "seed"),
+        (("n_agents",), 0, "n_agents"),
+        (("max_occluders",), -1, "max_occluders"),
+        (("resample_count",), 1, "resample_count"),
+        (("modes",), 0, "modes"),
+        # Out of range, unknown or misplaced.
+        (("lane_change_prob",), 1.5, "lane_change_prob"),
+        (("layout_weights", "moon_base"), 0.0, "moon_base"),
+        (("occluder_radius",), [2.5, 1.0], "occluder_radius"),
+        (("noise", "base_B"), 0.5, "base_B"),
+        (("noise", "occlusion_multplier"), 6.0, "occlusion_multplier"),
+        (("noise", "condition_multipliers", "fog"), {"*": 2.0}, "fog"),
+        # Finite, but the scales it gives overflow.
+        (("noise", "base_b"), 1e308, "cannot build the dataset"),
+    ], ids=lambda v: ".".join(v) if isinstance(v, tuple) else None)
+    def test_malformed_config_exits_2(self, path, value, needle, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(_set(FULL_CONFIG, path, value)))
+        assert main(["generate", "--config", str(config),
+                     "--out", str(tmp_path / "d")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1, err
+        assert needle in err, err
+
+    def test_full_config_generates(self, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(FULL_CONFIG))
+        assert main(["generate", "--config", str(config), "--out", str(tmp_path / "d")]) == 0
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_mutated_config_parses_or_raises_config_error(self, data):
+        tree = json.loads(json.dumps(FULL_CONFIG))
+        for _ in range(data.draw(st.integers(1, 2))):
+            path, _ = data.draw(st.sampled_from(_json_leaves(tree)))
+            if data.draw(st.booleans()):
+                parent = tree
+                for key in path[:-1]:
+                    parent = parent[key]
+                del parent[path[-1]]
+            else:
+                tree = _set(tree, path, data.draw(_LEAF_VALUES))
+        try:
+            cfg = uio.parse_dataset_config(tree)
+        except uio.ConfigError:
+            return
+        assert isinstance(cfg, DatasetConfig)
