@@ -4,9 +4,9 @@ Core layers:
 
 - :mod:`uncmap.geometry` - points, poses, polylines, resampling, frames.
 - :mod:`uncmap.probmap` - the one map type (``VectorMap`` of
-  ``MapElement``), whose vertices may carry Laplace scales and class
-  logits as (V, 2) and (V, C) arrays; NLL loss, scale transforms,
-  uncertainty-augmented vertex feature rows.
+  ``MapElement``), which stores its vertex locations, Laplace scales and
+  class logits as (V, 2), (V, 2) and (V, C) columns and checks a map once;
+  NLL loss, scale transforms, uncertainty-augmented vertex feature rows.
 - :mod:`uncmap.fitting` - closed-form and gradient Laplace MLE.
 - :mod:`uncmap.map_eval` - Chamfer distance, per-class AP, mAP.
 - :mod:`uncmap.pred_eval` - minADE / minFDE / miss rate, binned CIs.

@@ -26,7 +26,7 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, f"{self.prog}: error: {message}\n")
 
 
-def _int_at_least(lo: int):
+def _int_at_least(lo: int, hi: float = math.inf):
     def parse(text: str) -> int:
         try:
             value = int(text)
@@ -34,6 +34,8 @@ def _int_at_least(lo: int):
             raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
         if value < lo:
             raise argparse.ArgumentTypeError(f"must be >= {lo}, got {value}")
+        if value > hi:
+            raise argparse.ArgumentTypeError(f"must be <= {hi}, got {value}")
         return value
     return parse
 
@@ -88,9 +90,8 @@ def _load_manifest(args) -> dict:
 
 
 def _scaled_map(scene: dict, observed):
-    """``observed`` for a stage that reads vertex scales: an element
-    without scales is a data error."""
-    if any(el.b is None for el in observed.elements):
+    """``observed`` for a stage that reads its scales; elements without them are a data error."""
+    if observed.elements and observed.b is None:
         raise io.DataError(f"scene {scene['id']}: observed map carries no scales")
     return observed
 
@@ -234,12 +235,11 @@ def cmd_analyze_uncertainty(args) -> int:
         observed = _scaled_map(scene, observed)
         if not observed.elements:
             continue
-        ego = observed.ego_pose.position
-        mu = np.vstack([el.mu for el in observed.elements])
+        ego, mu = observed.ego_pose.position, observed.mu
         dist = np.hypot(mu[:, 0] - ego[0], mu[:, 1] - ego[1])
-        scale = np.vstack([el.b for el in observed.elements]).mean(axis=1)
+        scale = observed.b.mean(axis=1)
         classes = [el.element_class.value for el in observed.elements]
-        vertex_class = np.repeat(classes, [el.n_vertices for el in observed.elements])
+        vertex_class = np.repeat(classes, np.diff(observed.offsets))
         condition = f"condition:{scene['condition']}"
         for group in ("all", condition):
             parts.setdefault(group, []).append((dist, scale))
@@ -356,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest", required=True)
     p.add_argument("--out", default=None)
     p.add_argument("--ap-thresholds", type=_thresholds, default="0.5,1.0,1.5")
-    p.add_argument("--resample-count", type=_int_at_least(2), default=20)
+    p.add_argument("--resample-count", type=_int_at_least(2, synth.MAX_RESAMPLE_COUNT), default=20)
     p.add_argument("--matching", choices=["greedy", "hungarian"], default="greedy")
     p.set_defaults(func=cmd_eval_map)
 
@@ -372,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--levels", type=_levels, default="0.5,0.9")
     p.add_argument("--bins", type=_int_at_least(1), default=10)
     p.add_argument("--match-threshold", type=_positive_float, default=1.5)
-    p.add_argument("--resample-count", type=_int_at_least(2), default=20)
+    p.add_argument("--resample-count", type=_int_at_least(2, synth.MAX_RESAMPLE_COUNT), default=20)
     p.set_defaults(func=cmd_calibrate)
 
     p = sub.add_parser("analyze-uncertainty",
@@ -401,7 +401,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:
-        return args.func(args)
+        with np.errstate(all="ignore"):  # an overflow ends in one error line, not warnings
+            return args.func(args)
     except io.ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -265,14 +265,12 @@ def fit_map(observations: list[VectorMap], template: VectorMap) -> VectorMap:
     """
     if not observations:
         raise ValueError("need at least one observation")
+    classes = [el.element_class for el in template.elements]
     for obs in observations:
-        if len(obs.elements) != len(template.elements):
-            raise ValueError("observation element count differs from template")
-        for oel, tel in zip(obs.elements, template.elements):
-            if oel.vertices.shape != tel.vertices.shape:
-                raise ValueError("observation vertex counts differ from template")
-            if oel.element_class != tel.element_class:
-                raise ValueError("observation classes differ from template")
+        if not np.array_equal(obs.offsets, template.offsets):
+            raise ValueError("observation element or vertex counts differ from template")
+        if [el.element_class for el in obs.elements] != classes:
+            raise ValueError("observation classes differ from template")
 
     fitted = []
     for ei, tel in enumerate(template.elements):

@@ -29,7 +29,6 @@ only the rows that need it build a :class:`Polyline`.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from enum import Enum
 
@@ -370,7 +369,7 @@ _RANGE_SLACK = 1e-6
 
 def check_perception_range(vertices: np.ndarray, ego_pose: Pose2,
                            perception_range: tuple[float, float]) -> int:
-    """Count vertices outside the ego-centered window; warn when any are.
+    """Count vertices outside the ego-centered window.
 
     The window spans half the longitudinal extent forward/backward (local y)
     and half the lateral extent to each side (local x).
@@ -378,7 +377,4 @@ def check_perception_range(vertices: np.ndarray, ego_pose: Pose2,
     local = transform_points(vertices, ego_pose)
     lon_half = perception_range[0] / 2 + _RANGE_SLACK
     lat_half = perception_range[1] / 2 + _RANGE_SLACK
-    outside = int(np.sum((np.abs(local[:, 1]) > lon_half) | (np.abs(local[:, 0]) > lat_half)))
-    if outside:
-        warnings.warn(f"{outside} vertices fall outside the perception range", stacklevel=3)
-    return outside
+    return int(np.sum((np.abs(local[:, 1]) > lon_half) | (np.abs(local[:, 0]) > lat_half)))

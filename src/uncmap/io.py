@@ -3,10 +3,11 @@
 Everything is plain JSON, human-diffable, with floats serialized by
 Python's shortest round-trip repr (values reload bit-exactly). A map file
 either carries a scale ``b`` on every vertex (probabilistic map) or on
-none (mean map); mixing is a data error. So is an element that no
-``Polyline`` can be built from, whose vertices all lie within
-``MERGE_EPS`` of its first. A trajectory file's ``rate_hz`` must be the
-integer ``RATE_HZ``.
+none (mean map); mixing is a data error. ``io`` only maps a map file onto
+the columns of a :class:`~uncmap.probmap.VectorMap`, one array per field
+over all vertices; what makes a map valid is checked by ``VectorMap``, and
+a map it refuses is a data error. A trajectory file's ``rate_hz`` must be
+the integer ``RATE_HZ``.
 
 Every file is byte-identical to ``json.dumps(obj, indent=2)`` plus a final
 newline. ``io`` writes it with its own encoder because, on CPython 3.11,
@@ -36,7 +37,6 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-import warnings
 from dataclasses import fields
 from pathlib import Path
 
@@ -44,7 +44,7 @@ import numpy as np
 import orjson
 
 from . import __version__
-from .geometry import MERGE_EPS, ElementClass, Pose2
+from .geometry import ElementClass, Pose2
 from .probmap import MapElement, VectorMap
 from .synth import (
     AgentTrack,
@@ -81,49 +81,22 @@ def _float_lists(arr) -> list:
 # ---------------------------------------------------------------------------
 
 def map_to_dict(m: VectorMap) -> dict:
-    elements = []
-    for el in m.elements:
-        entry = {
-            "class": el.element_class.value,
-            "confidence": float(el.confidence),
-            "closed": bool(el.closed),
-        }
-        if el.b is None:
-            entry["vertices"] = [{"mu": mu} for mu in _float_lists(el.mu)]
-        else:
-            entry["vertices"] = [
-                {"mu": mu, "b": b, "class_logits": logits}
-                for mu, b, logits in zip(_float_lists(el.mu), _float_lists(el.b),
-                                         _float_lists(el.class_logits))
-            ]
-        elements.append(entry)
+    mu = m.mu.tolist()
+    if m.b is None:
+        vertices = [{"mu": p} for p in mu]
+    else:
+        vertices = [{"mu": p, "b": b, "class_logits": logits}
+                    for p, b, logits in zip(mu, m.b.tolist(), m.class_logits.tolist())]
+    rows = m.offsets.tolist()
     return {
         "schema_version": MAP_SCHEMA,
         "ego_pose": {"position": [m.ego_pose.x, m.ego_pose.y],
                      "heading": m.ego_pose.heading},
         "perception_range": [float(m.perception_range[0]), float(m.perception_range[1])],
-        "elements": elements,
+        "elements": [{"class": el.element_class.value, "confidence": float(el.confidence),
+                      "closed": bool(el.closed), "vertices": vertices[lo:hi]}
+                     for el, lo, hi in zip(m.elements, rows, rows[1:])],
     }
-
-
-def _check_distinct_vertices(vertex_arrays: list[np.ndarray]) -> None:
-    """Raise :class:`DataError` for an element no ``Polyline`` can be built from.
-
-    ``Polyline`` merges vertices closer than ``MERGE_EPS`` to the last one it
-    kept, so it keeps a second vertex exactly when some vertex lies at least
-    ``MERGE_EPS`` from the first. One pass over all elements of a map.
-    """
-    if not vertex_arrays:
-        return
-    counts = [len(v) for v in vertex_arrays]
-    starts = np.cumsum([0] + counts[:-1])
-    pts = np.concatenate(vertex_arrays)
-    step = pts - np.repeat(pts[starts], counts, axis=0)
-    far = np.hypot(step[:, 0], step[:, 1]) >= MERGE_EPS
-    degenerate = np.flatnonzero(~np.logical_or.reduceat(far, starts))
-    if len(degenerate):
-        raise DataError(f"map element {degenerate[0]} has fewer than 2 vertices "
-                        f"at least {MERGE_EPS:g} apart")
 
 
 def map_from_dict(data: dict) -> VectorMap:
@@ -139,30 +112,25 @@ def map_from_dict(data: dict) -> VectorMap:
             raise DataError(f"perception_range must hold 2 numbers, finite and positive; "
                             f"got {rng!r:.40}")
         rng = (float(rng[0]), float(rng[1]))
-        has_b = [("b" in v) for el in data["elements"] for v in el["vertices"]]
+        raw = data["elements"]
+        labels = [MapElement(None, ElementClass(el["class"]), float(el["confidence"]),
+                             bool(el.get("closed", False))) for el in raw]
+        counts = [len(el["vertices"]) for el in raw]
+        vertices = [v for el in raw for v in el["vertices"]]
+        has_b = [("b" in v) for v in vertices]
         if has_b and any(has_b) != all(has_b):
             raise DataError("scale b must be present on all vertices or none")
-        probabilistic = bool(has_b) and has_b[0]
-        elements = []
-        for el in data["elements"]:
-            cls = ElementClass(el["class"])
-            conf = float(el["confidence"])
-            closed = bool(el.get("closed", False))
-            mu = np.array([v["mu"] for v in el["vertices"]], dtype=float)
-            b = logits = None
-            if probabilistic:
-                b = np.array([v["b"] for v in el["vertices"]], dtype=float)
-                logits = np.array([v["class_logits"] for v in el["vertices"]], dtype=float)
-            elements.append(MapElement(mu, cls, conf, closed, b=b, class_logits=logits))
+        mu = np.array([v["mu"] for v in vertices], dtype=float) if vertices \
+            else np.empty((0, 2))
+        b = logits = None
+        if has_b and has_b[0]:
+            b = np.array([v["b"] for v in vertices], dtype=float)
+            logits = np.array([v["class_logits"] for v in vertices], dtype=float)
+        return VectorMap.from_columns(labels, np.cumsum([0] + counts), mu, b, logits, ego, rng)
     except DataError:
         raise
     except (KeyError, TypeError, ValueError, IndexError, OverflowError) as exc:
         raise DataError(f"malformed map file: {exc}") from exc
-    _check_distinct_vertices([el.mu for el in elements])
-    # The range check already ran when the map was first built.
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return VectorMap(elements, ego, rng)
 
 
 def save_map(m: VectorMap, path) -> None:

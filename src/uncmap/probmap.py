@@ -1,10 +1,10 @@
 """Vectorized maps and their vertex uncertainty: the map data model.
 
 A map is one type, :class:`VectorMap`, of one element type,
-:class:`MapElement`. Every element holds its vertex locations ``mu`` (V, 2).
-An estimated map's elements also carry, per vertex, two independent
-univariate Laplace scales ``b`` (V, 2), one per coordinate, and class logits
-``class_logits`` (V, C); a ground-truth or mean map's elements carry neither.
+:class:`MapElement`. A map holds one column of vertex locations ``mu`` (V, 2).
+An estimated map also holds, per vertex, two independent univariate Laplace
+scales ``b`` (V, 2), one per coordinate, and class logits ``class_logits``
+(V, C); a ground-truth or mean map holds neither. Elements view their rows.
 Every function here takes those arrays. This module provides the joint
 vertex density and its negative log-likelihood with analytic gradients,
 scale/standard-deviation conversions, the frame transform for axis-aligned
@@ -15,12 +15,13 @@ that downstream encoders consume.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .geometry import (
     DEFAULT_PERCEPTION_RANGE,
+    MERGE_EPS,
     NUM_CLASSES,
     ElementClass,
     Pose2,
@@ -161,9 +162,9 @@ class MapElement:
     ``mu`` is the (V, 2) array of vertex locations; ``vertices`` is the
     same array. An estimated element also carries per-vertex Laplace
     scales ``b`` (V, 2) and class logits ``class_logits`` (V, C), both or
-    neither; a ground-truth or mean-map element carries neither. Slots in
-    place of an instance dict keep an element small: a stack of sampled
-    maps holds tens of thousands of them.
+    neither; a ground-truth or mean-map element carries neither; only
+    :class:`VectorMap` checks them. Slots in place of an instance dict keep
+    an element small: a stack of sampled maps holds tens of thousands of them.
     """
 
     mu: np.ndarray
@@ -172,28 +173,6 @@ class MapElement:
     closed: bool = False
     b: np.ndarray | None = None
     class_logits: np.ndarray | None = None
-
-    def __post_init__(self):
-        self.mu = np.asarray(self.mu, dtype=float)
-        if self.mu.ndim != 2 or self.mu.shape[1] != 2 or len(self.mu) < 2:
-            raise ValueError(f"mu must be (V, 2) with V >= 2, got shape {self.mu.shape}")
-        if not np.all(np.isfinite(self.mu)):
-            raise ValueError("mu must be finite")
-        if (self.b is None) != (self.class_logits is None):
-            raise ValueError("b and class_logits must be given together")
-        if self.b is not None:
-            self.b = _validate_scale(self.b)
-            self.class_logits = np.asarray(self.class_logits, dtype=float)
-            if self.b.shape != self.mu.shape:
-                raise ValueError("b must match mu's shape")
-            if self.class_logits.shape != (len(self.mu), NUM_CLASSES):
-                raise ValueError(f"class_logits must be (V, {NUM_CLASSES})")
-            if not np.all(np.isfinite(self.class_logits)):
-                raise ValueError("class_logits must be finite")
-        if not isinstance(self.element_class, ElementClass):
-            raise TypeError("element_class must be an ElementClass")
-        if not 0.0 <= self.confidence <= 1.0:
-            raise ValueError("confidence must lie in [0, 1]")
 
     @property
     def vertices(self) -> np.ndarray:
@@ -205,26 +184,88 @@ class MapElement:
         return len(self.mu)
 
 
-@dataclass
+def _stacked(arrays) -> tuple[np.ndarray, np.ndarray]:
+    """``arrays`` concatenated as floats (ValueError if they do not stack), and row offsets."""
+    arrays = [np.asarray(a, dtype=float) for a in arrays]
+    return (np.concatenate(arrays) if arrays else np.empty((0, 2)),
+            np.cumsum([0] + [len(a) for a in arrays]))
+
+
 class VectorMap:
     """Map elements inside one perception window, with the ego pose.
 
-    Either every element carries scales (an estimated map) or none does
-    (a ground-truth or mean map). Building an estimated map counts its
-    vertices outside the perception range and warns when there are any.
+    The map owns its vertex data as columns in element order: ``mu`` (V, 2),
+    and ``b`` (V, 2) and ``class_logits`` (V, C), or ``None`` for a map with
+    no scales or elements. Element i views rows ``offsets[i]:offsets[i + 1]``.
+    Construction checks the whole map once, including 2 vertices
+    ``MERGE_EPS`` apart per element (so a ``Polyline`` can be built from it),
+    and raises ``ValueError``, or ``TypeError`` for a class that is not an
+    :class:`ElementClass`. ``out_of_range`` counts estimated vertices outside
+    the window.
     """
 
-    elements: list[MapElement]
-    ego_pose: Pose2 = field(default_factory=Pose2.identity)
-    perception_range: tuple[float, float] = DEFAULT_PERCEPTION_RANGE
-
-    def __post_init__(self):
-        scaled = [el.b is not None for el in self.elements]
+    def __init__(self, elements: list[MapElement], ego_pose: Pose2 = Pose2.identity(),
+                 perception_range: tuple[float, float] = DEFAULT_PERCEPTION_RANGE):
+        scaled = [el.b is not None for el in elements]
+        if scaled != [el.class_logits is not None for el in elements]:
+            raise ValueError("b and class_logits must be given together")
+        if any(scaled) and not all(scaled):
+            raise ValueError("either every element of a map carries scales or none does")
+        mu, offsets = _stacked([el.mu for el in elements])
+        b = logits = None
         if any(scaled):
-            if not all(scaled):
-                raise ValueError("either every element of a map carries scales or none does")
-            all_mu = np.vstack([el.mu for el in self.elements])
-            check_perception_range(all_mu, self.ego_pose, self.perception_range)
+            b, b_rows = _stacked([el.b for el in elements])
+            logits, logit_rows = _stacked([el.class_logits for el in elements])
+            if not (np.array_equal(b_rows, offsets) and np.array_equal(logit_rows, offsets)):
+                raise ValueError("b and class_logits must have one row per vertex")
+        self._adopt(elements, offsets, mu, b, logits, ego_pose, perception_range)
+
+    @classmethod
+    def from_columns(cls, elements, offsets, mu, b=None, class_logits=None,
+                     ego_pose=Pose2.identity(), perception_range=DEFAULT_PERCEPTION_RANGE):
+        """The map whose element i takes the class, confidence and closed flag of
+        ``elements[i]`` and views rows ``offsets[i]:offsets[i + 1]`` of the columns."""
+        vmap = cls.__new__(cls)
+        vmap._adopt(elements, offsets, mu, b, class_logits, ego_pose, perception_range)
+        return vmap
+
+    def _adopt(self, elements, offsets, mu, b, class_logits, ego_pose, perception_range):
+        mu, offsets = np.asarray(mu, dtype=float), np.asarray(offsets)
+        counts = np.diff(offsets)
+        if mu.ndim != 2 or mu.shape[1] != 2 or len(mu) != offsets[-1] or np.any(counts < 2):
+            shape = (int(counts.min()), 2) if mu.ndim == 2 and mu.shape[1] == 2 else mu.shape
+            raise ValueError(f"mu must be (V, 2) with V >= 2, got shape {shape}")
+        if not np.all(np.isfinite(mu)):
+            raise ValueError("mu must be finite")
+        if b is not None or class_logits is not None:
+            b, class_logits = _validate_scale(b), np.asarray(class_logits, dtype=float)
+            if b.shape != mu.shape:
+                raise ValueError("b must match mu's shape")
+            if class_logits.shape != (len(mu), NUM_CLASSES):
+                raise ValueError(f"class_logits must be (V, {NUM_CLASSES})")
+            if not np.all(np.isfinite(class_logits)):
+                raise ValueError("class_logits must be finite")
+        if not all(isinstance(el.element_class, ElementClass) for el in elements):
+            raise TypeError("element_class must be an ElementClass")
+        if not all(0.0 <= el.confidence <= 1.0 for el in elements):
+            raise ValueError("confidence must lie in [0, 1]")
+        # A Polyline merges steps under MERGE_EPS, so it keeps a second vertex
+        # exactly when one lies at least MERGE_EPS from the first.
+        step = mu - np.repeat(mu[offsets[:-1]], counts, axis=0)
+        far = np.hypot(step[:, 0], step[:, 1]) >= MERGE_EPS
+        degenerate = np.flatnonzero(~np.logical_or.reduceat(far, offsets[:-1]))
+        if len(degenerate):
+            raise ValueError(f"map element {degenerate[0]} has fewer than 2 vertices "
+                             f"at least {MERGE_EPS:g} apart")
+        self.ego_pose, self.perception_range = ego_pose, perception_range
+        self.mu, self.b, self.class_logits, self.offsets = mu, b, class_logits, offsets
+        self.out_of_range = 0 if b is None else check_perception_range(
+            mu, ego_pose, perception_range)
+        rows = offsets.tolist()
+        self.elements = [MapElement(mu[lo:hi], el.element_class, el.confidence, el.closed,
+                                    None if b is None else b[lo:hi],
+                                    None if b is None else class_logits[lo:hi])
+                         for el, lo, hi in zip(elements, rows[:-1], rows[1:], strict=True)]
 
     def by_class(self, element_class: ElementClass) -> list[MapElement]:
         return [e for e in self.elements if e.element_class == element_class]
@@ -241,15 +282,12 @@ def standardize_map(pmap: VectorMap, frame: Pose2) -> VectorMap:
     rotate via :func:`rotate_uncertainty` with the frame's heading, and come
     back, keeping the per-axis Laplace form. Class logits are untouched.
     """
-    out = []
-    for el in pmap.elements:
-        mu = transform_points(el.mu, frame)
-        sx, sy = rotate_uncertainty(sigma_from_b(el.b[:, 0]), sigma_from_b(el.b[:, 1]),
-                                    frame.heading)
-        b = np.column_stack([b_from_sigma(sx), b_from_sigma(sy)])
-        out.append(MapElement(mu, el.element_class, el.confidence, el.closed,
-                              b=b, class_logits=el.class_logits.copy()))
-    return VectorMap(out, pose_in_frame(pmap.ego_pose, frame), pmap.perception_range)
+    sx, sy = rotate_uncertainty(sigma_from_b(pmap.b[:, 0]), sigma_from_b(pmap.b[:, 1]),
+                                frame.heading)
+    b = np.column_stack([b_from_sigma(sx), b_from_sigma(sy)])
+    return VectorMap.from_columns(pmap.elements, pmap.offsets, transform_points(pmap.mu, frame),
+                                  b, pmap.class_logits.copy(),
+                                  pose_in_frame(pmap.ego_pose, frame), pmap.perception_range)
 
 
 def softmax(logits) -> np.ndarray:
@@ -273,18 +311,13 @@ def vertex_features(el: MapElement) -> np.ndarray:
 
 def mean_map(pmap: VectorMap) -> VectorMap:
     """Strip uncertainty: keep only vertex locations, classes, confidences."""
-    elements = [
-        MapElement(el.mu.copy(), el.element_class, el.confidence, el.closed)
-        for el in pmap.elements
-    ]
-    return VectorMap(elements, pmap.ego_pose, pmap.perception_range)
+    return VectorMap.from_columns(pmap.elements, pmap.offsets, pmap.mu.copy(),
+                                  ego_pose=pmap.ego_pose, perception_range=pmap.perception_range)
 
 
 def sample_map(pmap: VectorMap, seed: int) -> VectorMap:
-    """Draw one map realization, each coordinate from its own Laplace."""
-    rng = np.random.default_rng(seed)
-    elements = [
-        MapElement(rng.laplace(el.mu, el.b), el.element_class, el.confidence, el.closed)
-        for el in pmap.elements
-    ]
-    return VectorMap(elements, pmap.ego_pose, pmap.perception_range)
+    """Draw one map realization, each coordinate from its own Laplace (one
+    draw per element in element order, as ``Generator.laplace`` fills C order)."""
+    mu = np.random.default_rng(seed).laplace(pmap.mu, pmap.b)
+    return VectorMap.from_columns(pmap.elements, pmap.offsets, mu, ego_pose=pmap.ego_pose,
+                                  perception_range=pmap.perception_range)

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 import numbers
-import warnings
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -38,6 +37,8 @@ from .probmap import B_FLOOR, MapElement, VectorMap
 
 LANE_WIDTH = 3.5
 RATE_HZ = 10
+# The largest resample_count a config or CLI flag may ask for.
+MAX_RESAMPLE_COUNT = 10_000
 DT = 1.0 / RATE_HZ
 HISTORY_STEPS = 20   # 2 s of history, current position last
 FUTURE_STEPS = 30    # 3 s of future
@@ -414,10 +415,8 @@ def observe(gt: VectorMap, noise: NoiseModel, spec: SceneSpec, seed: int,
         conf = float(rng.uniform(0.7, 1.0))
         out.append(MapElement(mu, el.element_class, conf, el.closed, b=b, class_logits=logits))
     # Noise draws can push window-edge vertices just outside the perception
-    # range; that is the intended output, so the soft range warning is muted.
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return VectorMap(out, gt.ego_pose, gt.perception_range)
+    # range; that is the intended output, and the map counts them.
+    return VectorMap(out, gt.ego_pose, gt.perception_range)
 
 
 # ---------------------------------------------------------------------------
@@ -556,6 +555,9 @@ class DatasetConfig:
         for name, lo in (("n_scenes", 1), ("seed", 0), ("n_agents", 1), ("max_occluders", 0),
                          ("resample_count", 2), ("modes", 1)):
             setattr(self, name, _check_int(name, getattr(self, name), lo))
+        if self.resample_count > MAX_RESAMPLE_COUNT:
+            raise ValueError(f"resample_count must be <= {MAX_RESAMPLE_COUNT}, "
+                             f"got {self.resample_count}")
         self.layout_weights = _check_weights("layout_weights", self.layout_weights, Layout)
         self.condition_weights = _check_weights("condition_weights", self.condition_weights,
                                                 Condition)

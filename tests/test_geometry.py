@@ -19,7 +19,7 @@ from uncmap.geometry import (
     transform_point,
     wrap_angle,
 )
-from uncmap.probmap import MapElement
+from uncmap.probmap import MapElement, VectorMap
 
 
 class TestPolylineConstruction:
@@ -333,8 +333,8 @@ class TestBroadcastDiscTest:
 class TestMapElement:
     def test_confidence_bounds(self):
         with pytest.raises(ValueError):
-            MapElement(np.array([[0, 0], [1, 0]]), ElementClass.LANE_DIVIDER,
-                       confidence=1.5)
+            VectorMap([MapElement(np.array([[0, 0], [1, 0]]), ElementClass.LANE_DIVIDER,
+                                  confidence=1.5)])
 
     def test_vertices_preserved_verbatim(self):
         v = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 0.0]])

@@ -103,15 +103,20 @@ class TestCoincidentVertices:
         # Tiny steps drift in and out of MERGE_EPS of the first vertex.
         pts = np.cumsum(np.vstack([[3.0, -1.0], steps]), axis=0)
         good = MapElement(np.array([[0.0, 0.0], [1.0, 0.0]]), ElementClass.LANE_DIVIDER)
-        data = uio.map_to_dict(VectorMap(
-            [good, MapElement(pts, ElementClass.ROAD_BOUNDARY, closed=closed)],
-            Pose2.identity()))
+        elements = [good, MapElement(pts, ElementClass.ROAD_BOUNDARY, closed=closed)]
+        # The map file is written from a valid map, then given the element.
+        data = uio.map_to_dict(VectorMap([good, good], Pose2.identity()))
+        data["elements"][1].update({"class": "road_boundary", "closed": closed,
+                                    "vertices": [{"mu": p} for p in pts.tolist()]})
         try:
             Polyline(pts, closed=closed)
         except ValueError:
+            with pytest.raises(ValueError, match="map element 1 "):
+                VectorMap(elements, Pose2.identity())
             with pytest.raises(uio.DataError, match="map element 1 "):
                 uio.map_from_dict(data)
         else:
+            VectorMap(elements, Pose2.identity())
             uio.map_from_dict(data)
 
     def test_spacing_at_merge_eps_accepted(self):
@@ -939,6 +944,8 @@ class TestModuleEntryPoints:
 class TestCliInvalidValues:
     @pytest.mark.parametrize("command, flag, value", [
         ("eval-map", "--resample-count", "1"),
+        ("eval-map", "--resample-count", "1180591620717411303424"),
+        ("calibrate", "--resample-count", "10001"),
         ("calibrate", "--bins", "0"),
         ("calibrate", "--levels", "1.5"),
         ("compare-predictors", "--modes", "0"),
@@ -1234,8 +1241,11 @@ class TestContractProbe:
         el = next(e for e in m["elements"] if e["class"] == "lane_centerline")
         el["vertices"][0]["mu"][1], el["vertices"][1]["mu"][1] = -1e308, 1e308
         target.write_text(json.dumps(m))
-        assert main([command, "--manifest", str(data / "manifest.json"),
-                     "--out", str(tmp_path / "r")]) == 3
+        # A numpy overflow warning would print lines before the error line.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([command, "--manifest", str(data / "manifest.json"),
+                         "--out", str(tmp_path / "r")]) == 3
         err = capsys.readouterr().err
         assert err.startswith("data error:") and err.count("\n") == 1
 
@@ -1333,12 +1343,18 @@ class TestConfigContract:
         (("noise", "condition_multipliers", "fog"), {"*": 2.0}, "fog"),
         # Finite, but the scales it gives overflow.
         (("noise", "base_b"), 1e308, "cannot build the dataset"),
+        # Past the largest resample count.
+        (("resample_count",), 10_001, "resample_count"),
+        (("resample_count",), 2**70, "resample_count"),
     ], ids=lambda v: ".".join(v) if isinstance(v, tuple) else None)
     def test_malformed_config_exits_2(self, path, value, needle, tmp_path, capsys):
         config = tmp_path / "config.json"
         config.write_text(json.dumps(_set(FULL_CONFIG, path, value)))
-        assert main(["generate", "--config", str(config),
-                     "--out", str(tmp_path / "d")]) == 2
+        # A numpy overflow warning would print lines before the error line.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["generate", "--config", str(config),
+                         "--out", str(tmp_path / "d")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error:") and err.count("\n") == 1, err
         assert needle in err, err

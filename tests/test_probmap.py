@@ -3,9 +3,11 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from uncmap.geometry import ElementClass, Pose2
+from uncmap.geometry import MERGE_EPS, NUM_CLASSES, ElementClass, Pose2
 from uncmap.probmap import (
     MapElement,
     VectorMap,
@@ -266,11 +268,24 @@ class TestMeanAndSampleMap:
         np.testing.assert_allclose(out.elements[0].vertices, pmap.elements[0].mu,
                                    atol=1e-9)
 
+    def test_one_draw_over_the_map_is_one_draw_per_element(self):
+        rng = np.random.default_rng(4)
+        els = [MapElement(rng.uniform(-9, 9, (n, 2)), ElementClass.LANE_DIVIDER,
+                          b=rng.uniform(0.1, 2.0, (n, 2)), class_logits=np.zeros((n, 4)))
+               for n in (3, 5, 2)]
+        pmap = VectorMap(els, Pose2.identity(), (1e3, 1e3))
+        per_element = np.random.default_rng(11)
+        for el, got in zip(pmap.elements, sample_map(pmap, seed=11).elements):
+            np.testing.assert_array_equal(got.mu, per_element.laplace(el.mu, el.b))
+
     def test_sample_moments(self):
-        el = MapElement(np.zeros((50_000, 2)), ElementClass.LANE_DIVIDER,
+        # One vertex off the origin keeps the element a valid polyline.
+        mu = np.zeros((50_000, 2))
+        mu[-1] = [1.0, 0.0]
+        el = MapElement(mu, ElementClass.LANE_DIVIDER,
                         b=np.ones((50_000, 2)), class_logits=np.zeros((50_000, 4)))
         pmap = VectorMap([el], Pose2.identity(), perception_range=(1e6, 1e6))
-        draws = sample_map(pmap, seed=123).elements[0].vertices.ravel()
+        draws = (sample_map(pmap, seed=123).elements[0].vertices - mu).ravel()
         assert len(draws) == 100_000
         assert abs(np.median(draws)) < 0.01
         assert abs(np.abs(draws).mean() - 1.0) < 0.01
@@ -279,29 +294,30 @@ class TestMeanAndSampleMap:
 class TestValidation:
     def test_element_requires_positive_scale(self):
         with pytest.raises(ValueError):
-            _element(np.zeros((2, 2)), np.array([[1.0, 0.0], [1.0, 1.0]]))
+            VectorMap([_element([[0.0, 0.0], [1.0, 0.0]], [[1.0, 0.0], [1.0, 1.0]])])
 
     def test_element_requires_two_vertices(self):
         with pytest.raises(ValueError):
-            _element(np.zeros((1, 2)), np.ones((1, 2)))
+            VectorMap([_element(np.zeros((1, 2)), np.ones((1, 2)))])
 
-    def test_range_check_warns(self):
+    def test_range_check_counts(self):
         el = _element(np.array([[0.0, 0.0], [100.0, 0.0]]), np.ones((2, 2)))
-        with pytest.warns(UserWarning):
-            VectorMap([el], Pose2.identity())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert VectorMap([el], Pose2.identity()).out_of_range == 1
 
     def test_range_check_skips_maps_without_scales(self):
         el = MapElement(np.array([[0.0, 0.0], [100.0, 0.0]]), ElementClass.LANE_DIVIDER)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            VectorMap([el], Pose2.identity())
+            assert VectorMap([el], Pose2.identity()).out_of_range == 0
 
     @pytest.mark.parametrize("given", ["b", "class_logits"])
     def test_scales_and_logits_come_together(self, given):
         arrays = {"b": np.ones((2, 2)), "class_logits": np.zeros((2, 4))}
         with pytest.raises(ValueError, match="b and class_logits must be given together"):
-            MapElement(np.zeros((2, 2)) + [[0.0], [1.0]], ElementClass.LANE_DIVIDER,
-                       **{given: arrays[given]})
+            VectorMap([MapElement(np.zeros((2, 2)) + [[0.0], [1.0]],
+                                  ElementClass.LANE_DIVIDER, **{given: arrays[given]})])
 
     def test_map_mixing_scaled_and_plain_elements_rejected(self):
         scaled = _element([[0.0, 0.0], [1.0, 0.0]], np.ones((2, 2)))
@@ -310,11 +326,160 @@ class TestValidation:
             VectorMap([scaled, plain])
 
     def test_vertices_is_mu(self):
-        plain = MapElement([[0, 0], [1, 0]], ElementClass.LANE_DIVIDER)
-        scaled = _element([[0.0, 0.0], [1.0, 0.0]], np.ones((2, 2)))
+        plain = VectorMap([MapElement([[0, 0], [1, 0]], ElementClass.LANE_DIVIDER)]).elements[0]
+        scaled = VectorMap([_element([[0.0, 0.0], [1.0, 0.0]], np.ones((2, 2)))]).elements[0]
         for el in (plain, scaled):
             assert el.vertices is el.mu and el.mu.dtype == float
             assert el.n_vertices == 2
             with pytest.raises(AttributeError):
                 el.vertices = np.zeros((2, 2))
         assert plain.b is None and plain.class_logits is None
+
+
+# The map checks as they stood when each element checked itself, kept as the
+# reference for VectorMap's one pass over a map: every element's checks in
+# turn, then the map's, then the coincident-vertex rule that io applied to a
+# loaded map (there as a DataError, a ValueError).
+def _reference_element(el) -> np.ndarray:
+    mu = np.asarray(el.mu, dtype=float)
+    if mu.ndim != 2 or mu.shape[1] != 2 or len(mu) < 2:
+        raise ValueError("mu shape")
+    if not np.all(np.isfinite(mu)):
+        raise ValueError("mu finite")
+    if (el.b is None) != (el.class_logits is None):
+        raise ValueError("b and class_logits together")
+    if el.b is not None:
+        b = np.asarray(el.b, dtype=float)
+        if not np.all(np.isfinite(b)) or np.any(b <= 0.0):
+            raise ValueError("b positive and finite")
+        logits = np.asarray(el.class_logits, dtype=float)
+        if b.shape != mu.shape:
+            raise ValueError("b shape")
+        if logits.shape != (len(mu), NUM_CLASSES):
+            raise ValueError("class_logits shape")
+        if not np.all(np.isfinite(logits)):
+            raise ValueError("class_logits finite")
+    if not isinstance(el.element_class, ElementClass):
+        raise TypeError("element_class")
+    if not 0.0 <= el.confidence <= 1.0:
+        raise ValueError("confidence")
+    return mu
+
+
+def reference_map_check(elements) -> None:
+    mus = [_reference_element(el) for el in elements]
+    scaled = [el.b is not None for el in elements]
+    if any(scaled) and not all(scaled):
+        raise ValueError("mixed")
+    if not mus:
+        return
+    counts = [len(v) for v in mus]
+    starts = np.cumsum([0] + counts[:-1])
+    pts = np.concatenate(mus)
+    step = pts - np.repeat(pts[starts], counts, axis=0)
+    far = np.hypot(step[:, 0], step[:, 1]) >= MERGE_EPS
+    if not np.logical_or.reduceat(far, starts).all():
+        raise ValueError("coincident vertices")
+
+
+_DEFECTS = ["nan_mu", "inf_b", "nan_logits", "zero_b", "negative_b", "mu_shape", "b_shape",
+            "logits_shape", "rows_moved", "few_vertices", "coincident", "mixed", "b_alone",
+            "confidence", "class"]
+
+
+@st.composite
+def _element_lists(draw):
+    """Element lists with, when ``defect`` is not None, one kind of defect
+    injected into some of their elements."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scaled = draw(st.booleans())
+    elements = []
+    for _ in range(draw(st.integers(1, 4))):  # test_empty_map covers none
+        n = int(rng.integers(2, 6))
+        b = logits = None
+        if scaled:
+            b, logits = rng.uniform(0.05, 2.0, (n, 2)), rng.normal(size=(n, NUM_CLASSES))
+        elements.append(MapElement(rng.uniform(-20, 20, (n, 2)),
+                                   draw(st.sampled_from(list(ElementClass))),
+                                   draw(st.floats(0.0, 1.0)), draw(st.booleans()), b, logits))
+    defect = draw(st.sampled_from([None] + _DEFECTS)) if elements else None
+    targets = draw(st.sets(st.integers(0, len(elements) - 1), min_size=1)) if defect else ()
+    for i in targets:
+        el = elements[i]
+        n = len(el.mu)
+        if defect == "nan_mu":
+            el.mu[rng.integers(n), rng.integers(2)] = np.nan
+        elif defect == "mu_shape":
+            el.mu = draw(st.sampled_from([np.zeros((n, 3)), np.zeros(n), el.mu[..., None],
+                                          np.float64(1.0)]))
+        elif defect == "few_vertices":
+            keep = draw(st.integers(0, 1))
+            el.mu = el.mu[:keep]
+            el.b, el.class_logits = (None, None) if el.b is None else (el.b[:keep],
+                                                                        el.class_logits[:keep])
+        elif defect == "coincident":
+            el.mu = el.mu[:1] + rng.uniform(-0.4, 0.4, (n, 2)) * MERGE_EPS
+        elif defect == "mixed":
+            el.b, el.class_logits = (rng.uniform(0.05, 2.0, (n, 2)), np.zeros((n, NUM_CLASSES))) \
+                if el.b is None else (None, None)
+        elif defect == "b_alone":
+            el.b = np.ones((n, 2)) if el.b is None else el.b
+            el.class_logits = None
+        elif defect == "confidence":
+            el.confidence = draw(st.sampled_from([-0.1, 1.5, np.nan, None]))
+        elif defect == "class":
+            el.element_class = draw(st.sampled_from(["lane_divider", None, 3]))
+        elif el.b is not None:  # the defects of an estimated element's scales and logits
+            if defect == "inf_b":
+                el.b[rng.integers(n), rng.integers(2)] = np.inf
+            elif defect == "zero_b":
+                el.b[rng.integers(n), rng.integers(2)] = 0.0
+            elif defect == "negative_b":
+                el.b[rng.integers(n), rng.integers(2)] = -0.5
+            elif defect == "nan_logits":
+                el.class_logits[rng.integers(n), rng.integers(NUM_CLASSES)] = np.nan
+            elif defect == "b_shape":
+                el.b = draw(st.sampled_from([np.ones((n, 3)), np.ones((n + 1, 2))]))
+            elif defect == "logits_shape":
+                el.class_logits = draw(st.sampled_from([np.zeros((n, 3)),
+                                                        np.zeros((n + 1, NUM_CLASSES))]))
+            elif defect == "rows_moved" and i + 1 < len(elements):
+                # One row of scales moves to the next element: the totals still match.
+                name = draw(st.sampled_from(["b", "class_logits"]))
+                here, there = getattr(el, name), getattr(elements[i + 1], name)
+                setattr(el, name, here[:-1])
+                setattr(elements[i + 1], name, np.vstack([here[-1:], there]))
+    if draw(st.booleans()):  # nested lists stack as arrays do
+        for el in elements:
+            if isinstance(el.mu, np.ndarray):
+                el.mu = el.mu.tolist()
+    return elements
+
+
+class TestOnePassValidation:
+    @settings(max_examples=400, deadline=None)
+    @given(elements=_element_lists())
+    def test_raises_exactly_when_the_element_checks_did(self, elements):
+        given_arrays = [(el.mu, el.b, el.class_logits) for el in elements]
+        try:
+            reference_map_check(elements)
+        except (TypeError, ValueError) as exc:
+            with pytest.raises((TypeError, ValueError)) as got:
+                VectorMap(elements, Pose2.identity(), (1e3, 1e3))
+            assert got.type is type(exc), (exc, got.value)
+            return
+        vmap = VectorMap(elements, Pose2.identity(), (1e3, 1e3))
+        assert len(vmap.elements) == len(elements)
+        for el, got, arrays in zip(elements, vmap.elements, given_arrays):
+            # The given elements are left as they were.
+            assert all(a is b for a, b in zip((el.mu, el.b, el.class_logits), arrays))
+            assert (got.element_class, got.confidence, got.closed) == \
+                (el.element_class, el.confidence, el.closed)
+            for name, column in (("mu", vmap.mu), ("b", vmap.b),
+                                 ("class_logits", vmap.class_logits)):
+                value = getattr(got, name)
+                if getattr(el, name) is None:
+                    assert value is None and column is None
+                else:
+                    assert np.shares_memory(value, column)
+                    np.testing.assert_array_equal(value, np.asarray(getattr(el, name)))
