@@ -58,14 +58,14 @@ _nonnegative_float = _finite_float("a finite number >= 0", lambda v: v >= 0.0)
 
 
 def _float_list(rule: str, valid):
-    """Comma-separated floats, accepted when ``valid(values)`` holds."""
+    """Comma-separated finite floats, accepted when ``valid(values)`` holds."""
     def parse(text: str) -> tuple[float, ...]:
         try:
             values = tuple(float(v) for v in text.split(",") if v.strip() != "")
         except ValueError:
             raise argparse.ArgumentTypeError(f"expected numbers, got {text!r}") from None
-        if not values or not valid(values):
-            raise argparse.ArgumentTypeError(f"must be {rule}, got {text!r}")
+        if not (values and all(map(math.isfinite, values)) and valid(values)):
+            raise argparse.ArgumentTypeError(f"must be finite and {rule}, got {text!r}")
         return values
     return parse
 
@@ -363,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval-pred", help="minADE/minFDE/MR of stored predictions")
     p.add_argument("--manifest", required=True)
     p.add_argument("--out", default=None)
-    p.add_argument("--miss-threshold", type=_positive_float, default=2.0)
+    p.add_argument("--miss-threshold", type=_positive_float, default=pred_eval.MISS_THRESHOLD)
     p.set_defaults(func=cmd_eval_pred)
 
     p = sub.add_parser("calibrate", help="interval coverage and classification ECE")
@@ -386,10 +386,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="side-by-side metrics for the two baseline predictors")
     p.add_argument("--manifest", required=True)
     p.add_argument("--out", default=None)
-    p.add_argument("--modes", type=_int_at_least(1), default=6)
+    p.add_argument("--modes", type=_int_at_least(1), default=synth.DEFAULT_MODES)
     p.add_argument("--lam", type=_nonnegative_float, default=synth.DEFAULT_LAMBDA)
     p.add_argument("--b0", type=_positive_float, default=synth.DEFAULT_B0)
-    p.add_argument("--miss-threshold", type=_positive_float, default=2.0)
+    p.add_argument("--miss-threshold", type=_positive_float, default=pred_eval.MISS_THRESHOLD)
     p.set_defaults(func=cmd_compare_predictors)
     return parser
 

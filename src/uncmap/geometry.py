@@ -71,7 +71,8 @@ def _as_points(points) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Pose2:
-    """Rigid 2D pose: a position plus a frame heading in radians.
+    """Rigid 2D pose: a position plus a frame heading in radians, each a finite
+    number and not a bool.
 
     ``heading`` is normalized to (-pi, pi] at construction. A heading of 0
     means the pose's forward direction is world +y.
@@ -82,9 +83,9 @@ class Pose2:
     heading: float = 0.0
 
     def __post_init__(self):
-        for name in ("x", "y", "heading"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"Pose2.{name} must be finite")
+        for name, value in (("x", self.x), ("y", self.y), ("heading", self.heading)):
+            if isinstance(value, (bool, np.bool_)) or not math.isfinite(value):
+                raise ValueError(f"Pose2.{name} must be a finite number")
         object.__setattr__(self, "heading", wrap_angle(self.heading))
 
     @classmethod

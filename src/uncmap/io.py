@@ -4,10 +4,10 @@ Everything is plain JSON, human-diffable, with floats serialized by
 Python's shortest round-trip repr (values reload bit-exactly). A map file
 either carries a scale ``b`` on every vertex (probabilistic map) or on
 none (mean map); mixing is a data error. ``io`` only maps a map file onto
-the columns of a :class:`~uncmap.probmap.VectorMap`, one array per field
-over all vertices; what makes a map valid is checked by ``VectorMap``, and
-a map it refuses is a data error. A trajectory file's ``rate_hz`` must be
-the integer ``RATE_HZ``.
+the columns of a :class:`~uncmap.probmap.VectorMap` and each agent of a
+trajectory file onto an :class:`~uncmap.synth.AgentTrack` (an empty
+``modes`` list means none); each record checks itself, and one it refuses
+is a data error. A trajectory file's ``rate_hz`` must be the int ``RATE_HZ``.
 
 Every file is byte-identical to ``json.dumps(obj, indent=2)`` plus a final
 newline. ``io`` writes it with its own encoder because, on CPython 3.11,
@@ -71,11 +71,6 @@ class DataError(ValueError):
     """Missing, malformed, or inconsistent data files (CLI exit code 3)."""
 
 
-def _float_lists(arr) -> list:
-    """An array-like as nested lists of Python floats."""
-    return np.asarray(arr, dtype=float).tolist()
-
-
 # ---------------------------------------------------------------------------
 # Maps
 # ---------------------------------------------------------------------------
@@ -92,9 +87,9 @@ def map_to_dict(m: VectorMap) -> dict:
         "schema_version": MAP_SCHEMA,
         "ego_pose": {"position": [m.ego_pose.x, m.ego_pose.y],
                      "heading": m.ego_pose.heading},
-        "perception_range": [float(m.perception_range[0]), float(m.perception_range[1])],
-        "elements": [{"class": el.element_class.value, "confidence": float(el.confidence),
-                      "closed": bool(el.closed), "vertices": vertices[lo:hi]}
+        "perception_range": list(m.perception_range),
+        "elements": [{"class": el.element_class.value, "confidence": el.confidence,
+                      "closed": el.closed, "vertices": vertices[lo:hi]}
                      for el, lo, hi in zip(m.elements, rows, rows[1:])],
     }
 
@@ -106,15 +101,9 @@ def map_from_dict(data: dict) -> VectorMap:
     try:
         ego = Pose2(data["ego_pose"]["position"][0], data["ego_pose"]["position"][1],
                     data["ego_pose"]["heading"])
-        rng = data["perception_range"]
-        if not (type(rng) is list and len(rng) == 2
-                and all(type(v) in (int, float) and 0 < v < np.inf for v in rng)):
-            raise DataError(f"perception_range must hold 2 numbers, finite and positive; "
-                            f"got {rng!r:.40}")
-        rng = (float(rng[0]), float(rng[1]))
         raw = data["elements"]
-        labels = [MapElement(None, ElementClass(el["class"]), float(el["confidence"]),
-                             bool(el.get("closed", False))) for el in raw]
+        labels = [MapElement(None, ElementClass(el["class"]), el["confidence"],
+                             el.get("closed", False)) for el in raw]
         counts = [len(el["vertices"]) for el in raw]
         vertices = [v for el in raw for v in el["vertices"]]
         has_b = [("b" in v) for v in vertices]
@@ -126,7 +115,8 @@ def map_from_dict(data: dict) -> VectorMap:
         if has_b and has_b[0]:
             b = np.array([v["b"] for v in vertices], dtype=float)
             logits = np.array([v["class_logits"] for v in vertices], dtype=float)
-        return VectorMap.from_columns(labels, np.cumsum([0] + counts), mu, b, logits, ego, rng)
+        return VectorMap.from_columns(labels, np.cumsum([0] + counts), mu, b, logits, ego,
+                                      data["perception_range"])
     except DataError:
         raise
     except (KeyError, TypeError, ValueError, IndexError, OverflowError) as exc:
@@ -145,70 +135,41 @@ def load_map(path) -> VectorMap:
 # Trajectories
 # ---------------------------------------------------------------------------
 
-def trajectories_to_dict(agents: list[AgentTrack], modes: list[np.ndarray]) -> dict:
-    if modes and len(modes) != len(agents):
-        raise ValueError("modes list must match agents list")
-    entries = []
-    for i, agent in enumerate(agents):
-        agent_modes = modes[i] if modes else np.empty((0, len(agent.future), 2))
-        for mode in agent_modes:
-            if len(mode) != len(agent.future):
-                raise ValueError("every mode must span the future horizon")
-        entries.append({
-            "history": _float_lists(agent.history),
-            "future_gt": _float_lists(agent.future),
-            "modes": _float_lists(agent_modes),
-        })
-    return {"schema_version": TRAJ_SCHEMA, "rate_hz": RATE_HZ, "agents": entries}
+def trajectories_to_dict(agents: list[AgentTrack]) -> dict:
+    return {"schema_version": TRAJ_SCHEMA, "rate_hz": RATE_HZ,
+            "agents": [{"history": agent.history.tolist(), "future_gt": agent.future.tolist(),
+                        "modes": agent.modes.tolist()} for agent in agents]}
 
 
-def _track_points(entry: dict, key: str, agent: int, horizon: int | None = None) -> np.ndarray:
-    """``entry[key]`` as a finite float array: (N, 2) points with N >= 1, or,
-    given the future's ``horizon``, (K, horizon, 2) modes."""
-    arr = np.array(entry[key], dtype=float)
-    if horizon is None:
-        want = "(N, 2) with N >= 1"
-        ok = arr.ndim == 2 and arr.shape[1] == 2 and len(arr) >= 1
-    else:
-        want = f"(K, {horizon}, 2)"
-        ok = arr.ndim == 3 and arr.shape[1:] == (horizon, 2)
-    if not ok:
-        raise DataError(f"agent {agent} {key} must have shape {want}, got {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise DataError(f"agent {agent} {key} holds a non-finite value")
-    return arr
-
-
-def trajectories_from_dict(data: dict) -> tuple[list[AgentTrack], list[np.ndarray]]:
+def trajectories_from_dict(data: dict) -> list[AgentTrack]:
     if data.get("schema_version") != TRAJ_SCHEMA:
         raise DataError(f"expected trajectory schema {TRAJ_SCHEMA!r}, "
                         f"got {data.get('schema_version')!r}")
     try:
-        agents, modes = [], []
+        agents = []
         for i, entry in enumerate(data["agents"]):
-            history = _track_points(entry, "history", i)
-            future = _track_points(entry, "future_gt", i)
-            agent_modes = _track_points(entry, "modes", i, len(future)) if entry["modes"] \
-                else np.empty((0, len(future), 2))
-            agents.append(AgentTrack(history, future))
-            modes.append(agent_modes)
+            try:
+                agents.append(AgentTrack(entry["history"], entry["future_gt"],
+                                         entry["modes"] or None))  # [] means no modes
+            except ValueError as exc:
+                raise DataError(f"agent {i} {exc}") from exc
         rate = data["rate_hz"]
         # Predictors and metrics assume RATE_HZ; a file at another rate, or
         # one whose rate is not an int (10.0, "10", true), is refused.
         if type(rate) is not int or rate != RATE_HZ:
             raise DataError(f"rate_hz must be the integer {RATE_HZ}, got {rate!r}")
-        return agents, modes
+        return agents
     except DataError:
         raise
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DataError(f"malformed trajectory file: {exc}") from exc
 
 
-def save_trajectories(agents, modes, path) -> None:
-    write_json(path, trajectories_to_dict(agents, modes))
+def save_trajectories(agents, path) -> None:
+    write_json(path, trajectories_to_dict(agents))
 
 
-def load_trajectories(path):
+def load_trajectories(path) -> list[AgentTrack]:
     return trajectories_from_dict(_read_json(path, _scene_loads))
 
 
@@ -304,7 +265,7 @@ def write_dataset(dataset: SyntheticDataset, out_dir) -> Path:
         traj_rel = f"traj/{rec.scene_id}.json"
         save_map(rec.gt_map, out / gt_rel)
         save_map(rec.observed_map, out / obs_rel)
-        save_trajectories(rec.agents, rec.modes, out / traj_rel)
+        save_trajectories(rec.agents, out / traj_rel)
         scenes.append({
             "id": rec.scene_id,
             "seed": rec.spec.seed,
@@ -354,7 +315,7 @@ def iter_scene_files(manifest: dict, *parts: str):
 
     ``parts`` names files of :data:`SCENE_FILES`, in the order wanted
     (default: all three). A map loads as one value and the trajectory file
-    as two, agents and modes, so the default yields
+    as two, the agents and each agent's modes, so the default yields
     ``(scene, gt map, observed map, agents, modes)``.
     """
     parts = parts or SCENE_FILES
@@ -366,7 +327,8 @@ def iter_scene_files(manifest: dict, *parts: str):
         row = [scene]
         for part in parts:
             if part == "trajectories":
-                row += load_trajectories(root / scene[part])
+                agents = load_trajectories(root / scene[part])
+                row += [agents, [agent.modes for agent in agents]]
             else:
                 row.append(load_map(root / scene[part]))
         yield tuple(row)

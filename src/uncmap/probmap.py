@@ -4,8 +4,9 @@ A map is one type, :class:`VectorMap`, of one element type,
 :class:`MapElement`. A map holds one column of vertex locations ``mu`` (V, 2).
 An estimated map also holds, per vertex, two independent univariate Laplace
 scales ``b`` (V, 2), one per coordinate, and class logits ``class_logits``
-(V, C); a ground-truth or mean map holds neither. Elements view their rows.
-Every function here takes those arrays. This module provides the joint
+(V, C); a ground-truth or mean map holds neither. Elements view their rows,
+and the map holds every rule of a valid map. Every function here takes
+those arrays. This module provides the joint
 vertex density and its negative log-likelihood with analytic gradients,
 scale/standard-deviation conversions, the frame transform for axis-aligned
 uncertainty, the mean and sampled maps, and the per-vertex feature rows
@@ -15,6 +16,7 @@ that downstream encoders consume.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -184,6 +186,22 @@ class MapElement:
         return len(self.mu)
 
 
+def _is_real(value) -> bool:  # numpy's bool is not a numbers.Real
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _window(perception_range) -> tuple[float, float]:
+    """``perception_range`` as two floats, if it holds two finite positive numbers."""
+    try:
+        lon, lat = perception_range
+        if all(_is_real(v) and 0 < v < math.inf for v in (lon, lat)):
+            return float(lon), float(lat)
+    except (TypeError, ValueError, OverflowError):  # not a pair; an int past the float range
+        pass
+    raise ValueError(f"perception_range must hold 2 numbers, finite and positive; "
+                     f"got {perception_range!r:.40}")
+
+
 def _stacked(arrays) -> tuple[np.ndarray, np.ndarray]:
     """``arrays`` concatenated as floats (ValueError if they do not stack), and row offsets."""
     arrays = [np.asarray(a, dtype=float) for a in arrays]
@@ -197,11 +215,12 @@ class VectorMap:
     The map owns its vertex data as columns in element order: ``mu`` (V, 2),
     and ``b`` (V, 2) and ``class_logits`` (V, C), or ``None`` for a map with
     no scales or elements. Element i views rows ``offsets[i]:offsets[i + 1]``.
-    Construction checks the whole map once, including 2 vertices
-    ``MERGE_EPS`` apart per element (so a ``Polyline`` can be built from it),
-    and raises ``ValueError``, or ``TypeError`` for a class that is not an
-    :class:`ElementClass`. ``out_of_range`` counts estimated vertices outside
-    the window.
+    Construction checks the whole map once: the window (two finite positive
+    numbers), each confidence (a number in [0, 1]) and ``closed`` flag (a
+    bool), stored as floats and bools, and 2 vertices ``MERGE_EPS`` apart per
+    element (so a ``Polyline`` can be built from it). It raises ``ValueError``,
+    or ``TypeError`` for a class that is not an :class:`ElementClass`.
+    ``out_of_range`` counts estimated vertices outside the window.
     """
 
     def __init__(self, elements: list[MapElement], ego_pose: Pose2 = Pose2.identity(),
@@ -230,6 +249,7 @@ class VectorMap:
         return vmap
 
     def _adopt(self, elements, offsets, mu, b, class_logits, ego_pose, perception_range):
+        perception_range = _window(perception_range)
         mu, offsets = np.asarray(mu, dtype=float), np.asarray(offsets)
         counts = np.diff(offsets)
         if mu.ndim != 2 or mu.shape[1] != 2 or len(mu) != offsets[-1] or np.any(counts < 2):
@@ -247,8 +267,10 @@ class VectorMap:
                 raise ValueError("class_logits must be finite")
         if not all(isinstance(el.element_class, ElementClass) for el in elements):
             raise TypeError("element_class must be an ElementClass")
-        if not all(0.0 <= el.confidence <= 1.0 for el in elements):
-            raise ValueError("confidence must lie in [0, 1]")
+        if not all(_is_real(el.confidence) and 0.0 <= el.confidence <= 1.0 for el in elements):
+            raise ValueError("confidence must be a number in [0, 1]")
+        if not all(isinstance(el.closed, (bool, np.bool_)) for el in elements):
+            raise ValueError("closed must be true or false")
         # A Polyline merges steps under MERGE_EPS, so it keeps a second vertex
         # exactly when one lies at least MERGE_EPS from the first.
         step = mu - np.repeat(mu[offsets[:-1]], counts, axis=0)
@@ -262,8 +284,8 @@ class VectorMap:
         self.out_of_range = 0 if b is None else check_perception_range(
             mu, ego_pose, perception_range)
         rows = offsets.tolist()
-        self.elements = [MapElement(mu[lo:hi], el.element_class, el.confidence, el.closed,
-                                    None if b is None else b[lo:hi],
+        self.elements = [MapElement(mu[lo:hi], el.element_class, float(el.confidence),
+                                    bool(el.closed), None if b is None else b[lo:hi],
                                     None if b is None else class_logits[lo:hi])
                          for el, lo, hi in zip(elements, rows[:-1], rows[1:], strict=True)]
 

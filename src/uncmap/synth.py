@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 
 import numpy as np
@@ -33,7 +33,7 @@ from .geometry import (
     resample,
     segment_intersects_disc,
 )
-from .probmap import B_FLOOR, MapElement, VectorMap
+from .probmap import B_FLOOR, MapElement, VectorMap, _is_real
 
 LANE_WIDTH = 3.5
 RATE_HZ = 10
@@ -100,9 +100,8 @@ def _check_real(name: str, value, lo: float, hi: float = math.inf, above: bool =
     """``value`` if it is a finite real number, not a bool, in [lo, hi], or
     in (lo, hi] with ``above``."""
     try:
-        ok = (not isinstance(value, bool) and isinstance(value, numbers.Real)
-              and math.isfinite(value) and (value > lo if above else value >= lo)
-              and value <= hi)
+        ok = (_is_real(value) and math.isfinite(value)
+              and (value > lo if above else value >= lo) and value <= hi)
     except OverflowError:  # an int past the float range
         ok = False
     if not ok:
@@ -182,10 +181,30 @@ class NoiseModel:
 
 @dataclass
 class AgentTrack:
-    """Observed history (current position last) and ground-truth future."""
+    """One agent's history (current position last), ground-truth future and
+    predicted modes, stored as finite float arrays (H, 2), (F, 2) with
+    H, F >= 1, and (K, F, 2), where ``None`` means K = 0. Construction raises
+    ``ValueError``, naming the field, for any other value."""
 
-    history: np.ndarray   # (H, 2)
-    future: np.ndarray    # (F, 2)
+    history: np.ndarray
+    future: np.ndarray
+    modes: np.ndarray | None = None
+
+    def __post_init__(self):
+        for name in ("history", "future", "modes"):
+            value = getattr(self, name)
+            if name == "modes":
+                rows, want = (len(self.future), 2), f"(K, {len(self.future)}, 2)"
+                value = np.empty((0,) + rows) if value is None else value
+            else:
+                rows, want = (2,), "(N, 2) with N >= 1"
+            arr = np.asarray(value, dtype=float)
+            # shape[1:] fixes the rank; history and future need a point.
+            if arr.shape[1:] != rows or (name != "modes" and len(arr) == 0):
+                raise ValueError(f"{name} must have shape {want}, got {arr.shape}")
+            if not np.all(np.isfinite(arr)):
+                raise ValueError(f"{name} holds a non-finite value")
+            setattr(self, name, arr)
 
 
 # ---------------------------------------------------------------------------
@@ -524,7 +543,6 @@ class SceneRecord:
     gt_map: VectorMap
     observed_map: VectorMap
     agents: list[AgentTrack]
-    modes: list[np.ndarray]   # one (K, F, 2) array per agent; may be empty
 
 
 @dataclass
@@ -610,16 +628,13 @@ def _build_record(i: int, spec: SceneSpec, observe_seed: int,
                   cfg: DatasetConfig) -> SceneRecord:
     gt, agents = generate_scene(spec)
     observed = observe(gt, cfg.noise, spec, observe_seed, cfg.resample_count)
-    histories = [agent.history for agent in agents]
-    if cfg.predictor == "exact":
-        modes = [agent.future[None].copy() for agent in agents]
-    elif cfg.predictor == "weighted":
-        modes = predict_scene(histories, observed, cfg.modes, cfg.lam, cfg.b0, weighted=True)
-    elif cfg.predictor == "blind":
-        modes = predict_scene(histories, observed, cfg.modes)
+    if cfg.predictor in ("blind", "weighted"):  # lam and b0 move no blind mode
+        modes = predict_scene([agent.history for agent in agents], observed, cfg.modes,
+                              cfg.lam, cfg.b0, weighted=cfg.predictor == "weighted")
     else:
-        modes = []
-    return SceneRecord(f"scene_{i:04d}", spec, observe_seed, gt, observed, agents, modes)
+        modes = [agent.future[None] if cfg.predictor == "exact" else None for agent in agents]
+    agents = [replace(agent, modes=m) for agent, m in zip(agents, modes)]
+    return SceneRecord(f"scene_{i:04d}", spec, observe_seed, gt, observed, agents)
 
 
 def build_dataset(config: DatasetConfig | None = None) -> SyntheticDataset:

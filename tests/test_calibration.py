@@ -244,9 +244,11 @@ def _pairing_case(name):
         gt = MapElement(np.array([[10.0, 0.0], [6.0, 1.0], [0.0, 0.5]]),
                         ElementClass.LANE_DIVIDER)
         pred_mu = [line + np.array([0.0, 0.4]), line + np.array([0.0, 40.0])]
-    pred = _prob_map(pred_mu, conf=0.8)
-    pred.elements += _prob_map([boundary.vertices + 0.1], cls=ElementClass.ROAD_BOUNDARY,
-                               conf=0.6).elements
+    # One map built from all its elements, so its columns hold every row.
+    pred_elements = (_prob_map(pred_mu, conf=0.8).elements
+                     + _prob_map([boundary.vertices + 0.1], cls=ElementClass.ROAD_BOUNDARY,
+                                 conf=0.6).elements)
+    pred = VectorMap(pred_elements, Pose2.identity(), perception_range=(1e6, 1e6))
     return pred, VectorMap([gt, boundary], Pose2.identity()), count
 
 

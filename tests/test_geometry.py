@@ -197,6 +197,12 @@ class TestResampleProperties:
 
 
 class TestTransforms:
+    @pytest.mark.parametrize("values", [(True, 0.0, 0.0), (0.0, np.False_, 0.0),
+                                        (0.0, 0.0, True), (np.nan, 0.0, 0.0)])
+    def test_pose_needs_finite_numbers(self, values):
+        with pytest.raises(ValueError, match="must be a finite number"):
+            Pose2(*values)
+
     def test_identity(self):
         np.testing.assert_allclose(transform_point((1, 0), Pose2.identity()), [1, 0])
 

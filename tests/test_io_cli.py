@@ -200,38 +200,131 @@ class TestBitExactRoundTrip:
         n_agents = data.draw(st.integers(1, 3))
         horizon = data.draw(st.integers(1, 4))
         agents = [AgentTrack(_arrays(data.draw, (data.draw(st.integers(1, 4)), 2)),
-                             _arrays(data.draw, (horizon, 2))) for _ in range(n_agents)]
-        modes = [_arrays(data.draw, (data.draw(st.integers(0, 3)), horizon, 2))
-                 for _ in range(n_agents)]
+                             _arrays(data.draw, (horizon, 2)),
+                             _arrays(data.draw, (data.draw(st.integers(0, 3)), horizon, 2)))
+                  for _ in range(n_agents)]
         path = tmp_path_factory.mktemp("traj") / "t.json"
-        uio.save_trajectories(agents, modes, path)
-        back_agents, back_modes = uio.load_trajectories(path)
-        for a, b in zip(back_agents, agents, strict=True):
+        uio.save_trajectories(agents, path)
+        for a, b in zip(uio.load_trajectories(path), agents, strict=True):
             assert _bits_equal(a.history, b.history) and _bits_equal(a.future, b.future)
-        for a, b in zip(back_modes, modes, strict=True):
-            assert _bits_equal(a, b)
+            assert _bits_equal(a.modes, b.modes)
 
 
 class TestTrajectoryRoundTrip:
     def test_agents_and_modes(self, tmp_path):
         rng = np.random.default_rng(2)
-        agents = [AgentTrack(rng.normal(size=(20, 2)), rng.normal(size=(30, 2)))
-                  for _ in range(3)]
-        modes = [rng.normal(size=(6, 30, 2)) for _ in range(3)]
+        agents = [AgentTrack(rng.normal(size=(20, 2)), rng.normal(size=(30, 2)),
+                             rng.normal(size=(6, 30, 2))) for _ in range(3)]
         path = tmp_path / "t.json"
-        uio.save_trajectories(agents, modes, path)
-        back_agents, back_modes = uio.load_trajectories(path)
+        uio.save_trajectories(agents, path)
+        back_agents = uio.load_trajectories(path)
         assert json.loads(path.read_text())["rate_hz"] == 10
-        for a, b in zip(back_agents, agents):
+        for a, b in zip(back_agents, agents, strict=True):
             np.testing.assert_array_equal(a.history, b.history)
             np.testing.assert_array_equal(a.future, b.future)
-        for a, b in zip(back_modes, modes):
-            np.testing.assert_array_equal(a, b)
+            np.testing.assert_array_equal(a.modes, b.modes)
 
     def test_mode_length_mismatch_rejected(self, tmp_path):
-        agents = [AgentTrack(np.zeros((20, 2)), np.zeros((30, 2)))]
-        with pytest.raises(ValueError):
-            uio.trajectories_to_dict(agents, [np.zeros((2, 29, 2))])
+        with pytest.raises(ValueError, match=r"modes must have shape \(K, 30, 2\)"):
+            AgentTrack(np.zeros((20, 2)), np.zeros((30, 2)), np.zeros((2, 29, 2)))
+
+
+# The trajectory checks as io made them before AgentTrack checked itself, kept
+# as its reference: the load-side check of each array (an empty modes list
+# meaning none) and the save-side check that every mode spans the future.
+def _reference_track_points(value, horizon=None) -> np.ndarray:
+    arr = np.array(value, dtype=float)
+    if horizon is None:
+        ok = arr.ndim == 2 and arr.shape[1] == 2 and len(arr) >= 1
+    else:
+        ok = arr.ndim == 3 and arr.shape[1:] == (horizon, 2)
+    if not ok:
+        raise ValueError("shape")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("non-finite")
+    return arr
+
+
+def reference_track_check(history, future, modes) -> None:
+    _reference_track_points(history)
+    future = _reference_track_points(future)
+    modes = _reference_track_points(modes, len(future)) if modes \
+        else np.empty((0, len(future), 2))
+    for mode in modes:
+        if len(mode) != len(future):
+            raise ValueError("every mode must span the future horizon")
+
+
+_TRACK_DEFECTS = [None, "empty", "three_columns", "nan", "inf", "horizon", "ragged",
+                  "empty_mode"]
+
+
+@st.composite
+def _tracks(draw):
+    """(history, future, modes) as a trajectory file holds them, nested lists
+    with ``[]`` for no modes, with one kind of defect injected or none."""
+    def points(n):
+        return [[draw(_BIT_FLOATS), draw(_BIT_FLOATS)] for _ in range(n)]
+    horizon = draw(st.integers(1, 4))
+    track = {"history": points(draw(st.integers(1, 4))), "future": points(horizon),
+             "modes": [points(horizon) for _ in range(draw(st.integers(0, 3)))]}
+    defect = draw(st.sampled_from(_TRACK_DEFECTS))
+    name = draw(st.sampled_from([key for key, value in track.items() if value]))
+    # The points of one array: history, future, or one mode.
+    rows = track[name] if name != "modes" else draw(st.sampled_from(track[name]))
+    i = draw(st.integers(0, len(rows) - 1))
+    if defect == "empty":
+        track[name] = []
+    elif defect == "three_columns":
+        for row in rows:
+            row.append(0.0)
+    elif defect in ("nan", "inf"):
+        rows[i][draw(st.integers(0, 1))] = float(defect) * draw(st.sampled_from([1, -1]))
+    elif defect == "horizon":  # the future, or every mode, gains or loses a point
+        for arr in [track["future"]] if name == "future" else track["modes"]:
+            if draw(st.booleans()):
+                arr.append([0.0, 1.0])
+            else:
+                arr.pop()
+    elif defect == "ragged":
+        rows[i] = rows[i][:1]
+    elif defect == "empty_mode":
+        track["modes"] = [[]]
+    return track["history"], track["future"], track["modes"]
+
+
+class TestAgentTrackChecks:
+    # A file's empty list has shape (0,); an array can have no points but two columns.
+    @pytest.mark.parametrize("name", ["history", "future"])
+    def test_no_points_refused(self, name):
+        arrays = {"history": np.zeros((3, 2)), "future": np.zeros((3, 2)), name: np.empty((0, 2))}
+        with pytest.raises(ValueError, match=f"^{name} must have shape"):
+            AgentTrack(**arrays)
+
+    @settings(max_examples=400, deadline=None)
+    @given(track=_tracks())
+    def test_raises_exactly_when_io_did(self, track, tmp_path_factory):
+        history, future, modes = track
+        doc = {"schema_version": uio.TRAJ_SCHEMA, "rate_hz": 10,
+               "agents": [{"history": history, "future_gt": future, "modes": modes}]}
+        try:
+            reference_track_check(history, future, modes)
+        except ValueError:
+            with pytest.raises(ValueError):
+                AgentTrack(history, future, modes or None)
+            with pytest.raises(uio.DataError, match="^agent 0 "):
+                uio.trajectories_from_dict(doc)
+            return
+        agent = AgentTrack(history, future, modes or None)
+        path = tmp_path_factory.mktemp("track") / "t.json"
+        uio.save_trajectories([agent], path)
+        # The file is the one io wrote before, and every value reloads bit for bit.
+        assert path.read_text() == json.dumps(doc, indent=2) + "\n"
+        want = (np.array(history), np.array(future),
+                np.array(modes) if modes else np.empty((0, len(future), 2)))
+        for got in (agent, *uio.trajectories_from_dict(doc), *uio.load_trajectories(path)):
+            assert all(_bits_equal(a, b) for a, b in zip((got.history, got.future, got.modes),
+                                                         want, strict=True))
 
 
 # Values json writes with indent=2: floats of every kind (alone and in the
@@ -643,10 +736,9 @@ class TestCliEval:
         uio.save_map(small_prob_map(), out / "maps/scene_0000_obs.json")
         future = np.column_stack([np.zeros(30), np.linspace(0.1, 3.0, 30)])
         history = np.column_stack([np.zeros(20), np.linspace(-1.9, 0.0, 20)])
-        agents = [AgentTrack(history, future)]
         for name, offset in (("one", 1.0), ("three", 3.0)):
-            modes = [np.stack([future + np.array([offset, 0.0])])]
-            uio.save_trajectories(agents, modes, out / "traj/scene_0000.json")
+            agents = [AgentTrack(history, future, np.stack([future + np.array([offset, 0.0])]))]
+            uio.save_trajectories(agents, out / "traj/scene_0000.json")
             manifest = {
                 "schema_version": uio.MANIFEST_SCHEMA,
                 "master_seed": 0,
@@ -842,7 +934,8 @@ class TestSceneFileReads:
                      "--out", str(tmp_path / "r")]) == 3
         err = capsys.readouterr().err
         assert err.startswith("data error:") and err.count("\n") == 1
-        assert f"agent 0 {key}" in err
+        # The message names the AgentTrack field the file key maps onto.
+        assert f"agent 0 {key.removesuffix('_gt')}" in err
 
     @pytest.mark.parametrize("command", ["eval-pred", "compare-predictors"])
     def test_integer_past_float_range_exits_3(self, command, dataset_dir, tmp_path, capsys):
@@ -953,11 +1046,16 @@ class TestCliInvalidValues:
         ("eval-pred", "--miss-threshold", "nan"),
         ("compare-predictors", "--lam", "-5"),
         ("compare-predictors", "--b0", "0"),
+        # json writes infinity as the invalid token Infinity.
+        ("analyze-uncertainty", "--bin-edges", "0,inf"),
+        ("analyze-uncertainty", "--bin-edges", "-inf,0"),
+        ("eval-map", "--ap-thresholds", "0.5,inf"),
     ])
     def test_exits_2_with_one_line(self, command, flag, value, dataset_dir, tmp_path,
                                    capsys):
+        # flag=value, so argparse does not read "-inf,0" as another option.
         rc = main([command, "--manifest", str(dataset_dir / "manifest.json"),
-                   "--out", str(tmp_path / "r"), flag, value])
+                   "--out", str(tmp_path / "r"), f"{flag}={value}"])
         assert rc == 2
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -1215,6 +1313,28 @@ class TestContractProbe:
         data["perception_range"] = window
         with pytest.raises(uio.DataError, match="perception_range must hold 2 numbers"):
             uio.map_from_dict(data)
+
+    # A leaf of the wrong type is refused, not coerced: bool("false") would
+    # make a closed loop and float("0.9") a confidence.
+    @pytest.mark.parametrize("key, value, names", [
+        ("closed", "false", "closed"), ("closed", 0.5, "closed"),
+        ("confidence", "0.9", "confidence"), ("confidence", True, "confidence"),
+        ("position", [True, False], "Pose2.x")])
+    def test_type_confused_map_leaf_exits_3(self, key, value, names, dataset_dir, tmp_path,
+                                            capsys):
+        data = tmp_path / "data"
+        shutil.copytree(dataset_dir, data)
+        target = data / json.loads((data / "manifest.json").read_text())["scenes"][0]["gt_map"]
+        m = json.loads(target.read_text())
+        (m["ego_pose"] if key == "position" else m["elements"][0])[key] = value
+        with pytest.raises(uio.DataError, match=names):
+            uio.map_from_dict(m)
+        target.write_text(json.dumps(m))
+        assert main(["eval-map", "--manifest", str(data / "manifest.json"),
+                     "--out", str(tmp_path / "r")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error: malformed map file:") and err.count("\n") == 1
+        assert names in err
 
     @pytest.mark.parametrize("where", ["perception_range", "mu"])
     def test_integer_past_float_range_is_a_data_error(self, where):

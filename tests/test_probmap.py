@@ -1,4 +1,5 @@
 import math
+import numbers
 import warnings
 
 import numpy as np
@@ -312,6 +313,31 @@ class TestValidation:
             warnings.simplefilter("error")
             assert VectorMap([el], Pose2.identity()).out_of_range == 0
 
+    # Any other window makes out_of_range meaningless: a NaN side counts no
+    # vertex and a negative one every vertex.
+    @pytest.mark.parametrize("window", [(np.nan, 30.0), (-5.0, 0.0), ("60", 30.0),
+                                        (True, 30.0), (60.0,), (10**400, 30.0)])
+    def test_window_must_hold_two_finite_positive_numbers(self, window):
+        el = _element(np.array([[0.0, 0.0], [100.0, 0.0]]), np.ones((2, 2)))
+        with pytest.raises(ValueError, match="perception_range must hold 2 numbers"):
+            VectorMap([el], Pose2.identity(), window)
+
+    @pytest.mark.parametrize("labels", [{"closed": "no"}, {"closed": 1},
+                                        {"confidence": "0.9"}, {"confidence": True}])
+    def test_labels_must_be_a_bool_and_a_number(self, labels):
+        el = MapElement(np.array([[0.0, 0.0], [1.0, 0.0]]), ElementClass.LANE_DIVIDER, **labels)
+        with pytest.raises(ValueError, match=next(iter(labels))):
+            VectorMap([el])
+
+    def test_window_and_labels_stored_as_floats_and_bools(self):
+        el = MapElement(np.array([[0.0, 0.0], [1.0, 0.0]]), ElementClass.LANE_DIVIDER,
+                        np.int64(1), np.True_)
+        vmap = VectorMap([el], Pose2.identity(), (60, np.float64(30.0)))
+        assert [type(v) for v in vmap.perception_range] == [float, float]
+        assert vmap.perception_range == (60.0, 30.0)
+        got = vmap.elements[0]
+        assert type(got.confidence) is float and got.confidence == 1.0 and got.closed is True
+
     @pytest.mark.parametrize("given", ["b", "class_logits"])
     def test_scales_and_logits_come_together(self, given):
         arrays = {"b": np.ones((2, 2)), "class_logits": np.zeros((2, 4))}
@@ -338,8 +364,9 @@ class TestValidation:
 
 # The map checks as they stood when each element checked itself, kept as the
 # reference for VectorMap's one pass over a map: every element's checks in
-# turn, then the map's, then the coincident-vertex rule that io applied to a
-# loaded map (there as a DataError, a ValueError).
+# turn (with the label rules added later), then the map's, then the
+# coincident-vertex rule that io applied to a loaded map (there as a
+# DataError, a ValueError).
 def _reference_element(el) -> np.ndarray:
     mu = np.asarray(el.mu, dtype=float)
     if mu.ndim != 2 or mu.shape[1] != 2 or len(mu) < 2:
@@ -361,8 +388,14 @@ def _reference_element(el) -> np.ndarray:
             raise ValueError("class_logits finite")
     if not isinstance(el.element_class, ElementClass):
         raise TypeError("element_class")
+    # The label rules added since: a confidence is a real number, not a
+    # bool, and closed is a bool.
+    if isinstance(el.confidence, bool) or not isinstance(el.confidence, numbers.Real):
+        raise ValueError("confidence type")
     if not 0.0 <= el.confidence <= 1.0:
         raise ValueError("confidence")
+    if not isinstance(el.closed, (bool, np.bool_)):
+        raise ValueError("closed")
     return mu
 
 
@@ -384,7 +417,7 @@ def reference_map_check(elements) -> None:
 
 _DEFECTS = ["nan_mu", "inf_b", "nan_logits", "zero_b", "negative_b", "mu_shape", "b_shape",
             "logits_shape", "rows_moved", "few_vertices", "coincident", "mixed", "b_alone",
-            "confidence", "class"]
+            "confidence", "closed", "class"]
 
 
 @st.composite
@@ -426,7 +459,9 @@ def _element_lists(draw):
             el.b = np.ones((n, 2)) if el.b is None else el.b
             el.class_logits = None
         elif defect == "confidence":
-            el.confidence = draw(st.sampled_from([-0.1, 1.5, np.nan, None]))
+            el.confidence = draw(st.sampled_from([-0.1, 1.5, np.nan, None, "0.9", True, False]))
+        elif defect == "closed":
+            el.closed = draw(st.sampled_from(["no", "false", 0.5, 0, None]))
         elif defect == "class":
             el.element_class = draw(st.sampled_from(["lane_divider", None, 3]))
         elif el.b is not None:  # the defects of an estimated element's scales and logits

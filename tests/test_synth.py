@@ -279,7 +279,7 @@ class TestDataset:
         cfg = DatasetConfig(n_scenes=2, seed=1, predictor="exact")
         ds = build_dataset(cfg)
         rec = ds.records[0]
-        np.testing.assert_array_equal(rec.modes[0][0], rec.agents[0].future)
+        np.testing.assert_array_equal(rec.agents[0].modes[0], rec.agents[0].future)
 
 
 # The per-agent predictors as they were before the per-scene form, kept as
