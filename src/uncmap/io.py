@@ -10,14 +10,14 @@ trajectory file onto an :class:`~uncmap.synth.AgentTrack` (an empty
 is a data error. A trajectory file's ``rate_hz`` must be the int ``RATE_HZ``.
 
 Every file is byte-identical to ``json.dumps(obj, indent=2)`` plus a final
-newline. ``io`` writes it with its own encoder because, on CPython 3.11,
-``JSONEncoder.iterencode`` uses the C encoder only when ``indent`` is None;
-with an indent, each of the hundreds of thousands of floats in a dataset
-goes through the pure-Python generators, which made encoding the largest
-cost of ``generate``. The encoder writes each list of floats with one
-``str.join`` over ``float.__repr__`` and hands every value it does not
-write itself to ``json.dumps``. (orjson does not write these bytes: its
-float text differs, ``0.00001`` for ``1e-05`` and ``1e16`` for ``1e+16``.)
+newline. Reports and manifests are written by ``json.dumps`` itself. Scene
+files are written by ``orjson.dumps`` with ``OPT_INDENT_2``, which gives the
+same bytes many times faster as long as every float is 0 or has a
+magnitude in [1e-4, 1e16): outside that range its float text differs
+(``0.00005`` for ``5e-05``, ``1e16`` for ``1e+16``). ``save_map`` and
+``save_trajectories`` pass the arrays that hold the record's floats, one
+numpy test checks the range, and a record that fails it, or that holds a
+type orjson refuses (``np.float64``), goes to ``json.dumps``.
 
 Scene files (maps and trajectories) are read with ``orjson.loads``, which
 decodes them in about half the time ``json.loads`` takes, to the same
@@ -124,7 +124,9 @@ def map_from_dict(data: dict) -> VectorMap:
 
 
 def save_map(m: VectorMap, path) -> None:
-    write_json(path, map_to_dict(m))
+    pose = m.ego_pose
+    write_json(path, map_to_dict(m), [m.mu, m.b, m.class_logits, [pose.x, pose.y, pose.heading],
+                                      m.perception_range, [el.confidence for el in m.elements]])
 
 
 def load_map(path) -> VectorMap:
@@ -166,7 +168,8 @@ def trajectories_from_dict(data: dict) -> list[AgentTrack]:
 
 
 def save_trajectories(agents, path) -> None:
-    write_json(path, trajectories_to_dict(agents))
+    write_json(path, trajectories_to_dict(agents),
+               [a for agent in agents for a in (agent.history, agent.future, agent.modes)])
 
 
 def load_trajectories(path) -> list[AgentTrack]:
@@ -370,86 +373,32 @@ def _read_json(path, loads=_json_loads) -> dict:
     return data
 
 
-_float_repr = float.__repr__
-_encode_str = json.encoder.encode_basestring_ascii
-# Text around the items of a container at nesting level L (L = 0 at the top):
-# the opening bracket and first line break, the separator between items, and
-# the closing line break and bracket. Deeper nesting falls back to json.dumps.
-_MAX_LEVEL = 32
-_ITEM = ["\n" + "  " * (level + 1) for level in range(_MAX_LEVEL)]
-_OPEN_LIST = ["[" + item for item in _ITEM]
-_OPEN_DICT = ["{" + item for item in _ITEM]
-_SEP = ["," + item for item in _ITEM]
-_CLOSE_LIST = ["\n" + "  " * level + "]" for level in range(_MAX_LEVEL)]
-_CLOSE_DICT = ["\n" + "  " * level + "}" for level in range(_MAX_LEVEL)]
+def _repr_safe(floats) -> bool:
+    """Whether every value of the arrays ``floats`` (``None`` skipped) is 0 or
+    has a magnitude in [1e-4, 1e16), where orjson writes ``float.__repr__``'s
+    text; NaN and infinities fail."""
+    return all(np.all((a == 0) | ((a >= 1e-4) & (a < 1e16)))
+               for a in (np.abs(np.asarray(f, dtype=float)) for f in floats if f is not None))
 
 
-def _encode(o, level: int, out: list) -> None:
-    """Append the ``json.dumps(indent=2)`` text of ``o`` at ``level`` to ``out``.
-
-    Containers, strings and finite floats are written here, tested with
-    ``isinstance`` as ``json.encoder`` does; every other value (ints, bools,
-    None, NaN, infinities, unknown types) is written by ``json.dumps``, so
-    its text and its exceptions are json's own.
-    """
-    if isinstance(o, (list, tuple)):
-        if not o:
-            out.append("[]")
-            return
-        sep = _SEP[level]
+def write_json(path, obj, floats=None) -> None:
+    """Write ``json.dumps(obj, indent=2)`` and a newline to ``path``, by orjson
+    when the arrays ``floats`` hold every float of ``obj`` and pass
+    :func:`_repr_safe` (``obj``'s strings must then be ASCII, as a scene
+    file's are); json writes what orjson refuses, so the bytes and the
+    exceptions are json's. The text is encoded before the file is opened, so
+    a failed write leaves no file."""
+    data = None
+    if floats is not None and _repr_safe(floats):
         try:
-            # float.__repr__ raises TypeError on any item that is not a float.
-            text = sep.join(map(_float_repr, o))
+            data = orjson.dumps(obj, option=orjson.OPT_INDENT_2) + b"\n"
         except TypeError:
-            text = None
-        if text is not None and "n" not in text:  # no nan, inf or -inf
-            out += (_OPEN_LIST[level], text, _CLOSE_LIST[level])
-            return
-        head = _OPEN_LIST[level]
-        for value in o:
-            out.append(head)
-            head = sep
-            _encode(value, level + 1, out)
-        out.append(_CLOSE_LIST[level])
-    elif isinstance(o, dict):
-        if not o:
-            out.append("{}")
-            return
-        sep = _SEP[level]
-        head = _OPEN_DICT[level]
-        for key, value in o.items():
-            # json.dumps quotes a non-str key as it does in a dict, or raises
-            # json's TypeError for it.
-            key = _encode_str(key) if isinstance(key, str) else json.dumps({key: 0})[1:-4]
-            out += (head, key, ": ")
-            head = sep
-            _encode(value, level + 1, out)
-        out.append(_CLOSE_DICT[level])
-    elif isinstance(o, str):
-        out.append(_encode_str(o))
-    elif isinstance(o, float):
-        text = _float_repr(o)
-        out.append(text if "n" not in text else json.dumps(o))
-    else:
-        out.append(json.dumps(o))
-
-
-def _dumps_indent2(obj) -> str:
-    """``json.dumps(obj, indent=2)``, byte for byte, one ``join`` per list of floats."""
-    out: list[str] = []
-    try:
-        _encode(obj, 0, out)
-    except (IndexError, RecursionError):
-        # Nesting deeper than _MAX_LEVEL, or a circular structure: json
-        # writes the former and raises its own error for the latter.
-        return json.dumps(obj, indent=2)
-    return "".join(out)
-
-
-def write_json(path, obj: dict) -> None:
+            pass
+    if data is None:
+        data = (json.dumps(obj, indent=2) + "\n").encode("utf-8")
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(_dumps_indent2(obj) + "\n", encoding="utf-8")
+    path.write_bytes(data)
 
 
 def write_csv(path, header: list[str], rows: list[list]) -> None:

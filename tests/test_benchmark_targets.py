@@ -66,6 +66,27 @@ def test_report_stages_trace_the_walks(tmp_path):
         assert calls.get(name, 0) > 0, name
 
 
+def test_generate_writes_every_file_through_write_json(tmp_path, monkeypatch):
+    """``generate`` on the benchmark's README config writes each file, scene
+    files included, with one ``io.write_json`` call, whose path argument the
+    tracer reads for ``io.bytes_written``."""
+    from uncmap import cli, io
+
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(dict(run_constants("README_CONFIG")["README_CONFIG"], seed=7)))
+    written = []
+    write_json = io.write_json
+
+    def spy(path, *args, **kwargs):
+        written.append(Path(path))
+        return write_json(path, *args, **kwargs)
+    monkeypatch.setattr(io, "write_json", spy)
+    out = tmp_path / "data"
+    assert cli.main(["generate", "--config", str(config), "--out", str(out)]) == 0
+    files = sorted(p for p in out.rglob("*") if p.is_file())
+    assert len(written) == len(files) == 301
+    assert sorted(written) == files
+
 def test_fit_workload_attributes_resolve():
     """The attributes ``perfbench/run.py``'s fit workload reads resolve on
     the maps it builds: one scene through ``observe``, ``mean_map``,

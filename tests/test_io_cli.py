@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import json
 import os
@@ -130,11 +131,27 @@ class TestCoincidentVertices:
 
 
 # Floats whose text and bits json must keep: signed zero, the smallest
-# subnormal, huge magnitudes, and ordinary values.
-_BIT_FLOATS = st.one_of(st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 1e300, -1e300]),
-                        st.floats(-1e300, 1e300))
-_POSITIVE_FLOATS = st.one_of(st.sampled_from([5e-324, 1e-300, 1e300]),
-                             st.floats(1e-300, 1e300))
+# subnormal, huge magnitudes, the edges of the range in which orjson writes
+# float.__repr__'s text ([1e-4, 1e16)) and values just outside it, and
+# ordinary values, some inside that range.
+_RANGE_EDGES = [1e-4, float(np.nextafter(1e-4, 0)), 1e16, float(np.nextafter(1e16, 0)),
+                B_FLOOR, 5.803152648087284e-05]
+_BIT_FLOATS = st.one_of(st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 1e300, -1e300]
+                                        + _RANGE_EDGES),
+                        st.floats(-1e300, 1e300), st.floats(-1e3, 1e3))
+_POSITIVE_FLOATS = st.one_of(st.sampled_from([5e-324, 1e-300, 1e300] + _RANGE_EDGES),
+                             st.floats(1e-300, 1e300), st.floats(1e-3, 1e3))
+# An example draws its values and scales from the strategies above, from
+# inside that range only, so that many records take the orjson path, or from
+# inside it and its edges, so that one value at an edge decides the path.
+_IN_RANGE = st.floats(1e-3, 1e3)
+_NEAR_RANGE = st.one_of(st.sampled_from(_RANGE_EDGES), _IN_RANGE)
+_RECORD_FLOATS = [(_BIT_FLOATS, _POSITIVE_FLOATS),
+                  (st.one_of(_IN_RANGE, st.floats(-1e3, -1e-3)), _IN_RANGE),
+                  (st.one_of(_NEAR_RANGE, st.floats(-1e3, -1e-3)), _NEAR_RANGE)]
+# A pose coordinate as a float, an np.float64 (which orjson refuses) or an int.
+_COORDINATES = st.one_of(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3).map(np.float64),
+                         st.integers(-1000, 1000))
 
 
 def _bits_equal(a, b) -> bool:
@@ -150,10 +167,11 @@ def _arrays(draw, shape, elements=_BIT_FLOATS):
 @st.composite
 def _maps(draw):
     probabilistic = draw(st.booleans())
+    values, scales = draw(st.sampled_from(_RECORD_FLOATS))
     elements = []
     for _ in range(draw(st.integers(0, 3))):
         n = draw(st.integers(2, 5))
-        mu = _arrays(draw, (n, 2))
+        mu = _arrays(draw, (n, 2), values)
         # A vertex far from the first keeps the element a valid polyline.
         mu[-1] = np.where(np.abs(mu[0]) >= 1.0, -mu[0], mu[0] + 1.0)
         cls = draw(st.sampled_from(list(ElementClass)))
@@ -161,12 +179,12 @@ def _maps(draw):
         closed = draw(st.booleans())
         b = logits = None
         if probabilistic:
-            b, logits = _arrays(draw, (n, 2), _POSITIVE_FLOATS), _arrays(draw, (n, 4))
+            b, logits = _arrays(draw, (n, 2), scales), _arrays(draw, (n, 4), values)
         elements.append(MapElement(mu, cls, confidence, closed, b=b, class_logits=logits))
     heading = draw(st.one_of(st.sampled_from([np.pi, -np.pi, np.nextafter(np.pi, 0),
                                               np.nextafter(-np.pi, 0)]),
                              st.floats(-3.2, 3.2)))
-    pose = Pose2(draw(st.floats(-1e3, 1e3)), draw(st.floats(-1e3, 1e3)), heading)
+    pose = Pose2(draw(_COORDINATES), draw(_COORDINATES), heading)
     rng = (draw(st.floats(1.0, 200.0)), draw(st.floats(1.0, 200.0)))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # vertices outside the perception range
@@ -179,6 +197,7 @@ class TestBitExactRoundTrip:
     def test_maps(self, m, tmp_path_factory):
         path = tmp_path_factory.mktemp("map") / "m.json"
         uio.save_map(m, path)
+        assert path.read_text() == json.dumps(uio.map_to_dict(m), indent=2) + "\n"
         back = uio.load_map(path)
         assert type(back) is type(m)
         assert _bits_equal([back.ego_pose.x, back.ego_pose.y, back.ego_pose.heading],
@@ -199,12 +218,16 @@ class TestBitExactRoundTrip:
     def test_trajectories(self, data, tmp_path_factory):
         n_agents = data.draw(st.integers(1, 3))
         horizon = data.draw(st.integers(1, 4))
-        agents = [AgentTrack(_arrays(data.draw, (data.draw(st.integers(1, 4)), 2)),
-                             _arrays(data.draw, (horizon, 2)),
-                             _arrays(data.draw, (data.draw(st.integers(0, 3)), horizon, 2)))
+        values, _ = data.draw(st.sampled_from(_RECORD_FLOATS))
+
+        def points(*shape):
+            return _arrays(data.draw, shape, values)
+        agents = [AgentTrack(points(data.draw(st.integers(1, 4)), 2), points(horizon, 2),
+                             points(data.draw(st.integers(0, 3)), horizon, 2))
                   for _ in range(n_agents)]
         path = tmp_path_factory.mktemp("traj") / "t.json"
         uio.save_trajectories(agents, path)
+        assert path.read_text() == json.dumps(uio.trajectories_to_dict(agents), indent=2) + "\n"
         for a, b in zip(uio.load_trajectories(path), agents, strict=True):
             assert _bits_equal(a.history, b.history) and _bits_equal(a.future, b.future)
             assert _bits_equal(a.modes, b.modes)
@@ -642,10 +665,10 @@ GOLDEN_REPORTS = [
      "9f085def40e754ea333fdc0e8e2fb6fe99710e8499a89f87cd6787eaac4dc7d7"),
     (["calibrate"], "calibration.json",
      "af5246a3657741c034cf6c0a13ca6ca36945ad6f7dc7396eb8bfe73deb14fca3"),
-    # The other report files of the five stages, recorded before io got its
-    # own JSON encoder and before each stage read only the scene files it
-    # uses. uncertainty_bins.json holds nulls, which the encoder hands to
-    # json.dumps.
+    # The other report files of the five stages, recorded while every file
+    # was written by json.dumps(indent=2) and before each stage read only the
+    # scene files it uses. Reports are still written by json.dumps;
+    # uncertainty_bins.json holds nulls.
     (["eval-map"], "eval_map.csv",
      "d433ac8c171f6de34f6c12c710c15c4b0eff59bea4ce8d917d1e8217d845c87b"),
     (["eval-pred"], "eval_pred.json",
@@ -1250,9 +1273,11 @@ def _json_leaves(obj, path=()):
 
 
 # Replacement values: wrong types, non-finite and extreme numbers, huge
-# integers and empty containers.
+# integers and empty containers. Each draw is a copy, so a later mutation of
+# a tree never changes the list or dict that the strategy holds.
 _LEAF_VALUES = st.sampled_from([None, True, 0, -1, 2**70, 0.0, -3.5, 1e-300, 1e308,
-                                float("nan"), float("inf"), "", "x", [], {}, [0.0, 0.0]])
+                                float("nan"), float("inf"), "", "x", [], {}, [0.0, 0.0]]
+                               ).map(copy.deepcopy)
 
 
 class TestContractProbe:
