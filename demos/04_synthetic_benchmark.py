@@ -71,9 +71,8 @@ for i in range(len(stat.count)):
         print(f"  {stat.bin_edges[i]:4.0f}-{stat.bin_edges[i + 1]:.0f} m: "
               f"b = {stat.mean[i]:.3f} +/- {stat.ci95_half_width[i]:.3f} "
               f"(n={stat.count[i]})")
-    rows.append([float(stat.bin_edges[i]), float(stat.bin_edges[i + 1]),
-                 float(stat.mean[i]) if stat.count[i] else "",
-                 float(stat.ci95_half_width[i]), int(stat.count[i])])
+    rows.append([stat.bin_edges[i], stat.bin_edges[i + 1], stat.mean[i],
+                 stat.ci95_half_width[i], stat.count[i]])
 uio.write_csv(out / "uncertainty_vs_distance.csv",
               ["bin_lo", "bin_hi", "mean_b", "ci95_half_width", "count"], rows)
 

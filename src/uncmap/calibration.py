@@ -3,8 +3,9 @@
 Regression calibration: the fraction of ground-truth coordinates falling
 inside central Laplace credibility intervals should equal the nominal
 level. Both :func:`laplace_interval` and :func:`coverage_arrays` take
-location/scale arrays, the form every map element stores. Classification calibration: top-1 reliability diagram and expected
-calibration error (ECE).
+location/scale arrays, the form every map element stores. Classification
+calibration: top-1 reliability diagram and expected calibration error
+(ECE).
 
 Pairing a predicted map with ground truth for coverage is inherently
 approximate (point sets have no canonical correspondence); the rule here
@@ -79,15 +80,6 @@ class CoverageReport:
     coverage_x: np.ndarray
     coverage_y: np.ndarray
     n: int                              # pooled coordinate count
-
-    def to_dict(self) -> dict:
-        return {
-            "nominal_levels": list(self.nominal_levels),
-            "empirical_coverage": [float(v) for v in self.empirical_coverage],
-            "coverage_x": [float(v) for v in self.coverage_x],
-            "coverage_y": [float(v) for v in self.coverage_y],
-            "n": self.n,
-        }
 
 
 def coverage_arrays(mu: np.ndarray, b: np.ndarray, gt: np.ndarray,
@@ -197,18 +189,6 @@ class ReliabilityReport:
     bin_accuracy: np.ndarray     # NaN for empty bins
     bin_count: np.ndarray
     ece: float
-
-    def to_dict(self) -> dict:
-        def clean(v):
-            return None if math.isnan(v) else float(v)
-
-        return {
-            "bin_edges": [float(v) for v in self.bin_edges],
-            "bin_confidence": [clean(float(v)) for v in self.bin_confidence],
-            "bin_accuracy": [clean(float(v)) for v in self.bin_accuracy],
-            "bin_count": [int(v) for v in self.bin_count],
-            "ece": float(self.ece),
-        }
 
 
 def reliability(probs, labels, bins: int = 10) -> ReliabilityReport:

@@ -81,12 +81,8 @@ _bin_edges = _float_list("strictly increasing with at least 2 entries",
                          lambda v: len(v) >= 2 and _increasing(v))
 
 
-def _out_dir(args, manifest_path: Path) -> Path:
-    return Path(args.out) if args.out else manifest_path.parent / "reports"
-
-
-def _load_manifest(args) -> dict:
-    return io.load_manifest(Path(args.manifest))
+def _out_dir(args) -> Path:
+    return Path(args.out) if args.out else Path(args.manifest).parent / "reports"
 
 
 def _scaled_map(scene: dict, observed):
@@ -110,7 +106,7 @@ def cmd_generate(args) -> int:
 
 
 def cmd_eval_map(args) -> int:
-    manifest = _load_manifest(args)
+    manifest = io.load_manifest(args.manifest)
     cfg = map_eval.APConfig(thresholds=args.ap_thresholds,
                             resample_count=args.resample_count,
                             matching=args.matching)
@@ -122,20 +118,14 @@ def cmd_eval_map(args) -> int:
         report = map_eval.evaluate_scenes(pairs, cfg)
     except ValueError as exc:  # coordinates so large that a polyline walk overflows
         raise io.DataError(f"cannot evaluate the maps: {exc}") from exc
-    effective = {"command": "eval-map", "thresholds": list(cfg.thresholds),
+    effective = {"command": "eval-map", "thresholds": cfg.thresholds,
                  "resample_count": cfg.resample_count, "matching": cfg.matching}
-    out = _out_dir(args, Path(args.manifest))
-    io.write_json(out / "eval_map.json", {
-        "report": report.to_dict(),
-        "reproducibility": io.reproducibility_block(effective, manifest),
-    })
-    rows = []
-    for ci, cls in enumerate(report.classes):
-        for ti, thr in enumerate(report.thresholds):
-            v = report.ap[ci, ti]
-            rows.append([cls.value, thr, "" if np.isnan(v) else float(v)])
-    rows.append(["__mean__", "", float(report.map_score)])
-    io.write_csv(out / "eval_map.csv", ["class", "threshold", "ap"], rows)
+    out = _out_dir(args)
+    io.write_report(out / "eval_map.json", {"report": report.to_dict()}, effective, manifest)
+    rows = [[cls.value, thr, ap] for cls, row in zip(report.classes, report.ap)
+            for thr, ap in zip(report.thresholds, row)]
+    io.write_csv(out / "eval_map.csv", ["class", "threshold", "ap"],
+                 rows + [["__mean__", "", report.map_score]])
     print(f"mAP = {report.map_score:.6f} over {len(pairs)} scenes -> {out}")
     return 0
 
@@ -154,31 +144,26 @@ def _trajectory_sets(manifest) -> tuple[list[TrajectorySet], list[list]]:
 
 
 def cmd_eval_pred(args) -> int:
-    manifest = _load_manifest(args)
+    manifest = io.load_manifest(args.manifest)
     sets, keys = _trajectory_sets(manifest)
     if not sets:
         raise io.DataError("manifest contains no agents")
     report = pred_eval.evaluate_trajectories(sets, args.miss_threshold)
     effective = {"command": "eval-pred", "miss_threshold": args.miss_threshold}
-    out = _out_dir(args, Path(args.manifest))
-    io.write_json(out / "eval_pred.json", {
-        "report": report.to_dict(),
-        "reproducibility": io.reproducibility_block(effective, manifest),
-    })
-    rows = [
-        key + [pred_eval.min_ade(ts), pred_eval.min_fde(ts),
-               int(pred_eval.miss(ts, args.miss_threshold))]
-        for key, ts in zip(keys, sets)
-    ]
+    out = _out_dir(args)
+    io.write_report(out / "eval_pred.json", {"report": report}, effective, manifest)
     io.write_csv(out / "eval_pred_agents.csv",
-                 ["scene", "agent", "min_ade", "min_fde", "miss"], rows)
+                 ["scene", "agent", "min_ade", "min_fde", "miss"],
+                 (key + [pred_eval.min_ade(ts), pred_eval.min_fde(ts),
+                         pred_eval.miss(ts, args.miss_threshold)]
+                  for key, ts in zip(keys, sets)))
     print(f"minADE={report.minADE:.4f} minFDE={report.minFDE:.4f} "
           f"MR={report.MR:.4f} over {report.n_agents} agents -> {out}")
     return 0
 
 
 def cmd_calibrate(args) -> int:
-    manifest = _load_manifest(args)
+    manifest = io.load_manifest(args.manifest)
     parts = []
     for scene, gt, observed in io.iter_scene_files(manifest, "gt_map", "observed_map"):
         observed = _scaled_map(scene, observed)
@@ -197,27 +182,20 @@ def cmd_calibrate(args) -> int:
     labels = np.concatenate([p.labels for p in parts])
     cov = calibration.coverage_arrays(mu, b, gt_pts, args.levels)
     rel = calibration.reliability(probs, labels, bins=args.bins)
-    effective = {"command": "calibrate", "levels": list(args.levels), "bins": args.bins,
+    effective = {"command": "calibrate", "levels": args.levels, "bins": args.bins,
                  "match_threshold": args.match_threshold,
                  "resample_count": args.resample_count}
-    out = _out_dir(args, Path(args.manifest))
-    io.write_json(out / "calibration.json", {
-        "coverage": cov.to_dict(),
-        "reliability": rel.to_dict(),
-        "reproducibility": io.reproducibility_block(effective, manifest),
-    })
+    out = _out_dir(args)
+    io.write_report(out / "calibration.json", {"coverage": cov, "reliability": rel},
+                    effective, manifest)
     io.write_csv(out / "coverage.csv",
                  ["level", "empirical", "empirical_x", "empirical_y", "n"],
-                 [[lv, float(c), float(cx), float(cy), cov.n]
-                  for lv, c, cx, cy in zip(cov.nominal_levels, cov.empirical_coverage,
-                                           cov.coverage_x, cov.coverage_y)])
+                 ((*row, cov.n) for row in zip(cov.nominal_levels, cov.empirical_coverage,
+                                               cov.coverage_x, cov.coverage_y)))
     io.write_csv(out / "reliability.csv",
                  ["bin_lo", "bin_hi", "mean_confidence", "accuracy", "count"],
-                 [[float(rel.bin_edges[i]), float(rel.bin_edges[i + 1]),
-                   "" if np.isnan(rel.bin_confidence[i]) else float(rel.bin_confidence[i]),
-                   "" if np.isnan(rel.bin_accuracy[i]) else float(rel.bin_accuracy[i]),
-                   int(rel.bin_count[i])]
-                  for i in range(len(rel.bin_count))])
+                 zip(rel.bin_edges, rel.bin_edges[1:], rel.bin_confidence, rel.bin_accuracy,
+                     rel.bin_count))
     cov_txt = ", ".join(f"{lv:g}:{c:.4f}" for lv, c in
                         zip(cov.nominal_levels, cov.empirical_coverage))
     print(f"coverage {cov_txt}; ECE={rel.ece:.4f} -> {out}")
@@ -225,7 +203,7 @@ def cmd_calibrate(args) -> int:
 
 
 def cmd_analyze_uncertainty(args) -> int:
-    manifest = _load_manifest(args)
+    manifest = io.load_manifest(args.manifest)
     # Per group, the (distance, mean scale) arrays of each map's vertices in
     # the group, in scene, element and vertex order.
     parts: dict[str, list[tuple[np.ndarray, np.ndarray]]] = {}
@@ -249,38 +227,26 @@ def cmd_analyze_uncertainty(args) -> int:
                 parts.setdefault(group, []).append((dist[mask], scale[mask]))
     if n_scenes == 0:
         raise io.DataError("manifest contains no scenes")
-    rows = []
-    stats = {}
-    for group in sorted(parts):
-        stat = pred_eval.binned_ci(np.concatenate([d for d, _ in parts[group]]),
-                                   np.concatenate([v for _, v in parts[group]]),
-                                   args.bin_edges)
-        stats[group] = stat
-        for i in range(len(stat.count)):
-            rows.append([group, float(stat.bin_edges[i]), float(stat.bin_edges[i + 1]),
-                         "" if np.isnan(stat.mean[i]) else float(stat.mean[i]),
-                         float(stat.ci95_half_width[i]), int(stat.count[i])])
-    effective = {"command": "analyze-uncertainty", "bin_edges": list(args.bin_edges)}
-    out = _out_dir(args, Path(args.manifest))
+    stats = {group: pred_eval.binned_ci(np.concatenate([d for d, _ in parts[group]]),
+                                        np.concatenate([v for _, v in parts[group]]),
+                                        args.bin_edges)
+             for group in sorted(parts)}
+    effective = {"command": "analyze-uncertainty", "bin_edges": args.bin_edges}
+    out = _out_dir(args)
     io.write_csv(out / "uncertainty_bins.csv",
                  ["group", "bin_lo", "bin_hi", "mean_b", "ci95_half_width", "count"],
-                 rows)
-    io.write_json(out / "uncertainty_bins.json", {
-        "groups": {
-            g: {"bin_edges": [float(v) for v in s.bin_edges],
-                "mean_b": [None if np.isnan(v) else float(v) for v in s.mean],
-                "ci95_half_width": [float(v) for v in s.ci95_half_width],
-                "count": [int(v) for v in s.count]}
-            for g, s in stats.items()
-        },
-        "reproducibility": io.reproducibility_block(effective, manifest),
-    })
+                 ((group, *row) for group, s in stats.items()
+                  for row in zip(s.bin_edges, s.bin_edges[1:], s.mean, s.ci95_half_width,
+                                 s.count)))
+    io.write_report(out / "uncertainty_bins.json", {"groups": {
+        g: {"bin_edges": s.bin_edges, "mean_b": s.mean, "ci95_half_width": s.ci95_half_width,
+            "count": s.count} for g, s in stats.items()}}, effective, manifest)
     print(f"binned scale statistics for {len(parts)} groups -> {out}")
     return 0
 
 
 def cmd_compare_predictors(args) -> int:
-    manifest = _load_manifest(args)
+    manifest = io.load_manifest(args.manifest)
     blind_sets, weighted_sets = [], []
     for scene, observed, agents, _ in io.iter_scene_files(manifest, "observed_map",
                                                           "trajectories"):
@@ -312,21 +278,14 @@ def cmd_compare_predictors(args) -> int:
     }
     effective = {"command": "compare-predictors", "modes": args.modes,
                  "lam": args.lam, "b0": args.b0, "miss_threshold": args.miss_threshold}
-    out = _out_dir(args, Path(args.manifest))
-    io.write_json(out / "compare_predictors.json", {
-        "blind": rep_blind.to_dict(),
-        "weighted": rep_weighted.to_dict(),
-        "delta_pct": deltas,
-        "reproducibility": io.reproducibility_block(effective, manifest),
-    })
-    rows = []
-    for name in ("minADE", "minFDE", "MR"):
-        b_v = getattr(rep_blind, name)
-        w_v = getattr(rep_weighted, name)
-        d = deltas[name]
-        rows.append([name, b_v, w_v, "" if d is None else f"{d:+.1f}%"])
+    out = _out_dir(args)
+    io.write_report(out / "compare_predictors.json",
+                    {"blind": rep_blind, "weighted": rep_weighted, "delta_pct": deltas},
+                    effective, manifest)
     io.write_csv(out / "compare_predictors.csv",
-                 ["metric", "blind", "weighted", "delta_pct"], rows)
+                 ["metric", "blind", "weighted", "delta_pct"],
+                 ([name, getattr(rep_blind, name), getattr(rep_weighted, name),
+                   "" if d is None else f"{d:+.1f}%"] for name, d in deltas.items()))
     for name in ("minADE", "minFDE", "MR"):
         d = deltas[name]
         print(f"{name}: blind={getattr(rep_blind, name):.4f} "

@@ -30,6 +30,13 @@ The one file json refuses and orjson reads is one nested past Python's
 recursion limit. Manifests and dataset configs stay on ``json``: they
 carry user seeds, and orjson reads an integer outside the 64-bit range as
 a float, which would change the ``master_seed`` a report records.
+
+Reports are written from a stage's raw values by :func:`write_report`
+(JSON, ending in a ``reproducibility`` block of config hash, tool version
+and seeds) and :func:`write_csv`, both by one rule, :func:`_plain`:
+dataclasses, arrays and numpy scalars become plain data, and NaN is
+``null`` in JSON and an empty field in CSV, where a float is its repr and
+a bool is 1 or 0.
 """
 
 from __future__ import annotations
@@ -37,7 +44,8 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-from dataclasses import fields
+import math
+from dataclasses import fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -401,23 +409,38 @@ def write_json(path, obj, floats=None) -> None:
     path.write_bytes(data)
 
 
-def write_csv(path, header: list[str], rows: list[list]) -> None:
+def _plain(value):
+    """``value`` as plain JSON data: a dataclass as the dict of its fields in
+    declaration order, a dict with its keys, a list, tuple or array as a list,
+    a numpy scalar as its Python value and a float NaN as ``None``."""
+    if is_dataclass(value):
+        return {f.name: _plain(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, dict):
+        return {k: _plain(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple, np.ndarray)):
+        return [_plain(v) for v in value]
+    if isinstance(value, np.generic):
+        value = value.item()
+    return None if isinstance(value, float) and math.isnan(value) else value
+
+
+def write_report(path, report, effective: dict, manifest: dict) -> None:
+    """Write ``_plain(report)`` with a last key ``"reproducibility"``: the hash
+    of the stage's ``effective`` config, the tool version and the dataset's seeds."""
+    seeds = {"master_seed": manifest.get("master_seed"),
+             "dataset_config_hash": manifest.get("config_hash")}
+    write_json(path, dict(_plain(report), reproducibility={
+        "config_hash": config_hash(effective), "tool_version": __version__, "seeds": seeds}))
+
+
+def write_csv(path, header: list[str], rows) -> None:
+    """Write ``header`` and each of the iterable ``rows`` as :func:`_plain` data:
+    a float as its repr, a bool as 1 or 0 and ``None`` as an empty field."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         for row in rows:
-            writer.writerow([repr(v) if isinstance(v, float) else v for v in row])
-
-
-def reproducibility_block(effective_config: dict, manifest: dict | None = None) -> dict:
-    block = {
-        "config_hash": config_hash(effective_config),
-        "tool_version": __version__,
-        "seeds": {},
-    }
-    if manifest is not None:
-        block["seeds"]["master_seed"] = manifest.get("master_seed")
-        block["seeds"]["dataset_config_hash"] = manifest.get("config_hash")
-    return block
+            writer.writerow([repr(v) if isinstance(v, float) else
+                             int(v) if isinstance(v, bool) else v for v in _plain(row)])

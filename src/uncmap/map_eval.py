@@ -266,18 +266,11 @@ class MapEvalReport:
     n_gt: np.ndarray
 
     def to_dict(self) -> dict:
-        def clean(v):
-            return None if (isinstance(v, float) and math.isnan(v)) else v
-
-        return {
-            "classes": [c.value for c in self.classes],
-            "thresholds": list(self.thresholds),
-            "ap": [[clean(float(v)) for v in row] for row in self.ap],
-            "mAP": clean(float(self.map_score)),
-            "mean_matched_chamfer": [clean(float(v)) for v in self.mean_matched_chamfer],
-            "n_pred": [int(v) for v in self.n_pred],
-            "n_gt": [int(v) for v in self.n_gt],
-        }
+        """The fields as written: classes by value, ``map_score`` as ``"mAP"``."""
+        return {"classes": [c.value for c in self.classes], "thresholds": self.thresholds,
+                "ap": self.ap, "mAP": self.map_score,
+                "mean_matched_chamfer": self.mean_matched_chamfer,
+                "n_pred": self.n_pred, "n_gt": self.n_gt}
 
 
 def evaluate_scenes(pairs: list[tuple[VectorMap, VectorMap]],

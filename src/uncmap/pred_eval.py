@@ -82,10 +82,6 @@ class PredEvalReport:
     MR: float
     n_agents: int
 
-    def to_dict(self) -> dict:
-        return {"minADE": self.minADE, "minFDE": self.minFDE, "MR": self.MR,
-                "n_agents": self.n_agents}
-
 
 def evaluate_trajectories(sets: list[TrajectorySet],
                           miss_threshold: float = MISS_THRESHOLD) -> PredEvalReport:

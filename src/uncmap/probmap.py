@@ -131,6 +131,7 @@ def b_from_sigma(sigma):
         raise ValueError("sigma must be positive and finite")
     return sigma / SQRT2
 
+
 def rotate_uncertainty(sigma_x, sigma_y, theta):
     """Axis-aligned standard deviations after rotating the frame by theta.
 

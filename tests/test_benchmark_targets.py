@@ -87,6 +87,35 @@ def test_generate_writes_every_file_through_write_json(tmp_path, monkeypatch):
     assert len(written) == len(files) == 301
     assert sorted(written) == files
 
+
+def test_report_stages_write_every_file_through_io(tmp_path, monkeypatch):
+    """The five report stages write each report with one ``io.write_json`` or
+    ``io.write_csv`` call, whose path argument the tracer reads for
+    ``io.bytes_written`` on ``evaluate``."""
+    from uncmap import cli, io
+
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"n_scenes": 3, "seed": 7}))
+    manifest = tmp_path / "data" / "manifest.json"
+    assert cli.main(["generate", "--config", str(config), "--out", str(manifest.parent)]) == 0
+    written = []
+
+    def spy(writer):
+        def record(path, *args, **kwargs):
+            written.append(Path(path))
+            return writer(path, *args, **kwargs)
+        return record
+    for name in ("write_json", "write_csv"):
+        monkeypatch.setattr(io, name, spy(getattr(io, name)))
+    out = tmp_path / "reports"
+    for stage in ("eval-map", "eval-pred", "calibrate", "analyze-uncertainty",
+                  "compare-predictors"):
+        assert cli.main([stage, "--manifest", str(manifest), "--out", str(out)]) == 0
+    files = sorted(p for p in out.rglob("*") if p.is_file())
+    assert len(written) == len(files) == 11
+    assert sorted(written) == files
+
+
 def test_fit_workload_attributes_resolve():
     """The attributes ``perfbench/run.py``'s fit workload reads resolve on
     the maps it builds: one scene through ``observe``, ``mean_map``,

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import warnings
 from contextlib import redirect_stderr
+from dataclasses import dataclass
 from io import StringIO
 from pathlib import Path
 
@@ -16,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from uncmap import __version__
 from uncmap import io as uio
 from uncmap.cli import main
 from uncmap.geometry import (
@@ -374,7 +376,37 @@ def _json_tree(integers):
 _json_values = _json_tree(st.integers(-10**30, 10**30))
 
 
+@dataclass
+class _Stat:
+    edges: tuple
+    count: np.ndarray
+
+
+# A report as a stage hands it to io, and the plain JSON data it is written as.
+_RAW_REPORT = {"stat": _Stat((0.0, 1.5), np.array([2, 0])), "pair": (1, 2.5),
+               "grid": np.array([[0.5, np.nan], [1.0, 2.0]]),
+               "n": np.int64(3), "x": np.float64(0.1), "ok": np.bool_(True)}
+_PLAIN_REPORT = {"stat": {"edges": [0.0, 1.5], "count": [2, 0]}, "pair": [1, 2.5],
+                 "grid": [[0.5, None], [1.0, 2.0]], "n": 3, "x": 0.1, "ok": True,
+                 "reproducibility": {"config_hash": uio.config_hash({"command": "c"}),
+                                     "tool_version": __version__,
+                                     "seeds": {"master_seed": 7, "dataset_config_hash": "h"}}}
+
+
 class TestWriteJson:
+    @pytest.mark.parametrize("write, expected", [
+        (lambda path: uio.write_report(path, _RAW_REPORT, {"command": "c"},
+                                       {"master_seed": 7, "config_hash": "h"}),
+         json.dumps(_PLAIN_REPORT, indent=2) + "\n"),
+        (lambda path: uio.write_csv(path, ["x"], [[np.float64(0.1)]]), "x\n0.1\n"),
+        (lambda path: uio.write_csv(path, ["a", "b", "c"], [(np.nan, np.int64(3), 2.5)]),
+         "a,b,c\n,3,2.5\n"),
+        (lambda path: uio.write_csv(path, ["a", "b"], [[True, np.bool_(False)]]), "a,b\n1,0\n"),
+    ], ids=["report", "csv-float64", "csv-nan", "csv-bool"])
+    def test_report_writers(self, write, expected, tmp_path):
+        write(tmp_path / "report")
+        assert (tmp_path / "report").read_text() == expected
+
     @settings(max_examples=400, deadline=None)
     @given(_json_values)
     def test_bytes_match_json_dumps(self, tmp_path_factory, obj):
@@ -716,6 +748,28 @@ def dataset_dir(tmp_path_factory):
     return root / "data"
 
 
+def write_one_scene(out: Path, gt: VectorMap, observed: VectorMap, agents) -> Path:
+    """A hand-built dataset of one scene under ``out``; returns its manifest."""
+    uio.save_map(gt, out / "maps/scene_0000_gt.json")
+    uio.save_map(observed, out / "maps/scene_0000_obs.json")
+    uio.save_trajectories(agents, out / "traj/scene_0000.json")
+    manifest = {
+        "schema_version": uio.MANIFEST_SCHEMA,
+        "master_seed": 0,
+        "config": {},
+        "config_hash": uio.config_hash({}),
+        "tool_version": "0",
+        "scenes": [{"id": "scene_0000", "seed": 0, "observe_seed": 0,
+                    "layout": "straight_road", "condition": "day",
+                    "occluders": [],
+                    "gt_map": "maps/scene_0000_gt.json",
+                    "observed_map": "maps/scene_0000_obs.json",
+                    "trajectories": "traj/scene_0000.json"}],
+    }
+    uio.write_json(out / "manifest.json", manifest)
+    return out / "manifest.json"
+
+
 class TestCliEval:
     def test_eval_map_on_noisy_data(self, dataset_dir, tmp_path):
         rc = main(["eval-map", "--manifest", str(dataset_dir / "manifest.json"),
@@ -749,34 +803,29 @@ class TestCliEval:
         assert report["report"]["minFDE"] == 0.0
         assert report["report"]["MR"] == 0.0
 
+    def test_eval_map_without_elements_writes_undefined_values_empty(self, tmp_path):
+        # Maps without elements leave every AP cell and the mAP undefined:
+        # null in the JSON report and an empty field in the CSV.
+        empty = VectorMap([], Pose2.identity())
+        manifest = write_one_scene(tmp_path / "d", empty, empty, [])
+        assert main(["eval-map", "--manifest", str(manifest), "--out", str(tmp_path / "r")]) == 0
+        report = json.loads((tmp_path / "r" / "eval_map.json").read_text())["report"]
+        assert report["mAP"] is None
+        assert {v for row in report["ap"] for v in row} == {None}
+        lines = (tmp_path / "r" / "eval_map.csv").read_text().splitlines()
+        assert lines[0] == "class,threshold,ap"
+        assert all(line.endswith(",") for line in lines[1:])
+        assert lines[-1] == "__mean__,,"
+
     def test_eval_pred_offsets(self, tmp_path):
         # hand-built dataset: single agent, single mode at fixed endpoint error
         out = tmp_path / "d"
-        (out / "maps").mkdir(parents=True)
-        (out / "traj").mkdir()
-        gt = small_mean_map()
-        uio.save_map(gt, out / "maps/scene_0000_gt.json")
-        uio.save_map(small_prob_map(), out / "maps/scene_0000_obs.json")
         future = np.column_stack([np.zeros(30), np.linspace(0.1, 3.0, 30)])
         history = np.column_stack([np.zeros(20), np.linspace(-1.9, 0.0, 20)])
         for name, offset in (("one", 1.0), ("three", 3.0)):
             agents = [AgentTrack(history, future, np.stack([future + np.array([offset, 0.0])]))]
-            uio.save_trajectories(agents, out / "traj/scene_0000.json")
-            manifest = {
-                "schema_version": uio.MANIFEST_SCHEMA,
-                "master_seed": 0,
-                "config": {},
-                "config_hash": uio.config_hash({}),
-                "tool_version": "0",
-                "scenes": [{"id": "scene_0000", "seed": 0, "observe_seed": 0,
-                            "layout": "straight_road", "condition": "day",
-                            "occluders": [],
-                            "gt_map": "maps/scene_0000_gt.json",
-                            "observed_map": "maps/scene_0000_obs.json",
-                            "trajectories": "traj/scene_0000.json"}],
-            }
-            uio.write_json(out / "manifest.json", manifest)
-            rc = main(["eval-pred", "--manifest", str(out / "manifest.json"),
+            manifest = write_one_scene(out, small_mean_map(), small_prob_map(), agents)
+            rc = main(["eval-pred", "--manifest", str(manifest),
                        "--out", str(tmp_path / f"r_{name}")])
             assert rc == 0
             rep = json.loads(
