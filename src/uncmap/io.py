@@ -14,10 +14,12 @@ newline. Reports and manifests are written by ``json.dumps`` itself. Scene
 files are written by ``orjson.dumps`` with ``OPT_INDENT_2``, which gives the
 same bytes many times faster as long as every float is 0 or has a
 magnitude in [1e-4, 1e16): outside that range its float text differs
-(``0.00005`` for ``5e-05``, ``1e16`` for ``1e+16``). ``save_map`` and
-``save_trajectories`` pass the arrays that hold the record's floats, one
-numpy test checks the range, and a record that fails it, or that holds a
-type orjson refuses (``np.float64``), goes to ``json.dumps``.
+(``0.00005`` for ``5e-05``, ``1e16`` for ``1e+16``), and those tokens are
+rewritten in repr's text. ``save_map`` and ``save_trajectories`` pass the
+arrays that hold the record's floats, and one numpy pass over them tells
+whether any token needs it. A record with a NaN or an infinity, which
+orjson writes as ``null``, or with a type orjson refuses (``np.float64``),
+goes to ``json.dumps``.
 
 Scene files (maps and trajectories) are read with ``orjson.loads``, which
 decodes them in about half the time ``json.loads`` takes, to the same
@@ -45,6 +47,7 @@ import csv
 import hashlib
 import json
 import math
+import re
 from dataclasses import fields, is_dataclass
 from pathlib import Path
 
@@ -266,8 +269,6 @@ def config_hash(obj: dict) -> str:
 def write_dataset(dataset: SyntheticDataset, out_dir) -> Path:
     """Write maps, trajectories, and the run manifest; returns manifest path."""
     out = Path(out_dir)
-    (out / "maps").mkdir(parents=True, exist_ok=True)
-    (out / "traj").mkdir(parents=True, exist_ok=True)
     cfg_dict = dataset_config_to_dict(dataset.config)
     scenes = []
     for rec in dataset.records:
@@ -381,32 +382,64 @@ def _read_json(path, loads=_json_loads) -> dict:
     return data
 
 
-def _repr_safe(floats) -> bool:
-    """Whether every value of the arrays ``floats`` (``None`` skipped) is 0 or
-    has a magnitude in [1e-4, 1e16), where orjson writes ``float.__repr__``'s
-    text; NaN and infinities fail."""
-    return all(np.all((a == 0) | ((a >= 1e-4) & (a < 1e16)))
-               for a in (np.abs(np.asarray(f, dtype=float)) for f in floats if f is not None))
+def _repr_safe(floats) -> bool | None:
+    """Whether orjson writes every value of the arrays ``floats`` (``None``
+    skipped) as ``float.__repr__`` does: True when each is 0 or has a
+    magnitude in [1e-4, 1e16), False when a finite value lies outside, and
+    None when one is NaN or infinite, which orjson writes as ``null``."""
+    a = np.abs(np.concatenate([np.ravel(np.asarray(f, dtype=float))
+                               for f in floats if f is not None] + [np.zeros(0)]))
+    top = a.max(initial=0.0)
+    if not top < math.inf:
+        return None
+    return bool(top < 1e16 and a.min(where=a != 0, initial=1.0) >= 1e-4)
+
+
+# The tail of each float token that orjson writes otherwise than repr: its
+# fixed form below 1e-4 ("0.00005") and its exponent ("1e-7", "1e16"). In
+# indented output a number ends its line and follows a space, and a string
+# holds no raw newline, so these match numbers only.
+_ODD_FLOATS = (re.compile(rb"0\.0000\d*(?=,?\n)"), re.compile(rb"e-?\d+(?=,?\n)"))
+
+
+def _repr_floats(data: bytes) -> bytes:
+    """``data``, indented orjson output, with each float token matched by
+    ``_ODD_FLOATS`` rewritten as ``float.__repr__`` writes it."""
+    spans = sorted({(data.rfind(b" ", 0, m.start()) + 1, m.end())
+                    for pattern in _ODD_FLOATS for m in pattern.finditer(data)})
+    out, last = [], 0
+    for lo, hi in spans:
+        out += [data[last:lo], repr(float(data[lo:hi])).encode()]
+        last = hi
+    out.append(data[last:])
+    return b"".join(out)
 
 
 def write_json(path, obj, floats=None) -> None:
     """Write ``json.dumps(obj, indent=2)`` and a newline to ``path``, by orjson
-    when the arrays ``floats`` hold every float of ``obj`` and pass
-    :func:`_repr_safe` (``obj``'s strings must then be ASCII, as a scene
-    file's are); json writes what orjson refuses, so the bytes and the
-    exceptions are json's. The text is encoded before the file is opened, so
-    a failed write leaves no file."""
+    when the arrays ``floats`` hold every float of ``obj`` and all are
+    finite (``obj``'s strings must then be ASCII, as a scene file's are);
+    float tokens that :func:`_repr_safe` finds orjson writes otherwise are
+    rewritten in repr's text. json writes what orjson refuses, so the bytes
+    and the exceptions are json's. The text is encoded before the file is
+    opened, so a failed write leaves no file; a missing directory is made."""
     data = None
-    if floats is not None and _repr_safe(floats):
+    safe = None if floats is None else _repr_safe(floats)
+    if safe is not None:
         try:
             data = orjson.dumps(obj, option=orjson.OPT_INDENT_2) + b"\n"
         except TypeError:
             pass
     if data is None:
         data = (json.dumps(obj, indent=2) + "\n").encode("utf-8")
+    elif not safe:
+        data = _repr_floats(data)
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_bytes(data)
+    try:
+        path.write_bytes(data)
+    except FileNotFoundError:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_bytes(data)
 
 
 def _plain(value):

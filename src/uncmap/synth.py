@@ -18,8 +18,9 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
+from itertools import accumulate
 
 import numpy as np
 
@@ -45,6 +46,9 @@ FUTURE_STEPS = 30    # 3 s of future
 DEFAULT_MODES = 6
 DEFAULT_LAMBDA = 1.0
 DEFAULT_B0 = 0.5
+# Scenes per block of build_dataset. A block of README-config scenes holds
+# about 3 500 vertices, so its temporaries stay small.
+_BLOCK = 16
 
 
 class Layout(Enum):
@@ -165,18 +169,26 @@ class NoiseModel:
         if self.class_mode not in ("calibrated", "one_hot"):
             raise ValueError(f"unknown class_mode {self.class_mode!r}")
 
-    def true_scale(self, points: np.ndarray, ego: np.ndarray, element_class: ElementClass,
-                   condition: Condition, occluders) -> np.ndarray:
-        dist = np.hypot(points[:, 0] - ego[0], points[:, 1] - ego[1])
+    def true_scale(self, points: np.ndarray, ego: np.ndarray, multiplier,
+                   shadowed: np.ndarray) -> np.ndarray:
+        """(V,) true scales of the (V, 2) ``points`` seen from ``ego``, a (2,)
+        or (V, 2) array: times ``occlusion_multiplier`` where ``shadowed`` and
+        times ``multiplier``, each point's (condition, class) multiplier."""
+        dist = np.hypot(points[:, 0] - ego[..., 0], points[:, 1] - ego[..., 1])
         b = self.base_b + self.distance_coeff * dist
-        if occluders:
-            centers = np.array([[o.x, o.y] for o in occluders])
-            radii = np.array([o.radius for o in occluders])
-            shadowed = segment_intersects_disc(ego, points[:, None, :], centers[None],
-                                               radii[None]).any(axis=1)
-            b = np.where(shadowed, b * self.occlusion_multiplier, b)
-        b = b * self.condition_multipliers.get((condition, element_class), 1.0)
-        return np.maximum(b, B_FLOOR)
+        b = np.where(shadowed, b * self.occlusion_multiplier, b)
+        return np.maximum(b * multiplier, B_FLOOR)
+
+
+def in_shadow(ego: np.ndarray, points: np.ndarray, occluders) -> np.ndarray:
+    """(V,) whether the segment from ``ego`` to each of the (V, 2) ``points``
+    crosses one of the ``occluders``."""
+    if not occluders:
+        return np.zeros(len(points), dtype=bool)
+    centers = np.array([[o.x, o.y] for o in occluders])
+    radii = np.array([o.radius for o in occluders])
+    return segment_intersects_disc(ego, points[:, None, :], centers[None],
+                                   radii[None]).any(axis=1)
 
 
 @dataclass
@@ -319,44 +331,85 @@ _SPEED_RANGE = {
 }
 
 
-def _agent_on_centerline(rng: np.random.Generator, chains: list[np.ndarray],
-                         closed: list[bool], speed_range: tuple[float, float],
-                         lane_change_prob: float) -> AgentTrack:
-    """One agent on the centerline ``chains`` (vertices as ``Polyline``
-    keeps them)."""
-    idx = int(rng.integers(len(chains)))
-    pts = chains[idx]
-    step = np.diff(np.vstack([pts, pts[:1]]) if closed[idx] else pts, axis=0)
-    length = float(np.hypot(step[:, 0], step[:, 1]).sum())
+def _layout(spec: SceneSpec, rng: np.random.Generator) -> VectorMap:
+    """The ground-truth map of ``spec``, drawn from its scene stream."""
+    elements = _BUILDERS[spec.layout](rng)
+    if spec.duplicate_centerlines:
+        elements += [MapElement(el.vertices + np.array([0.15, 0.0]), el.element_class,
+                                el.confidence, el.closed)
+                     for el in elements if el.element_class == ElementClass.LANE_CENTERLINE]
+    return VectorMap(elements)
+
+
+def _scene_block(specs) -> tuple[list[VectorMap], list[list[tuple[np.ndarray, np.ndarray]]]]:
+    """The ground-truth map and each agent's (history, future) of every spec.
+
+    Each scene draws from its own stream, in this order: the layout, then per
+    agent its centerline, speed, start and whether it changes lane. No draw
+    depends on a walk, so every agent of the block is walked in one
+    ``point_along`` call, and the lane changes take one nearest-point call
+    for the candidate lanes and one for the blend.
+    """
+    rngs = [np.random.default_rng(spec.seed) for spec in specs]
+    gts = [_layout(spec, rng) for spec, rng in zip(specs, rngs)]
+    lines = [gt.by_class(ElementClass.LANE_CENTERLINE) for gt in gts]
+    closed = [c.closed for scene in lines for c in scene]
+    chains = polyline_vertices([c.mu for scene in lines for c in scene], closed)
     back = (HISTORY_STEPS - 1) * DT
     fwd = FUTURE_STEPS * DT
-    v_hi = min(speed_range[1], (length - 2.0) / (back + fwd))
-    v_lo = min(speed_range[0], max(v_hi - 0.5, 0.5))
-    v = float(rng.uniform(v_lo, v_hi))
-    s0 = float(rng.uniform(back * v + 0.5, length - fwd * v - 0.5))
     steps = np.arange(-(HISTORY_STEPS - 1), FUTURE_STEPS + 1)
-    track = point_along([pts], [closed[idx]], (s0 + v * DT * steps)[None])[0]
-    history = track[:HISTORY_STEPS]
-    future = track[HISTORY_STEPS:]
-    # Optional lateral blend onto an adjacent parallel centerline; candidates
-    # must be one lane width away at both ends of the kept future, which
-    # keeps every blended point within half a lane of one of the two lanes.
-    if rng.random() < lane_change_prob:
-        target = None
-        for i, cand in enumerate(chains):
-            if i == idx:
-                continue
-            gap0, gap1 = nearest_point_on_polyline([cand] * 2, [closed[i]] * 2,
-                                                   future[[0, -1]])[2]
-            if abs(gap0 - LANE_WIDTH) < 0.1 and abs(gap1 - LANE_WIDTH) < 0.1:
-                target = i
-                break
-        if target is not None:
-            ramp = 0.5 * (1.0 - np.cos(np.pi * np.arange(1, FUTURE_STEPS + 1) / FUTURE_STEPS))
-            onto = nearest_point_on_polyline([chains[target]] * len(future),
-                                             [closed[target]] * len(future), future)[0]
-            future = future + ramp[:, None] * (onto - future)
-    return AgentTrack(history, future)
+    picked, s, changes, first = [], [], [], 0
+    for spec, rng, scene in zip(specs, rngs, lines):
+        speed_range = _SPEED_RANGE[spec.layout]
+        for _ in range(spec.n_agents):
+            idx = first + int(rng.integers(len(scene)))
+            pts = chains[idx]
+            step = np.diff(np.vstack([pts, pts[:1]]) if closed[idx] else pts, axis=0)
+            length = float(np.hypot(step[:, 0], step[:, 1]).sum())
+            v_hi = min(speed_range[1], (length - 2.0) / (back + fwd))
+            v_lo = min(speed_range[0], max(v_hi - 0.5, 0.5))
+            v = float(rng.uniform(v_lo, v_hi))
+            s0 = float(rng.uniform(back * v + 0.5, length - fwd * v - 0.5))
+            picked.append((idx, first, first + len(scene)))
+            s.append(s0 + v * DT * steps)
+            changes.append(rng.random() < spec.lane_change_prob)
+        first += len(scene)
+    track = point_along([chains[i] for i, _, _ in picked], [closed[i] for i, _, _ in picked],
+                        np.array(s).reshape(len(picked), len(steps)))
+    futures = list(track[:, HISTORY_STEPS:])
+    _change_lanes(futures, [(a, *picked[a]) for a, change in enumerate(changes) if change],
+                  chains, closed)
+    bounds = list(accumulate((spec.n_agents for spec in specs), initial=0))
+    return gts, [[(track[a, :HISTORY_STEPS], futures[a]) for a in range(lo, hi)]
+                 for lo, hi in zip(bounds, bounds[1:])]
+
+
+def _change_lanes(futures, movers, chains, closed) -> None:
+    """Blend each mover's future onto the first other centerline of its scene
+    that lies one lane width away at both ends of the future; ``movers``
+    holds (agent, own chain, first and end chain of its scene). Every blended
+    point stays within half a lane of one of the two lanes."""
+    rows = [(a, c) for a, idx, lo, hi in movers for c in range(lo, hi) if c != idx]
+    if not rows:
+        return
+    ends = np.array([futures[a][[0, -1]] for a, _ in rows]).reshape(-1, 2)
+    gaps = nearest_point_on_polyline([chains[c] for _, c in rows for _ in range(2)],
+                                     [closed[c] for _, c in rows for _ in range(2)], ends)[2]
+    fits = (np.abs(gaps - LANE_WIDTH) < 0.1).reshape(-1, 2).all(axis=1)
+    target = {}
+    for (a, c), ok in zip(rows, fits):
+        if ok:
+            target.setdefault(a, c)
+    if not target:
+        return
+    n = FUTURE_STEPS
+    onto = nearest_point_on_polyline([chains[c] for c in target.values() for _ in range(n)],
+                                     [closed[c] for c in target.values() for _ in range(n)],
+                                     np.concatenate([futures[a] for a in target]))[0]
+    ramp = 0.5 * (1.0 - np.cos(np.pi * np.arange(1, n + 1) / n))
+    for j, a in enumerate(target):
+        future = futures[a]
+        futures[a] = future + ramp[:, None] * (onto[j * n:(j + 1) * n] - future)
 
 
 def generate_scene(spec: SceneSpec) -> tuple[VectorMap, list[AgentTrack]]:
@@ -366,42 +419,76 @@ def generate_scene(spec: SceneSpec) -> tuple[VectorMap, list[AgentTrack]]:
     sits at the origin heading +y; agents run along lane centerlines at
     constant speed, optionally blending onto an adjacent lane.
     """
-    rng = np.random.default_rng(spec.seed)
-    elements = _BUILDERS[spec.layout](rng)
-    if spec.duplicate_centerlines:
-        dups = []
-        for el in elements:
-            if el.element_class == ElementClass.LANE_CENTERLINE:
-                dups.append(MapElement(el.vertices + np.array([0.15, 0.0]),
-                                       el.element_class, el.confidence, el.closed))
-        elements.extend(dups)
-    gt = VectorMap(elements)
-    centerlines = gt.by_class(ElementClass.LANE_CENTERLINE)
-    closed = [c.closed for c in centerlines]
-    chains = polyline_vertices([c.mu for c in centerlines], closed)
-    agents = [
-        _agent_on_centerline(rng, chains, closed, _SPEED_RANGE[spec.layout],
-                             spec.lane_change_prob)
-        for _ in range(spec.n_agents)
-    ]
-    return gt, agents
+    (gt,), (tracks,) = _scene_block([spec])
+    return gt, [AgentTrack(history, future) for history, future in tracks]
 
 
-def _calibrated_logits(rng: np.random.Generator, n: int, true_idx: int,
-                       n_classes: int) -> np.ndarray:
-    """Class logits whose top-1 confidence matches top-1 accuracy.
+def _observe_block(gts, noise: NoiseModel, specs, seeds, resample_count: int) -> list[VectorMap]:
+    """:func:`observe` of each ground-truth map with its spec and seed.
 
-    For each vertex a confidence q is drawn, the predicted class equals the
-    true class with probability exactly q, and the emitted distribution
-    puts q on the predicted class. Accuracy at confidence q is therefore q.
+    One call resamples every element of every map, one computes every true
+    scale and one pass turns the drawn confidences into class logits. The
+    draws stay per element, in each scene's own stream: the Laplace noise,
+    then (with calibrated classes) the confidence q, the correctness test
+    and the wrong class, then the element confidence.
     """
-    q = rng.uniform(0.55, 0.95, size=n)
-    correct = rng.random(n) < q
-    others = [c for c in range(n_classes) if c != true_idx]
-    pred = np.where(correct, true_idx, rng.choice(others, size=n))
-    probs = np.repeat(((1.0 - q) / (n_classes - 1))[:, None], n_classes, axis=1)
-    probs[np.arange(n), pred] = q
-    return np.log(probs)
+    elements = [el for gt in gts for el in gt.elements]
+    points = resample([el.vertices for el in elements], [el.closed for el in elements],
+                      [resample_count] * len(elements))
+    rows = np.cumsum([0] + [len(p) for p in points])
+    pts = np.concatenate(points) if points else np.empty((0, 2))
+    scene_rows = rows[np.cumsum([0] + [len(gt.elements) for gt in gts])]
+    shadowed = np.empty(len(pts), dtype=bool)
+    for gt, spec, lo, hi in zip(gts, specs, scene_rows, scene_rows[1:]):
+        shadowed[lo:hi] = in_shadow(gt.ego_pose.position, pts[lo:hi], spec.occluders)
+    counts = np.diff(rows)
+    true_idx = np.repeat([CLASS_INDEX[el.element_class] for el in elements], counts)
+    b_true = noise.true_scale(
+        pts, np.repeat([gt.ego_pose.position for gt in gts], np.diff(scene_rows), axis=0),
+        np.repeat([noise.condition_multipliers.get((spec.condition, el.element_class), 1.0)
+                   for gt, spec in zip(gts, specs) for el in gt.elements], counts),
+        shadowed)
+    calibrated = noise.class_mode == "calibrated"
+    mu, q, u = np.empty_like(pts), np.empty(len(pts)), np.empty(len(pts))
+    wrong = np.empty(len(pts), dtype=np.int64)
+    labels, bounds = [], rows.tolist()
+    for gt, seed in zip(gts, seeds):
+        rng = np.random.default_rng(seed)
+        for el in gt.elements:
+            lo, hi = bounds[len(labels)], bounds[len(labels) + 1]
+            mu[lo:hi] = rng.laplace(pts[lo:hi], b_true[lo:hi, None])
+            if calibrated:
+                q[lo:hi] = rng.uniform(0.55, 0.95, size=hi - lo)
+                rng.random(out=u[lo:hi])
+                wrong[lo:hi] = rng.choice(NUM_CLASSES - 1, size=hi - lo)
+            labels.append(MapElement(None, el.element_class, float(rng.uniform(0.7, 1.0)),
+                                     el.closed))
+    b = np.maximum(b_true * noise.miscalibration, B_FLOOR)[:, None].repeat(2, axis=1)
+    vertex = np.arange(len(pts))
+    if calibrated:
+        # The predicted class is the true one with probability exactly q, and
+        # the emitted distribution puts q on it, so accuracy at confidence q
+        # is q; a wrong draw skips the true class.
+        wrong += wrong >= true_idx
+        pred = np.where(u < q, true_idx, wrong)
+        logits = np.repeat(((1.0 - q) / (NUM_CLASSES - 1))[:, None], NUM_CLASSES, axis=1)
+        logits[vertex, pred] = q
+        np.log(logits, out=logits)
+    else:
+        logits = np.full((len(pts), NUM_CLASSES), -16.0)
+        logits[vertex, true_idx] = 0.0
+    out, e = [], 0
+    for gt, lo, hi in zip(gts, scene_rows, scene_rows[1:]):
+        n = len(gt.elements)
+        scaled = hi > lo
+        # Noise draws can push window-edge vertices just outside the
+        # perception range; that is the intended output, and the map counts them.
+        out.append(VectorMap.from_columns(labels[e:e + n], rows[e:e + n + 1] - lo, mu[lo:hi],
+                                          b[lo:hi] if scaled else None,
+                                          logits[lo:hi] if scaled else None,
+                                          gt.ego_pose, gt.perception_range))
+        e += n
+    return out
 
 
 def observe(gt: VectorMap, noise: NoiseModel, spec: SceneSpec, seed: int,
@@ -411,36 +498,80 @@ def observe(gt: VectorMap, noise: NoiseModel, spec: SceneSpec, seed: int,
     Every element is resampled to ``resample_count`` vertices; each vertex
     gets its true scale from the noise model, a location drawn from
     Laplace(true vertex, true scale), and an emitted scale of
-    true scale * miscalibration.
+    true scale * miscalibration. Class logits are one-hot with
+    ``class_mode="one_hot"``; otherwise each vertex's top-1 confidence
+    matches its top-1 accuracy.
     """
-    rng = np.random.default_rng(seed)
-    ego = gt.ego_pose.position
-    points = resample([el.vertices for el in gt.elements],
-                      [el.closed for el in gt.elements],
-                      [resample_count] * len(gt.elements))
-    out = []
-    for el, pts in zip(gt.elements, points):
-        b_true = noise.true_scale(pts, ego, el.element_class, spec.condition,
-                                  spec.occluders)
-        mu = rng.laplace(pts, b_true[:, None])
-        b_emit = np.maximum(b_true * noise.miscalibration, B_FLOOR)
-        b = np.column_stack([b_emit, b_emit])
-        true_idx = CLASS_INDEX[el.element_class]
-        if noise.class_mode == "one_hot":
-            logits = np.full((len(pts), NUM_CLASSES), -16.0)
-            logits[:, true_idx] = 0.0
-        else:
-            logits = _calibrated_logits(rng, len(pts), true_idx, NUM_CLASSES)
-        conf = float(rng.uniform(0.7, 1.0))
-        out.append(MapElement(mu, el.element_class, conf, el.closed, b=b, class_logits=logits))
-    # Noise draws can push window-edge vertices just outside the perception
-    # range; that is the intended output, and the map counts them.
-    return VectorMap(out, gt.ego_pose, gt.perception_range)
+    return _observe_block([gt], noise, [spec], [seed], resample_count)[0]
 
 
 # ---------------------------------------------------------------------------
 # Baseline predictors
 # ---------------------------------------------------------------------------
+
+def predict_scenes(histories, maps, k: int = DEFAULT_MODES, lam: float = DEFAULT_LAMBDA,
+                   b0: float = DEFAULT_B0, weighted: bool = False) -> list[list[np.ndarray]]:
+    """:func:`predict_scene` of each scene's list of ``histories`` on its map
+    of ``maps``.
+
+    The goal distances of every (agent, centerline) pair of every scene take
+    one nearest-point call, and the snap paths of every (agent, mode) one
+    nearest-point call and one walk.
+    """
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    flat = [np.asarray(h, dtype=float) for scene in histories for h in scene]
+    pos = np.array([h[-1] for h in flat], dtype=float).reshape(len(flat), 2)
+    vel = np.array([(h[-1] - h[-2]) / DT if len(h) >= 2 else np.zeros(2)
+                    for h in flat], dtype=float).reshape(len(flat), 2)
+    speed = np.hypot(vel[:, 0], vel[:, 1])
+    steps = np.arange(1, FUTURE_STEPS + 1)
+    cv = pos[:, None, :] + steps[:, None] * (vel * DT)[:, None, :]
+    out = [path[None] for path in cv]
+    lines = [vmap.by_class(ElementClass.LANE_CENTERLINE) for vmap in maps]
+    # The first chain and the chain count of each agent's scene.
+    offsets = list(accumulate(map(len, lines), initial=0))
+    span = [(offsets[i], len(lines[i])) for i, scene in enumerate(histories) for _ in scene]
+    movers = [a for a, moving in enumerate((speed >= 1e-9).tolist()) if moving and span[a][1]]
+    if movers:
+        centerlines = [c for scene in lines for c in scene]
+        closed = [c.closed for c in centerlines]
+        chains = polyline_vertices([c.mu for c in centerlines], closed)
+        first, width = np.array([span[a] for a in movers]).T
+        # Every (mover, centerline of its scene) pair, mover by mover.
+        pairs = [lo + j for a in movers for lo, n in [span[a]] for j in range(n)]
+        movers = np.array(movers)
+        endpoint = pos[movers] + vel[movers] * DT * FUTURE_STEPS
+        dist = nearest_point_on_polyline([chains[i] for i in pairs], [closed[i] for i in pairs],
+                                         np.repeat(endpoint, width, axis=0))[2]
+        if weighted:
+            excess = np.array([max(float(c.b.mean()) - B_FLOOR, 0.0) for c in centerlines])
+            dist = dist + lam * excess[pairs]
+        else:
+            excess = np.zeros(len(chains))
+        # One row per mover; the padding of a short row is NaN, which a
+        # stable sort puts after every distance.
+        real = np.arange(width.max()) < width[:, None]
+        goal_dist = np.full(real.shape, np.nan)
+        goal_dist[real] = dist
+        order = np.argsort(goal_dist, axis=1, kind="stable")[:, :k]
+        n_modes = np.minimum(width, k)
+        line = (first[:, None] + order)[real[:, :k]]
+        agent = np.repeat(movers, n_modes)
+        rows = line.tolist()
+        mode_chains, mode_closed = [chains[i] for i in rows], [closed[i] for i in rows]
+        s_entry = nearest_point_on_polyline(mode_chains, mode_closed, pos[agent])[1]
+        paths = point_along(mode_chains, mode_closed,
+                            s_entry[:, None] + (speed[agent] * DT)[:, None] * steps)
+        w = excess[line] / (excess[line] + b0)
+        blend = w > 0.0
+        paths[blend] += w[blend, None, None] * (cv[agent[blend]] - paths[blend])
+        lo = 0
+        for a, n in zip(movers.tolist(), n_modes.tolist()):
+            out[a], lo = paths[lo:lo + n], lo + n
+    offsets = list(accumulate(map(len, histories), initial=0))
+    return [out[lo:hi] for lo, hi in zip(offsets, offsets[1:])]
+
 
 def predict_scene(histories, vmap: VectorMap, k: int = DEFAULT_MODES,
                   lam: float = DEFAULT_LAMBDA, b0: float = DEFAULT_B0,
@@ -463,52 +594,10 @@ def predict_scene(histories, vmap: VectorMap, k: int = DEFAULT_MODES,
     motion. With every scale at the floor the output is bit-identical to
     the unweighted one on the mean map.
 
-    The goal distances of every (agent, centerline) pair take one
-    nearest-point call, and the snap paths of every (agent, mode) one
-    nearest-point call and one walk.
-
-    Returns one (n_modes, FUTURE_STEPS, 2) array per agent, n_modes <= k.
+    This is the one-scene :func:`predict_scenes`. Returns one
+    (n_modes, FUTURE_STEPS, 2) array per agent, n_modes <= k.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    histories = [np.asarray(h, dtype=float) for h in histories]
-    pos = np.array([h[-1] for h in histories], dtype=float).reshape(len(histories), 2)
-    vel = np.array([(h[-1] - h[-2]) / DT if len(h) >= 2 else np.zeros(2)
-                    for h in histories], dtype=float).reshape(len(histories), 2)
-    speed = np.hypot(vel[:, 0], vel[:, 1])
-    steps = np.arange(1, FUTURE_STEPS + 1)
-    cv = pos[:, None, :] + steps[:, None] * (vel * DT)[:, None, :]
-    out = [path[None] for path in cv]
-    centerlines = vmap.by_class(ElementClass.LANE_CENTERLINE)
-    movers = np.flatnonzero(speed >= 1e-9)
-    if not centerlines or not len(movers):
-        return out
-    closed = [c.closed for c in centerlines]
-    chains = polyline_vertices([c.mu for c in centerlines], closed)
-    n_lines = len(chains)
-    endpoint = pos[movers] + vel[movers] * DT * FUTURE_STEPS
-    goal_dist = nearest_point_on_polyline(chains * len(movers), closed * len(movers),
-                                          np.repeat(endpoint, n_lines, axis=0))[2]
-    goal_dist = goal_dist.reshape(len(movers), n_lines)
-    if weighted:
-        excess = np.array([max(float(c.b.mean()) - B_FLOOR, 0.0) for c in centerlines])
-        goal_dist = goal_dist + lam * excess
-    else:
-        excess = np.zeros(n_lines)
-    order = np.argsort(goal_dist, axis=1, kind="stable")[:, :k]
-    n_modes = order.shape[1]
-    agent = np.repeat(movers, n_modes)
-    line = order.reshape(-1)
-    s_entry = nearest_point_on_polyline([chains[i] for i in line],
-                                        [closed[i] for i in line], pos[agent])[1]
-    paths = point_along([chains[i] for i in line], [closed[i] for i in line],
-                        s_entry[:, None] + (speed[agent] * DT)[:, None] * steps)
-    w = excess[line] / (excess[line] + b0)
-    blend = w > 0.0
-    paths[blend] += w[blend, None, None] * (cv[agent[blend]] - paths[blend])
-    for j, a in enumerate(movers):
-        out[a] = paths[j * n_modes:(j + 1) * n_modes]
-    return out
+    return predict_scenes([histories], [vmap], k, lam, b0, weighted)[0]
 
 
 def predict_blind(history: np.ndarray, vmap: VectorMap, k: int = DEFAULT_MODES) -> np.ndarray:
@@ -624,37 +713,43 @@ def _sample_occluders(rng: np.random.Generator, max_count: int,
     return tuple(out)
 
 
-def _build_record(i: int, spec: SceneSpec, observe_seed: int,
-                  cfg: DatasetConfig) -> SceneRecord:
-    gt, agents = generate_scene(spec)
-    observed = observe(gt, cfg.noise, spec, observe_seed, cfg.resample_count)
-    if cfg.predictor in ("blind", "weighted"):  # lam and b0 move no blind mode
-        modes = predict_scene([agent.history for agent in agents], observed, cfg.modes,
-                              cfg.lam, cfg.b0, weighted=cfg.predictor == "weighted")
-    else:
-        modes = [agent.future[None] if cfg.predictor == "exact" else None for agent in agents]
-    agents = [replace(agent, modes=m) for agent, m in zip(agents, modes)]
-    return SceneRecord(f"scene_{i:04d}", spec, observe_seed, gt, observed, agents)
-
-
 def build_dataset(config: DatasetConfig | None = None) -> SyntheticDataset:
     """Generate a full deterministic dataset from one master seed.
 
     The master stream draws only the scene specs and per-scene seeds, so
-    each scene is built from its own seeds alone.
+    each scene is built from its own seeds alone. Scenes are built in blocks
+    of ``_BLOCK``: one call per block generates the maps and walks the
+    agents, one observes the maps and one runs the predictor.
     """
     cfg = config or DatasetConfig()
     master = np.random.default_rng(cfg.seed)
-    records = []
-    for i in range(cfg.n_scenes):
+    specs, seeds = [], []
+    for _ in range(cfg.n_scenes):
         layout = _weighted_choice(master, cfg.layout_weights)
         condition = _weighted_choice(master, cfg.condition_weights)
         occluders = _sample_occluders(master, cfg.max_occluders, cfg.occluder_radius)
         scene_seed = int(master.integers(0, 2**63 - 1))
-        observe_seed = int(master.integers(0, 2**63 - 1))
-        spec = SceneSpec(layout=layout, seed=scene_seed, n_agents=cfg.n_agents,
-                         condition=condition, occluders=occluders,
-                         lane_change_prob=cfg.lane_change_prob,
-                         duplicate_centerlines=cfg.duplicate_centerlines)
-        records.append(_build_record(i, spec, observe_seed, cfg))
+        seeds.append(int(master.integers(0, 2**63 - 1)))
+        specs.append(SceneSpec(layout=layout, seed=scene_seed, n_agents=cfg.n_agents,
+                               condition=condition, occluders=occluders,
+                               lane_change_prob=cfg.lane_change_prob,
+                               duplicate_centerlines=cfg.duplicate_centerlines))
+    records = []
+    for start in range(0, cfg.n_scenes, _BLOCK):
+        block, block_seeds = specs[start:start + _BLOCK], seeds[start:start + _BLOCK]
+        gts, tracks = _scene_block(block)
+        observed = _observe_block(gts, cfg.noise, block, block_seeds, cfg.resample_count)
+        if cfg.predictor in ("blind", "weighted"):  # lam and b0 move no blind mode
+            modes = predict_scenes([[h for h, _ in scene] for scene in tracks], observed,
+                                   cfg.modes, cfg.lam, cfg.b0,
+                                   weighted=cfg.predictor == "weighted")
+        else:
+            modes = [[future[None] if cfg.predictor == "exact" else None
+                      for _, future in scene] for scene in tracks]
+        for i, spec, seed, gt, obs, scene, scene_modes in zip(
+                range(start, start + len(block)), block, block_seeds, gts, observed, tracks,
+                modes):
+            agents = [AgentTrack(history, future, m)
+                      for (history, future), m in zip(scene, scene_modes)]
+            records.append(SceneRecord(f"scene_{i:04d}", spec, seed, gt, obs, agents))
     return SyntheticDataset(records, cfg)

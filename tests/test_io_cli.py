@@ -10,6 +10,7 @@ from contextlib import redirect_stderr
 from dataclasses import dataclass
 from io import StringIO
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import orjson
@@ -376,6 +377,24 @@ def _json_tree(integers):
 _json_values = _json_tree(st.integers(-10**30, 10**30))
 
 
+# JSON objects such as scene files hold, for the orjson path: finite floats
+# (the edges of orjson's repr range, values past them and values whose text
+# ends in one of its odd tails, such as 10.00005), 64-bit ints, bools, None
+# and ASCII strings that spell numbers. DEL is left out: json escapes it and
+# orjson does not.
+_SCENE_FLOATS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from(_RANGE_EDGES + [5e-324, -1e-7, 1e300, 10.00005, 1.5e16, -0.0]))
+_NUMBER_TEXT = st.text(st.one_of(st.sampled_from(list("0.e-+, \n\"")),
+                                 st.characters(max_codepoint=0x7e)), max_size=8)
+_scene_json_objects = st.dictionaries(_NUMBER_TEXT, st.recursive(
+    st.one_of(_SCENE_FLOATS, st.lists(_SCENE_FLOATS, max_size=4),
+              st.integers(-2**63, 2**63 - 1), st.booleans(), st.none(), _NUMBER_TEXT),
+    lambda children: st.one_of(st.lists(children, max_size=4),
+                               st.dictionaries(_NUMBER_TEXT, children, max_size=4)),
+    max_leaves=20), max_size=4)
+
+
 @dataclass
 class _Stat:
     edges: tuple
@@ -432,6 +451,59 @@ class TestWriteJson:
         obj["a"].append(obj)
         with pytest.raises(ValueError, match="Circular reference"):
             uio.write_json(tmp_path / "x.json", obj)
+
+    @pytest.mark.parametrize("value", _RANGE_EDGES + [5e-324, 1e-7, 1.5e-5, 1e300, 1.5e16,
+                                           10.00005])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_scene_files_outside_range_stay_on_orjson(self, value, sign, tmp_path):
+        """A finite float outside [1e-4, 1e16) is written by orjson, its token in
+        repr's text, next to the in-range values a scene file holds."""
+        logits = np.array([[value * sign, -1.0, 0.5, 2.0]] * 2)
+        el = MapElement(np.array([[value * sign, 1.0], [3.0, -2.0]]), ElementClass.LANE_DIVIDER,
+                        0.5, b=np.array([[value, 0.25], [0.5, value]]), class_logits=logits)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # vertices outside the perception range
+            m = VectorMap([el], Pose2(value * sign, 2.0, 0.5))
+        agents = [AgentTrack([[value * sign, 0.0]], [[1.0, value]], [[[value, -value]]])]
+        expected = [json.dumps(uio.map_to_dict(m), indent=2) + "\n",
+                    json.dumps(uio.trajectories_to_dict(agents), indent=2) + "\n"]
+        with mock.patch.object(uio.json, "dumps", side_effect=AssertionError("json path")):
+            uio.save_map(m, tmp_path / "m.json")
+            uio.save_trajectories(agents, tmp_path / "t.json")
+        assert [(tmp_path / f).read_text() for f in ("m.json", "t.json")] == expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(_scene_json_objects)
+    def test_orjson_path_bytes_match_json_dumps(self, tmp_path_factory, obj):
+        floats = []
+
+        def collect(value):
+            if isinstance(value, float):
+                floats.append(value)
+            for child in value.values() if isinstance(value, dict) else \
+                    value if isinstance(value, list) else ():
+                collect(child)
+        collect(obj)
+        expected = (json.dumps(obj, indent=2) + "\n").encode("utf-8")
+        path = tmp_path_factory.getbasetemp() / "orjson_path.json"
+        with mock.patch.object(uio.json, "dumps", side_effect=AssertionError("json path")):
+            uio.write_json(path, obj, [floats])
+        assert path.read_bytes() == expected
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_floats_go_to_json(self, value, tmp_path):
+        obj = {"a": [1e-7, value]}
+        uio.write_json(tmp_path / "x.json", obj, [obj["a"]])
+        assert (tmp_path / "x.json").read_text() == json.dumps(obj, indent=2) + "\n"
+
+    def test_makes_missing_directories(self, tmp_path, monkeypatch):
+        mkdir = []
+        monkeypatch.setattr(Path, "mkdir", lambda self, *a, **k: mkdir.append(self) or
+                            os.makedirs(self, exist_ok=True))
+        for name in ("a.json", "b.json"):
+            uio.write_json(tmp_path / "d" / "e" / name, {"x": 1.5}, [[1.5]])
+        assert mkdir == [tmp_path / "d" / "e"]
+        assert (tmp_path / "d" / "e" / "b.json").read_text() == '{\n  "x": 1.5\n}\n'
 
     def test_deep_nesting(self, tmp_path):
         obj = [1.5]
@@ -686,6 +758,39 @@ class TestGoldenGenerate:
         assert any(s["occluders"] for s, *_ in scenes)
         assert sum(_lane_changes(gt, agents) for _, gt, _, agents, _ in scenes) >= 1
         assert digest == GOLDEN_DIGEST
+
+
+# sha256 of the trees `generate` writes for configs that reach what
+# GOLDEN_CONFIG does not: one-hot classes, the weighted predictor over a
+# block boundary, duplicate centerlines, a lane change for every agent, up to
+# 5 occluders, 15 and 2 vertices per element, scales below 1e-4 (and floored
+# at B_FLOOR in the exact run), and the exact and none predictors. Recorded
+# before scenes were built in blocks.
+GOLDEN_BRANCHES = [
+    ({"n_scenes": 20, "seed": 5, "n_agents": 3, "predictor": "weighted",
+      "duplicate_centerlines": True, "lane_change_prob": 1.0, "max_occluders": 5,
+      "resample_count": 15,
+      "noise": {"base_b": 1e-5, "distance_coeff": 0, "class_mode": "one_hot"}},
+     "bad25b3691c20f197a22eaad7ef841bce15decd4e4bc747296e2c4341feb416a"),
+    ({"n_scenes": 3, "seed": 1, "predictor": "exact", "lane_change_prob": 1.0,
+      "noise": {"base_b": 1e-5, "distance_coeff": 0, "miscalibration": 0.05}},
+     "3980d1c2e9d2021788f6db9c5b573e6022f68a5dc153c0ff3cdde0508580c7d9"),
+    ({"n_scenes": 3, "seed": 2, "predictor": "none", "max_occluders": 5,
+      "resample_count": 2},
+     "277dfb9abc2c46cbf0b54aea6724cf40a78185895b867175fe00ab1dc1455f23"),
+]
+
+
+class TestGoldenBranches:
+    @pytest.mark.parametrize("config, digest", GOLDEN_BRANCHES,
+                             ids=[c["predictor"] for c, _ in GOLDEN_BRANCHES])
+    def test_tree_digest_pinned(self, config, digest, tmp_path):
+        (tmp_path / "config.json").write_text(json.dumps(config))
+        out = tmp_path / "d"
+        assert main(["generate", "--config", str(tmp_path / "config.json"),
+                     "--out", str(out)]) == 0
+        assert hashlib.sha256(
+            json.dumps(_tree_digest(out), sort_keys=True).encode()).hexdigest() == digest
 
 
 # sha256 of the reports that eval-map and calibrate write for the GOLDEN_CONFIG

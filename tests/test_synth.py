@@ -1,8 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import spearmanr
 
+from uncmap import synth
 from uncmap.geometry import (
+    CLASS_INDEX,
+    NUM_CLASSES,
     ElementClass,
     Polyline,
     Pose2,
@@ -15,6 +20,9 @@ from uncmap.geometry import (
 from uncmap.map_eval import evaluate_scenes
 from uncmap.probmap import B_FLOOR, MapElement, VectorMap, mean_map
 from uncmap.synth import (
+    DT,
+    FUTURE_STEPS,
+    HISTORY_STEPS,
     LANE_WIDTH,
     Condition,
     DatasetConfig,
@@ -24,6 +32,7 @@ from uncmap.synth import (
     SceneSpec,
     build_dataset,
     generate_scene,
+    in_shadow,
     observe,
     predict_blind,
     predict_scene,
@@ -131,15 +140,17 @@ class TestObserve:
         pts = np.random.default_rng(n_occluders).uniform([-15, -30], [15, 30], (200, 2))
         ego = np.zeros(2)
         noise = NoiseModel(base_b=0.1, distance_coeff=0.02, occlusion_multiplier=4.0)
-        got = noise.true_scale(pts, ego, ElementClass.PED_CROSSING, Condition.NIGHT,
-                               occluders)
+        # Per-point multipliers, as the points of a block's classes carry them.
+        multiplier = np.where(np.arange(len(pts)) % 3 == 0, 2.0, 1.3)
+        got = noise.true_scale(pts, np.tile(ego, (len(pts), 1)), multiplier,
+                               in_shadow(ego, pts, occluders))
         expected, shadowed = [], 0
-        for p in pts:
+        for p, m in zip(pts, multiplier):
             b = 0.1 + 0.02 * np.hypot(p[0], p[1])
             if any(segment_intersects_disc(ego, p, o.center, o.radius) for o in occluders):
                 b *= 4.0
                 shadowed += 1
-            expected.append(max(b * 2.0, B_FLOOR))  # default night crossing multiplier
+            expected.append(max(b * m, B_FLOOR))
         assert np.array_equal(got, expected)
         assert (shadowed > 0) == (n_occluders > 0)
 
@@ -396,3 +407,206 @@ class TestPerScenePredictor:
         assert predict_scene([], VectorMap([]), k=3) == []
         with pytest.raises(ValueError):
             predict_scene([np.zeros((2, 2))], VectorMap([]), k=0)
+
+
+# build_dataset as it was before scenes were built in blocks, one scene and
+# one element at a time, kept as the reference the blocks must match bit for
+# bit. The predictors are the per-agent reference above.
+
+def reference_true_scale(noise, points, ego, element_class, condition, occluders):
+    dist = np.hypot(points[:, 0] - ego[0], points[:, 1] - ego[1])
+    b = noise.base_b + noise.distance_coeff * dist
+    if occluders:
+        centers = np.array([[o.x, o.y] for o in occluders])
+        radii = np.array([o.radius for o in occluders])
+        shadowed = segment_intersects_disc(ego, points[:, None, :], centers[None],
+                                           radii[None]).any(axis=1)
+        b = np.where(shadowed, b * noise.occlusion_multiplier, b)
+    b = b * noise.condition_multipliers.get((condition, element_class), 1.0)
+    return np.maximum(b, B_FLOOR)
+
+
+def reference_agent(rng, chains, closed, speed_range, lane_change_prob):
+    idx = int(rng.integers(len(chains)))
+    pts = chains[idx]
+    step = np.diff(np.vstack([pts, pts[:1]]) if closed[idx] else pts, axis=0)
+    length = float(np.hypot(step[:, 0], step[:, 1]).sum())
+    back = (HISTORY_STEPS - 1) * DT
+    fwd = FUTURE_STEPS * DT
+    v_hi = min(speed_range[1], (length - 2.0) / (back + fwd))
+    v_lo = min(speed_range[0], max(v_hi - 0.5, 0.5))
+    v = float(rng.uniform(v_lo, v_hi))
+    s0 = float(rng.uniform(back * v + 0.5, length - fwd * v - 0.5))
+    steps = np.arange(-(HISTORY_STEPS - 1), FUTURE_STEPS + 1)
+    track = point_along([pts], [closed[idx]], (s0 + v * DT * steps)[None])[0]
+    history = track[:HISTORY_STEPS]
+    future = track[HISTORY_STEPS:]
+    if rng.random() < lane_change_prob:
+        target = None
+        for i, cand in enumerate(chains):
+            if i == idx:
+                continue
+            gap0, gap1 = nearest_point_on_polyline([cand] * 2, [closed[i]] * 2,
+                                                   future[[0, -1]])[2]
+            if abs(gap0 - LANE_WIDTH) < 0.1 and abs(gap1 - LANE_WIDTH) < 0.1:
+                target = i
+                break
+        if target is not None:
+            ramp = 0.5 * (1.0 - np.cos(np.pi * np.arange(1, FUTURE_STEPS + 1) / FUTURE_STEPS))
+            onto = nearest_point_on_polyline([chains[target]] * len(future),
+                                             [closed[target]] * len(future), future)[0]
+            future = future + ramp[:, None] * (onto - future)
+    return history, future
+
+
+def reference_generate_scene(spec):
+    rng = np.random.default_rng(spec.seed)
+    elements = synth._BUILDERS[spec.layout](rng)
+    if spec.duplicate_centerlines:
+        elements += [MapElement(el.vertices + np.array([0.15, 0.0]), el.element_class,
+                                el.confidence, el.closed)
+                     for el in elements if el.element_class == ElementClass.LANE_CENTERLINE]
+    gt = VectorMap(elements)
+    centerlines = gt.by_class(ElementClass.LANE_CENTERLINE)
+    closed = [c.closed for c in centerlines]
+    chains = polyline_vertices([c.mu for c in centerlines], closed)
+    return gt, [reference_agent(rng, chains, closed, synth._SPEED_RANGE[spec.layout],
+                                spec.lane_change_prob) for _ in range(spec.n_agents)]
+
+
+def reference_observe(gt, noise, spec, seed, resample_count):
+    rng = np.random.default_rng(seed)
+    ego = gt.ego_pose.position
+    points = resample([el.vertices for el in gt.elements], [el.closed for el in gt.elements],
+                      [resample_count] * len(gt.elements))
+    out = []
+    for el, pts in zip(gt.elements, points):
+        b_true = reference_true_scale(noise, pts, ego, el.element_class, spec.condition,
+                                      spec.occluders)
+        mu = rng.laplace(pts, b_true[:, None])
+        b_emit = np.maximum(b_true * noise.miscalibration, B_FLOOR)
+        true_idx = CLASS_INDEX[el.element_class]
+        n = len(pts)
+        if noise.class_mode == "one_hot":
+            logits = np.full((n, NUM_CLASSES), -16.0)
+            logits[:, true_idx] = 0.0
+        else:
+            q = rng.uniform(0.55, 0.95, size=n)
+            correct = rng.random(n) < q
+            others = [c for c in range(NUM_CLASSES) if c != true_idx]
+            pred = np.where(correct, true_idx, rng.choice(others, size=n))
+            probs = np.repeat(((1.0 - q) / (NUM_CLASSES - 1))[:, None], NUM_CLASSES, axis=1)
+            probs[np.arange(n), pred] = q
+            logits = np.log(probs)
+        conf = float(rng.uniform(0.7, 1.0))
+        out.append(MapElement(mu, el.element_class, conf, el.closed,
+                              b=np.column_stack([b_emit, b_emit]), class_logits=logits))
+    return VectorMap(out, gt.ego_pose, gt.perception_range)
+
+
+def reference_build_dataset(cfg):
+    """(spec, observe seed, gt, observed, [(history, future, modes)]) per scene."""
+    master = np.random.default_rng(cfg.seed)
+    out = []
+    for _ in range(cfg.n_scenes):
+        layout = synth._weighted_choice(master, cfg.layout_weights)
+        condition = synth._weighted_choice(master, cfg.condition_weights)
+        occluders = synth._sample_occluders(master, cfg.max_occluders, cfg.occluder_radius)
+        scene_seed = int(master.integers(0, 2**63 - 1))
+        observe_seed = int(master.integers(0, 2**63 - 1))
+        spec = SceneSpec(layout=layout, seed=scene_seed, n_agents=cfg.n_agents,
+                         condition=condition, occluders=occluders,
+                         lane_change_prob=cfg.lane_change_prob,
+                         duplicate_centerlines=cfg.duplicate_centerlines)
+        gt, tracks = reference_generate_scene(spec)
+        observed = reference_observe(gt, cfg.noise, spec, observe_seed, cfg.resample_count)
+        agents = []
+        for history, future in tracks:
+            if cfg.predictor == "blind":
+                modes = reference_predict(history, observed, cfg.modes)
+            elif cfg.predictor == "weighted":
+                modes = reference_predict(history, observed, cfg.modes, cfg.lam, cfg.b0)
+            else:
+                modes = future[None] if cfg.predictor == "exact" else np.empty((0, 30, 2))
+            agents.append((history, future, modes))
+        out.append((spec, observe_seed, gt, observed, agents))
+    return out
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def assert_same_map(got, want):
+    assert same_bits(got.offsets, want.offsets) and same_bits(got.mu, want.mu)
+    for name in ("b", "class_logits"):
+        if getattr(want, name) is None:
+            assert getattr(got, name) is None
+        else:
+            assert same_bits(getattr(got, name), getattr(want, name))
+    assert [(e.element_class, e.closed) for e in got.elements] == \
+        [(e.element_class, e.closed) for e in want.elements]
+    assert [e.confidence for e in got.elements] == [e.confidence for e in want.elements]
+    assert (got.ego_pose, got.perception_range, got.out_of_range) == \
+        (want.ego_pose, want.perception_range, want.out_of_range)
+
+
+_WEIGHTS = st.lists(st.integers(0, 4), min_size=3, max_size=3).filter(any).map(
+    lambda w: [x / sum(w) for x in w])
+
+
+@st.composite
+def dataset_configs(draw):
+    layouts, conditions = draw(_WEIGHTS), draw(_WEIGHTS)
+    noise = NoiseModel(base_b=draw(st.sampled_from([B_FLOOR, 1e-5, 0.05, 0.2])),
+                       distance_coeff=draw(st.sampled_from([0.0, 0.01, 0.03])),
+                       occlusion_multiplier=draw(st.sampled_from([1.0, 3.0, 6.0])),
+                       miscalibration=draw(st.sampled_from([0.05, 1.0, 1.7])),
+                       class_mode=draw(st.sampled_from(["calibrated", "one_hot"])))
+    return DatasetConfig(
+        # Above and below the block size, and across a block boundary.
+        n_scenes=draw(st.integers(1, 2 * synth._BLOCK + 3)),
+        seed=draw(st.integers(0, 2**32)),
+        layout_weights=dict(zip(Layout, layouts)),
+        condition_weights=dict(zip(Condition, conditions)),
+        n_agents=draw(st.integers(1, 4)),
+        max_occluders=draw(st.integers(0, 5)),
+        lane_change_prob=draw(st.sampled_from([0.0, 0.1, 0.6, 1.0])),
+        duplicate_centerlines=draw(st.booleans()),
+        noise=noise,
+        resample_count=draw(st.integers(2, 25)),
+        modes=draw(st.integers(1, 8)),
+        predictor=draw(st.sampled_from(["blind", "weighted", "exact", "none"])),
+        lam=draw(st.sampled_from([0.0, 1.0, 2.5])),
+        b0=draw(st.sampled_from([0.1, 0.5, 3.0])))
+
+
+class TestBlockBuild:
+    @settings(max_examples=25, deadline=None)
+    @given(cfg=dataset_configs())
+    def test_matches_per_scene_loop(self, cfg):
+        records = build_dataset(cfg).records
+        want = reference_build_dataset(cfg)
+        assert len(records) == len(want) == cfg.n_scenes
+        for i, (rec, (spec, seed, gt, observed, agents)) in enumerate(zip(records, want)):
+            assert (rec.scene_id, rec.spec, rec.observe_seed) == (f"scene_{i:04d}", spec, seed)
+            assert_same_map(rec.gt_map, gt)
+            assert_same_map(rec.observed_map, observed)
+            assert len(rec.agents) == len(agents)
+            for got, (history, future, modes) in zip(rec.agents, agents):
+                assert same_bits(got.history, history) and same_bits(got.future, future)
+                assert same_bits(got.modes, modes)
+
+    def test_one_scene_calls_match_the_block(self):
+        cfg = DatasetConfig(n_scenes=synth._BLOCK + 2, seed=4, lane_change_prob=0.5,
+                            max_occluders=4)
+        for rec in build_dataset(cfg).records:
+            gt, agents = generate_scene(rec.spec)
+            assert_same_map(gt, rec.gt_map)
+            observed = observe(gt, cfg.noise, rec.spec, rec.observe_seed, cfg.resample_count)
+            assert_same_map(observed, rec.observed_map)
+            modes = predict_scene([a.history for a in agents], observed, cfg.modes)
+            for got, track, m in zip(rec.agents, agents, modes):
+                assert same_bits(got.history, track.history)
+                assert same_bits(got.future, track.future) and same_bits(got.modes, m)
