@@ -23,6 +23,9 @@ ground truth does not, the resampled ground truth is exactly the point set
 the Chamfer matching already built, so it is reused rather than resampled
 again. (A ground truth that already has that count enters the Chamfer
 matrix verbatim, while pairing resamples it, so it keeps its own resample.)
+
+:func:`pair_vertices` pairs a whole list of (predicted map, ground-truth
+map) pairs in one pass; :func:`match_vertex_pairs` is its one-pair call.
 """
 
 from __future__ import annotations
@@ -85,24 +88,17 @@ class CoverageReport:
 def coverage_arrays(mu: np.ndarray, b: np.ndarray, gt: np.ndarray,
                     levels) -> CoverageReport:
     """Coverage from (N, 2) location/scale/ground-truth arrays."""
-    mu = np.asarray(mu, dtype=float)
-    b = np.asarray(b, dtype=float)
-    gt = np.asarray(gt, dtype=float)
+    mu, b, gt = (np.asarray(x, dtype=float) for x in (mu, b, gt))
     if mu.size == 0:
         raise ValueError("coverage needs at least one pair")
     if mu.shape != b.shape or mu.shape != gt.shape:
         raise ValueError("mu, b, gt must share one shape")
     levels = tuple(_check_level(v) for v in levels)
     resid = np.abs(gt - mu)
-    pooled = np.empty(len(levels))
-    cov_x = np.empty(len(levels))
-    cov_y = np.empty(len(levels))
-    for i, lv in enumerate(levels):
-        inside = resid <= _half_width(b, lv)
-        pooled[i] = inside.mean()
-        cov_x[i] = inside[:, 0].mean()
-        cov_y[i] = inside[:, 1].mean()
-    return CoverageReport(levels, pooled, cov_x, cov_y, resid.size)
+    inside = [resid <= _half_width(b, lv) for lv in levels]
+    return CoverageReport(levels, np.array([x.mean() for x in inside]),
+                          np.array([x[:, 0].mean() for x in inside]),
+                          np.array([x[:, 1].mean() for x in inside]), resid.size)
 
 
 @dataclass
@@ -116,29 +112,27 @@ class MatchedVertices:
     labels: np.ndarray      # (N,) true class index from the matched element
 
 
-def match_vertex_pairs(pred_map: VectorMap, gt_map: VectorMap,
-                       threshold: float = 1.5,
-                       resample_count: int = 20) -> MatchedVertices:
-    """Pair predicted vertices with ground-truth points for calibration.
+def pair_vertices(map_pairs, threshold: float = 1.5,
+                  resample_count: int = 20) -> MatchedVertices:
+    """Pair predicted vertices with ground-truth points for calibration, over
+    a list of (predicted map, ground-truth map) pairs.
 
-    Elements are matched per class by ``map_eval.greedy_match`` at the
-    given Chamfer threshold; unmatched elements contribute nothing. Pairs
-    are appended in descending prediction confidence. The Chamfer matrices
-    of all classes come from one pooled-kernel call, after one grouped
-    resampling of all elements; the ground truths that pairing resamples
-    to the prediction's vertex count go through one more grouped call.
+    Elements are matched per map pair and class by ``map_eval.greedy_match``
+    at the given Chamfer threshold; unmatched elements contribute nothing.
+    Pairs are appended by map pair, class and descending confidence. All
+    Chamfer matrices come from one pooled-kernel call after one grouped
+    resampling; the ground truths that pairing resamples take one more.
     """
-    classes = {el.element_class for el in pred_map.elements}
-    classes |= {el.element_class for el in gt_map.elements}
-    groups = [(cls, pred_map.by_class(cls), gt_map.by_class(cls))
-              for cls in sorted(classes, key=lambda c: c.value)]
+    groups = [(cls, pred_map.by_class(cls), gt_map.by_class(cls)) for pred_map, gt_map in map_pairs
+              for cls in sorted({el.element_class for el in pred_map.elements + gt_map.elements},
+                                key=lambda c: c.value)]
     groups = [(cls, preds, gts) for cls, preds, gts in groups if preds and gts]
     points = _split_point_sets([(preds, gts) for _, preds, gts in groups], resample_count)
     mats = _chamfer_points(points, resample_count)
-    # One entry per pair: the prediction, its class index, and its ground
-    # truth's point set, which is the element itself until it is resampled.
-    preds, labels, gt_sets, todo = [], [], [], []
-    for (cls, cls_preds, gts), (_, chamfer_sets), mat in zip(groups, points, mats):
+    # One entry per pair: the prediction and its ground truth's point set,
+    # which is the element itself until it is resampled.
+    preds, gt_sets, todo = [], [], []
+    for (_, cls_preds, gts), (_, chamfer_sets), mat in zip(groups, points, mats):
         conf = np.array([p.confidence for p in cls_preds], dtype=float)
         match = greedy_match(conf, mat, threshold)
         for pi in np.argsort(-conf, kind="stable"):
@@ -150,7 +144,6 @@ def match_vertex_pairs(pred_map: VectorMap, gt_map: VectorMap,
             else:
                 todo.append(len(gt_sets))
             preds.append(pred)
-            labels.append(CLASS_INDEX[cls])
             gt_sets.append(gt)
     if not preds:
         return MatchedVertices(np.empty((0, 2)), np.empty((0, 2)), np.empty((0, 2)),
@@ -177,7 +170,13 @@ def match_vertex_pairs(pred_map: VectorMap, gt_map: VectorMap,
     return MatchedVertices(
         np.vstack([p.mu for p in preds]), np.vstack([p.b for p in preds]), np.vstack(gt_sets),
         softmax(np.vstack([p.class_logits for p in preds])),
-        np.repeat(np.array(labels, dtype=int), [p.n_vertices for p in preds]))
+        np.repeat([CLASS_INDEX[p.element_class] for p in preds], [p.n_vertices for p in preds]))
+
+
+def match_vertex_pairs(pred_map: VectorMap, gt_map: VectorMap, threshold: float = 1.5,
+                       resample_count: int = 20) -> MatchedVertices:
+    """:func:`pair_vertices` of one predicted map and its ground truth."""
+    return pair_vertices([(pred_map, gt_map)], threshold, resample_count)
 
 
 @dataclass

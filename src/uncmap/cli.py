@@ -11,12 +11,12 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from itertools import chain, islice
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__, calibration, io, map_eval, pred_eval, synth
-from .pred_eval import TrajectorySet
 
 
 class _Parser(argparse.ArgumentParser):
@@ -92,6 +92,13 @@ def _scaled_map(scene: dict, observed):
     return observed
 
 
+def _scene_blocks(manifest, *parts):
+    """:func:`io.iter_scene_files` in lists of ``synth.SCENE_BLOCK`` scenes."""
+    rows = io.iter_scene_files(manifest, *parts)
+    while block := list(islice(rows, synth.SCENE_BLOCK)):
+        yield block
+
+
 def cmd_generate(args) -> int:
     cfg = io.load_dataset_config(args.config)
     if args.seed is not None:
@@ -130,33 +137,27 @@ def cmd_eval_map(args) -> int:
     return 0
 
 
-def _trajectory_sets(manifest) -> tuple[list[TrajectorySet], list[list]]:
-    sets, rows = [], []
-    for scene, agents, modes in io.iter_scene_files(manifest, "trajectories"):
-        for ai, (agent, agent_modes) in enumerate(zip(agents, modes)):
-            if agent_modes.size == 0:
-                raise io.DataError(
-                    f"scene {scene['id']} agent {ai} has no predicted modes; "
-                    "generate the dataset with a predictor")
-            sets.append(TrajectorySet(agent_modes, agent.future))
-            rows.append([scene["id"], ai])
-    return sets, rows
-
-
 def cmd_eval_pred(args) -> int:
     manifest = io.load_manifest(args.manifest)
-    sets, keys = _trajectory_sets(manifest)
-    if not sets:
+    keys, tracks = [], []
+    for scene, agents, _ in io.iter_scene_files(manifest, "trajectories"):
+        for ai, agent in enumerate(agents):
+            if agent.modes.size == 0:
+                raise io.DataError(f"scene {scene['id']} agent {ai} has no predicted modes; "
+                                   "generate the dataset with a predictor")
+            keys.append([scene["id"], ai])
+            tracks.append(agent)
+    if not keys:
         raise io.DataError("manifest contains no agents")
-    report = pred_eval.evaluate_trajectories(sets, args.miss_threshold)
+    columns = pred_eval.agent_errors([a.modes for a in tracks], [a.future for a in tracks],
+                                     args.miss_threshold)
+    report = pred_eval.PredEvalReport.from_errors(*columns)
     effective = {"command": "eval-pred", "miss_threshold": args.miss_threshold}
     out = _out_dir(args)
     io.write_report(out / "eval_pred.json", {"report": report}, effective, manifest)
     io.write_csv(out / "eval_pred_agents.csv",
                  ["scene", "agent", "min_ade", "min_fde", "miss"],
-                 (key + [pred_eval.min_ade(ts), pred_eval.min_fde(ts),
-                         pred_eval.miss(ts, args.miss_threshold)]
-                  for key, ts in zip(keys, sets)))
+                 (key + row for key, row in zip(keys, map(list, zip(*columns)))))
     print(f"minADE={report.minADE:.4f} minFDE={report.minFDE:.4f} "
           f"MR={report.MR:.4f} over {report.n_agents} agents -> {out}")
     return 0
@@ -165,21 +166,22 @@ def cmd_eval_pred(args) -> int:
 def cmd_calibrate(args) -> int:
     manifest = io.load_manifest(args.manifest)
     parts = []
-    for scene, gt, observed in io.iter_scene_files(manifest, "gt_map", "observed_map"):
-        observed = _scaled_map(scene, observed)
+    for block in _scene_blocks(manifest, "gt_map", "observed_map"):
+        pairs = [(_scaled_map(scene, observed), gt) for scene, gt, observed in block]
         try:
-            parts.append(calibration.match_vertex_pairs(
-                observed, gt, threshold=args.match_threshold,
-                resample_count=args.resample_count))
-        except ValueError as exc:
-            raise io.DataError(f"scene {scene['id']}: {exc}") from exc
-    if not parts or not any(len(p.mu) for p in parts):
+            parts.append(calibration.pair_vertices(pairs, args.match_threshold,
+                                                   args.resample_count))
+        except ValueError:
+            for (scene, _, _), pair in zip(block, pairs):  # name the scene that fails alone
+                try:
+                    calibration.pair_vertices([pair], args.match_threshold, args.resample_count)
+                except ValueError as exc:
+                    raise io.DataError(f"scene {scene['id']}: {exc}") from exc
+            raise
+    columns = [np.concatenate(column) for column in zip(*(vars(p).values() for p in parts))]
+    if not columns or not len(columns[0]):
         raise io.DataError("no matched vertices; nothing to calibrate")
-    mu = np.vstack([p.mu for p in parts])
-    b = np.vstack([p.b for p in parts])
-    gt_pts = np.vstack([p.gt for p in parts])
-    probs = np.vstack([p.class_probs for p in parts])
-    labels = np.concatenate([p.labels for p in parts])
+    mu, b, gt_pts, probs, labels = columns
     cov = calibration.coverage_arrays(mu, b, gt_pts, args.levels)
     rel = calibration.reliability(probs, labels, bins=args.bins)
     effective = {"command": "calibrate", "levels": args.levels, "bins": args.bins,
@@ -207,9 +209,9 @@ def cmd_analyze_uncertainty(args) -> int:
     # Per group, the (distance, mean scale) arrays of each map's vertices in
     # the group, in scene, element and vertex order.
     parts: dict[str, list[tuple[np.ndarray, np.ndarray]]] = {}
-    n_scenes = 0
+    if not manifest["scenes"]:
+        raise io.DataError("manifest contains no scenes")
     for scene, observed in io.iter_scene_files(manifest, "observed_map"):
-        n_scenes += 1
         observed = _scaled_map(scene, observed)
         if not observed.elements:
             continue
@@ -225,8 +227,6 @@ def cmd_analyze_uncertainty(args) -> int:
             mask = vertex_class == cls
             for group in (f"class:{cls}", f"{condition}|class:{cls}"):
                 parts.setdefault(group, []).append((dist[mask], scale[mask]))
-    if n_scenes == 0:
-        raise io.DataError("manifest contains no scenes")
     stats = {group: pred_eval.binned_ci(np.concatenate([d for d, _ in parts[group]]),
                                         np.concatenate([v for _, v in parts[group]]),
                                         args.bin_edges)
@@ -247,49 +247,39 @@ def cmd_analyze_uncertainty(args) -> int:
 
 def cmd_compare_predictors(args) -> int:
     manifest = io.load_manifest(args.manifest)
-    blind_sets, weighted_sets = [], []
-    for scene, observed, agents, _ in io.iter_scene_files(manifest, "observed_map",
-                                                          "trajectories"):
-        observed = _scaled_map(scene, observed)
-        histories = [agent.history for agent in agents]
-        blind = synth.predict_scene(histories, observed, args.modes)
-        weighted = synth.predict_scene(histories, observed, args.modes, args.lam, args.b0,
-                                       weighted=True)
-        for ai, (agent, b_modes, w_modes) in enumerate(zip(agents, blind, weighted)):
-            try:
-                blind_sets.append(TrajectorySet(b_modes, agent.future))
-                weighted_sets.append(TrajectorySet(w_modes, agent.future))
-            except ValueError as exc:
-                # A future of other than synth.FUTURE_STEPS points, or map
-                # coordinates so large that a prediction overflows.
-                raise io.DataError(f"scene {scene['id']} agent {ai}: {exc}") from exc
-    if not blind_sets:
+    modes, futures = ([], []), []
+    for block in _scene_blocks(manifest, "observed_map", "trajectories"):
+        maps = [_scaled_map(scene, observed) for scene, observed, _, _ in block]
+        histories = [[agent.history for agent in agents] for _, _, agents, _ in block]
+        for out, weighted in zip(modes, (False, True)):
+            out += chain.from_iterable(synth.predict_scenes(
+                histories, maps, args.modes, args.lam, args.b0, weighted))
+        for scene, _, agents, _ in block:
+            for ai, agent in enumerate(agents):
+                key, a = f"scene {scene['id']} agent {ai}", len(futures)
+                if len(agent.future) != synth.FUTURE_STEPS:
+                    raise io.DataError(f"{key}: modes must be (K, T, 2) matching gt")
+                if not all(np.isfinite(m[a]).all() for m in modes):  # a prediction overflowed
+                    raise io.DataError(f"{key}: trajectories must be finite")
+                futures.append(agent.future)
+    if not futures:
         raise io.DataError("manifest contains no agents")
-    rep_blind = pred_eval.evaluate_trajectories(blind_sets, args.miss_threshold)
-    rep_weighted = pred_eval.evaluate_trajectories(weighted_sets, args.miss_threshold)
-
-    def delta(a: float, b: float) -> float | None:
-        return None if a == 0 else (b - a) / a * 100.0
-
-    deltas = {
-        "minADE": delta(rep_blind.minADE, rep_weighted.minADE),
-        "minFDE": delta(rep_blind.minFDE, rep_weighted.minFDE),
-        "MR": delta(rep_blind.MR, rep_weighted.MR),
-    }
+    blind, weighted = (vars(pred_eval.PredEvalReport.from_errors(
+        *pred_eval.agent_errors(m, futures, args.miss_threshold))) for m in modes)
+    deltas = {name: (weighted[name] - blind[name]) / blind[name] * 100.0 if blind[name] else None
+              for name in ("minADE", "minFDE", "MR")}
     effective = {"command": "compare-predictors", "modes": args.modes,
                  "lam": args.lam, "b0": args.b0, "miss_threshold": args.miss_threshold}
     out = _out_dir(args)
     io.write_report(out / "compare_predictors.json",
-                    {"blind": rep_blind, "weighted": rep_weighted, "delta_pct": deltas},
+                    {"blind": blind, "weighted": weighted, "delta_pct": deltas},
                     effective, manifest)
     io.write_csv(out / "compare_predictors.csv",
                  ["metric", "blind", "weighted", "delta_pct"],
-                 ([name, getattr(rep_blind, name), getattr(rep_weighted, name),
-                   "" if d is None else f"{d:+.1f}%"] for name, d in deltas.items()))
-    for name in ("minADE", "minFDE", "MR"):
-        d = deltas[name]
-        print(f"{name}: blind={getattr(rep_blind, name):.4f} "
-              f"weighted={getattr(rep_weighted, name):.4f}"
+                 ([name, blind[name], weighted[name], "" if d is None else f"{d:+.1f}%"]
+                  for name, d in deltas.items()))
+    for name, d in deltas.items():
+        print(f"{name}: blind={blind[name]:.4f} weighted={weighted[name]:.4f}"
               + (f" ({d:+.1f}%)" if d is not None else ""))
     return 0
 
@@ -329,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest", required=True)
     p.add_argument("--out", default=None)
     p.add_argument("--levels", type=_levels, default="0.5,0.9")
-    p.add_argument("--bins", type=_int_at_least(1), default=10)
+    p.add_argument("--bins", type=_int_at_least(1, 10_000), default=10)
     p.add_argument("--match-threshold", type=_positive_float, default=1.5)
     p.add_argument("--resample-count", type=_int_at_least(2, synth.MAX_RESAMPLE_COUNT), default=20)
     p.set_defaults(func=cmd_calibrate)

@@ -13,7 +13,7 @@ equal-length elements at once (grouped by length, not padded, so every
 row keeps the rounding of its own polyline), and evaluates the pairs in
 fixed-size blocks of one broadcast distance tensor, giving the values of
 :func:`chamfer` bit for bit. AP evaluation calls it once per class over
-all scenes; the calibration pairing runs the same kernel once per scene.
+all scenes, and the calibration pairing once per list of map pairs.
 
 AP follows the detection convention: predictions are pooled across scenes,
 sorted by confidence (ties keep input order), and greedily matched to the

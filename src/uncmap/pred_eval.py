@@ -3,7 +3,9 @@
 For a multimodal prediction the best mode is the one with the smallest
 final-step displacement, and that single mode supplies both the average
 and the final displacement errors. An agent is a miss when its best
-final-step error exceeds the miss threshold strictly.
+final-step error exceeds the miss threshold strictly. :func:`agent_errors`
+computes all three for many agents in one stacked pass; every other metric
+here reads it.
 """
 
 from __future__ import annotations
@@ -12,17 +14,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .geometry import group_indices
+
 MISS_THRESHOLD = 2.0
 CI95_Z = 1.96
 
 
 @dataclass
 class TrajectorySet:
-    """K predicted modes plus the ground-truth future for one agent.
-
-    ``modes`` is (K, T, 2) and ``gt`` is (T, 2); every mode spans the same
-    horizon as the ground truth.
-    """
+    """One agent's K >= 1 predicted (K, T, 2) ``modes`` and its (T, 2)
+    ground-truth future ``gt``, finite and of one horizon T >= 1."""
 
     modes: np.ndarray
     gt: np.ndarray
@@ -38,19 +39,30 @@ class TrajectorySet:
         if not (np.all(np.isfinite(self.modes)) and np.all(np.isfinite(self.gt))):
             raise ValueError("trajectories must be finite")
 
-    @property
-    def n_modes(self) -> int:
-        return len(self.modes)
 
-
-def _final_errors(ts: TrajectorySet) -> np.ndarray:
-    d = ts.modes[:, -1, :] - ts.gt[-1]
-    return np.hypot(d[:, 0], d[:, 1])
+def agent_errors(modes, gt, threshold: float = MISS_THRESHOLD):
+    """(A,) minADE, minFDE and miss columns of A agents' (K, T, 2) ``modes``
+    against their (T, 2) ``gt``. Agents are stacked by horizon T, each stack
+    to its largest K: a shorter row repeats its mode 0, which moves neither
+    the smallest final error nor its lowest-index mode."""
+    ade, fde = np.empty(len(gt)), np.empty(len(gt))
+    for _, rows in group_indices(len(g) for g in gt):
+        k = max(len(modes[i]) for i in rows)
+        stack = np.array([np.concatenate([modes[i], modes[i][[0] * (k - len(modes[i]))]])
+                          for i in rows])
+        truth = np.array([gt[i] for i in rows], dtype=float)
+        d = stack[:, :, -1] - truth[:, None, -1]
+        final = np.hypot(d[..., 0], d[..., 1])
+        best = (np.arange(len(rows)), np.argmin(final, axis=1))
+        fde[rows] = final[best]
+        d = stack[best] - truth
+        ade[rows] = np.hypot(d[..., 0], d[..., 1]).mean(axis=1)
+    return ade, fde, fde > threshold
 
 
 def min_fde(ts: TrajectorySet) -> float:
     """Smallest final-step displacement over the modes."""
-    return float(_final_errors(ts).min())
+    return float(agent_errors([ts.modes], [ts.gt])[1][0])
 
 
 def min_ade(ts: TrajectorySet) -> float:
@@ -59,20 +71,16 @@ def min_ade(ts: TrajectorySet) -> float:
     Mode selection uses the final step, not the average, so the returned
     value can exceed the smallest per-mode ADE. Ties pick the lowest index.
     """
-    k = int(np.argmin(_final_errors(ts)))
-    d = ts.modes[k] - ts.gt
-    return float(np.hypot(d[:, 0], d[:, 1]).mean())
+    return float(agent_errors([ts.modes], [ts.gt])[0][0])
 
 
 def miss(ts: TrajectorySet, threshold: float = MISS_THRESHOLD) -> bool:
     """True when the best final-step error strictly exceeds the threshold."""
-    return min_fde(ts) > threshold
+    return bool(agent_errors([ts.modes], [ts.gt], threshold)[2][0])
 
 
 def miss_rate(sets: list[TrajectorySet], threshold: float = MISS_THRESHOLD) -> float:
-    if not sets:
-        raise ValueError("miss_rate needs at least one trajectory set")
-    return float(np.mean([miss(ts, threshold) for ts in sets]))
+    return evaluate_trajectories(sets, threshold).MR
 
 
 @dataclass
@@ -82,16 +90,19 @@ class PredEvalReport:
     MR: float
     n_agents: int
 
+    @classmethod
+    def from_errors(cls, ade, fde, missed) -> PredEvalReport:
+        """The means of :func:`agent_errors`' columns."""
+        return cls(float(ade.mean()), float(fde.mean()), float(missed.mean()), len(ade))
+
 
 def evaluate_trajectories(sets: list[TrajectorySet],
                           miss_threshold: float = MISS_THRESHOLD) -> PredEvalReport:
     """Aggregate minADE/minFDE/MR over a collection of agents."""
     if not sets:
         raise ValueError("need at least one trajectory set")
-    ades = [min_ade(ts) for ts in sets]
-    fdes = [min_fde(ts) for ts in sets]
-    return PredEvalReport(float(np.mean(ades)), float(np.mean(fdes)),
-                          miss_rate(sets, miss_threshold), len(sets))
+    return PredEvalReport.from_errors(*agent_errors(
+        [ts.modes for ts in sets], [ts.gt for ts in sets], miss_threshold))
 
 
 @dataclass
@@ -112,9 +123,7 @@ def binned_ci(keys, values, edges) -> BinnedStat:
     1.96 * s / sqrt(n) with the sample standard deviation s (ddof=1) for
     n >= 2, and 0 otherwise.
     """
-    keys = np.asarray(keys, dtype=float)
-    values = np.asarray(values, dtype=float)
-    edges = np.asarray(edges, dtype=float)
+    keys, values, edges = (np.asarray(x, dtype=float) for x in (keys, values, edges))
     if keys.shape != values.shape:
         raise ValueError("keys and values must have the same length")
     if len(edges) < 2 or np.any(np.diff(edges) <= 0):

@@ -46,9 +46,9 @@ FUTURE_STEPS = 30    # 3 s of future
 DEFAULT_MODES = 6
 DEFAULT_LAMBDA = 1.0
 DEFAULT_B0 = 0.5
-# Scenes per block of build_dataset. A block of README-config scenes holds
-# about 3 500 vertices, so its temporaries stay small.
-_BLOCK = 16
+# Scenes per block of build_dataset, calibrate and compare-predictors. A block of
+# README-config scenes holds about 3 500 vertices, so its temporaries stay small.
+SCENE_BLOCK = 16
 
 
 class Layout(Enum):
@@ -538,6 +538,7 @@ def predict_scenes(histories, maps, k: int = DEFAULT_MODES, lam: float = DEFAULT
         closed = [c.closed for c in centerlines]
         chains = polyline_vertices([c.mu for c in centerlines], closed)
         first, width = np.array([span[a] for a in movers]).T
+        k = min(k, int(width.max()))  # a k past every row selects the same modes
         # Every (mover, centerline of its scene) pair, mover by mover.
         pairs = [lo + j for a in movers for lo, n in [span[a]] for j in range(n)]
         movers = np.array(movers)
@@ -718,7 +719,7 @@ def build_dataset(config: DatasetConfig | None = None) -> SyntheticDataset:
 
     The master stream draws only the scene specs and per-scene seeds, so
     each scene is built from its own seeds alone. Scenes are built in blocks
-    of ``_BLOCK``: one call per block generates the maps and walks the
+    of ``SCENE_BLOCK``: one call per block generates the maps and walks the
     agents, one observes the maps and one runs the predictor.
     """
     cfg = config or DatasetConfig()
@@ -735,8 +736,8 @@ def build_dataset(config: DatasetConfig | None = None) -> SyntheticDataset:
                                lane_change_prob=cfg.lane_change_prob,
                                duplicate_centerlines=cfg.duplicate_centerlines))
     records = []
-    for start in range(0, cfg.n_scenes, _BLOCK):
-        block, block_seeds = specs[start:start + _BLOCK], seeds[start:start + _BLOCK]
+    for start in range(0, cfg.n_scenes, SCENE_BLOCK):
+        block, block_seeds = specs[start:start + SCENE_BLOCK], seeds[start:start + SCENE_BLOCK]
         gts, tracks = _scene_block(block)
         observed = _observe_block(gts, cfg.noise, block, block_seeds, cfg.resample_count)
         if cfg.predictor in ("blind", "weighted"):  # lam and b0 move no blind mode

@@ -3,14 +3,22 @@ import math
 import numpy as np
 import pytest
 
+from uncmap import synth
 from uncmap.calibration import (
     coverage_arrays,
     laplace_interval,
     match_vertex_pairs,
+    pair_vertices,
     reliability,
 )
-from uncmap.geometry import CLASS_INDEX, ElementClass, Pose2, resample
-from uncmap.map_eval import _element_points, chamfer, greedy_match
+from uncmap.geometry import CLASS_INDEX, ElementClass, Pose2, group_indices, resample
+from uncmap.map_eval import (
+    _chamfer_points,
+    _element_points,
+    _split_point_sets,
+    chamfer,
+    greedy_match,
+)
 from uncmap.probmap import (
     MapElement,
     VectorMap,
@@ -264,6 +272,128 @@ class TestPairingPinned:
         for got, want in zip((matched.mu, matched.b, matched.gt, matched.class_probs,
                               matched.labels), expected):
             np.testing.assert_array_equal(got, want)
+
+
+def per_scene_match_vertex_pairs(pred_map, gt_map, threshold=1.5, resample_count=20):
+    """The pairing of one map pair as it was before it took a list of map
+    pairs: the reference that the list form, pooled over its pairs, must
+    match bit for bit."""
+    classes = {el.element_class for el in pred_map.elements}
+    classes |= {el.element_class for el in gt_map.elements}
+    groups = [(cls, pred_map.by_class(cls), gt_map.by_class(cls))
+              for cls in sorted(classes, key=lambda c: c.value)]
+    groups = [(cls, preds, gts) for cls, preds, gts in groups if preds and gts]
+    points = _split_point_sets([(preds, gts) for _, preds, gts in groups], resample_count)
+    mats = _chamfer_points(points, resample_count)
+    preds, labels, gt_sets, todo = [], [], [], []
+    for (cls, cls_preds, gts), (_, chamfer_sets), mat in zip(groups, points, mats):
+        conf = np.array([p.confidence for p in cls_preds], dtype=float)
+        match = greedy_match(conf, mat, threshold)
+        for pi in np.argsort(-conf, kind="stable"):
+            if match[pi] < 0:
+                continue
+            pred, gt = cls_preds[pi], gts[match[pi]]
+            if pred.n_vertices == resample_count and len(gt.vertices) != resample_count:
+                gt = chamfer_sets[match[pi]]
+            else:
+                todo.append(len(gt_sets))
+            preds.append(pred)
+            labels.append(CLASS_INDEX[cls])
+            gt_sets.append(gt)
+    if not preds:
+        return (np.empty((0, 2)), np.empty((0, 2)), np.empty((0, 2)),
+                np.empty((0, len(CLASS_INDEX))), np.empty(0, dtype=int))
+    for i, pts in zip(todo, resample([gt_sets[i].vertices for i in todo],
+                                     [gt_sets[i].closed for i in todo],
+                                     [preds[i].n_vertices for i in todo])):
+        gt_sets[i] = pts
+    for pred, gt in zip(preds, gt_sets):
+        if len(gt) != pred.n_vertices:
+            raise ValueError(f"a matched {pred.element_class.value} ground truth is too "
+                             f"short to resample to {pred.n_vertices} points; resampling "
+                             f"merges them to {len(gt)}")
+    for _, rows in group_indices((p.mu.shape, g.shape) for p, g in zip(preds, gt_sets)):
+        mu = np.array([preds[i].mu for i in rows])
+        gt = np.array([gt_sets[i] for i in rows])
+        fwd, rev = mu - gt, mu - gt[:, ::-1]
+        flip = (np.hypot(rev[..., 0], rev[..., 1]).sum(axis=1)
+                < np.hypot(fwd[..., 0], fwd[..., 1]).sum(axis=1))
+        for i in np.asarray(rows)[flip]:
+            gt_sets[i] = gt_sets[i][::-1]
+    return (np.vstack([p.mu for p in preds]), np.vstack([p.b for p in preds]),
+            np.vstack(gt_sets), softmax(np.vstack([p.class_logits for p in preds])),
+            np.repeat(np.array(labels, dtype=int), [p.n_vertices for p in preds]))
+
+
+def _one_sided_scene():
+    """A scene whose prediction has a class the ground truth lacks and whose
+    ground truth has a class the prediction lacks, with a closed crossing
+    on both sides."""
+    square = np.array([[2.0, 2.0], [6.0, 2.0], [6.0, 6.0], [2.0, 6.0]])
+    logits = np.zeros((4, 4))
+    pred = VectorMap([
+        MapElement(square + 0.2, ElementClass.PED_CROSSING, 0.7, closed=True,
+                   b=np.full((4, 2), 0.3), class_logits=logits),
+        MapElement(np.array([[0.0, -5.0], [8.0, -5.0], [12.0, -4.0]]),
+                   ElementClass.ROAD_BOUNDARY, 0.9, b=np.full((3, 2), 0.2),
+                   class_logits=np.zeros((3, 4)))],
+        Pose2.identity(), perception_range=(1e6, 1e6))
+    gt = VectorMap([MapElement(square, ElementClass.PED_CROSSING, closed=True),
+                    MapElement(np.array([[0.0, 9.0], [9.0, 9.0]]),
+                               ElementClass.LANE_DIVIDER)], Pose2.identity())
+    return pred, gt
+
+
+def _generated_scenes():
+    """Observed and ground-truth maps of one generated scene per layout."""
+    out = []
+    for seed, layout in enumerate(synth.Layout):
+        spec = synth.SceneSpec(layout, seed=seed, n_agents=1)
+        gt, _ = synth.generate_scene(spec)
+        out.append((synth.observe(gt, synth.NoiseModel(), spec, seed=seed + 20), gt))
+    return out
+
+
+def _short_gt_scene():
+    """A 20-vertex divider matched to a 1e-8 m ground truth, which
+    resampling merges to fewer points than the prediction has."""
+    pred = _prob_map([np.column_stack([np.full(20, 20.1), 20.0 + 0.01 * np.arange(20)])])
+    gt = VectorMap([MapElement(np.array([[20.0, 20.0], [20.0, 20.0 + 1e-8]]),
+                               ElementClass.LANE_DIVIDER)], Pose2.identity())
+    return pred, gt
+
+
+class TestPairingListPinned:
+    @pytest.mark.parametrize("count", [20, 10, 15])
+    def test_matches_per_scene_pairing(self, count):
+        cases = [_pairing_case(name)[:2] for name in
+                 ("gt_has_resample_count", "count_10_with_20_vertex_predictions",
+                  "reversed_gt")]
+        pairs = ([_one_sided_scene()] + cases[:1] + _generated_scenes()
+                 + [(VectorMap([]), cases[1][1]), (cases[2][0], VectorMap([]))] + cases[1:])
+        matched = pair_vertices(pairs, resample_count=count)
+        parts = [per_scene_match_vertex_pairs(pred, gt, resample_count=count)
+                 for pred, gt in pairs]
+        assert sum(len(p[0]) for p in parts) > 60
+        for got, want in zip((matched.mu, matched.b, matched.gt, matched.class_probs,
+                              matched.labels), zip(*parts)):
+            np.testing.assert_array_equal(got, np.concatenate(want))
+        for (pred, gt), part in zip(pairs, parts):
+            one = match_vertex_pairs(pred, gt, resample_count=count)
+            for got, want in zip((one.mu, one.b, one.gt, one.class_probs, one.labels), part):
+                np.testing.assert_array_equal(got, want)
+
+    def test_ground_truth_too_short_raises_as_per_scene(self):
+        pairs = [_one_sided_scene(), _short_gt_scene(), _pairing_case("reversed_gt")[:2]]
+        with pytest.raises(ValueError) as want:
+            per_scene_match_vertex_pairs(*pairs[1])
+        with pytest.raises(ValueError, match="too short") as got:
+            pair_vertices(pairs)
+        assert str(got.value) == str(want.value)
+
+    def test_no_pairs(self):
+        matched = pair_vertices([])
+        assert matched.mu.shape == (0, 2) and matched.labels.shape == (0,)
 
 
 class TestStandardizeConsistency:

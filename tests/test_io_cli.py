@@ -1,6 +1,7 @@
 import copy
 import hashlib
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -18,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from uncmap import __version__
+from uncmap import __version__, calibration, pred_eval, synth
 from uncmap import io as uio
 from uncmap.cli import main
 from uncmap.geometry import (
@@ -1217,6 +1218,7 @@ class TestCliInvalidValues:
         ("eval-map", "--resample-count", "1180591620717411303424"),
         ("calibrate", "--resample-count", "10001"),
         ("calibrate", "--bins", "0"),
+        ("calibrate", "--bins", "1000000000000"),
         ("calibrate", "--levels", "1.5"),
         ("compare-predictors", "--modes", "0"),
         ("analyze-uncertainty", "--bin-edges", "10,5,0"),
@@ -1238,6 +1240,73 @@ class TestCliInvalidValues:
         assert captured.out == ""
         assert captured.err.count("\n") == 1 and flag in captured.err
         assert not (tmp_path / "r").exists()
+
+
+class TestStageBlocks:
+    """The report stages make one dataset-level pass per block of scenes."""
+
+    def test_no_per_scene_calls(self, tmp_path, monkeypatch):
+        cfg = write_config(tmp_path, n_scenes=20)
+        assert main(["generate", "--config", str(cfg), "--out", str(tmp_path / "d")]) == 0
+        calls = {}
+
+        def spy(module, name):
+            original = getattr(module, name)
+
+            def record(*args, **kwargs):
+                calls[name] = calls.get(name, 0) + 1
+                return original(*args, **kwargs)
+            monkeypatch.setattr(module, name, record)
+        for module, name in [(synth, "predict_scene"), (synth, "predict_scenes"),
+                             (calibration, "match_vertex_pairs"), (pred_eval, "min_ade"),
+                             (pred_eval, "min_fde"), (pred_eval, "miss")]:
+            spy(module, name)
+        for stage in ("compare-predictors", "calibrate", "eval-pred"):
+            assert main([stage, "--manifest", str(tmp_path / "d" / "manifest.json"),
+                         "--out", str(tmp_path / "r")]) == 0
+        assert "predict_scene" not in calls
+        assert 0 < calls["predict_scenes"] <= 2 * math.ceil(20 / synth.SCENE_BLOCK)
+        assert not {"match_vertex_pairs", "min_ade", "min_fde", "miss"} & calls.keys()
+
+
+# The dataset config of the README, at seed 7.
+README_CONFIG = {"n_scenes": 100, "seed": 7, "n_agents": 2,
+                 "noise": {"base_b": 0.15, "distance_coeff": 0.01, "occlusion_multiplier": 6.0}}
+
+
+class TestModesPastEveryMap:
+    """No README map has more than 5 centerlines, so every ``modes`` from 6
+    up, however large, gives the same predictions."""
+
+    @pytest.fixture(scope="class")
+    def readme_dir(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("readme")
+        (root / "config.json").write_text(json.dumps(README_CONFIG))
+        assert main(["generate", "--config", str(root / "config.json"),
+                     "--out", str(root / "d")]) == 0
+        manifest = uio.load_manifest(root / "d" / "manifest.json")
+        assert max(len(observed.by_class(ElementClass.LANE_CENTERLINE)) for _, observed
+                   in uio.iter_scene_files(manifest, "observed_map")) <= 5
+        return root / "d"
+
+    def test_compare_predictors(self, readme_dir, tmp_path):
+        for modes in ("6", str(10**30)):
+            assert main(["compare-predictors", "--manifest", str(readme_dir / "manifest.json"),
+                         "--out", str(tmp_path / modes), "--modes", modes]) == 0
+        assert ((tmp_path / "6" / "compare_predictors.csv").read_bytes()
+                == (tmp_path / str(10**30) / "compare_predictors.csv").read_bytes())
+
+    def test_generate(self, readme_dir, tmp_path):
+        (tmp_path / "config.json").write_text(json.dumps(dict(README_CONFIG, modes=10**30)))
+        assert main(["generate", "--config", str(tmp_path / "config.json"),
+                     "--out", str(tmp_path / "d")]) == 0
+        files = sorted(p.relative_to(readme_dir) for p in readme_dir.rglob("*.json")
+                       if p.name != "manifest.json")
+        assert len(files) == 300
+        assert sorted(p.relative_to(tmp_path / "d") for p in (tmp_path / "d").rglob("*.json")
+                      if p.name != "manifest.json") == files
+        for name in files:
+            assert (tmp_path / "d" / name).read_bytes() == (readme_dir / name).read_bytes()
 
 
 class TestCliCalibrate:

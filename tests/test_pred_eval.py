@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from uncmap.pred_eval import (
     TrajectorySet,
+    agent_errors,
     binned_ci,
     evaluate_trajectories,
     min_ade,
@@ -127,6 +130,84 @@ class TestAggregate:
             TrajectorySet(np.zeros((2, 5, 2)), np.zeros((6, 2)))
         with pytest.raises(ValueError):
             TrajectorySet(np.zeros((0, 5, 2)), np.zeros((5, 2)))
+
+
+# The per-agent metrics as they were before agent_errors stacked the agents,
+# kept as the reference the stacked pass must match bit for bit.
+
+def reference_final_errors(modes, gt):
+    d = modes[:, -1, :] - gt[-1]
+    return np.hypot(d[:, 0], d[:, 1])
+
+
+def reference_min_fde(modes, gt):
+    return float(reference_final_errors(modes, gt).min())
+
+
+def reference_min_ade(modes, gt):
+    k = int(np.argmin(reference_final_errors(modes, gt)))
+    d = modes[k] - gt
+    return float(np.hypot(d[:, 0], d[:, 1]).mean())
+
+
+def reference_miss(modes, gt, threshold):
+    return reference_min_fde(modes, gt) > threshold
+
+
+@st.composite
+def agent_batches(draw):
+    """Agents with ragged K and mixed horizons, some with tied final errors,
+    and a miss threshold that may equal one agent's minFDE."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    modes, gts = [], []
+    for _ in range(draw(st.integers(1, 6))):
+        t = draw(st.sampled_from([1, 2, 7, 8, 9, 30]))
+        k = draw(st.integers(1, 7))
+        gt = np.cumsum(rng.normal(0.0, 1.0, (t, 2)), axis=0)
+        m = gt + rng.normal(0.0, draw(st.sampled_from([0.3, 3.0])), (k, t, 2))
+        if k >= 2 and draw(st.booleans()):
+            # A later mode ends where an earlier one does: the final errors
+            # tie exactly, and the lower index must win.
+            i, j = sorted(draw(st.lists(st.integers(0, k - 1), min_size=2, max_size=2,
+                                        unique=True)))
+            m[j, -1] = m[i, -1]
+        modes.append(m)
+        gts.append(gt)
+    threshold = draw(st.sampled_from([0.5, 2.0, None]))
+    if threshold is None:
+        threshold = reference_min_fde(modes[0], gts[0])
+    return modes, gts, threshold
+
+
+class TestAgentErrorsPinned:
+    @settings(max_examples=200, deadline=None)
+    @given(batch=agent_batches())
+    @example(batch=([np.array([[[1.0, 0.0], [3.0, 0.0]], [[0.0, 0.5], [0.0, 2.0]]])],
+                    [np.zeros((2, 2))], 2.0))
+    def test_matches_per_agent_reference(self, batch):
+        modes, gts, threshold = batch
+        ade, fde, missed = agent_errors(modes, gts, threshold)
+        assert ade.shape == fde.shape == missed.shape == (len(gts),)
+        for a, (m, gt) in enumerate(zip(modes, gts)):
+            assert ade[a] == reference_min_ade(m, gt)
+            assert fde[a] == reference_min_fde(m, gt)
+            assert bool(missed[a]) == reference_miss(m, gt, threshold)
+            ts = TrajectorySet(m, gt)
+            assert (min_ade(ts), min_fde(ts), miss(ts, threshold)) == (
+                reference_min_ade(m, gt), reference_min_fde(m, gt),
+                reference_miss(m, gt, threshold))
+        report = evaluate_trajectories([TrajectorySet(m, gt) for m, gt in zip(modes, gts)],
+                                       threshold)
+        assert report.minADE == float(np.mean([reference_min_ade(m, g)
+                                               for m, g in zip(modes, gts)]))
+        assert report.minFDE == float(np.mean([reference_min_fde(m, g)
+                                               for m, g in zip(modes, gts)]))
+        assert report.MR == float(np.mean([reference_miss(m, g, threshold)
+                                           for m, g in zip(modes, gts)]))
+
+    def test_no_agents(self):
+        ade, fde, missed = agent_errors([], [])
+        assert ade.shape == fde.shape == missed.shape == (0,)
 
 
 class TestBinnedCi:

@@ -566,7 +566,7 @@ def dataset_configs(draw):
                        class_mode=draw(st.sampled_from(["calibrated", "one_hot"])))
     return DatasetConfig(
         # Above and below the block size, and across a block boundary.
-        n_scenes=draw(st.integers(1, 2 * synth._BLOCK + 3)),
+        n_scenes=draw(st.integers(1, 2 * synth.SCENE_BLOCK + 3)),
         seed=draw(st.integers(0, 2**32)),
         layout_weights=dict(zip(Layout, layouts)),
         condition_weights=dict(zip(Condition, conditions)),
@@ -599,7 +599,7 @@ class TestBlockBuild:
                 assert same_bits(got.modes, modes)
 
     def test_one_scene_calls_match_the_block(self):
-        cfg = DatasetConfig(n_scenes=synth._BLOCK + 2, seed=4, lane_change_prob=0.5,
+        cfg = DatasetConfig(n_scenes=synth.SCENE_BLOCK + 2, seed=4, lane_change_prob=0.5,
                             max_occluders=4)
         for rec in build_dataset(cfg).records:
             gt, agents = generate_scene(rec.spec)
