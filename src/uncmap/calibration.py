@@ -3,7 +3,8 @@
 Regression calibration: the fraction of ground-truth coordinates falling
 inside central Laplace credibility intervals should equal the nominal
 level. Both :func:`laplace_interval` and :func:`coverage_arrays` take
-location/scale arrays, the form every map element stores. Classification
+location/scale arrays, the form every map element stores, and hold the
+scales to the one scale rule of :mod:`~uncmap.probmap`. Classification
 calibration: top-1 reliability diagram and expected calibration error
 (ECE).
 
@@ -37,7 +38,7 @@ import numpy as np
 
 from .geometry import CLASS_INDEX, group_indices, resample
 from .map_eval import _chamfer_points, _split_point_sets, greedy_match
-from .probmap import VectorMap, softmax
+from .probmap import VectorMap, _validate_scale, softmax
 
 
 def _check_level(level) -> float:
@@ -59,7 +60,7 @@ def laplace_interval(mu, b, level: float) -> tuple[np.ndarray, np.ndarray]:
 
     Args:
         mu: locations; broadcasts against ``b``.
-        b: positive scales.
+        b: positive finite scales.
         level: nominal mass in (0, 1).
 
     Returns:
@@ -67,10 +68,7 @@ def laplace_interval(mu, b, level: float) -> tuple[np.ndarray, np.ndarray]:
     """
     level = _check_level(level)
     mu = np.asarray(mu, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if np.any(b <= 0.0):
-        raise ValueError("b must be positive")
-    half = _half_width(b, level)
+    half = _half_width(_validate_scale(b), level)
     return mu - half, mu + half
 
 
@@ -87,8 +85,9 @@ class CoverageReport:
 
 def coverage_arrays(mu: np.ndarray, b: np.ndarray, gt: np.ndarray,
                     levels) -> CoverageReport:
-    """Coverage from (N, 2) location/scale/ground-truth arrays."""
-    mu, b, gt = (np.asarray(x, dtype=float) for x in (mu, b, gt))
+    """Coverage from (N, 2) location/scale/ground-truth arrays; the scales
+    must be positive and finite."""
+    mu, b, gt = np.asarray(mu, dtype=float), _validate_scale(b), np.asarray(gt, dtype=float)
     if mu.size == 0:
         raise ValueError("coverage needs at least one pair")
     if mu.shape != b.shape or mu.shape != gt.shape:
@@ -128,7 +127,7 @@ def pair_vertices(map_pairs, threshold: float = 1.5,
                                 key=lambda c: c.value)]
     groups = [(cls, preds, gts) for cls, preds, gts in groups if preds and gts]
     points = _split_point_sets([(preds, gts) for _, preds, gts in groups], resample_count)
-    mats = _chamfer_points(points, resample_count)
+    mats = _chamfer_points(points)
     # One entry per pair: the prediction and its ground truth's point set,
     # which is the element itself until it is resampled.
     preds, gt_sets, todo = [], [], []

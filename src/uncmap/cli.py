@@ -26,54 +26,42 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, f"{self.prog}: error: {message}\n")
 
 
+def _flag(parse, noun: str, *rules):
+    """An argparse type: ``parse`` the text, else "expected ``noun``"; then "must be
+    ``rule``" at the first ``(valid, rule)`` that rejects the value (echoed as typed,
+    an integer by value)."""
+    def convert(text: str):
+        try:
+            value = parse(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected {noun}, got {text!r}") from None
+        for valid, rule in rules:
+            if not valid(value):
+                shown = value if isinstance(value, int) else repr(text)
+                raise argparse.ArgumentTypeError(f"must be {rule}, got {shown}")
+        return value
+    return convert
+
+
 def _int_at_least(lo: int, hi: float = math.inf):
-    def parse(text: str) -> int:
-        try:
-            value = int(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-        if value < lo:
-            raise argparse.ArgumentTypeError(f"must be >= {lo}, got {value}")
-        if value > hi:
-            raise argparse.ArgumentTypeError(f"must be <= {hi}, got {value}")
-        return value
-    return parse
-
-
-def _finite_float(rule: str, valid):
-    """A finite float, accepted when ``valid(value)`` holds."""
-    def parse(text: str) -> float:
-        try:
-            value = float(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
-        if not (math.isfinite(value) and valid(value)):
-            raise argparse.ArgumentTypeError(f"must be {rule}, got {text!r}")
-        return value
-    return parse
-
-
-_positive_float = _finite_float("a finite number > 0", lambda v: v > 0.0)
-_nonnegative_float = _finite_float("a finite number >= 0", lambda v: v >= 0.0)
+    return _flag(int, "an integer", (lambda v: v >= lo, f">= {lo}"),
+                 (lambda v: v <= hi, f"<= {hi}"))
 
 
 def _float_list(rule: str, valid):
     """Comma-separated finite floats, accepted when ``valid(values)`` holds."""
-    def parse(text: str) -> tuple[float, ...]:
-        try:
-            values = tuple(float(v) for v in text.split(",") if v.strip() != "")
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"expected numbers, got {text!r}") from None
-        if not (values and all(map(math.isfinite, values)) and valid(values)):
-            raise argparse.ArgumentTypeError(f"must be finite and {rule}, got {text!r}")
-        return values
-    return parse
+    return _flag(lambda text: tuple(float(v) for v in text.split(",") if v.strip() != ""),
+                 "numbers", (lambda v: v and all(map(math.isfinite, v)) and valid(v),
+                             f"finite and {rule}"))
 
 
 def _increasing(values) -> bool:
     return all(b > a for a, b in zip(values, values[1:]))
 
 
+_positive_float = _flag(float, "a number", (lambda v: 0.0 < v < math.inf, "a finite number > 0"))
+_nonnegative_float = _flag(float, "a number",
+                           (lambda v: 0.0 <= v < math.inf, "a finite number >= 0"))
 _thresholds = _float_list("positive and strictly increasing",
                           lambda v: v[0] > 0.0 and _increasing(v))
 _levels = _float_list("strictly between 0 and 1", lambda v: all(0.0 < x < 1.0 for x in v))
@@ -301,40 +289,37 @@ def build_parser() -> argparse.ArgumentParser:
                    help="accepted for compatibility; scenes are built serially")
     p.set_defaults(func=cmd_generate)
 
-    p = sub.add_parser("eval-map", help="AP/mAP of observed maps against ground truth")
-    p.add_argument("--manifest", required=True)
-    p.add_argument("--out", default=None)
+    stage = _Parser(add_help=False)  # what every report stage reads and writes
+    stage.add_argument("--manifest", required=True)
+    stage.add_argument("--out", default=None)
+
+    p = sub.add_parser("eval-map", parents=[stage],
+                       help="AP/mAP of observed maps against ground truth")
     p.add_argument("--ap-thresholds", type=_thresholds, default="0.5,1.0,1.5")
     p.add_argument("--resample-count", type=_int_at_least(2, synth.MAX_RESAMPLE_COUNT), default=20)
     p.add_argument("--matching", choices=["greedy", "hungarian"], default="greedy")
     p.set_defaults(func=cmd_eval_map)
 
-    p = sub.add_parser("eval-pred", help="minADE/minFDE/MR of stored predictions")
-    p.add_argument("--manifest", required=True)
-    p.add_argument("--out", default=None)
+    p = sub.add_parser("eval-pred", parents=[stage],
+                       help="minADE/minFDE/MR of stored predictions")
     p.add_argument("--miss-threshold", type=_positive_float, default=pred_eval.MISS_THRESHOLD)
     p.set_defaults(func=cmd_eval_pred)
 
-    p = sub.add_parser("calibrate", help="interval coverage and classification ECE")
-    p.add_argument("--manifest", required=True)
-    p.add_argument("--out", default=None)
+    p = sub.add_parser("calibrate", parents=[stage],
+                       help="interval coverage and classification ECE")
     p.add_argument("--levels", type=_levels, default="0.5,0.9")
     p.add_argument("--bins", type=_int_at_least(1, 10_000), default=10)
     p.add_argument("--match-threshold", type=_positive_float, default=1.5)
     p.add_argument("--resample-count", type=_int_at_least(2, synth.MAX_RESAMPLE_COUNT), default=20)
     p.set_defaults(func=cmd_calibrate)
 
-    p = sub.add_parser("analyze-uncertainty",
+    p = sub.add_parser("analyze-uncertainty", parents=[stage],
                        help="binned emitted scale vs. distance, per class/condition")
-    p.add_argument("--manifest", required=True)
-    p.add_argument("--out", default=None)
     p.add_argument("--bin-edges", type=_bin_edges, default="0,5,10,15,20,25,30,35")
     p.set_defaults(func=cmd_analyze_uncertainty)
 
-    p = sub.add_parser("compare-predictors",
+    p = sub.add_parser("compare-predictors", parents=[stage],
                        help="side-by-side metrics for the two baseline predictors")
-    p.add_argument("--manifest", required=True)
-    p.add_argument("--out", default=None)
     p.add_argument("--modes", type=_int_at_least(1), default=synth.DEFAULT_MODES)
     p.add_argument("--lam", type=_nonnegative_float, default=synth.DEFAULT_LAMBDA)
     p.add_argument("--b0", type=_positive_float, default=synth.DEFAULT_B0)

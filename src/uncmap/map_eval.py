@@ -5,15 +5,14 @@ nearest-neighbor distances (one per direction), which makes its value
 symmetric under exchanging the sets. Elements are compared after
 resampling both polylines to a fixed vertex count.
 
-Every Chamfer matrix comes from one pooled kernel,
-:func:`chamfer_matrices`: it resamples the elements of all its
-(predictions, ground truths) groups in one call of
-:func:`~uncmap.geometry.resample`, which walks each stack of
-equal-length elements at once (grouped by length, not padded, so every
-row keeps the rounding of its own polyline), and evaluates the pairs in
-fixed-size blocks of one broadcast distance tensor, giving the values of
-:func:`chamfer` bit for bit. AP evaluation calls it once per class over
-all scenes, and the calibration pairing once per list of map pairs.
+Every Chamfer value comes from one kernel, which evaluates a stack of
+equal-shape point-set pairs; :func:`chamfer` is its one-pair call.
+:func:`chamfer_matrices` resamples the elements of all its (predictions,
+ground truths) groups in one :func:`~uncmap.geometry.resample` call (grouped
+by length, not padded, so every row keeps the rounding of its own polyline)
+and sends all their pairs through the kernel in blocks of one shape. AP
+evaluation calls it once per class over all scenes, and the calibration
+pairing once per list of map pairs.
 
 AP follows the detection convention: predictions are pooled across scenes,
 sorted by confidence (ties keep input order), and greedily matched to the
@@ -45,31 +44,22 @@ class APConfig:
 
     def __post_init__(self):
         t = tuple(float(v) for v in self.thresholds)
-        if not t or any(v <= 0 for v in t) or any(b <= a for a, b in zip(t, t[1:])):
-            raise ValueError("thresholds must be positive and strictly increasing")
+        if not (t and all(0 < v < math.inf for v in t) and all(b > a for a, b in zip(t, t[1:]))):
+            raise ValueError("thresholds must be finite, positive and strictly increasing")
         self.thresholds = t
         if self.matching not in ("greedy", "hungarian"):
             raise ValueError(f"unknown matching mode {self.matching!r}")
 
 
 def chamfer(s1, s2) -> float:
-    """Chamfer distance between two non-empty 2D point sets.
-
-    sum over x in S1 of min_y |x - y| / |S1|
-    plus sum over y in S2 of min_x |y - x| / |S2|
-
-    The final reductions use exact (correctly rounded) summation so the
-    result matches a naive double loop bit for bit.
-    """
+    """Chamfer distance between two non-empty 2D point sets: sum over x in S1
+    of min_y |x - y| / |S1| plus sum over y in S2 of min_x |y - x| / |S2|.
+    The one-pair call of the Chamfer kernel."""
     a = np.asarray(s1, dtype=float).reshape(-1, 2)
     b = np.asarray(s2, dtype=float).reshape(-1, 2)
     if len(a) == 0 or len(b) == 0:
         raise ValueError("chamfer requires non-empty point sets")
-    diff = a[:, None, :] - b[None, :, :]
-    d = np.sqrt((diff * diff).sum(axis=-1))
-    term1 = math.fsum(d.min(axis=1)) / len(a)
-    term2 = math.fsum(d.min(axis=0)) / len(b)
-    return term1 + term2
+    return _chamfer_block(a[None], b[None])[0]
 
 
 def _element_point_sets(elements, count: int) -> list[np.ndarray]:
@@ -90,11 +80,6 @@ def _element_point_sets(elements, count: int) -> list[np.ndarray]:
     return out
 
 
-def _element_points(element, count: int) -> np.ndarray:
-    """:func:`_element_point_sets` of one element."""
-    return _element_point_sets([element], count)[0]
-
-
 # ---------------------------------------------------------------------------
 # Matching and AP
 # ---------------------------------------------------------------------------
@@ -112,7 +97,7 @@ def chamfer_matrices(groups, count: int) -> list[np.ndarray]:
     pairs of all groups go through one pooled kernel; each value equals
     :func:`chamfer` of the two resampled point sets bit for bit.
     """
-    return _chamfer_points(_split_point_sets(groups, count), count)
+    return _chamfer_points(_split_point_sets(groups, count))
 
 
 def _split_point_sets(groups, count: int) -> list[tuple[list, list]]:
@@ -125,34 +110,38 @@ def _split_point_sets(groups, count: int) -> list[tuple[list, list]]:
             for preds, gts in groups]
 
 
-def _chamfer_points(groups, count: int) -> list[np.ndarray]:
+def _chamfer_points(groups) -> list[np.ndarray]:
     """:func:`chamfer_matrices` of already resampled point sets.
 
-    Pairs of two ``count``-long sets are evaluated in blocks of
-    ``_BLOCK`` pairs; any other pair (resampling merges near-duplicate
-    points of a tiny element) falls back to :func:`chamfer`.
+    The pairs of all groups go through :func:`_chamfer_block` in blocks of
+    up to ``_BLOCK`` pairs of one shape: most sets have the resample count
+    of points, but resampling merges near-duplicate points of a tiny element.
     """
-    mats = [np.empty((len(a_sets), len(b_sets))) for a_sets, b_sets in groups]
-    pairs = []
-    for mat, (a_sets, b_sets) in zip(mats, groups):
-        for i, a in enumerate(a_sets):
-            for j, b in enumerate(b_sets):
-                if len(a) == count and len(b) == count:
-                    pairs.append((mat, i, j, a, b))
-                else:
-                    mat[i, j] = chamfer(a, b)
-    for start in range(0, len(pairs), _BLOCK):
-        block = pairs[start:start + _BLOCK]
-        for (mat, i, j, _, _), value in zip(block, _chamfer_block(
-                np.array([pair[3] for pair in block]),
-                np.array([pair[4] for pair in block]))):
-            mat[i, j] = value
-    return mats
+    sets, rows, cols = [], [], []  # rows[k], cols[k]: the two sets of pair k
+    for a_sets, b_sets in groups:
+        a = range(len(sets), len(sets) + len(a_sets))
+        b = range(a.stop, a.stop + len(b_sets))
+        rows += [i for i in a for _ in b]
+        cols += [j for _ in a for j in b]
+        sets += [*a_sets, *b_sets]
+    rows, cols = np.array(rows, dtype=int), np.array(cols, dtype=int)
+    sizes = np.array([len(s) for s in sets], dtype=int)
+    shapes = sizes[rows] * (sizes.max(initial=0) + 1) + sizes[cols]  # one key per (V, W)
+    values = np.empty(len(rows))
+    for shape in dict.fromkeys(shapes.tolist()):  # np.unique would import numpy.ma
+        pairs = np.flatnonzero(shapes == shape)
+        for block in np.split(pairs, range(_BLOCK, len(pairs), _BLOCK)):
+            values[block] = _chamfer_block(np.array([sets[i] for i in rows[block].tolist()]),
+                                           np.array([sets[j] for j in cols[block].tolist()]))
+    ends = np.cumsum([len(a_sets) * len(b_sets) for a_sets, b_sets in groups], dtype=int)
+    return [v.reshape(len(a_sets), len(b_sets))
+            for v, (a_sets, b_sets) in zip(np.split(values, ends[:-1]), groups)]
 
 
 def _chamfer_block(a: np.ndarray, b: np.ndarray) -> list[float]:
-    """:func:`chamfer` of each pair of (B, V, 2) point-set stacks, with the
-    same operations in the same order, so the values are bit-identical."""
+    """Chamfer distance of each pair of a (B, V, 2) and a (B, W, 2) point-set
+    stack. The final reductions use exact (correctly rounded) summation, so
+    each value matches a naive double loop bit for bit."""
     d = a[:, :, None, 0] - b[:, None, :, 0]
     dy = a[:, :, None, 1] - b[:, None, :, 1]
     d *= d

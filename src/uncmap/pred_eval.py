@@ -126,8 +126,8 @@ def binned_ci(keys, values, edges) -> BinnedStat:
     keys, values, edges = (np.asarray(x, dtype=float) for x in (keys, values, edges))
     if keys.shape != values.shape:
         raise ValueError("keys and values must have the same length")
-    if len(edges) < 2 or np.any(np.diff(edges) <= 0):
-        raise ValueError("edges must be strictly increasing with >= 2 entries")
+    if len(edges) < 2 or not np.all(np.isfinite(edges)) or np.any(np.diff(edges) <= 0):
+        raise ValueError("edges must be finite and strictly increasing with >= 2 entries")
     idx = np.searchsorted(edges, keys, side="right") - 1
     idx[keys == edges[-1]] = len(edges) - 2
     valid = (idx >= 0) & (idx < len(edges) - 1)

@@ -44,10 +44,12 @@ SQRT2 = math.sqrt(2.0)
 # Laplace building blocks (arrays of any matching shape)
 # ---------------------------------------------------------------------------
 
-def _validate_scale(b) -> np.ndarray:
+def _validate_scale(b, name: str = "Laplace scale b") -> np.ndarray:
+    """The package's one scale rule: ``b`` (or a standard deviation) as a
+    float array, if every entry is positive and finite."""
     b = np.asarray(b, dtype=float)
     if not np.all(np.isfinite(b)) or np.any(b <= 0.0):
-        raise ValueError("Laplace scale b must be positive and finite")
+        raise ValueError(f"{name} must be positive and finite")
     return b
 
 
@@ -57,14 +59,6 @@ def laplace_pdf(x, mu, b):
     x = np.asarray(x, dtype=float)
     mu = np.asarray(mu, dtype=float)
     return np.exp(-np.abs(x - mu) / b) / (2.0 * b)
-
-
-def laplace_logpdf(x, mu, b):
-    """Log of :func:`laplace_pdf`, computed directly for stability."""
-    b = _validate_scale(b)
-    x = np.asarray(x, dtype=float)
-    mu = np.asarray(mu, dtype=float)
-    return -np.log(2.0 * b) - np.abs(x - mu) / b
 
 
 def _check_same_shape(mu, b, sample):
@@ -92,7 +86,8 @@ def density(mu, b, sample) -> float:
 def log_density(mu, b, sample) -> float:
     """Joint log-density: the sum of per-coordinate Laplace log-densities."""
     mu, b, sample = _check_same_shape(mu, b, sample)
-    return float(np.sum(laplace_logpdf(sample, mu, b)))
+    b = _validate_scale(b)
+    return float(np.sum(-np.log(2.0 * b) - np.abs(sample - mu) / b))
 
 
 def nll_loss(mu, b, target) -> tuple[float, np.ndarray, np.ndarray]:
@@ -126,10 +121,7 @@ def sigma_from_b(b):
 
 def b_from_sigma(sigma):
     """Inverse of :func:`sigma_from_b`."""
-    sigma = np.asarray(sigma, dtype=float)
-    if not np.all(np.isfinite(sigma)) or np.any(sigma <= 0.0):
-        raise ValueError("sigma must be positive and finite")
-    return sigma / SQRT2
+    return _validate_scale(sigma, "sigma") / SQRT2
 
 
 def rotate_uncertainty(sigma_x, sigma_y, theta):
@@ -143,10 +135,7 @@ def rotate_uncertainty(sigma_x, sigma_y, theta):
     quantity sigma_x^2 + sigma_y^2 is preserved but the transform only
     composes exactly for quarter-turn angles. All arguments broadcast.
     """
-    sigma_x = np.asarray(sigma_x, dtype=float)
-    sigma_y = np.asarray(sigma_y, dtype=float)
-    if np.any(sigma_x <= 0.0) or np.any(sigma_y <= 0.0):
-        raise ValueError("sigma must be positive")
+    sigma_x, sigma_y = _validate_scale(sigma_x, "sigma"), _validate_scale(sigma_y, "sigma")
     c2 = np.cos(theta) ** 2
     s2 = np.sin(theta) ** 2
     vx = sigma_x * sigma_x

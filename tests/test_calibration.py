@@ -14,7 +14,7 @@ from uncmap.calibration import (
 from uncmap.geometry import CLASS_INDEX, ElementClass, Pose2, group_indices, resample
 from uncmap.map_eval import (
     _chamfer_points,
-    _element_points,
+    _element_point_sets,
     _split_point_sets,
     chamfer,
     greedy_match,
@@ -66,6 +66,11 @@ class TestLaplaceInterval:
         with pytest.raises(ValueError):
             laplace_interval(np.zeros(2), np.array([1.0, 0.0]), 0.5)
 
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf, -math.inf])
+    def test_scale_rule_is_the_map_rule(self, bad):
+        with pytest.raises(ValueError, match="Laplace scale b must be positive and finite"):
+            laplace_interval(np.zeros(2), np.array([1.0, bad]), 0.5)
+
 
 class TestCoverage:
     def test_exact_locations_cover_everything(self):
@@ -112,6 +117,14 @@ class TestCoverage:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             coverage_arrays(np.empty((0, 2)), np.empty((0, 2)), np.empty((0, 2)), [0.5])
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
+    def test_invalid_scale_rejected(self, bad):
+        # Such a scale used to report a coverage of 0 for its coordinate.
+        b = np.ones((3, 2))
+        b[1, 0] = bad
+        with pytest.raises(ValueError, match="Laplace scale b must be positive and finite"):
+            coverage_arrays(np.zeros((3, 2)), b, np.zeros((3, 2)), [0.5])
 
 
 class TestReliability:
@@ -206,8 +219,8 @@ def reference_match_vertex_pairs(pred_map, gt_map, threshold=1.5, resample_count
         if not preds or not gts:
             continue
         conf = np.array([p.confidence for p in preds], dtype=float)
-        mat = np.array([[chamfer(_element_points(p, resample_count),
-                                 _element_points(g, resample_count)) for g in gts]
+        mat = np.array([[chamfer(_element_point_sets([p], resample_count)[0],
+                                 _element_point_sets([g], resample_count)[0]) for g in gts]
                         for p in preds])
         match = greedy_match(conf, mat, threshold)
         for pi in np.argsort(-conf, kind="stable"):
@@ -284,7 +297,7 @@ def per_scene_match_vertex_pairs(pred_map, gt_map, threshold=1.5, resample_count
               for cls in sorted(classes, key=lambda c: c.value)]
     groups = [(cls, preds, gts) for cls, preds, gts in groups if preds and gts]
     points = _split_point_sets([(preds, gts) for _, preds, gts in groups], resample_count)
-    mats = _chamfer_points(points, resample_count)
+    mats = _chamfer_points(points)
     preds, labels, gt_sets, todo = [], [], [], []
     for (cls, cls_preds, gts), (_, chamfer_sets), mat in zip(groups, points, mats):
         conf = np.array([p.confidence for p in cls_preds], dtype=float)

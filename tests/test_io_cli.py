@@ -707,7 +707,15 @@ class TestCliGenerate:
         assert main(["generate", "--config", str(cfg), "--out", str(tmp_path / "x"),
                      "--seed", "-1"]) == 2
         err = capsys.readouterr().err
-        assert err.count("\n") == 1 and "--seed: must be >= 0" in err
+        assert err == "uncmap generate: error: argument --seed: must be >= 0, got -1\n"
+        assert not (tmp_path / "x").exists()
+
+    def test_fractional_seed_exits_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        assert main(["generate", "--config", str(cfg), "--out", str(tmp_path / "x"),
+                     "--seed=1.5"]) == 2
+        err = capsys.readouterr().err
+        assert err == "uncmap generate: error: argument --seed: expected an integer, got '1.5'\n"
         assert not (tmp_path / "x").exists()
 
     def test_seed_override_changes_data(self, tmp_path):
@@ -1212,25 +1220,43 @@ class TestModuleEntryPoints:
         assert done.returncode == 3 and done.stderr.startswith("data error:")
 
 
+# (command, flag, value, the stderr message of the exit-2 line), pinned byte for byte.
+INVALID_VALUES = [
+    ("eval-map", "--resample-count", "1", "must be >= 2, got 1"),
+    ("eval-map", "--resample-count", "1180591620717411303424",
+     "must be <= 10000, got 1180591620717411303424"),
+    ("eval-map", "--resample-count", "2.5", "expected an integer, got '2.5'"),
+    ("calibrate", "--resample-count", "10001", "must be <= 10000, got 10001"),
+    ("calibrate", "--bins", "0", "must be >= 1, got 0"),
+    ("calibrate", "--bins", "1000000000000", "must be <= 10000, got 1000000000000"),
+    ("calibrate", "--bins", "x", "expected an integer, got 'x'"),
+    ("calibrate", "--levels", "1.5",
+     "must be finite and strictly between 0 and 1, got '1.5'"),
+    ("calibrate", "--levels", "", "must be finite and strictly between 0 and 1, got ''"),
+    ("calibrate", "--match-threshold", "0", "must be a finite number > 0, got '0'"),
+    ("calibrate", "--match-threshold", "nan", "must be a finite number > 0, got 'nan'"),
+    ("compare-predictors", "--modes", "0", "must be >= 1, got 0"),
+    ("analyze-uncertainty", "--bin-edges", "10,5,0",
+     "must be finite and strictly increasing with at least 2 entries, got '10,5,0'"),
+    ("eval-pred", "--miss-threshold", "nan", "must be a finite number > 0, got 'nan'"),
+    ("compare-predictors", "--miss-threshold", "0", "must be a finite number > 0, got '0'"),
+    ("compare-predictors", "--lam", "-5", "must be a finite number >= 0, got '-5'"),
+    ("compare-predictors", "--lam", "x", "expected a number, got 'x'"),
+    ("compare-predictors", "--b0", "0", "must be a finite number > 0, got '0'"),
+    # json writes infinity as the invalid token Infinity.
+    ("analyze-uncertainty", "--bin-edges", "0,inf",
+     "must be finite and strictly increasing with at least 2 entries, got '0,inf'"),
+    ("analyze-uncertainty", "--bin-edges", "-inf,0",
+     "must be finite and strictly increasing with at least 2 entries, got '-inf,0'"),
+    ("eval-map", "--ap-thresholds", "0.5,inf",
+     "must be finite and positive and strictly increasing, got '0.5,inf'"),
+]
+
+
 class TestCliInvalidValues:
-    @pytest.mark.parametrize("command, flag, value", [
-        ("eval-map", "--resample-count", "1"),
-        ("eval-map", "--resample-count", "1180591620717411303424"),
-        ("calibrate", "--resample-count", "10001"),
-        ("calibrate", "--bins", "0"),
-        ("calibrate", "--bins", "1000000000000"),
-        ("calibrate", "--levels", "1.5"),
-        ("compare-predictors", "--modes", "0"),
-        ("analyze-uncertainty", "--bin-edges", "10,5,0"),
-        ("eval-pred", "--miss-threshold", "nan"),
-        ("compare-predictors", "--lam", "-5"),
-        ("compare-predictors", "--b0", "0"),
-        # json writes infinity as the invalid token Infinity.
-        ("analyze-uncertainty", "--bin-edges", "0,inf"),
-        ("analyze-uncertainty", "--bin-edges", "-inf,0"),
-        ("eval-map", "--ap-thresholds", "0.5,inf"),
-    ])
-    def test_exits_2_with_one_line(self, command, flag, value, dataset_dir, tmp_path,
+    @pytest.mark.parametrize("command, flag, value, message", INVALID_VALUES,
+                             ids=["-".join(row[:3]) for row in INVALID_VALUES])
+    def test_exits_2_with_one_line(self, command, flag, value, message, dataset_dir, tmp_path,
                                    capsys):
         # flag=value, so argparse does not read "-inf,0" as another option.
         rc = main([command, "--manifest", str(dataset_dir / "manifest.json"),
@@ -1238,7 +1264,7 @@ class TestCliInvalidValues:
         assert rc == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.count("\n") == 1 and flag in captured.err
+        assert captured.err == f"uncmap {command}: error: argument {flag}: {message}\n"
         assert not (tmp_path / "r").exists()
 
 

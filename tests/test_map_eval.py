@@ -9,7 +9,7 @@ from uncmap import map_eval
 from uncmap.geometry import ALL_CLASSES, ElementClass, Pose2
 from uncmap.map_eval import (
     APConfig,
-    _element_points,
+    _element_point_sets,
     average_precision,
     chamfer,
     chamfer_matrices,
@@ -156,10 +156,21 @@ def elements(draw, count):
         return MapElement(np.array(pts), CLS)
     el = MapElement(np.array(pts), CLS, closed=kind == "closed")
     try:
-        _element_points(el, count)
+        _element_point_sets([el], count)
     except ValueError:   # a hairpin whose samples all fold onto one point
         reject()
     return el
+
+
+def mixed_elements(count):
+    """Elements in any order, among them one of exactly ``count`` points and
+    one tiny element that resampling merges below ``count`` points."""
+    coord = st.integers(-40, 40).map(lambda v: v / 4)
+    exact = st.lists(st.tuples(coord, coord), min_size=count, max_size=count).map(
+        lambda pts: MapElement(np.array(pts), CLS))
+    return st.tuples(exact, st.tuples(coord, coord).map(lambda xy: tiny(*xy)),
+                     st.lists(elements(count), max_size=3)).flatmap(
+        lambda t: st.permutations([t[0], t[1], *t[2]]))
 
 
 def assert_equals_per_pair_chamfer(groups, count):
@@ -169,8 +180,8 @@ def assert_equals_per_pair_chamfer(groups, count):
         assert mat.shape == (len(preds), len(gts))
         for i, p in enumerate(preds):
             for j, g in enumerate(gts):
-                assert mat[i, j] == chamfer(_element_points(p, count),
-                                            _element_points(g, count))
+                assert mat[i, j] == brute_chamfer(_element_point_sets([p], count)[0],
+                                                  _element_point_sets([g], count)[0])
 
 
 class TestChamferMatrices:
@@ -191,9 +202,20 @@ class TestChamferMatrices:
     def test_group_straddles_block_edge(self, problem):
         count, preds0, gts0, preds, gts = problem
         preds = preds[:4] + [tiny(0.0, 0.0)] + preds[4:]
-        assert len(_element_points(preds[4], count)) < count
+        assert len(_element_point_sets([preds[4]], count)[0]) < count
         assert len(preds) * len(gts) > map_eval._BLOCK
         assert_equals_per_pair_chamfer([(preds0, gts0), (preds, gts), ([], gts)], count)
+
+    @given(st.integers(7, 9).flatmap(lambda count: st.tuples(st.just(count), st.lists(
+        st.tuples(mixed_elements(count), mixed_elements(count)), min_size=1, max_size=3))))
+    @settings(max_examples=50, deadline=None)
+    def test_groups_mix_full_and_merged_sets(self, problem):
+        count, groups = problem
+        for preds, gts in groups:
+            for side in (preds, gts):
+                sizes = {len(pts) for pts in _element_point_sets(side, count)}
+                assert count in sizes and min(sizes) < count
+        assert_equals_per_pair_chamfer(groups, count)
 
     def test_empty_groups(self):
         assert chamfer_matrices([], 20) == []
@@ -338,14 +360,12 @@ class TestEvaluateMap:
         shift = np.array([0.0, 0.75])
         pred, gt = _scene_maps(shift)
         # oracle chamfer per element on the resampled point sets
-        from uncmap.map_eval import _element_points
-
         report = evaluate_map(pred, gt, cfg)
         for ci, cls in enumerate(report.classes):
             p_el = pred.by_class(cls)[0]
             g_el = gt.by_class(cls)[0]
-            d = brute_chamfer(_element_points(p_el, cfg.resample_count),
-                              _element_points(g_el, cfg.resample_count))
+            d = brute_chamfer(_element_point_sets([p_el], cfg.resample_count)[0],
+                              _element_point_sets([g_el], cfg.resample_count)[0])
             for ti, thr in enumerate(cfg.thresholds):
                 expected = 1.0 if d < thr else 0.0
                 assert report.ap[ci, ti] == pytest.approx(expected), (cls, thr, d)
@@ -424,6 +444,16 @@ class TestEvaluateMap:
             evaluate_scenes(pairs, APConfig(thresholds=(0.5, 1.0, 1.5), matching=matching))
             assert len(passed) == expected
             assert len(evaluated) == expected
+
+
+class TestAPConfig:
+    @pytest.mark.parametrize("thresholds", [
+        (), (0.0, 1.0), (1.0, 0.5), (0.5, 0.5),
+        # NaN passes every comparison, and json writes infinity as Infinity.
+        (0.5, math.inf), (math.nan,), (math.nan, 1.0), (0.5, math.nan), (-math.inf, 1.0)])
+    def test_invalid_thresholds_rejected(self, thresholds):
+        with pytest.raises(ValueError, match="finite, positive and strictly increasing"):
+            APConfig(thresholds=thresholds)
 
 
 @st.composite

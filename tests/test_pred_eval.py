@@ -239,3 +239,10 @@ class TestBinnedCi:
     def test_bad_edges_rejected(self):
         with pytest.raises(ValueError):
             binned_ci([0.5], [1.0], [1.0, 0.0])
+
+    @pytest.mark.parametrize("edges", [[0.0, np.inf], [0.0, np.nan], [np.nan, 1.0],
+                                       [-np.inf, 0.0], [0.0, 1.0, np.nan]])
+    def test_non_finite_edges_rejected(self, edges):
+        # [nan, 1] used to give one silently empty bin.
+        with pytest.raises(ValueError, match="edges must be finite"):
+            binned_ci([0.5], [1.0], edges)

@@ -72,6 +72,11 @@ class TestDensity:
         with pytest.raises(ValueError):
             density(*V1, np.array([[0.0, 0.0], [1.0, 1.0]]))
 
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
+    def test_log_density_scale_rule(self, bad):
+        with pytest.raises(ValueError, match="Laplace scale b must be positive and finite"):
+            log_density(np.zeros((1, 2)), np.array([[1.0, bad]]), np.zeros((1, 2)))
+
 
 class TestNllLoss:
     def test_zero_residual(self):
@@ -154,6 +159,11 @@ class TestRotateUncertainty:
     def test_nonpositive_rejected(self):
         with pytest.raises(ValueError):
             rotate_uncertainty(0.0, 1.0, 0.3)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(ValueError, match="sigma must be positive and finite"):
+            rotate_uncertainty(1.0, bad, 0.3)
 
 
 def _small_map(b=(0.3, 0.8)):
