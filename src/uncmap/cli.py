@@ -1,9 +1,10 @@
 """Command-line pipeline: generate datasets, evaluate, calibrate, compare.
 
-Exit codes: 0 success, 2 usage or config error, 3 data error. Every
-report embeds a reproducibility block (config hash, seeds, tool version);
-all randomness flows from seeds recorded in the manifest, so rerunning a
-command on the same inputs reproduces its outputs byte for byte.
+Exit codes: 0 success, 2 usage or config error (an unwritable ``--out``
+too), 3 data error. Every report embeds a reproducibility block (config
+hash, seeds, tool version); all randomness flows from seeds recorded in the
+manifest, so rerunning a command on the same inputs reproduces its outputs
+byte for byte.
 """
 
 from __future__ import annotations
@@ -343,6 +344,10 @@ def main(argv=None) -> int:
     except io.DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 3
+    except OSError as exc:  # every read raises DataError, so a write under --out failed
+        print(f"usage error: cannot write {exc.filename or args.out}: {exc.strerror or exc}",
+              file=sys.stderr)
+        return 2
 
 
 def console_main() -> None:

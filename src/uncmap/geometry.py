@@ -29,6 +29,7 @@ only the rows that need it build a :class:`Polyline`.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 
@@ -72,7 +73,7 @@ def _as_points(points) -> np.ndarray:
 @dataclass(frozen=True)
 class Pose2:
     """Rigid 2D pose: a position plus a frame heading in radians, each a finite
-    number and not a bool.
+    number and not a bool, stored as a float.
 
     ``heading`` is normalized to (-pi, pi] at construction. A heading of 0
     means the pose's forward direction is world +y.
@@ -86,6 +87,7 @@ class Pose2:
         for name, value in (("x", self.x), ("y", self.y), ("heading", self.heading)):
             if isinstance(value, (bool, np.bool_)) or not math.isfinite(value):
                 raise ValueError(f"Pose2.{name} must be a finite number")
+            object.__setattr__(self, name, float(value))
         object.__setattr__(self, "heading", wrap_angle(self.heading))
 
     @classmethod
@@ -252,9 +254,10 @@ def _walk(stack: np.ndarray, closed: bool, targets) -> np.ndarray:
 
 
 def _resample(stack: np.ndarray, closed: bool, count: int) -> np.ndarray:
-    """(R, count, 2) resampled rows, before ``Polyline`` normalisation."""
-    if count < 2:
-        raise ValueError("resample count must be >= 2")
+    """(R, count, 2) resampled rows, before ``Polyline`` normalisation; ``count``
+    must be an integer >= 2 (a numpy integer too, not a float)."""
+    if not hasattr(count, "__index__") or operator.index(count) < 2:
+        raise ValueError(f"resample count must be an integer >= 2, got {count!r}")
 
     def targets(total):
         if np.any(total <= 0.0):

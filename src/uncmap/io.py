@@ -11,15 +11,15 @@ is a data error. A trajectory file's ``rate_hz`` must be the int ``RATE_HZ``.
 
 Every file is byte-identical to ``json.dumps(obj, indent=2)`` plus a final
 newline. Reports and manifests are written by ``json.dumps`` itself. Scene
-files are written by ``orjson.dumps`` with ``OPT_INDENT_2``, which gives the
-same bytes many times faster as long as every float is 0 or has a
-magnitude in [1e-4, 1e16): outside that range its float text differs
-(``0.00005`` for ``5e-05``, ``1e16`` for ``1e+16``), and those tokens are
-rewritten in repr's text. ``save_map`` and ``save_trajectories`` pass the
-arrays that hold the record's floats, and one numpy pass over them tells
-whether any token needs it. A record with a NaN or an infinity, which
-orjson writes as ``null``, or with a type orjson refuses (``np.float64``),
-goes to ``json.dumps``.
+files are written one way, by ``orjson.dumps`` with ``OPT_INDENT_2``: the
+records they come from hold only finite Python floats (a map, its pose and
+an agent track check and convert their values), and orjson writes such a
+float as repr does, many times faster, when it is 0 or has a magnitude in
+[1e-4, 1e16). Outside that range its float text differs (``0.00005`` for
+``5e-05``, ``1e16`` for ``1e+16``), and those tokens are rewritten in
+repr's text. ``save_map`` and ``save_trajectories`` pass the arrays that
+hold the record's floats, and one numpy pass over them tells whether any
+token needs it; a NaN or an infinity there is a ``ValueError``.
 
 Scene files (maps and trajectories) are read with ``orjson.loads``, which
 decodes them in about half the time ``json.loads`` takes, to the same
@@ -57,15 +57,7 @@ import orjson
 from . import __version__
 from .geometry import ElementClass, Pose2
 from .probmap import MapElement, VectorMap
-from .synth import (
-    AgentTrack,
-    Condition,
-    DatasetConfig,
-    Layout,
-    NoiseModel,
-    SyntheticDataset,
-    RATE_HZ,
-)
+from .synth import RATE_HZ, AgentTrack, DatasetConfig, NoiseModel, SyntheticDataset
 
 MAP_SCHEMA = "uncmap/1"
 TRAJ_SCHEMA = "uncmap-traj/1"
@@ -191,63 +183,24 @@ def load_trajectories(path) -> list[AgentTrack]:
 # Dataset config
 # ---------------------------------------------------------------------------
 
-def _noise_model(raw: dict) -> NoiseModel:
-    """The ``noise`` object as a :class:`NoiseModel`; a class ``"*"`` in
-    ``condition_multipliers`` sets every class, and a later key wins."""
-    if "condition_multipliers" in raw:
-        try:
-            multipliers = {
-                (Condition(cond), cls): mult
-                for cond, per_class in raw["condition_multipliers"].items()
-                for name, mult in per_class.items()
-                for cls in (ElementClass if name == "*" else [ElementClass(name)])}
-        except (TypeError, ValueError, AttributeError) as exc:
-            raise ValueError(f"condition_multipliers: {exc}") from exc
-        raw = dict(raw, condition_multipliers=multipliers)
-    return NoiseModel(**raw)
-
-
-# How a config value maps onto its DatasetConfig field; the other fields
-# take the value as it is, and DatasetConfig checks every one.
-_FROM_JSON = {
-    "layout_weights": lambda raw: {Layout(name): w for name, w in raw.items()},
-    "condition_weights": lambda raw: {Condition(name): w for name, w in raw.items()},
-    "noise": _noise_model,
-}
-
-
 def parse_dataset_config(raw: dict) -> DatasetConfig:
-    """The config object ``raw`` as a :class:`DatasetConfig`; an unknown key
-    at any level or an invalid value is a :class:`ConfigError` naming it."""
+    """The config object ``raw`` as a :class:`DatasetConfig`, which holds it in
+    the same JSON form (``_plain`` gives it back); an unknown key at any level
+    or an invalid value is a :class:`ConfigError` naming it."""
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
     unknown = set(raw) - {f.name for f in fields(DatasetConfig)}
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    kwargs = {}
-    for key, value in raw.items():
+    if "noise" in raw:
         try:
-            kwargs[key] = _FROM_JSON[key](value) if key in _FROM_JSON else value
-        except (TypeError, ValueError, AttributeError) as exc:
-            raise ConfigError(f"{key}: {exc}") from exc
+            raw = dict(raw, noise=NoiseModel(**raw["noise"]))
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"noise: {exc}") from exc
     try:
-        return DatasetConfig(**kwargs)
+        return DatasetConfig(**raw)
     except ValueError as exc:  # the message names the field
         raise ConfigError(str(exc)) from exc
-
-
-def dataset_config_to_dict(cfg: DatasetConfig) -> dict:
-    """``cfg`` as the JSON object :func:`parse_dataset_config` reads, keys in
-    field order."""
-    out = {f.name: getattr(cfg, f.name) for f in fields(cfg)}
-    out["layout_weights"] = {k.value: w for k, w in cfg.layout_weights.items()}
-    out["condition_weights"] = {k.value: w for k, w in cfg.condition_weights.items()}
-    out["occluder_radius"] = list(cfg.occluder_radius)
-    out["noise"] = noise = {f.name: getattr(cfg.noise, f.name) for f in fields(cfg.noise)}
-    noise["condition_multipliers"] = {}
-    for (cond, cls), mult in cfg.noise.condition_multipliers.items():
-        noise["condition_multipliers"].setdefault(cond.value, {})[cls.value] = mult
-    return out
 
 
 def load_dataset_config(path) -> DatasetConfig:
@@ -269,7 +222,7 @@ def config_hash(obj: dict) -> str:
 def write_dataset(dataset: SyntheticDataset, out_dir) -> Path:
     """Write maps, trajectories, and the run manifest; returns manifest path."""
     out = Path(out_dir)
-    cfg_dict = dataset_config_to_dict(dataset.config)
+    cfg_dict = _plain(dataset.config)
     scenes = []
     for rec in dataset.records:
         gt_rel = f"maps/{rec.scene_id}_gt.json"
@@ -382,16 +335,16 @@ def _read_json(path, loads=_json_loads) -> dict:
     return data
 
 
-def _repr_safe(floats) -> bool | None:
+def _repr_safe(floats) -> bool:
     """Whether orjson writes every value of the arrays ``floats`` (``None``
-    skipped) as ``float.__repr__`` does: True when each is 0 or has a
-    magnitude in [1e-4, 1e16), False when a finite value lies outside, and
-    None when one is NaN or infinite, which orjson writes as ``null``."""
+    skipped) as ``float.__repr__`` does: each is 0 or has a magnitude in
+    [1e-4, 1e16). A NaN or an infinity, which orjson would write as ``null``,
+    raises ``ValueError``."""
     a = np.abs(np.concatenate([np.ravel(np.asarray(f, dtype=float))
                                for f in floats if f is not None] + [np.zeros(0)]))
     top = a.max(initial=0.0)
     if not top < math.inf:
-        return None
+        raise ValueError("a scene file's floats must be finite")
     return bool(top < 1e16 and a.min(where=a != 0, initial=1.0) >= 1e-4)
 
 
@@ -416,24 +369,20 @@ def _repr_floats(data: bytes) -> bytes:
 
 
 def write_json(path, obj, floats=None) -> None:
-    """Write ``json.dumps(obj, indent=2)`` and a newline to ``path``, by orjson
-    when the arrays ``floats`` hold every float of ``obj`` and all are
-    finite (``obj``'s strings must then be ASCII, as a scene file's are);
-    float tokens that :func:`_repr_safe` finds orjson writes otherwise are
-    rewritten in repr's text. json writes what orjson refuses, so the bytes
-    and the exceptions are json's. The text is encoded before the file is
-    opened, so a failed write leaves no file; a missing directory is made."""
-    data = None
-    safe = None if floats is None else _repr_safe(floats)
-    if safe is not None:
-        try:
-            data = orjson.dumps(obj, option=orjson.OPT_INDENT_2) + b"\n"
-        except TypeError:
-            pass
-    if data is None:
+    """Write ``json.dumps(obj, indent=2)`` and a newline to ``path``. A scene
+    file passes the arrays ``floats`` that hold every float of ``obj``, all
+    finite Python floats, and is written by orjson (``obj``'s strings must
+    then be ASCII, as a scene file's are); float tokens that
+    :func:`_repr_safe` finds orjson writes otherwise are rewritten in repr's
+    text. The text is encoded before the file is opened, so a failed write
+    leaves no file; a missing directory is made."""
+    if floats is None:
         data = (json.dumps(obj, indent=2) + "\n").encode("utf-8")
-    elif not safe:
-        data = _repr_floats(data)
+    else:
+        safe = _repr_safe(floats)
+        data = orjson.dumps(obj, option=orjson.OPT_INDENT_2) + b"\n"
+        if not safe:
+            data = _repr_floats(data)
     path = Path(path)
     try:
         path.write_bytes(data)

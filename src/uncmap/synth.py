@@ -115,23 +115,16 @@ def _check_real(name: str, value, lo: float, hi: float = math.inf, above: bool =
 
 
 def _check_weights(name: str, weights, enum_cls) -> dict:
-    """``weights`` keyed by ``enum_cls`` members, as floats >= 0 that sum to 1."""
-    if not (isinstance(weights, dict) and set(weights) <= set(enum_cls)):
-        raise ValueError(f"{name} must map {enum_cls.__name__} members to numbers")
-    out = {k: float(_check_real(f"{name} {k.value}", w, 0)) for k, w in weights.items()}
+    """``weights`` keyed by ``enum_cls`` names (a member key is stored as its
+    name), as floats >= 0 that sum to 1."""
+    try:
+        named = {enum_cls(k).value: w for k, w in weights.items()}
+    except (TypeError, ValueError, AttributeError) as exc:
+        raise ValueError(f"{name}: {exc}") from exc
+    out = {k: float(_check_real(f"{name} {k}", w, 0)) for k, w in named.items()}
     if abs(sum(out.values()) - 1.0) > 1e-9:
         raise ValueError(f"{name} must sum to 1")
     return out
-
-
-_MULTIPLIER_KEYS = {(cond, cls) for cond in Condition for cls in ElementClass}
-
-
-def _default_condition_multipliers() -> dict[tuple[Condition, ElementClass], float]:
-    mult = {(Condition.NIGHT, ElementClass.PED_CROSSING): 2.0}
-    for cls in ElementClass:
-        mult[(Condition.RAIN, cls)] = 1.3
-    return mult
 
 
 @dataclass
@@ -143,13 +136,17 @@ class NoiseModel:
     multiplier when the ego-to-vertex segment crosses an occluder, times
     the (condition, class) multiplier. The emitted scale equals the true
     scale times ``miscalibration`` (1.0 means well calibrated).
+
+    ``condition_multipliers`` is the config's JSON form, ``{condition:
+    {class or "*": number}}``; it is stored with ``"*"`` expanded to every
+    class (a later key wins) and every key a name.
     """
 
     base_b: float = 0.2
     distance_coeff: float = 0.01
     occlusion_multiplier: float = 3.0
-    condition_multipliers: dict[tuple[Condition, ElementClass], float] = field(
-        default_factory=_default_condition_multipliers)
+    condition_multipliers: dict[str, dict[str, float]] = field(
+        default_factory=lambda: {"night": {"ped_crossing": 2.0}, "rain": {"*": 1.3}})
     miscalibration: float = 1.0
     class_mode: str = "calibrated"   # or "one_hot"
 
@@ -158,14 +155,16 @@ class NoiseModel:
         _check_real("distance_coeff", self.distance_coeff, 0)
         _check_real("occlusion_multiplier", self.occlusion_multiplier, 1)
         _check_real("miscalibration", self.miscalibration, 0, above=True)
-        if not (isinstance(self.condition_multipliers, dict)
-                and set(self.condition_multipliers) <= _MULTIPLIER_KEYS):
-            raise ValueError("condition_multipliers must map (Condition, ElementClass) "
-                             "pairs to numbers")
+        try:
+            rows = {Condition(cond).value: {
+                cls.value: mult for key, mult in per_class.items()
+                for cls in (ElementClass if key == "*" else [ElementClass(key)])}
+                for cond, per_class in self.condition_multipliers.items()}
+        except (TypeError, ValueError, AttributeError) as exc:
+            raise ValueError(f"condition_multipliers: {exc}") from exc
         self.condition_multipliers = {
-            (cond, cls): float(_check_real(f"condition_multipliers {cond.value} {cls.value}",
-                                           mult, 1))
-            for (cond, cls), mult in self.condition_multipliers.items()}
+            cond: {cls: float(_check_real(f"condition_multipliers {cond} {cls}", mult, 1))
+                   for cls, mult in row.items()} for cond, row in rows.items()}
         if self.class_mode not in ("calibrated", "one_hot"):
             raise ValueError(f"unknown class_mode {self.class_mode!r}")
 
@@ -443,9 +442,10 @@ def _observe_block(gts, noise: NoiseModel, specs, seeds, resample_count: int) ->
         shadowed[lo:hi] = in_shadow(gt.ego_pose.position, pts[lo:hi], spec.occluders)
     counts = np.diff(rows)
     true_idx = np.repeat([CLASS_INDEX[el.element_class] for el in elements], counts)
+    multipliers = noise.condition_multipliers
     b_true = noise.true_scale(
         pts, np.repeat([gt.ego_pose.position for gt in gts], np.diff(scene_rows), axis=0),
-        np.repeat([noise.condition_multipliers.get((spec.condition, el.element_class), 1.0)
+        np.repeat([multipliers.get(spec.condition.value, {}).get(el.element_class.value, 1.0)
                    for gt, spec in zip(gts, specs) for el in gt.elements], counts),
         shadowed)
     calibrated = noise.class_mode == "calibrated"
@@ -637,16 +637,17 @@ class SceneRecord:
 
 @dataclass
 class DatasetConfig:
-    """Knobs for :func:`build_dataset`; defaults give the standard benchmark."""
+    """Knobs for :func:`build_dataset`; defaults give the standard benchmark.
+    The fields hold the config's JSON form: weights keyed by layout and
+    condition name."""
 
     n_scenes: int = 40
     seed: int = 0
-    layout_weights: dict[Layout, float] = field(
-        default_factory=lambda: {Layout.STRAIGHT_ROAD: 0.6, Layout.INTERSECTION: 0.25,
-                                 Layout.PARKING_LOT: 0.15})
-    condition_weights: dict[Condition, float] = field(
-        default_factory=lambda: {Condition.DAY: 0.7, Condition.NIGHT: 0.2,
-                                 Condition.RAIN: 0.1})
+    layout_weights: dict[str, float] = field(
+        default_factory=lambda: {"straight_road": 0.6, "intersection": 0.25,
+                                 "parking_lot": 0.15})
+    condition_weights: dict[str, float] = field(
+        default_factory=lambda: {"day": 0.7, "night": 0.2, "rain": 0.1})
     n_agents: int = 2
     max_occluders: int = 3
     occluder_radius: tuple[float, float] = (1.5, 4.0)
@@ -726,8 +727,8 @@ def build_dataset(config: DatasetConfig | None = None) -> SyntheticDataset:
     master = np.random.default_rng(cfg.seed)
     specs, seeds = [], []
     for _ in range(cfg.n_scenes):
-        layout = _weighted_choice(master, cfg.layout_weights)
-        condition = _weighted_choice(master, cfg.condition_weights)
+        layout = Layout(_weighted_choice(master, cfg.layout_weights))
+        condition = Condition(_weighted_choice(master, cfg.condition_weights))
         occluders = _sample_occluders(master, cfg.max_occluders, cfg.occluder_radius)
         scene_seed = int(master.integers(0, 2**63 - 1))
         seeds.append(int(master.integers(0, 2**63 - 1)))

@@ -175,3 +175,54 @@ def test_benchmark_configs_parse(seed):
     for raw in configs:
         cfg = io.parse_dataset_config(raw)
         assert cfg.seed == raw["seed"] and cfg.n_scenes == raw["n_scenes"]
+
+
+def run_argvs() -> list[list[str]]:
+    """Every argv ``perfbench/run.py`` passes to the CLI, read from its syntax
+    tree: each stage of ``STAGES`` with the ``--manifest``/``--out`` its caller
+    appends, and each list literal given to ``run_cli``. A string constant is
+    kept, ``str()`` of a module-level constant becomes that constant's text,
+    and any other element (a path) becomes ``"PATH"``."""
+    tree = ast.parse(RUN.read_text(encoding="utf-8"))
+    consts = {node.targets[0].id: node.value.value for node in tree.body
+              if isinstance(node, ast.Assign) and len(node.targets) == 1
+              and isinstance(node.targets[0], ast.Name) and isinstance(node.value, ast.Constant)}
+
+    def text(node) -> str:
+        if isinstance(node, ast.Constant):
+            return node.value
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "str" \
+                and getattr(node.args[0], "id", None) in consts:
+            return str(consts[node.args[0].id])
+        return "PATH"
+
+    def argvs(node) -> list[list[str]]:
+        if isinstance(node, ast.List):
+            return [[text(elt) for elt in node.elts]]
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add):
+            return [a + b for a in argvs(node.left) for b in argvs(node.right)]
+        if isinstance(node, ast.Name):  # the loop over STAGES' argvs
+            return stages
+        raise AssertionError(f"run.py line {node.lineno}: unread argv {ast.dump(node)}")
+
+    stages = [argv for node in tree.body if isinstance(node, ast.Assign)
+              and getattr(node.targets[0], "id", None) == "STAGES"
+              for value in node.value.values for argv in argvs(value.elts[0])]
+    calls = [node.args[1] for node in ast.walk(tree) if isinstance(node, ast.Call)
+             and getattr(node.func, "id", None) == "run_cli"]
+    return [argv for call in calls for argv in argvs(call)]
+
+
+def test_benchmark_argvs_parse():
+    """The CLI accepts every command line the benchmark runs, so a flag the
+    benchmark passes cannot be deleted unnoticed."""
+    from uncmap import cli
+
+    argvs = run_argvs()
+    assert sum(argv[0] == "generate" for argv in argvs) == 2 and len(argvs) == 7
+    assert ["generate", "--config", "PATH", "--out", "PATH", "--threads", "1"] in argvs
+    for argv in argvs:
+        try:
+            cli.build_parser().parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"perfbench/run.py passes {argv}, which the CLI refuses")

@@ -197,6 +197,13 @@ class TestVertexPairing:
         matched = match_vertex_pairs(pred, gt)
         np.testing.assert_allclose(matched.gt, pts, atol=1e-12)
 
+    def test_fractional_resample_count_rejected(self):
+        pts = np.column_stack([np.linspace(0, 10, 20), np.zeros(20)])
+        gt = VectorMap([MapElement(np.array([[0.0, 0.0], [10.0, 0.0]]),
+                                   ElementClass.LANE_DIVIDER)], Pose2.identity())
+        with pytest.raises(ValueError, match="integer >= 2"):
+            pair_vertices([(_prob_map([pts]), gt)], resample_count=2.5)
+
     def test_beyond_threshold_excluded(self):
         pts = np.column_stack([np.linspace(0, 10, 20), np.zeros(20)])
         pred = _prob_map([pts + np.array([0.0, 50.0])])

@@ -140,6 +140,17 @@ class TestResample:
         with pytest.raises(ValueError):
             resample_one([[0, 0], [1, 0]], 1)
 
+    @pytest.mark.parametrize("count", [2.5, 3.0, np.float64(3), "3", True, None],
+                             ids=["2.5", "3.0", "float64", "str", "bool", "none"])
+    def test_count_that_is_not_an_integer_rejected(self, count):
+        # 2.5 once gave 3 unevenly spaced points (x = 0, 6.67, 10).
+        with pytest.raises(ValueError, match="integer >= 2"):
+            resample([[[0, 0], [10, 0]]], [False], [count])
+
+    def test_numpy_integer_count_accepted(self):
+        out = resample([[[0, 0], [10, 0]]], [False], [np.int64(3)])[0]
+        np.testing.assert_array_equal(out, [[0, 0], [5, 0], [10, 0]])
+
     def test_arclength_preserved_when_breakpoints_sampled(self):
         # Polylines with equal-length segments, resampled so every original
         # vertex lands on a sample: total arclength must survive exactly.

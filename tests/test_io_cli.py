@@ -492,10 +492,21 @@ class TestWriteJson:
         assert path.read_bytes() == expected
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
-    def test_non_finite_floats_go_to_json(self, value, tmp_path):
+    def test_non_finite_floats_raise(self, value, tmp_path):
+        """A scene record holds finite floats only, so a non-finite one is a bug."""
         obj = {"a": [1e-7, value]}
-        uio.write_json(tmp_path / "x.json", obj, [obj["a"]])
-        assert (tmp_path / "x.json").read_text() == json.dumps(obj, indent=2) + "\n"
+        with pytest.raises(ValueError, match="finite"):
+            uio.write_json(tmp_path / "x.json", obj, [obj["a"]])
+        assert not (tmp_path / "x.json").exists()
+
+    @pytest.mark.parametrize("x, y", [(np.int64(3), 0), (np.float64(-2.5), np.int32(4)),
+                                      (np.float32(0.1), np.uint8(7))])
+    def test_numpy_pose_coordinates_write_as_json_dumps(self, x, y, tmp_path):
+        m = VectorMap([MapElement(np.array([[0.0, 1.0], [2.0, 3.5]]), ElementClass.LANE_DIVIDER)],
+                      Pose2(x, y, np.float64(0.25)))
+        uio.save_map(m, tmp_path / "m.json")
+        assert (tmp_path / "m.json").read_text() == json.dumps(uio.map_to_dict(m), indent=2) + "\n"
+        assert uio.load_map(tmp_path / "m.json").ego_pose == Pose2(float(x), float(y), 0.25)
 
     def test_makes_missing_directories(self, tmp_path, monkeypatch):
         mkdir = []
@@ -613,14 +624,11 @@ class TestConfigParsing:
     def test_wildcard_multiplier(self):
         cfg = uio.parse_dataset_config({
             "noise": {"condition_multipliers": {"rain": {"*": 1.4}}}})
-        from uncmap.synth import Condition
-
-        assert all(cfg.noise.condition_multipliers[(Condition.RAIN, c)] == 1.4
-                   for c in ElementClass)
+        assert cfg.noise.condition_multipliers == {"rain": {c.value: 1.4 for c in ElementClass}}
 
     def test_roundtrip_through_dict(self):
         cfg = DatasetConfig(n_scenes=4, seed=9)
-        again = uio.parse_dataset_config(uio.dataset_config_to_dict(cfg))
+        again = uio.parse_dataset_config(uio._plain(cfg))
         assert again == cfg
 
 
@@ -640,6 +648,26 @@ def write_config(tmp_path, **overrides) -> Path:
     path = tmp_path / "config.json"
     path.write_text(json.dumps(cfg))
     return path
+
+
+class TestUnwritableOut:
+    """An --out that cannot be written (here under a regular file) ends a stage
+    with exit 2 and one line that names the path."""
+
+    @pytest.mark.parametrize("command", ["generate", "eval-pred", "analyze-uncertainty"])
+    def test_out_under_a_file_exits_2(self, command, dataset_dir, tmp_path, capsys):
+        afile = tmp_path / "afile"
+        afile.write_text("")
+        if command == "generate":
+            argv = ["generate", "--config", str(write_config(tmp_path)),
+                    "--out", str(afile / "sub")]
+        else:  # eval-pred writes a JSON report first, analyze-uncertainty a CSV
+            argv = [command, "--manifest", str(dataset_dir / "manifest.json"),
+                    "--out", str(afile)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and err.count("\n") == 1, err
+        assert str(afile) in err, err
 
 
 class TestCliGenerate:
@@ -1757,6 +1785,27 @@ class TestConfigContract:
         config = tmp_path / "config.json"
         config.write_text(json.dumps(FULL_CONFIG))
         assert main(["generate", "--config", str(config), "--out", str(tmp_path / "d")]) == 0
+
+    # sha256 of the manifest.json that generate writes, recorded while io
+    # translated the config to tuple-keyed records and back. The second config
+    # puts "*" after a named class, adds a second condition and reorders the
+    # layouts; the manifest keeps each key where the config first put it.
+    @pytest.mark.parametrize("changes, digest", [
+        ({}, "fc29d3f02600d788c61298d9cfcb4263323d3d66d688c7b3b91fbe15cb91f299"),
+        ({("noise", "condition_multipliers"): {"night": {"lane_centerline": 3.0, "*": 2},
+                                                "rain": {"ped_crossing": 1.5}},
+          ("layout_weights",): {"parking_lot": 0.2, "straight_road": 0.8}},
+         "828679441b14c1f18b8fba10b384102d27c02bc6aa03c8c68450ce97d9c017ac"),
+    ], ids=["full", "reordered"])
+    def test_manifest_pinned(self, changes, digest, tmp_path):
+        tree = FULL_CONFIG
+        for path, value in changes.items():
+            tree = _set(tree, path, value)
+        (tmp_path / "config.json").write_text(json.dumps(tree))
+        assert main(["generate", "--config", str(tmp_path / "config.json"),
+                     "--out", str(tmp_path / "d")]) == 0
+        assert hashlib.sha256((tmp_path / "d" / "manifest.json").read_bytes()).hexdigest() \
+            == digest
 
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())

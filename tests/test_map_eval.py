@@ -447,6 +447,11 @@ class TestEvaluateMap:
 
 
 class TestAPConfig:
+    def test_fractional_resample_count_rejected(self):
+        pred, gt = _scene_maps()
+        with pytest.raises(ValueError, match="integer >= 2"):
+            evaluate_map(pred, gt, APConfig(resample_count=2.5))
+
     @pytest.mark.parametrize("thresholds", [
         (), (0.0, 1.0), (1.0, 0.5), (0.5, 0.5),
         # NaN passes every comparison, and json writes infinity as Infinity.

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from scipy.stats import spearmanr
 
 from uncmap import synth
+from uncmap import io as uio
 from uncmap.geometry import (
     CLASS_INDEX,
     NUM_CLASSES,
@@ -422,7 +423,7 @@ def reference_true_scale(noise, points, ego, element_class, condition, occluders
         shadowed = segment_intersects_disc(ego, points[:, None, :], centers[None],
                                            radii[None]).any(axis=1)
         b = np.where(shadowed, b * noise.occlusion_multiplier, b)
-    b = b * noise.condition_multipliers.get((condition, element_class), 1.0)
+    b = b * noise.condition_multipliers.get(condition.value, {}).get(element_class.value, 1.0)
     return np.maximum(b, B_FLOOR)
 
 
@@ -509,8 +510,8 @@ def reference_build_dataset(cfg):
     master = np.random.default_rng(cfg.seed)
     out = []
     for _ in range(cfg.n_scenes):
-        layout = synth._weighted_choice(master, cfg.layout_weights)
-        condition = synth._weighted_choice(master, cfg.condition_weights)
+        layout = Layout(synth._weighted_choice(master, cfg.layout_weights))
+        condition = Condition(synth._weighted_choice(master, cfg.condition_weights))
         occluders = synth._sample_occluders(master, cfg.max_occluders, cfg.occluder_radius)
         scene_seed = int(master.integers(0, 2**63 - 1))
         observe_seed = int(master.integers(0, 2**63 - 1))
@@ -556,12 +557,20 @@ _WEIGHTS = st.lists(st.integers(0, 4), min_size=3, max_size=3).filter(any).map(
     lambda w: [x / sum(w) for x in w])
 
 
+# Per condition, multipliers for "*" and for named classes, in any order.
+_MULTIPLIERS = st.dictionaries(
+    st.sampled_from([c.value for c in Condition]),
+    st.dictionaries(st.sampled_from(["*"] + [c.value for c in ElementClass]),
+                    st.sampled_from([1, 1.3, 2.0, 4.5]), max_size=3), max_size=3)
+
+
 @st.composite
 def dataset_configs(draw):
     layouts, conditions = draw(_WEIGHTS), draw(_WEIGHTS)
     noise = NoiseModel(base_b=draw(st.sampled_from([B_FLOOR, 1e-5, 0.05, 0.2])),
                        distance_coeff=draw(st.sampled_from([0.0, 0.01, 0.03])),
                        occlusion_multiplier=draw(st.sampled_from([1.0, 3.0, 6.0])),
+                       condition_multipliers=draw(_MULTIPLIERS),
                        miscalibration=draw(st.sampled_from([0.05, 1.0, 1.7])),
                        class_mode=draw(st.sampled_from(["calibrated", "one_hot"])))
     return DatasetConfig(
@@ -580,6 +589,46 @@ def dataset_configs(draw):
         predictor=draw(st.sampled_from(["blind", "weighted", "exact", "none"])),
         lam=draw(st.sampled_from([0.0, 1.0, 2.5])),
         b0=draw(st.sampled_from([0.1, 0.5, 3.0])))
+
+
+class TestConfigRecords:
+    """The config records hold the JSON form: names for keys, and multipliers
+    per condition and class."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(cfg=dataset_configs())
+    def test_json_form_round_trips(self, cfg):
+        assert uio.parse_dataset_config(uio._plain(cfg)) == cfg
+
+    def test_member_keys_stored_as_names(self):
+        cfg = DatasetConfig(layout_weights={Layout.PARKING_LOT: 0.5, "intersection": 0.5},
+                            condition_weights={Condition.RAIN: 1},
+                            noise=NoiseModel(condition_multipliers={
+                                Condition.NIGHT: {ElementClass.PED_CROSSING: 2}}))
+        assert cfg.layout_weights == {"parking_lot": 0.5, "intersection": 0.5}
+        assert cfg.condition_weights == {"rain": 1.0}
+        assert cfg.noise.condition_multipliers == {"night": {"ped_crossing": 2.0}}
+
+    def test_wildcard_expands_in_insertion_order(self):
+        noise = NoiseModel(condition_multipliers={"night": {"lane_centerline": 3.0, "*": 2},
+                                                  "rain": {"*": 1.5, "ped_crossing": 4}})
+        night = {"lane_centerline": 2.0} | {c.value: 2.0 for c in ElementClass}
+        rain = {c.value: 1.5 for c in ElementClass} | {"ped_crossing": 4.0}
+        assert noise.condition_multipliers == {"night": night, "rain": rain}
+        assert list(noise.condition_multipliers["night"]) == list(night)
+        assert NoiseModel().condition_multipliers == {
+            "night": {"ped_crossing": 2.0}, "rain": {c.value: 1.3 for c in ElementClass}}
+
+    # TestConfigContract covers a non-object, an unknown condition and NaN.
+    @pytest.mark.parametrize("multipliers, message", [
+        ({"day": {"kerb": 2}}, "condition_multipliers: 'kerb' is not a valid ElementClass"),
+        ({"day": {"*": 0.5}}, "condition_multipliers day road_boundary must be a finite "
+                              "number >= 1, got 0.5"),
+    ])
+    def test_bad_multipliers_rejected(self, multipliers, message):
+        with pytest.raises(ValueError) as err:
+            NoiseModel(condition_multipliers=multipliers)
+        assert str(err.value) == message
 
 
 class TestBlockBuild:
