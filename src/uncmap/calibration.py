@@ -19,14 +19,10 @@ pairing distance, and then paired by index. A ground truth so short that
 resampling merges its points cannot be paired by index and raises
 ``ValueError``.
 
-When the prediction has the Chamfer resample count of vertices and the
-ground truth does not, the resampled ground truth is exactly the point set
-the Chamfer matching already built, so it is reused rather than resampled
-again. (A ground truth that already has that count enters the Chamfer
-matrix verbatim, while pairing resamples it, so it keeps its own resample.)
-
 :func:`pair_vertices` pairs a whole list of (predicted map, ground-truth
-map) pairs in one pass; :func:`match_vertex_pairs` is its one-pair call.
+map) pairs in one pass: one :func:`~uncmap.map_eval.chamfer_matrices` call
+for every matrix, then one resample of all the matched ground truths.
+:func:`match_vertex_pairs` is its one-pair call.
 """
 
 from __future__ import annotations
@@ -37,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import CLASS_INDEX, group_indices, resample
-from .map_eval import _chamfer_points, _split_point_sets, greedy_match
+from .map_eval import chamfer_matrices, greedy_match
 from .probmap import VectorMap, _validate_scale, softmax
 
 
@@ -119,38 +115,26 @@ def pair_vertices(map_pairs, threshold: float = 1.5,
     Elements are matched per map pair and class by ``map_eval.greedy_match``
     at the given Chamfer threshold; unmatched elements contribute nothing.
     Pairs are appended by map pair, class and descending confidence. All
-    Chamfer matrices come from one pooled-kernel call after one grouped
-    resampling; the ground truths that pairing resamples take one more.
+    Chamfer matrices come from one :func:`~uncmap.map_eval.chamfer_matrices`
+    call, and all matched ground truths from one grouped resample.
     """
-    groups = [(cls, pred_map.by_class(cls), gt_map.by_class(cls)) for pred_map, gt_map in map_pairs
+    groups = [(pred_map.by_class(cls), gt_map.by_class(cls)) for pred_map, gt_map in map_pairs
               for cls in sorted({el.element_class for el in pred_map.elements + gt_map.elements},
                                 key=lambda c: c.value)]
-    groups = [(cls, preds, gts) for cls, preds, gts in groups if preds and gts]
-    points = _split_point_sets([(preds, gts) for _, preds, gts in groups], resample_count)
-    mats = _chamfer_points(points)
-    # One entry per pair: the prediction and its ground truth's point set,
-    # which is the element itself until it is resampled.
-    preds, gt_sets, todo = [], [], []
-    for (_, cls_preds, gts), (_, chamfer_sets), mat in zip(groups, points, mats):
+    groups = [(preds, gts) for preds, gts in groups if preds and gts]
+    preds, gts = [], []
+    for (cls_preds, cls_gts), mat in zip(groups, chamfer_matrices(groups, resample_count)):
         conf = np.array([p.confidence for p in cls_preds], dtype=float)
         match = greedy_match(conf, mat, threshold)
         for pi in np.argsort(-conf, kind="stable"):
-            if match[pi] < 0:
-                continue
-            pred, gt = cls_preds[pi], gts[match[pi]]
-            if pred.n_vertices == resample_count and len(gt.vertices) != resample_count:
-                gt = chamfer_sets[match[pi]]
-            else:
-                todo.append(len(gt_sets))
-            preds.append(pred)
-            gt_sets.append(gt)
+            if match[pi] >= 0:
+                preds.append(cls_preds[pi])
+                gts.append(cls_gts[match[pi]])
     if not preds:
         return MatchedVertices(np.empty((0, 2)), np.empty((0, 2)), np.empty((0, 2)),
                                np.empty((0, len(CLASS_INDEX))), np.empty(0, dtype=int))
-    for i, pts in zip(todo, resample([gt_sets[i].vertices for i in todo],
-                                     [gt_sets[i].closed for i in todo],
-                                     [preds[i].n_vertices for i in todo])):
-        gt_sets[i] = pts
+    gt_sets = resample([g.mu for g in gts], [g.closed for g in gts],
+                       [p.n_vertices for p in preds])
     for pred, gt in zip(preds, gt_sets):
         if len(gt) != pred.n_vertices:
             raise ValueError(f"a matched {pred.element_class.value} ground truth is too "

@@ -10,9 +10,10 @@ equal-shape point-set pairs; :func:`chamfer` is its one-pair call.
 :func:`chamfer_matrices` resamples the elements of all its (predictions,
 ground truths) groups in one :func:`~uncmap.geometry.resample` call (grouped
 by length, not padded, so every row keeps the rounding of its own polyline)
-and sends all their pairs through the kernel in blocks of one shape. AP
-evaluation calls it once per class over all scenes, and the calibration
-pairing once per list of map pairs.
+and sends all their pairs through the kernel in blocks of one shape. It is
+the one entry from element groups to Chamfer matrices: AP evaluation calls
+it once per class over all scenes, and the calibration pairing once per
+list of map pairs.
 
 AP follows the detection convention: predictions are pooled across scenes,
 sorted by confidence (ties keep input order), and greedily matched to the
@@ -90,40 +91,23 @@ _BLOCK = 64
 
 
 def chamfer_matrices(groups, count: int) -> list[np.ndarray]:
-    """(P, G) Chamfer matrices, one per ``(preds, gts)`` group of elements,
-    after fixed-count resampling.
+    """(P, G) Chamfer matrices, one per ``(preds, gts)`` group of elements.
 
-    The elements of all groups are resampled in one grouped call, and the
-    pairs of all groups go through one pooled kernel; each value equals
-    :func:`chamfer` of the two resampled point sets bit for bit.
+    Every element is resampled to ``count`` points in one
+    :func:`_element_point_sets` call (a tiny element may merge to fewer),
+    and the pairs of all groups go through :func:`_chamfer_block` in blocks
+    of up to ``_BLOCK`` pairs of one shape. Each value equals
+    :func:`chamfer` of the two point sets bit for bit.
     """
-    return _chamfer_points(_split_point_sets(groups, count))
-
-
-def _split_point_sets(groups, count: int) -> list[tuple[list, list]]:
-    """``(preds, gts)`` groups of elements as groups of their fixed-count
-    point sets, all resampled in one :func:`_element_point_sets` call."""
     groups = [(list(preds), list(gts)) for preds, gts in groups]
-    points = iter(_element_point_sets(
-        [el for preds, gts in groups for el in preds + gts], count))
-    return [([next(points) for _ in preds], [next(points) for _ in gts])
-            for preds, gts in groups]
-
-
-def _chamfer_points(groups) -> list[np.ndarray]:
-    """:func:`chamfer_matrices` of already resampled point sets.
-
-    The pairs of all groups go through :func:`_chamfer_block` in blocks of
-    up to ``_BLOCK`` pairs of one shape: most sets have the resample count
-    of points, but resampling merges near-duplicate points of a tiny element.
-    """
-    sets, rows, cols = [], [], []  # rows[k], cols[k]: the two sets of pair k
-    for a_sets, b_sets in groups:
-        a = range(len(sets), len(sets) + len(a_sets))
-        b = range(a.stop, a.stop + len(b_sets))
+    sets = _element_point_sets([el for preds, gts in groups for el in preds + gts], count)
+    rows, cols, start = [], [], 0  # rows[k], cols[k]: the two sets of pair k
+    for preds, gts in groups:
+        a = range(start, start + len(preds))
+        b = range(a.stop, a.stop + len(gts))
         rows += [i for i in a for _ in b]
         cols += [j for _ in a for j in b]
-        sets += [*a_sets, *b_sets]
+        start = b.stop
     rows, cols = np.array(rows, dtype=int), np.array(cols, dtype=int)
     sizes = np.array([len(s) for s in sets], dtype=int)
     shapes = sizes[rows] * (sizes.max(initial=0) + 1) + sizes[cols]  # one key per (V, W)
@@ -133,9 +117,9 @@ def _chamfer_points(groups) -> list[np.ndarray]:
         for block in np.split(pairs, range(_BLOCK, len(pairs), _BLOCK)):
             values[block] = _chamfer_block(np.array([sets[i] for i in rows[block].tolist()]),
                                            np.array([sets[j] for j in cols[block].tolist()]))
-    ends = np.cumsum([len(a_sets) * len(b_sets) for a_sets, b_sets in groups], dtype=int)
-    return [v.reshape(len(a_sets), len(b_sets))
-            for v, (a_sets, b_sets) in zip(np.split(values, ends[:-1]), groups)]
+    ends = np.cumsum([len(preds) * len(gts) for preds, gts in groups], dtype=int)
+    return [v.reshape(len(preds), len(gts))
+            for v, (preds, gts) in zip(np.split(values, ends[:-1]), groups)]
 
 
 def _chamfer_block(a: np.ndarray, b: np.ndarray) -> list[float]:

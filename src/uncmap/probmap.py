@@ -84,10 +84,9 @@ def density(mu, b, sample) -> float:
 
 
 def log_density(mu, b, sample) -> float:
-    """Joint log-density: the sum of per-coordinate Laplace log-densities."""
-    mu, b, sample = _check_same_shape(mu, b, sample)
-    b = _validate_scale(b)
-    return float(np.sum(-np.log(2.0 * b) - np.abs(sample - mu) / b))
+    """Joint log-density: the sum of per-coordinate Laplace log-densities,
+    the negated :func:`nll_loss`."""
+    return -nll_loss(mu, b, sample)[0]
 
 
 def nll_loss(mu, b, target) -> tuple[float, np.ndarray, np.ndarray]:

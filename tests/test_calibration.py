@@ -12,13 +12,7 @@ from uncmap.calibration import (
     reliability,
 )
 from uncmap.geometry import CLASS_INDEX, ElementClass, Pose2, group_indices, resample
-from uncmap.map_eval import (
-    _chamfer_points,
-    _element_point_sets,
-    _split_point_sets,
-    chamfer,
-    greedy_match,
-)
+from uncmap.map_eval import _element_point_sets, chamfer, greedy_match
 from uncmap.probmap import (
     MapElement,
     VectorMap,
@@ -297,16 +291,19 @@ class TestPairingPinned:
 def per_scene_match_vertex_pairs(pred_map, gt_map, threshold=1.5, resample_count=20):
     """The pairing of one map pair as it was before it took a list of map
     pairs: the reference that the list form, pooled over its pairs, must
-    match bit for bit."""
+    match bit for bit. A matched ground truth whose prediction has the
+    resample count, and which itself does not, reuses its Chamfer point set
+    instead of being resampled again, as that pairing did."""
     classes = {el.element_class for el in pred_map.elements}
     classes |= {el.element_class for el in gt_map.elements}
     groups = [(cls, pred_map.by_class(cls), gt_map.by_class(cls))
               for cls in sorted(classes, key=lambda c: c.value)]
     groups = [(cls, preds, gts) for cls, preds, gts in groups if preds and gts]
-    points = _split_point_sets([(preds, gts) for _, preds, gts in groups], resample_count)
-    mats = _chamfer_points(points)
     preds, labels, gt_sets, todo = [], [], [], []
-    for (cls, cls_preds, gts), (_, chamfer_sets), mat in zip(groups, points, mats):
+    for cls, cls_preds, gts in groups:
+        pred_sets = _element_point_sets(cls_preds, resample_count)
+        chamfer_sets = _element_point_sets(gts, resample_count)
+        mat = np.array([[chamfer(a, b) for b in chamfer_sets] for a in pred_sets])
         conf = np.array([p.confidence for p in cls_preds], dtype=float)
         match = greedy_match(conf, mat, threshold)
         for pi in np.argsort(-conf, kind="stable"):
