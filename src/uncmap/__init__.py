@@ -60,7 +60,6 @@ from .pred_eval import (  # noqa: F401
     min_ade,
     min_fde,
     miss,
-    miss_rate,
 )
 from .calibration import (  # noqa: F401
     CoverageReport,
@@ -83,6 +82,5 @@ from .synth import (  # noqa: F401
     generate_scene,
     observe,
     predict_blind,
-    predict_scene,
     predict_weighted,
 )

@@ -2,9 +2,10 @@
 
 Exit codes: 0 success, 2 usage or config error (an unwritable ``--out``
 too), 3 data error. Every report embeds a reproducibility block (config
-hash, seeds, tool version); all randomness flows from seeds recorded in the
-manifest, so rerunning a command on the same inputs reproduces its outputs
-byte for byte.
+hash, seeds, tool version); the hash covers the command and every flag the
+stage parsed, but not ``--manifest`` or ``--out``. All randomness flows from
+seeds recorded in the manifest, so rerunning a command on the same inputs
+reproduces its outputs byte for byte.
 """
 
 from __future__ import annotations
@@ -70,8 +71,12 @@ _bin_edges = _float_list("strictly increasing with at least 2 entries",
                          lambda v: len(v) >= 2 and _increasing(v))
 
 
-def _out_dir(args) -> Path:
-    return Path(args.out) if args.out else Path(args.manifest).parent / "reports"
+def _stage(args) -> tuple[dict, Path, dict]:
+    """A report stage's manifest, output directory and effective config: the
+    command and every flag the stage parsed but ``--manifest`` and ``--out``."""
+    out = Path(args.out) if args.out else Path(args.manifest).parent / "reports"
+    return io.load_manifest(args.manifest), out, {
+        k: v for k, v in vars(args).items() if k not in ("manifest", "out", "func")}
 
 
 def _scaled_map(scene: dict, observed):
@@ -102,10 +107,8 @@ def cmd_generate(args) -> int:
 
 
 def cmd_eval_map(args) -> int:
-    manifest = io.load_manifest(args.manifest)
-    cfg = map_eval.APConfig(thresholds=args.ap_thresholds,
-                            resample_count=args.resample_count,
-                            matching=args.matching)
+    manifest, out, effective = _stage(args)
+    cfg = map_eval.APConfig(args.thresholds, args.resample_count, args.matching)
     pairs = [(observed, gt) for _, gt, observed in
              io.iter_scene_files(manifest, "gt_map", "observed_map")]
     if not pairs:
@@ -114,9 +117,6 @@ def cmd_eval_map(args) -> int:
         report = map_eval.evaluate_scenes(pairs, cfg)
     except ValueError as exc:  # coordinates so large that a polyline walk overflows
         raise io.DataError(f"cannot evaluate the maps: {exc}") from exc
-    effective = {"command": "eval-map", "thresholds": cfg.thresholds,
-                 "resample_count": cfg.resample_count, "matching": cfg.matching}
-    out = _out_dir(args)
     io.write_report(out / "eval_map.json", {"report": report.to_dict()}, effective, manifest)
     rows = [[cls.value, thr, ap] for cls, row in zip(report.classes, report.ap)
             for thr, ap in zip(report.thresholds, row)]
@@ -127,7 +127,7 @@ def cmd_eval_map(args) -> int:
 
 
 def cmd_eval_pred(args) -> int:
-    manifest = io.load_manifest(args.manifest)
+    manifest, out, effective = _stage(args)
     keys, tracks = [], []
     for scene, agents, _ in io.iter_scene_files(manifest, "trajectories"):
         for ai, agent in enumerate(agents):
@@ -141,8 +141,6 @@ def cmd_eval_pred(args) -> int:
     columns = pred_eval.agent_errors([a.modes for a in tracks], [a.future for a in tracks],
                                      args.miss_threshold)
     report = pred_eval.PredEvalReport.from_errors(*columns)
-    effective = {"command": "eval-pred", "miss_threshold": args.miss_threshold}
-    out = _out_dir(args)
     io.write_report(out / "eval_pred.json", {"report": report}, effective, manifest)
     io.write_csv(out / "eval_pred_agents.csv",
                  ["scene", "agent", "min_ade", "min_fde", "miss"],
@@ -153,7 +151,7 @@ def cmd_eval_pred(args) -> int:
 
 
 def cmd_calibrate(args) -> int:
-    manifest = io.load_manifest(args.manifest)
+    manifest, out, effective = _stage(args)
     parts = []
     for block in _scene_blocks(manifest, "gt_map", "observed_map"):
         pairs = [(_scaled_map(scene, observed), gt) for scene, gt, observed in block]
@@ -173,10 +171,6 @@ def cmd_calibrate(args) -> int:
     mu, b, gt_pts, probs, labels = columns
     cov = calibration.coverage_arrays(mu, b, gt_pts, args.levels)
     rel = calibration.reliability(probs, labels, bins=args.bins)
-    effective = {"command": "calibrate", "levels": args.levels, "bins": args.bins,
-                 "match_threshold": args.match_threshold,
-                 "resample_count": args.resample_count}
-    out = _out_dir(args)
     io.write_report(out / "calibration.json", {"coverage": cov, "reliability": rel},
                     effective, manifest)
     io.write_csv(out / "coverage.csv",
@@ -194,7 +188,7 @@ def cmd_calibrate(args) -> int:
 
 
 def cmd_analyze_uncertainty(args) -> int:
-    manifest = io.load_manifest(args.manifest)
+    manifest, out, effective = _stage(args)
     # Per group, the (distance, mean scale) arrays of each map's vertices in
     # the group, in scene, element and vertex order.
     parts: dict[str, list[tuple[np.ndarray, np.ndarray]]] = {}
@@ -220,8 +214,6 @@ def cmd_analyze_uncertainty(args) -> int:
                                         np.concatenate([v for _, v in parts[group]]),
                                         args.bin_edges)
              for group in sorted(parts)}
-    effective = {"command": "analyze-uncertainty", "bin_edges": args.bin_edges}
-    out = _out_dir(args)
     io.write_csv(out / "uncertainty_bins.csv",
                  ["group", "bin_lo", "bin_hi", "mean_b", "ci95_half_width", "count"],
                  ((group, *row) for group, s in stats.items()
@@ -235,13 +227,13 @@ def cmd_analyze_uncertainty(args) -> int:
 
 
 def cmd_compare_predictors(args) -> int:
-    manifest = io.load_manifest(args.manifest)
+    manifest, out, effective = _stage(args)
     modes, futures = ([], []), []
     for block in _scene_blocks(manifest, "observed_map", "trajectories"):
         maps = [_scaled_map(scene, observed) for scene, observed, _, _ in block]
         histories = [[agent.history for agent in agents] for _, _, agents, _ in block]
-        for out, weighted in zip(modes, (False, True)):
-            out += chain.from_iterable(synth.predict_scenes(
+        for predicted, weighted in zip(modes, (False, True)):
+            predicted += chain.from_iterable(synth.predict_scenes(
                 histories, maps, args.modes, args.lam, args.b0, weighted))
         for scene, _, agents, _ in block:
             for ai, agent in enumerate(agents):
@@ -257,9 +249,6 @@ def cmd_compare_predictors(args) -> int:
         *pred_eval.agent_errors(m, futures, args.miss_threshold))) for m in modes)
     deltas = {name: (weighted[name] - blind[name]) / blind[name] * 100.0 if blind[name] else None
               for name in ("minADE", "minFDE", "MR")}
-    effective = {"command": "compare-predictors", "modes": args.modes,
-                 "lam": args.lam, "b0": args.b0, "miss_threshold": args.miss_threshold}
-    out = _out_dir(args)
     io.write_report(out / "compare_predictors.json",
                     {"blind": blind, "weighted": weighted, "delta_pct": deltas},
                     effective, manifest)
@@ -296,7 +285,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eval-map", parents=[stage],
                        help="AP/mAP of observed maps against ground truth")
-    p.add_argument("--ap-thresholds", type=_thresholds, default="0.5,1.0,1.5")
+    p.add_argument("--ap-thresholds", dest="thresholds", type=_thresholds,
+                   default="0.5,1.0,1.5", metavar="AP_THRESHOLDS")
     p.add_argument("--resample-count", type=_int_at_least(2, synth.MAX_RESAMPLE_COUNT), default=20)
     p.add_argument("--matching", choices=["greedy", "hungarian"], default="greedy")
     p.set_defaults(func=cmd_eval_map)

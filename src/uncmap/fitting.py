@@ -17,12 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import CLASS_INDEX, NUM_CLASSES
-from .probmap import B_FLOOR, MapElement, VectorMap
+from .geometry import CLASS_INDEX
+from .probmap import B_FLOOR, MapElement, VectorMap, one_hot_logits
 
-# Logit assigned to non-template classes in fitted maps; the template's own
-# class gets 0, so the softmax is effectively one-hot.
-_OFF_CLASS_LOGIT = -16.0
 _LOG2 = math.log(2.0)
 # Largest rise of log b in one step. Below the optimum the loss grows like
 # exp(-log b), so an unbounded step there overshoots b by orders of magnitude.
@@ -56,6 +53,16 @@ class FitConfig:
     init_b: float | None = None
 
 
+def _samples(samples) -> np.ndarray:
+    """``samples`` as a flat float array, if it holds at least 2 values, all finite."""
+    x = np.asarray(samples, dtype=float).ravel()
+    if len(x) < 2:
+        raise ValueError("need at least 2 samples")
+    if not np.all(np.isfinite(x)):
+        raise ValueError("samples must be finite")
+    return x
+
+
 def _mean_nll(samples: np.ndarray, mu: float, b: float) -> float:
     return float(np.log(2.0 * b) + np.abs(samples - mu).mean() / b)
 
@@ -71,11 +78,7 @@ def fit_closed_form(samples) -> FitResult:
     Even sample counts use the lower median. All-identical samples would
     give b = 0, so b is clamped to the scale floor and the result flagged.
     """
-    x = np.asarray(samples, dtype=float).ravel()
-    if len(x) < 2:
-        raise ValueError("need at least 2 samples")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("samples must be finite")
+    x = _samples(samples)
     mu = _lower_median(np.sort(x))
     b = float(np.abs(x - mu).mean())
     clamped = b < B_FLOOR
@@ -166,7 +169,9 @@ def fit_gradient(samples, config: FitConfig | None = None) -> FitResult:
     so the loss and gradient at any point cost two binary searches
     (:func:`_sorted_oracle`).
 
-    Each step descends along the minimum-norm subgradient in mu. A mu move
+    Each step descends along the minimum-norm subgradient in mu times b²,
+    the inverse Fisher information of a Laplace location, so a start far
+    from the data, where b is large, does not crawl in mu. A mu move
     that would cross samples stops on the farthest of them
     (:func:`_mu_step`), so a step past the optimum lands exactly on a kink
     of the loss. A backtracking (halving) line search applies the Armijo
@@ -187,11 +192,7 @@ def fit_gradient(samples, config: FitConfig | None = None) -> FitResult:
     :func:`fit_closed_form`.
     """
     cfg = config or FitConfig()
-    x = np.asarray(samples, dtype=float).ravel()
-    if len(x) < 2:
-        raise ValueError("need at least 2 samples")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("samples must be finite")
+    x = _samples(samples)
     sorted_x, prefix, centre = _sorted_prefix(x)
     if sorted_x[0] == sorted_x[-1]:
         # NLL is unbounded below in b for identical samples; report the
@@ -221,8 +222,8 @@ def fit_gradient(samples, config: FitConfig | None = None) -> FitResult:
         alpha = _STEP_SIZE
         accepted = False
         while alpha > 1e-20:
-            mu_new, crossed = _mu_step(sorted_x, prefix, centre, mu - alpha * gmu,
-                                       gmu, below, upto)
+            mu_new, crossed = _mu_step(sorted_x, prefix, centre,
+                                       mu - alpha * gmu * math.exp(2.0 * s), gmu, below, upto)
             s_new = min(max(s - alpha * gs, s_floor), s + _MAX_LOG_B_RISE)
             dmu, ds = mu_new - mu, s_new - s
             if dmu == 0.0 and ds == 0.0:
@@ -249,12 +250,6 @@ def fit_gradient(samples, config: FitConfig | None = None) -> FitResult:
                      loss_trace=np.asarray(trace))
 
 
-def _one_hot_logits(n_vertices: int, element_class) -> np.ndarray:
-    logits = np.full((n_vertices, NUM_CLASSES), _OFF_CLASS_LOGIT)
-    logits[:, CLASS_INDEX[element_class]] = 0.0
-    return logits
-
-
 def fit_map(observations: list[VectorMap], template: VectorMap) -> VectorMap:
     """Fit one probabilistic map from repeated observations of a true map.
 
@@ -279,6 +274,7 @@ def fit_map(observations: list[VectorMap], template: VectorMap) -> VectorMap:
         order = np.sort(stack, axis=0)
         mu = order[(n - 1) // 2]
         b = np.maximum(np.abs(stack - mu).mean(axis=0), B_FLOOR)
+        logits = one_hot_logits([CLASS_INDEX[tel.element_class]] * len(mu))
         fitted.append(MapElement(mu, tel.element_class, tel.confidence, tel.closed, b=b,
-                                 class_logits=_one_hot_logits(len(mu), tel.element_class)))
+                                 class_logits=logits))
     return VectorMap(fitted, template.ego_pose, template.perception_range)

@@ -147,17 +147,11 @@ class Polyline:
 
     def __post_init__(self):
         pts = _as_points(self.vertices)
-        step = np.diff(pts, axis=0)
-        if np.all(np.hypot(step[:, 0], step[:, 1]) >= MERGE_EPS):
-            # The loop below would keep every vertex. Copy, as its indexing
-            # does, so the polyline never shares the caller's array.
-            pts = pts.copy()
-        else:
-            keep = [0]
-            for i in range(1, len(pts)):
-                if np.hypot(*(pts[i] - pts[keep[-1]])) >= MERGE_EPS:
-                    keep.append(i)
-            pts = pts[keep]
+        keep = []  # indexing copies, so the polyline never shares the caller's array
+        for i in range(len(pts)):
+            if not keep or np.hypot(*(pts[i] - pts[keep[-1]])) >= MERGE_EPS:
+                keep.append(i)
+        pts = pts[keep]
         if self.closed and len(pts) > 2 and np.hypot(*(pts[-1] - pts[0])) < MERGE_EPS:
             pts = pts[:-1]
         if len(pts) < 2:

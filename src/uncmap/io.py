@@ -6,8 +6,9 @@ either carries a scale ``b`` on every vertex (probabilistic map) or on
 none (mean map); mixing is a data error. ``io`` only maps a map file onto
 the columns of a :class:`~uncmap.probmap.VectorMap` and each agent of a
 trajectory file onto an :class:`~uncmap.synth.AgentTrack` (an empty
-``modes`` list means none); each record checks itself, and one it refuses
-is a data error. A trajectory file's ``rate_hz`` must be the int ``RATE_HZ``.
+``modes`` list means none, and any ``modes`` value other than a list is a
+data error); each record checks itself, and one it refuses is a data
+error. A trajectory file's ``rate_hz`` must be the int ``RATE_HZ``.
 
 Every file is byte-identical to ``json.dumps(obj, indent=2)`` plus a final
 newline. Reports and manifests are written by ``json.dumps`` itself. Scene
@@ -154,8 +155,9 @@ def trajectories_from_dict(data: dict) -> list[AgentTrack]:
         agents = []
         for i, entry in enumerate(data["agents"]):
             try:
-                agents.append(AgentTrack(entry["history"], entry["future_gt"],
-                                         entry["modes"] or None))  # [] means no modes
+                if not isinstance(modes := entry["modes"], list):
+                    raise ValueError(f"modes must be a list, got {modes!r}")
+                agents.append(AgentTrack(entry["history"], entry["future_gt"], modes or None))
             except ValueError as exc:
                 raise DataError(f"agent {i} {exc}") from exc
         rate = data["rate_hz"]
@@ -407,8 +409,9 @@ def _plain(value):
 
 
 def write_report(path, report, effective: dict, manifest: dict) -> None:
-    """Write ``_plain(report)`` with a last key ``"reproducibility"``: the hash
-    of the stage's ``effective`` config, the tool version and the dataset's seeds."""
+    """Write ``_plain(report)`` with a last key ``"reproducibility"``: the tool
+    version, the dataset's seeds and the hash of the stage's ``effective``
+    config, the command and every flag it parsed but ``--manifest`` and ``--out``."""
     seeds = {"master_seed": manifest.get("master_seed"),
              "dataset_config_hash": manifest.get("config_hash")}
     write_json(path, dict(_plain(report), reproducibility={

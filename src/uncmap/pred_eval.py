@@ -79,10 +79,6 @@ def miss(ts: TrajectorySet, threshold: float = MISS_THRESHOLD) -> bool:
     return bool(agent_errors([ts.modes], [ts.gt], threshold)[2][0])
 
 
-def miss_rate(sets: list[TrajectorySet], threshold: float = MISS_THRESHOLD) -> float:
-    return evaluate_trajectories(sets, threshold).MR
-
-
 @dataclass
 class PredEvalReport:
     minADE: float

@@ -309,6 +309,13 @@ def softmax(logits) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
+def one_hot_logits(class_index) -> np.ndarray:
+    """(V, C) logits of the (V,) class indices: 0 on each vertex's class, -16 elsewhere."""
+    logits = np.full((len(class_index), NUM_CLASSES), -16.0)
+    logits[np.arange(len(class_index)), class_index] = 0.0
+    return logits
+
+
 def vertex_features(el: MapElement) -> np.ndarray:
     """Uncertainty-augmented feature rows of an element, shape (V, 4 + C).
 

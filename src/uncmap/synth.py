@@ -34,7 +34,7 @@ from .geometry import (
     resample,
     segment_intersects_disc,
 )
-from .probmap import B_FLOOR, MapElement, VectorMap, _is_real
+from .probmap import B_FLOOR, MapElement, VectorMap, _is_real, one_hot_logits
 
 LANE_WIDTH = 3.5
 RATE_HZ = 10
@@ -464,7 +464,6 @@ def _observe_block(gts, noise: NoiseModel, specs, seeds, resample_count: int) ->
             labels.append(MapElement(None, el.element_class, float(rng.uniform(0.7, 1.0)),
                                      el.closed))
     b = np.maximum(b_true * noise.miscalibration, B_FLOOR)[:, None].repeat(2, axis=1)
-    vertex = np.arange(len(pts))
     if calibrated:
         # The predicted class is the true one with probability exactly q, and
         # the emitted distribution puts q on it, so accuracy at confidence q
@@ -472,11 +471,10 @@ def _observe_block(gts, noise: NoiseModel, specs, seeds, resample_count: int) ->
         wrong += wrong >= true_idx
         pred = np.where(u < q, true_idx, wrong)
         logits = np.repeat(((1.0 - q) / (NUM_CLASSES - 1))[:, None], NUM_CLASSES, axis=1)
-        logits[vertex, pred] = q
+        logits[np.arange(len(pts)), pred] = q
         np.log(logits, out=logits)
     else:
-        logits = np.full((len(pts), NUM_CLASSES), -16.0)
-        logits[vertex, true_idx] = 0.0
+        logits = one_hot_logits(true_idx)
     out, e = [], 0
     for gt, lo, hi in zip(gts, scene_rows, scene_rows[1:]):
         n = len(gt.elements)
@@ -511,12 +509,29 @@ def observe(gt: VectorMap, noise: NoiseModel, spec: SceneSpec, seed: int,
 
 def predict_scenes(histories, maps, k: int = DEFAULT_MODES, lam: float = DEFAULT_LAMBDA,
                    b0: float = DEFAULT_B0, weighted: bool = False) -> list[list[np.ndarray]]:
-    """:func:`predict_scene` of each scene's list of ``histories`` on its map
-    of ``maps``.
+    """Goal-snapping predictions for every agent of each scene's list of
+    ``histories`` on its map of ``maps``.
 
-    The goal distances of every (agent, centerline) pair of every scene take
-    one nearest-point call, and the snap paths of every (agent, mode) one
-    nearest-point call and one walk.
+    Each agent's history (current position last) gives its position and a
+    constant velocity. Candidate goals are the nearest points on the K
+    centerlines closest to the constant-velocity endpoint; each mode runs
+    along its centerline at the agent's current speed from the snapped
+    entry point. An agent that does not move, or a map without
+    centerlines, gets the single constant-velocity mode.
+
+    With ``weighted``, the maps' elements carry scales and candidates
+    are ranked by snap distance plus ``lam`` times the centerline's mean
+    scale above the floor, so unreliable centerlines are demoted. Each
+    snapped mode is then blended toward the constant-velocity path with
+    weight w = excess / (excess + b0), so modes on confident centerlines
+    stay put while modes on uncertain ones defer to the agent's own
+    motion. With every scale at the floor the output is bit-identical to
+    the unweighted one on the mean map.
+
+    Returns, per scene, one (n_modes, FUTURE_STEPS, 2) array per agent,
+    n_modes <= k. The goal distances of every (agent, centerline) pair of
+    every scene take one nearest-point call, and the snap paths of every
+    (agent, mode) one nearest-point call and one walk.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -574,51 +589,20 @@ def predict_scenes(histories, maps, k: int = DEFAULT_MODES, lam: float = DEFAULT
     return [out[lo:hi] for lo, hi in zip(offsets, offsets[1:])]
 
 
-def predict_scene(histories, vmap: VectorMap, k: int = DEFAULT_MODES,
-                  lam: float = DEFAULT_LAMBDA, b0: float = DEFAULT_B0,
-                  weighted: bool = False) -> list[np.ndarray]:
-    """Goal-snapping predictions for every agent of one scene.
-
-    Each agent's history (current position last) gives its position and a
-    constant velocity. Candidate goals are the nearest points on the K
-    centerlines closest to the constant-velocity endpoint; each mode runs
-    along its centerline at the agent's current speed from the snapped
-    entry point. An agent that does not move, or a map without
-    centerlines, gets the single constant-velocity mode.
-
-    With ``weighted``, ``vmap``'s elements carry scales and candidates
-    are ranked by snap distance plus ``lam`` times the centerline's mean
-    scale above the floor, so unreliable centerlines are demoted. Each
-    snapped mode is then blended toward the constant-velocity path with
-    weight w = excess / (excess + b0), so modes on confident centerlines
-    stay put while modes on uncertain ones defer to the agent's own
-    motion. With every scale at the floor the output is bit-identical to
-    the unweighted one on the mean map.
-
-    This is the one-scene :func:`predict_scenes`. Returns one
-    (n_modes, FUTURE_STEPS, 2) array per agent, n_modes <= k.
-    """
-    return predict_scenes([histories], [vmap], k, lam, b0, weighted)[0]
-
-
 def predict_blind(history: np.ndarray, vmap: VectorMap, k: int = DEFAULT_MODES) -> np.ndarray:
     """Goal-snapping predictor that ignores map uncertainty: the one-agent
-    :func:`predict_scene`.
+    :func:`predict_scenes`.
 
     Returns an (n_modes, FUTURE_STEPS, 2) array, n_modes <= k.
     """
-    return predict_scene([history], vmap, k)[0]
+    return predict_scenes([[history]], [vmap], k)[0][0]
 
 
 def predict_weighted(history: np.ndarray, pmap: VectorMap, k: int = DEFAULT_MODES,
                      lam: float = DEFAULT_LAMBDA, b0: float = DEFAULT_B0) -> np.ndarray:
     """Goal-snapping predictor that listens to map uncertainty: the
-    one-agent :func:`predict_scene` with ``weighted=True``.
-
-    With every scale at the floor the output is bit-identical to
-    :func:`predict_blind` on the mean map.
-    """
-    return predict_scene([history], pmap, k, lam, b0, weighted=True)[0]
+    one-agent :func:`predict_scenes` with ``weighted=True``."""
+    return predict_scenes([[history]], [pmap], k, lam, b0, weighted=True)[0][0]
 
 
 # ---------------------------------------------------------------------------

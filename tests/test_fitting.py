@@ -116,6 +116,16 @@ class TestGradientFit:
         assert gd.converged and gd.iterations < 100
         assert gd.final_loss == pytest.approx(fit_closed_form(x).final_loss, rel=1e-12)
 
+    def test_heavy_tailed_series_from_any_start_certified(self):
+        # A start far from the median of a heavy tail starts b large; a mu
+        # step that shrank like 1/b crawled there for thousands of iterations.
+        rng = np.random.default_rng(0)
+        for _ in range(300):
+            x = rng.standard_cauchy(int(rng.integers(2, 301)))
+            gd = fit_gradient(x, FitConfig(init_mu=rng.uniform(x.min(), x.max())))
+            assert gd.converged
+            assert gd.final_loss == pytest.approx(fit_closed_form(x).final_loss, rel=1e-12)
+
     def test_identical_samples_short_circuit(self):
         gd = fit_gradient([3.0, 3.0, 3.0])
         assert gd.clamped

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 from uncmap import __version__, calibration, pred_eval, synth
 from uncmap import io as uio
-from uncmap.cli import main
+from uncmap.cli import build_parser, main
 from uncmap.geometry import (
     MERGE_EPS,
     ElementClass,
@@ -250,6 +250,16 @@ class TestTrajectoryRoundTrip:
             np.testing.assert_array_equal(a.history, b.history)
             np.testing.assert_array_equal(a.future, b.future)
             np.testing.assert_array_equal(a.modes, b.modes)
+
+    @pytest.mark.parametrize("modes", [0, False, {}, "", None])
+    def test_modes_that_are_not_a_list_rejected(self, tmp_path, modes):
+        path = tmp_path / "t.json"
+        uio.save_trajectories([AgentTrack(np.zeros((20, 2)), np.zeros((30, 2)))] * 2, path)
+        data = json.loads(path.read_text())
+        data["agents"][1]["modes"] = modes
+        path.write_text(json.dumps(data))
+        with pytest.raises(uio.DataError, match=f"^agent 1 modes must be a list, got {modes!r}$"):
+            uio.load_trajectories(path)
 
     def test_mode_length_mismatch_rejected(self, tmp_path):
         with pytest.raises(ValueError, match=r"modes must have shape \(K, 30, 2\)"):
@@ -1311,14 +1321,13 @@ class TestStageBlocks:
                 calls[name] = calls.get(name, 0) + 1
                 return original(*args, **kwargs)
             monkeypatch.setattr(module, name, record)
-        for module, name in [(synth, "predict_scene"), (synth, "predict_scenes"),
+        for module, name in [(synth, "predict_scenes"),
                              (calibration, "match_vertex_pairs"), (pred_eval, "min_ade"),
                              (pred_eval, "min_fde"), (pred_eval, "miss")]:
             spy(module, name)
         for stage in ("compare-predictors", "calibrate", "eval-pred"):
             assert main([stage, "--manifest", str(tmp_path / "d" / "manifest.json"),
                          "--out", str(tmp_path / "r")]) == 0
-        assert "predict_scene" not in calls
         assert 0 < calls["predict_scenes"] <= 2 * math.ceil(20 / synth.SCENE_BLOCK)
         assert not {"match_vertex_pairs", "min_ade", "min_fde", "miss"} & calls.keys()
 
@@ -1511,6 +1520,80 @@ class TestCliCompare:
         assert "delta_pct" in rep
         csv_text = (tmp_path / "r" / "compare_predictors.csv").read_text()
         assert "%" in csv_text
+
+    @pytest.mark.parametrize("modes", [0, False, {}, "", None])
+    def test_modes_that_are_not_a_list_exit_3(self, modes, dataset_dir, tmp_path, capsys):
+        data = tmp_path / "data"
+        shutil.copytree(dataset_dir, data)
+        manifest = json.loads((data / "manifest.json").read_text())
+        path = data / manifest["scenes"][1]["trajectories"]
+        traj = json.loads(path.read_text())
+        traj["agents"][1]["modes"] = modes
+        path.write_text(json.dumps(traj))
+        assert main(["compare-predictors", "--manifest", str(data / "manifest.json"),
+                     "--out", str(tmp_path / "r")]) == 3
+        assert capsys.readouterr().err == \
+            f"data error: agent 1 modes must be a list, got {modes!r}\n"
+
+
+# Per report stage: its JSON report and a valid non-default value of every
+# flag it parses besides --manifest and --out.
+STAGE_FLAGS = {
+    "eval-map": ("eval_map.json", [("--ap-thresholds", "0.5,1.0"), ("--resample-count", "12"),
+                                   ("--matching", "hungarian")]),
+    "eval-pred": ("eval_pred.json", [("--miss-threshold", "1.5")]),
+    "calibrate": ("calibration.json", [("--levels", "0.5,0.8"), ("--bins", "5"),
+                                       ("--match-threshold", "2.0"),
+                                       ("--resample-count", "12")]),
+    "analyze-uncertainty": ("uncertainty_bins.json", [("--bin-edges", "0,10,20,40")]),
+    "compare-predictors": ("compare_predictors.json",
+                           [("--modes", "3"), ("--lam", "0.5"), ("--b0", "1.0"),
+                            ("--miss-threshold", "1.5")]),
+}
+
+
+class TestReportConfigHash:
+    """Each report's config hash covers the command and every flag its stage
+    parsed, and nothing else."""
+
+    @pytest.fixture(scope="class")
+    def hashes(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("hash")
+        data = root / "d"
+        assert main(["generate", "--config", str(write_config(root, n_scenes=2)),
+                     "--out", str(data)]) == 0
+        manifest = str(data / "manifest.json")
+        runs = {}
+        for command, (report, flags) in STAGE_FLAGS.items():
+            # The defaults write under the manifest's reports/, the others under --out.
+            for name, args, out in ([("defaults", [], data / "reports"),
+                                     ("--out", ["--out", str(root / "other")], root / "other")]
+                                    + [(flag, ["--out", str(root / "r"), flag, value],
+                                        root / "r") for flag, value in flags]):
+                assert main([command, "--manifest", manifest, *args]) == 0
+                runs[command, name] = json.loads(
+                    (out / report).read_text())["reproducibility"]["config_hash"]
+        return runs
+
+    def test_flags_listed_are_the_parsed_flags(self):
+        parser = build_parser()
+        for command, (_, flags) in STAGE_FLAGS.items():
+            defaults = vars(parser.parse_args([command, "--manifest", "m.json"]))
+            moved = set()
+            for flag, value in flags:
+                parsed = vars(parser.parse_args([command, "--manifest", "m.json", flag, value]))
+                moved |= {key for key in parsed if parsed[key] != defaults[key]}
+            assert len(moved) == len(flags)
+            assert moved == set(defaults) - {"manifest", "out", "func", "command"}
+
+    def test_every_flag_moves_the_hash(self, hashes):
+        distinct = {key: h for key, h in hashes.items() if key[1] != "--out"}
+        assert len(distinct) == 5 + 13
+        assert len(set(distinct.values())) == len(distinct)
+
+    def test_out_does_not_move_the_hash(self, hashes):
+        for command in STAGE_FLAGS:
+            assert hashes[command, "--out"] == hashes[command, "defaults"]
 
 
 class TestPipelineDeterminism:

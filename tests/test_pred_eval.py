@@ -11,7 +11,6 @@ from uncmap.pred_eval import (
     min_ade,
     min_fde,
     miss,
-    miss_rate,
 )
 
 
@@ -80,11 +79,11 @@ class TestMissRate:
         near = TrajectorySet((gt + np.array([0.5, 0.0]))[None], gt)
         far = TrajectorySet((gt + np.array([5.0, 0.0]))[None], gt)
         sets = [far] * 3 + [near] * 7
-        assert miss_rate(sets) == pytest.approx(0.3)
+        assert evaluate_trajectories(sets).MR == pytest.approx(0.3)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            miss_rate([])
+            evaluate_trajectories([])
 
     def test_monotone_in_added_modes(self):
         rng = np.random.default_rng(0)
@@ -92,7 +91,7 @@ class TestMissRate:
         modes = [gt + rng.normal(scale=2.0, size=gt.shape) for _ in range(6)]
         rates = []
         for k in range(1, 7):
-            rates.append(miss_rate([TrajectorySet(np.stack(modes[:k]), gt)]))
+            rates.append(evaluate_trajectories([TrajectorySet(np.stack(modes[:k]), gt)]).MR)
         assert all(a >= b for a, b in zip(rates, rates[1:]))
 
 

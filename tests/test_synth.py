@@ -36,7 +36,7 @@ from uncmap.synth import (
     in_shadow,
     observe,
     predict_blind,
-    predict_scene,
+    predict_scenes,
     predict_weighted,
 )
 
@@ -340,8 +340,8 @@ def reference_predict(history, vmap, k, lam=None, b0=None, dt=0.1, horizon=30):
 
 def assert_scene_matches_reference(histories, observed, k, lam=1.0, b0=0.5):
     plain = mean_map(observed)
-    blind = predict_scene(histories, plain, k)
-    weighted = predict_scene(histories, observed, k, lam, b0, weighted=True)
+    blind = predict_scenes([histories], [plain], k)[0]
+    weighted = predict_scenes([histories], [observed], k, lam, b0, weighted=True)[0]
     assert len(blind) == len(weighted) == len(histories)
     for h, b, w in zip(histories, blind, weighted):
         for got, expected in ((b, reference_predict(h, plain, k)),
@@ -398,16 +398,16 @@ class TestPerScenePredictor:
     def test_map_without_centerlines(self):
         boundary = MapElement(np.array([[0.0, 0.0], [0.0, 10.0]]), ElementClass.ROAD_BOUNDARY)
         history = np.column_stack([np.zeros(20), np.linspace(-2, 0, 20)])
-        modes = predict_scene([history, history[-1:]], VectorMap([boundary]), k=6)
+        modes = predict_scenes([[history, history[-1:]]], [VectorMap([boundary])], k=6)[0]
         expected = [reference_predict(history, VectorMap([boundary]), 6),
                     reference_predict(history[-1:], VectorMap([boundary]), 6)]
         for got, e in zip(modes, expected):
             assert got.shape == (1, 30, 2) and np.array_equal(got, e)
 
     def test_no_agents_and_bad_k(self):
-        assert predict_scene([], VectorMap([]), k=3) == []
+        assert predict_scenes([[]], [VectorMap([])], k=3) == [[]]
         with pytest.raises(ValueError):
-            predict_scene([np.zeros((2, 2))], VectorMap([]), k=0)
+            predict_scenes([[np.zeros((2, 2))]], [VectorMap([])], k=0)
 
 
 # build_dataset as it was before scenes were built in blocks, one scene and
@@ -655,7 +655,7 @@ class TestBlockBuild:
             assert_same_map(gt, rec.gt_map)
             observed = observe(gt, cfg.noise, rec.spec, rec.observe_seed, cfg.resample_count)
             assert_same_map(observed, rec.observed_map)
-            modes = predict_scene([a.history for a in agents], observed, cfg.modes)
+            modes = predict_scenes([[a.history for a in agents]], [observed], cfg.modes)[0]
             for got, track, m in zip(rec.agents, agents, modes):
                 assert same_bits(got.history, track.history)
                 assert same_bits(got.future, track.future) and same_bits(got.modes, m)
