@@ -1,8 +1,9 @@
 """Laplace maximum-likelihood estimation on raw samples and on map stacks.
 
-The closed form (median location, mean absolute deviation scale) is the
-exact minimizer of the Laplace NLL and serves as the reference for the
-gradient-descent fit, which minimizes the same loss numerically over
+The closed form (median location, found by selection, and mean absolute
+deviation scale) is the exact minimizer of the Laplace NLL; :func:`fit_map`
+applies it to a whole map's columns in one pass. It is the reference for
+the gradient-descent fit, which minimizes the same loss numerically over
 (mu, log b). The descent sorts the samples once and evaluates the loss and
 its gradient from prefix sums in O(log n) per point. It reports
 ``converged`` only with an optimality certificate: 0 lies in the
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import CLASS_INDEX
-from .probmap import B_FLOOR, MapElement, VectorMap, one_hot_logits
+from .probmap import B_FLOOR, VectorMap, one_hot_logits
 
 _LOG2 = math.log(2.0)
 # Largest rise of log b in one step. Below the optimum the loss grows like
@@ -67,25 +68,20 @@ def _mean_nll(samples: np.ndarray, mu: float, b: float) -> float:
     return float(np.log(2.0 * b) + np.abs(samples - mu).mean() / b)
 
 
-def _lower_median(sorted_samples: np.ndarray) -> float:
-    """Lower middle order statistic; deterministic for even counts."""
-    return float(sorted_samples[(len(sorted_samples) - 1) // 2])
-
-
 def fit_closed_form(samples) -> FitResult:
     """Exact Laplace MLE: mu = sample median, b = mean |x - mu|.
 
-    Even sample counts use the lower median. All-identical samples would
+    Even counts use the lower median, found by selection (``np.partition``,
+    which leaves the caller's array as it is). All-identical samples would
     give b = 0, so b is clamped to the scale floor and the result flagged.
     """
     x = _samples(samples)
-    mu = _lower_median(np.sort(x))
-    b = float(np.abs(x - mu).mean())
-    clamped = b < B_FLOOR
-    if clamped:
-        b = B_FLOOR
-    return FitResult(mu, b, iterations=0, final_loss=_mean_nll(x, mu, b),
-                     converged=True, clamped=clamped)
+    k = (len(x) - 1) // 2
+    mu = float(np.partition(x, k)[k])
+    dev = float(np.abs(x - mu).mean())
+    b = max(dev, B_FLOOR)
+    return FitResult(mu, b, iterations=0, final_loss=float(np.log(2.0 * b) + dev / b),
+                     converged=True, clamped=dev < B_FLOOR)
 
 
 def _sorted_prefix(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
@@ -96,7 +92,7 @@ def _sorted_prefix(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     loss.
     """
     xs = np.sort(x)
-    centre = _lower_median(xs)
+    centre = float(xs[(len(xs) - 1) // 2])
     return xs, np.concatenate(([0.0], np.cumsum(xs - centre))), centre
 
 
@@ -255,26 +251,28 @@ def fit_map(observations: list[VectorMap], template: VectorMap) -> VectorMap:
 
     Every observation must share the template's element and vertex counts;
     correspondence is positional, so no matching is performed. Each vertex
-    coordinate is fitted independently with the closed-form estimator
-    (vectorized: lower median and mean absolute deviation, scale floored).
+    coordinate is fitted with the closed-form estimator, in one pass over the
+    whole map's (N, V, 2) column stack: the lower median, copied out of the
+    sorted stack so that the map does not keep it alive, and the mean
+    absolute deviation about it, scale floored.
     """
     if not observations:
         raise ValueError("need at least one observation")
     classes = [el.element_class for el in template.elements]
+    rows = template.offsets.tolist()
     for obs in observations:
-        if not np.array_equal(obs.offsets, template.offsets):
+        if obs.offsets.tolist() != rows:
             raise ValueError("observation element or vertex counts differ from template")
         if [el.element_class for el in obs.elements] != classes:
             raise ValueError("observation classes differ from template")
+    if not classes:
+        return VectorMap([], template.ego_pose, template.perception_range)
 
-    fitted = []
-    for ei, tel in enumerate(template.elements):
-        stack = np.stack([obs.elements[ei].vertices for obs in observations])  # (N, V, 2)
-        n = len(stack)
-        order = np.sort(stack, axis=0)
-        mu = order[(n - 1) // 2]
-        b = np.maximum(np.abs(stack - mu).mean(axis=0), B_FLOOR)
-        logits = one_hot_logits([CLASS_INDEX[tel.element_class]] * len(mu))
-        fitted.append(MapElement(mu, tel.element_class, tel.confidence, tel.closed, b=b,
-                                 class_logits=logits))
-    return VectorMap(fitted, template.ego_pose, template.perception_range)
+    stack = np.stack([obs.mu for obs in observations])  # (N, V, 2)
+    mu = np.sort(stack, axis=0)[(len(stack) - 1) // 2].copy()
+    stack -= mu
+    b = np.maximum(np.abs(stack, out=stack).mean(axis=0), B_FLOOR)
+    index = np.repeat([CLASS_INDEX[c] for c in classes], np.diff(template.offsets))
+    return VectorMap.from_columns(template.elements, template.offsets, mu, b,
+                                  one_hot_logits(index), template.ego_pose,
+                                  template.perception_range)

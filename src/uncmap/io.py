@@ -283,7 +283,8 @@ def iter_scene_files(manifest: dict, *parts: str):
     ``parts`` names files of :data:`SCENE_FILES`, in the order wanted
     (default: all three). A map loads as one value and the trajectory file
     as two, the agents and each agent's modes, so the default yields
-    ``(scene, gt map, observed map, agents, modes)``.
+    ``(scene, gt map, observed map, agents, modes)``. A load error names the
+    scene and the file part.
     """
     parts = parts or SCENE_FILES
     unknown = set(parts) - set(SCENE_FILES)
@@ -293,11 +294,14 @@ def iter_scene_files(manifest: dict, *parts: str):
     for scene in manifest["scenes"]:
         row = [scene]
         for part in parts:
-            if part == "trajectories":
-                agents = load_trajectories(root / scene[part])
-                row += [agents, [agent.modes for agent in agents]]
-            else:
-                row.append(load_map(root / scene[part]))
+            try:
+                if part == "trajectories":
+                    agents = load_trajectories(root / scene[part])
+                    row += [agents, [agent.modes for agent in agents]]
+                else:
+                    row.append(load_map(root / scene[part]))
+            except DataError as exc:
+                raise DataError(f"scene {scene['id']} {part}: {exc}") from exc
         yield tuple(row)
 
 
@@ -322,10 +326,10 @@ def _scene_loads(raw: bytes):
 def _read_json(path, loads=_json_loads) -> dict:
     """The JSON object in the file at ``path``, decoded by ``loads``."""
     path = Path(path)
-    if not path.exists():
-        raise DataError(f"file not found: {path}")
     try:
         raw = path.read_bytes()
+    except (FileNotFoundError, NotADirectoryError) as exc:  # as Path.exists sees it
+        raise DataError(f"file not found: {path}") from exc
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc.strerror or exc}") from exc
     try:

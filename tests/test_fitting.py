@@ -6,10 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import spearmanr
 
-from uncmap.fitting import (FitConfig, _sorted_oracle, _sorted_prefix, fit_closed_form,
-                            fit_gradient, fit_map)
-from uncmap.geometry import ElementClass, Pose2
-from uncmap.probmap import B_FLOOR, MapElement, VectorMap, nll_loss
+from uncmap.fitting import (FitConfig, _mean_nll, _sorted_oracle, _sorted_prefix,
+                            fit_closed_form, fit_gradient, fit_map)
+from uncmap.geometry import CLASS_INDEX, ElementClass, Pose2
+from uncmap.probmap import B_FLOOR, MapElement, VectorMap, nll_loss, one_hot_logits
 
 
 class TestClosedForm:
@@ -33,6 +33,30 @@ class TestClosedForm:
     def test_too_few_samples(self):
         with pytest.raises(ValueError):
             fit_closed_form([1.0])
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(
+        # a coarse grid gives ties; a constant series and one a hair off it
+        # are clamped to the scale floor
+        st.lists(st.integers(-4, 4).map(lambda i: i * 0.5), min_size=2, max_size=60),
+        st.lists(st.floats(-1e3, 1e3, allow_nan=False), min_size=2, max_size=60),
+        st.tuples(st.floats(-1e3, 1e3, allow_nan=False), st.integers(2, 60)).map(
+            lambda vn: [vn[0]] * vn[1]),
+        st.tuples(st.integers(2, 60), st.integers(0, 59)).map(
+            lambda nk: [1.0 + (1e-7 if i == nk[1] % nk[0] else 0.0) for i in range(nk[0])]),
+    ))
+    def test_matches_sort_reference_bit_for_bit(self, values):
+        x = np.array(values)
+        before = x.copy()
+        res = fit_closed_form(x)
+        assert x.tobytes() == before.tobytes()  # the caller's order is kept
+        mu = float(np.sort(x)[(len(x) - 1) // 2])
+        dev = float(np.abs(x - mu).mean())
+        b = max(dev, B_FLOOR)
+        got = np.array([res.mu_hat, res.b_hat, res.final_loss])
+        assert got.tobytes() == np.array([mu, b, _mean_nll(x, mu, b)]).tobytes()
+        assert type(res.clamped) is bool and res.clamped == (dev < B_FLOOR)
+        assert (res.iterations, res.converged, res.loss_trace) == (0, True, None)
 
 
 class TestGradientFit:
@@ -180,7 +204,60 @@ def _jittered(template, rng, scale_fn):
     return VectorMap(elements, template.ego_pose, template.perception_range)
 
 
+def _fit_map_per_element(observations, template):
+    """fit_map as one sort per element, each element rebuilt and re-stacked."""
+    fitted = []
+    for ei, tel in enumerate(template.elements):
+        stack = np.stack([obs.elements[ei].vertices for obs in observations])
+        mu = np.sort(stack, axis=0)[(len(stack) - 1) // 2]
+        b = np.maximum(np.abs(stack - mu).mean(axis=0), B_FLOOR)
+        logits = one_hot_logits([CLASS_INDEX[tel.element_class]] * len(mu))
+        fitted.append(MapElement(mu, tel.element_class, tel.confidence, tel.closed, b=b,
+                                 class_logits=logits))
+    return VectorMap(fitted, template.ego_pose, template.perception_range)
+
+
+@st.composite
+def _observed_stacks(draw):
+    """A template of 0-4 elements of unequal lengths and 1-7 noisy observations of it."""
+    specs = draw(st.lists(st.tuples(st.integers(2, 9), st.sampled_from(list(ElementClass)),
+                                    st.floats(0.0, 1.0), st.booleans()), max_size=4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    template = VectorMap([
+        MapElement(np.column_stack([np.arange(n, dtype=float), rng.uniform(-1, 1, n)]) + 5 * i,
+                   cls, conf, closed)
+        for i, (n, cls, conf, closed) in enumerate(specs)], Pose2(1.0, -2.0, 0.3), (40.0, 25.0))
+    observations = [VectorMap.from_columns(template.elements, template.offsets,
+                                           template.mu + rng.laplace(0, 0.2, template.mu.shape))
+                    for _ in range(draw(st.integers(1, 7)))]
+    return observations, template
+
+
 class TestFitMap:
+    @settings(max_examples=60, deadline=None)
+    @given(_observed_stacks())
+    def test_matches_per_element_fit_bit_for_bit(self, case):
+        observations, template = case
+        fitted = fit_map(observations, template)
+        ref = _fit_map_per_element(observations, template)
+        for column in ("mu", "b", "class_logits", "offsets"):
+            got, want = getattr(fitted, column), getattr(ref, column)
+            if want is None:  # a map with no elements carries no scales
+                assert got is None
+            else:
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert [(el.element_class, el.confidence, el.closed) for el in fitted.elements] == \
+            [(el.element_class, el.confidence, el.closed) for el in ref.elements]
+        assert (fitted.ego_pose, fitted.perception_range) == (ref.ego_pose, ref.perception_range)
+
+    def test_columns_own_their_memory(self):
+        template = _template_map()
+        rng = np.random.default_rng(4)
+        fitted = fit_map([_jittered(template, rng, lambda d: 0.1 + 0 * d) for _ in range(5)],
+                         template)
+        # a view would keep the (N, V, 2) sorted stack alive as its base
+        assert fitted.mu.base is None and fitted.b.base is None
+
     def test_identical_observations(self):
         template = _template_map()
         fitted = fit_map([template, template, template], template)

@@ -8,6 +8,10 @@ dataset of 1 to 3 scenes and on a transformed copy of it:
   coverage, calibration pair, reliability or miss, and should move minADE
   and minFDE by no more than 1e-9 relative. That last property fails on a
   pinned example (a strict expected failure below).
+- permuting the scenes changes no AP, coverage or per-agent error bit,
+  except the Hungarian mean matched Chamfer distance, a pooled mean summed
+  in scene order, which stays within 1e-12 relative;
+- permuting the agents of each scene changes no agent's modes or errors.
 
 Rotation is not a property here: each vertex carries one Laplace scale per
 world axis, and per-axis scales are not rotation invariant.
@@ -20,7 +24,7 @@ from hypothesis import strategies as st
 
 from uncmap.calibration import coverage_arrays, pair_vertices, reliability
 from uncmap.geometry import Pose2
-from uncmap.map_eval import evaluate_scenes
+from uncmap.map_eval import APConfig, evaluate_scenes
 from uncmap.pred_eval import PredEvalReport, agent_errors
 from uncmap.probmap import VectorMap
 from uncmap.synth import AgentTrack, DatasetConfig, NoiseModel, build_dataset, predict_scenes
@@ -135,3 +139,59 @@ class TestTranslation:
             report, report2 = (PredEvalReport.from_errors(*c) for c in (columns, columns2))
             np.testing.assert_allclose([report2.minADE, report2.minFDE],
                                        [report.minADE, report.minFDE], rtol=1e-9, atol=0)
+
+
+def flat_index(tracks, picks) -> np.ndarray:
+    """Indices into the flat agent list of ``tracks`` of the ``picks``: per
+    scene, its index and the indices of its agents, in the order taken."""
+    starts = np.cumsum([0] + [len(agents) for agents in tracks])
+    return np.array([starts[s] + i for s, agents in picks for i in agents], dtype=int)
+
+
+class TestSceneOrder:
+    @settings(max_examples=20, deadline=None)
+    @given(scenes, st.integers(0, 2**32 - 1))
+    def test_reports_and_agent_errors_unchanged(self, spec, perm_seed):
+        pairs, tracks = dataset(*spec)
+        order = np.random.default_rng(perm_seed).permutation(len(pairs))
+        shuffled, shuffled_tracks = [pairs[i] for i in order], [tracks[i] for i in order]
+        ap, _, coverage, _, errors = pipeline(pairs, tracks)
+        ap2, _, coverage2, _, errors2 = pipeline(shuffled, shuffled_tracks)
+        # Greedy costs are pooled in confidence order, which no scene order
+        # changes while confidences do not tie (they are drawn continuously).
+        assert_same_fields(ap, ap2)
+        assert_same_fields(coverage, coverage2)
+        index = flat_index(tracks, [(i, range(len(tracks[i]))) for i in order])
+        for columns, columns2 in zip(errors, errors2):
+            assert all(same_bits(a[index], b) for a, b in zip(columns, columns2))
+        # Hungarian costs are pooled in scene order, so their mean is rounded
+        # in another order.
+        hungarian = APConfig(matching="hungarian")
+        h, h2 = evaluate_scenes(pairs, hungarian), evaluate_scenes(shuffled, hungarian)
+        assert_same_fields(h, h2, "ap", "map_score", "n_pred", "n_gt")
+        np.testing.assert_allclose(h2.mean_matched_chamfer, h.mean_matched_chamfer,
+                                   rtol=1e-12, atol=0)
+
+
+class TestAgentOrder:
+    @settings(max_examples=20, deadline=None)
+    @given(scenes, st.integers(0, 2**32 - 1))
+    def test_modes_and_errors_unchanged(self, spec, perm_seed):
+        pairs, tracks = dataset(*spec)
+        rng = np.random.default_rng(perm_seed)
+        orders = [rng.permutation(len(agents)) for agents in tracks]
+        maps = [o for o, _ in pairs]
+        for weighted in (False, True):
+            runs = []
+            for scene_tracks in (tracks, [[agents[i] for i in o]
+                                          for agents, o in zip(tracks, orders)]):
+                modes = predict_scenes([[a.history for a in agents] for agents in scene_tracks],
+                                       maps, weighted=weighted)
+                flat = [m for scene in modes for m in scene]
+                runs.append((modes, agent_errors(flat, [a.future for agents in scene_tracks
+                                                        for a in agents])))
+            (modes, errors), (modes2, errors2) = runs
+            for scene, scene2, o in zip(modes, modes2, orders):
+                assert all(same_bits(scene[i], m) for i, m in zip(o, scene2))
+            index = flat_index(tracks, enumerate(orders))
+            assert all(same_bits(a[index], b) for a, b in zip(errors, errors2))

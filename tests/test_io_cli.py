@@ -98,6 +98,18 @@ class TestMapRoundTrip:
         with pytest.raises(uio.DataError):
             uio.load_map(tmp_path / "nope.json")
 
+    @pytest.mark.parametrize("name, message", [
+        ("nope.json", "file not found: {}"),
+        ("a_file/nope.json", "file not found: {}"),
+        ("a_dir", "cannot read {}: Is a directory"),
+    ])
+    def test_unreadable_path_message(self, name, message, tmp_path):
+        (tmp_path / "a_file").touch()
+        (tmp_path / "a_dir").mkdir()
+        with pytest.raises(uio.DataError) as exc:
+            uio.load_map(tmp_path / name)
+        assert str(exc.value) == message.format(tmp_path / name)
+
 
 class TestCoincidentVertices:
     @settings(max_examples=100, deadline=None)
@@ -1175,7 +1187,9 @@ class TestSceneFileReads:
         assert main([command, "--manifest", str(data / "manifest.json"),
                      "--out", str(tmp_path / "r")]) == 3
         err = capsys.readouterr().err
-        assert err.startswith("data error: malformed trajectory file") and err.count("\n") == 1
+        scene = manifest["scenes"][0]["id"]
+        assert err.startswith(f"data error: scene {scene} trajectories: "
+                              "malformed trajectory file") and err.count("\n") == 1
 
     @pytest.mark.parametrize("command", ["eval-pred", "compare-predictors"])
     @pytest.mark.parametrize("rate", [20, 10.9, True, "10", 2**70])
@@ -1191,7 +1205,9 @@ class TestSceneFileReads:
         assert main([command, "--manifest", str(data / "manifest.json"),
                      "--out", str(tmp_path / "r")]) == 3
         err = capsys.readouterr().err
-        assert err.startswith("data error: rate_hz must be the integer 10")
+        scene = manifest["scenes"][0]["id"]
+        assert err.startswith(f"data error: scene {scene} trajectories: "
+                              "rate_hz must be the integer 10")
         assert err.count("\n") == 1
 
 
@@ -1532,8 +1548,9 @@ class TestCliCompare:
         path.write_text(json.dumps(traj))
         assert main(["compare-predictors", "--manifest", str(data / "manifest.json"),
                      "--out", str(tmp_path / "r")]) == 3
-        assert capsys.readouterr().err == \
-            f"data error: agent 1 modes must be a list, got {modes!r}\n"
+        assert capsys.readouterr().err == (
+            f"data error: scene {manifest['scenes'][1]['id']} trajectories: "
+            f"agent 1 modes must be a list, got {modes!r}\n")
 
 
 # Per report stage: its JSON report and a valid non-default value of every
@@ -1709,7 +1726,8 @@ class TestContractProbe:
                                             capsys):
         data = tmp_path / "data"
         shutil.copytree(dataset_dir, data)
-        target = data / json.loads((data / "manifest.json").read_text())["scenes"][0]["gt_map"]
+        scene = json.loads((data / "manifest.json").read_text())["scenes"][0]
+        target = data / scene["gt_map"]
         m = json.loads(target.read_text())
         (m["ego_pose"] if key == "position" else m["elements"][0])[key] = value
         with pytest.raises(uio.DataError, match=names):
@@ -1718,7 +1736,8 @@ class TestContractProbe:
         assert main(["eval-map", "--manifest", str(data / "manifest.json"),
                      "--out", str(tmp_path / "r")]) == 3
         err = capsys.readouterr().err
-        assert err.startswith("data error: malformed map file:") and err.count("\n") == 1
+        assert err.startswith(f"data error: scene {scene['id']} gt_map: malformed map file:")
+        assert err.count("\n") == 1
         assert names in err
 
     @pytest.mark.parametrize("where", ["perception_range", "mu"])
