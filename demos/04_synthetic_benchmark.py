@@ -36,7 +36,7 @@ cfg = DatasetConfig(
     predictor="none",
 )
 dataset = build_dataset(cfg)
-manifest_path = uio.write_dataset(dataset, out / "dataset")
+manifest_path = uio.write_dataset(dataset.records, cfg, out / "dataset")
 print(f"wrote {len(dataset.records)} scenes to {manifest_path}")
 
 # --- how good are the observed maps? ----------------------------------------

@@ -79,6 +79,7 @@ from .synth import (  # noqa: F401
     SceneSpec,
     SyntheticDataset,
     build_dataset,
+    generate_records,
     generate_scene,
     observe,
     predict_blind,

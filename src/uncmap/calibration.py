@@ -23,6 +23,14 @@ resampling merges its points cannot be paired by index and raises
 map) pairs in one pass: one :func:`~uncmap.map_eval.chamfer_matrices` call
 for every matrix, then one resample of all the matched ground truths.
 :func:`match_vertex_pairs` is its one-pair call.
+
+Both calibrations are reductions that add up over blocks of pairs, so
+``calibrate`` keeps no vertex pair of an earlier block: per block it keeps
+:func:`coverage_counts` (inside counts per level and axis) and the
+:func:`top1` confidence and correctness columns. :func:`coverage_report`
+and :func:`reliability_bins` turn the pooled reductions into reports, and
+:func:`coverage_arrays` and :func:`reliability` are the same two steps on
+one set of arrays.
 """
 
 from __future__ import annotations
@@ -79,21 +87,36 @@ class CoverageReport:
     n: int                              # pooled coordinate count
 
 
+def coverage_counts(mu: np.ndarray, b: np.ndarray, gt: np.ndarray, levels) -> np.ndarray:
+    """(L, 2) counts of the coordinates of the (N, 2) ground truth ``gt``
+    inside the central interval of each level, per axis, from (N, 2)
+    location/scale arrays; the scales must be positive and finite. The
+    counts of any split of the pairs sum to the counts of all of them."""
+    mu, b, gt = np.asarray(mu, dtype=float), _validate_scale(b), np.asarray(gt, dtype=float)
+    if mu.shape != b.shape or mu.shape != gt.shape or mu.ndim != 2 or mu.shape[1] != 2:
+        raise ValueError("mu, b, gt must share one (N, 2) shape")
+    resid = np.abs(gt - mu)
+    return np.array([(resid <= _half_width(b, _check_level(lv))).sum(axis=0) for lv in levels],
+                    dtype=int).reshape(-1, 2)
+
+
+def coverage_report(levels, inside: np.ndarray, n: int) -> CoverageReport:
+    """Coverage from :func:`coverage_counts` ``inside`` over ``n`` pairs.
+    Each fraction is an exact count divided once, the value ``np.mean`` of
+    the boolean inside array gives."""
+    if n == 0:
+        raise ValueError("coverage needs at least one pair")
+    levels = tuple(_check_level(v) for v in levels)
+    return CoverageReport(levels, inside.sum(axis=1) / (2 * n), inside[:, 0] / n,
+                          inside[:, 1] / n, 2 * n)
+
+
 def coverage_arrays(mu: np.ndarray, b: np.ndarray, gt: np.ndarray,
                     levels) -> CoverageReport:
     """Coverage from (N, 2) location/scale/ground-truth arrays; the scales
     must be positive and finite."""
-    mu, b, gt = np.asarray(mu, dtype=float), _validate_scale(b), np.asarray(gt, dtype=float)
-    if mu.size == 0:
-        raise ValueError("coverage needs at least one pair")
-    if mu.shape != b.shape or mu.shape != gt.shape:
-        raise ValueError("mu, b, gt must share one shape")
-    levels = tuple(_check_level(v) for v in levels)
-    resid = np.abs(gt - mu)
-    inside = [resid <= _half_width(b, lv) for lv in levels]
-    return CoverageReport(levels, np.array([x.mean() for x in inside]),
-                          np.array([x[:, 0].mean() for x in inside]),
-                          np.array([x[:, 1].mean() for x in inside]), resid.size)
+    levels = tuple(levels)
+    return coverage_report(levels, coverage_counts(mu, b, gt, levels), len(mu))
 
 
 @dataclass
@@ -173,28 +196,28 @@ class ReliabilityReport:
     ece: float
 
 
-def reliability(probs, labels, bins: int = 10) -> ReliabilityReport:
-    """Top-1 reliability over equal-width confidence bins on [0, 1].
+def top1(probs, labels) -> tuple[np.ndarray, np.ndarray]:
+    """(N,) top-1 confidence and correctness of (N, C) predicted probability
+    vectors against (N,) true class indices."""
+    probs = np.asarray(probs, dtype=float)
+    labels = np.asarray(labels, dtype=int)
+    if probs.ndim != 2 or len(probs) != len(labels):
+        raise ValueError("probs must be (N, C) with labels of length N")
+    if np.any(probs < 0) or not np.allclose(probs.sum(axis=1), 1.0, atol=1e-6):
+        raise ValueError("rows of probs must be probability vectors")
+    return probs.max(axis=1), probs.argmax(axis=1) == labels
 
-    Args:
-        probs: (N, C) predicted probability vectors.
-        labels: (N,) true class indices.
-        bins: number of confidence bins.
+
+def reliability_bins(conf: np.ndarray, correct: np.ndarray, bins: int = 10) -> ReliabilityReport:
+    """Top-1 reliability over equal-width confidence bins on [0, 1], from
+    the :func:`top1` columns ``conf`` and ``correct``.
 
     Returns:
         ReliabilityReport with per-bin mean confidence, accuracy, counts,
         and ECE = sum over bins of (n_b / N) * |accuracy_b - confidence_b|.
     """
-    probs = np.asarray(probs, dtype=float)
-    labels = np.asarray(labels, dtype=int)
-    if probs.ndim != 2 or len(probs) != len(labels):
-        raise ValueError("probs must be (N, C) with labels of length N")
     if bins < 1:
         raise ValueError("bins must be >= 1")
-    if np.any(probs < 0) or not np.allclose(probs.sum(axis=1), 1.0, atol=1e-6):
-        raise ValueError("rows of probs must be probability vectors")
-    conf = probs.max(axis=1)
-    correct = probs.argmax(axis=1) == labels
     idx = np.minimum((conf * bins).astype(int), bins - 1)
     edges = np.linspace(0.0, 1.0, bins + 1)
     bin_conf = np.full(bins, np.nan)
@@ -209,3 +232,9 @@ def reliability(probs, labels, bins: int = 10) -> ReliabilityReport:
             bin_acc[b_i] = correct[mask].mean()
             ece += count[b_i] / len(conf) * abs(bin_acc[b_i] - bin_conf[b_i])
     return ReliabilityReport(edges, bin_conf, bin_acc, count, float(ece))
+
+
+def reliability(probs, labels, bins: int = 10) -> ReliabilityReport:
+    """Top-1 reliability of (N, C) predicted probability vectors against (N,)
+    true class indices: :func:`reliability_bins` of their :func:`top1`."""
+    return reliability_bins(*top1(probs, labels), bins)

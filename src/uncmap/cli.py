@@ -13,7 +13,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from itertools import chain, islice
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -86,35 +86,35 @@ def _scaled_map(scene: dict, observed):
     return observed
 
 
-def _scene_blocks(manifest, *parts):
-    """:func:`io.iter_scene_files` in lists of ``synth.SCENE_BLOCK`` scenes."""
-    rows = io.iter_scene_files(manifest, *parts)
-    while block := list(islice(rows, synth.SCENE_BLOCK)):
-        yield block
+def _built(records):
+    """``records`` as they are built; a value so large that the generated
+    arrays overflow is a config error."""
+    try:
+        yield from records
+    except ValueError as exc:
+        raise io.ConfigError(f"cannot build the dataset: {exc}") from exc
 
 
 def cmd_generate(args) -> int:
     cfg = io.load_dataset_config(args.config)
     if args.seed is not None:
         cfg.seed = args.seed
-    try:
-        dataset = synth.build_dataset(cfg)
-    except ValueError as exc:  # values so large that the generated arrays overflow
-        raise io.ConfigError(f"cannot build the dataset: {exc}") from exc
-    manifest_path = io.write_dataset(dataset, args.out)
-    print(f"wrote {len(dataset.records)} scenes to {manifest_path}")
+    manifest_path = io.write_dataset(_built(synth.generate_records(cfg)), cfg, args.out)
+    print(f"wrote {cfg.n_scenes} scenes to {manifest_path}")
     return 0
 
 
 def cmd_eval_map(args) -> int:
     manifest, out, effective = _stage(args)
-    cfg = map_eval.APConfig(args.thresholds, args.resample_count, args.matching)
-    pairs = [(observed, gt) for _, gt, observed in
-             io.iter_scene_files(manifest, "gt_map", "observed_map")]
-    if not pairs:
+    if not manifest["scenes"]:
         raise io.DataError("manifest contains no scenes")
+    cfg = map_eval.APConfig(args.thresholds, args.resample_count, args.matching)
+    pairs = ((observed, gt) for _, gt, observed in
+             io.iter_scene_files(manifest, "gt_map", "observed_map"))
     try:
         report = map_eval.evaluate_scenes(pairs, cfg)
+    except io.DataError:  # a scene file that does not load
+        raise
     except ValueError as exc:  # coordinates so large that a polyline walk overflows
         raise io.DataError(f"cannot evaluate the maps: {exc}") from exc
     io.write_report(out / "eval_map.json", {"report": report.to_dict()}, effective, manifest)
@@ -122,24 +122,33 @@ def cmd_eval_map(args) -> int:
             for thr, ap in zip(report.thresholds, row)]
     io.write_csv(out / "eval_map.csv", ["class", "threshold", "ap"],
                  rows + [["__mean__", "", report.map_score]])
-    print(f"mAP = {report.map_score:.6f} over {len(pairs)} scenes -> {out}")
+    print(f"mAP = {report.map_score:.6f} over {len(manifest['scenes'])} scenes -> {out}")
     return 0
 
 
-def cmd_eval_pred(args) -> int:
-    manifest, out, effective = _stage(args)
-    keys, tracks = [], []
-    for scene, agents, _ in io.iter_scene_files(manifest, "trajectories"):
+def _stored_errors(block, keys: list, threshold: float):
+    """:func:`pred_eval.agent_errors` of a block's stored predictions; each
+    agent's (scene, agent) key is appended to ``keys``."""
+    tracks = []
+    for scene, agents, _ in block:
         for ai, agent in enumerate(agents):
             if agent.modes.size == 0:
                 raise io.DataError(f"scene {scene['id']} agent {ai} has no predicted modes; "
                                    "generate the dataset with a predictor")
             keys.append([scene["id"], ai])
             tracks.append(agent)
+    return pred_eval.agent_errors([a.modes for a in tracks], [a.future for a in tracks],
+                                  threshold)
+
+
+def cmd_eval_pred(args) -> int:
+    manifest, out, effective = _stage(args)
+    keys = []
+    parts = [_stored_errors(block, keys, args.miss_threshold)
+             for block in synth.scene_blocks(io.iter_scene_files(manifest, "trajectories"))]
     if not keys:
         raise io.DataError("manifest contains no agents")
-    columns = pred_eval.agent_errors([a.modes for a in tracks], [a.future for a in tracks],
-                                     args.miss_threshold)
+    columns = [np.concatenate(column) for column in zip(*parts)]
     report = pred_eval.PredEvalReport.from_errors(*columns)
     io.write_report(out / "eval_pred.json", {"report": report}, effective, manifest)
     io.write_csv(out / "eval_pred_agents.csv",
@@ -150,27 +159,35 @@ def cmd_eval_pred(args) -> int:
     return 0
 
 
+def _calibration_block(block, args):
+    """A block's matched vertex pairs, reduced to their count, their
+    :func:`calibration.coverage_counts` and their :func:`calibration.top1`
+    columns."""
+    pairs = [(_scaled_map(scene, observed), gt) for scene, gt, observed in block]
+    try:
+        matched = calibration.pair_vertices(pairs, args.match_threshold, args.resample_count)
+    except ValueError:
+        for (scene, _, _), pair in zip(block, pairs):  # name the scene that fails alone
+            try:
+                calibration.pair_vertices([pair], args.match_threshold, args.resample_count)
+            except ValueError as exc:
+                raise io.DataError(f"scene {scene['id']}: {exc}") from exc
+        raise
+    return (len(matched.mu),
+            calibration.coverage_counts(matched.mu, matched.b, matched.gt, args.levels),
+            *calibration.top1(matched.class_probs, matched.labels))
+
+
 def cmd_calibrate(args) -> int:
     manifest, out, effective = _stage(args)
-    parts = []
-    for block in _scene_blocks(manifest, "gt_map", "observed_map"):
-        pairs = [(_scaled_map(scene, observed), gt) for scene, gt, observed in block]
-        try:
-            parts.append(calibration.pair_vertices(pairs, args.match_threshold,
-                                                   args.resample_count))
-        except ValueError:
-            for (scene, _, _), pair in zip(block, pairs):  # name the scene that fails alone
-                try:
-                    calibration.pair_vertices([pair], args.match_threshold, args.resample_count)
-                except ValueError as exc:
-                    raise io.DataError(f"scene {scene['id']}: {exc}") from exc
-            raise
-    columns = [np.concatenate(column) for column in zip(*(vars(p).values() for p in parts))]
-    if not columns or not len(columns[0]):
+    parts = [_calibration_block(block, args) for block in synth.scene_blocks(
+        io.iter_scene_files(manifest, "gt_map", "observed_map"))]
+    n = sum(part[0] for part in parts)
+    if not n:
         raise io.DataError("no matched vertices; nothing to calibrate")
-    mu, b, gt_pts, probs, labels = columns
-    cov = calibration.coverage_arrays(mu, b, gt_pts, args.levels)
-    rel = calibration.reliability(probs, labels, bins=args.bins)
+    _, inside, conf, correct = zip(*parts)
+    cov = calibration.coverage_report(args.levels, sum(inside), n)
+    rel = calibration.reliability_bins(np.concatenate(conf), np.concatenate(correct), args.bins)
     io.write_report(out / "calibration.json", {"coverage": cov, "reliability": rel},
                     effective, manifest)
     io.write_csv(out / "coverage.csv",
@@ -226,27 +243,34 @@ def cmd_analyze_uncertainty(args) -> int:
     return 0
 
 
+def _predicted_errors(block, args) -> list:
+    """:func:`pred_eval.agent_errors` of the blind and the weighted predictor
+    on a block of scenes."""
+    maps = [_scaled_map(scene, observed) for scene, observed, _, _ in block]
+    histories = [[agent.history for agent in agents] for _, _, agents, _ in block]
+    modes = [list(chain.from_iterable(synth.predict_scenes(
+        histories, maps, args.modes, args.lam, args.b0, weighted))) for weighted in (False, True)]
+    futures = []
+    for scene, _, agents, _ in block:
+        for ai, agent in enumerate(agents):
+            key, a = f"scene {scene['id']} agent {ai}", len(futures)
+            if len(agent.future) != synth.FUTURE_STEPS:
+                raise io.DataError(f"{key}: modes must be (K, T, 2) matching gt")
+            if not all(np.isfinite(m[a]).all() for m in modes):  # a prediction overflowed
+                raise io.DataError(f"{key}: trajectories must be finite")
+            futures.append(agent.future)
+    return [pred_eval.agent_errors(m, futures, args.miss_threshold) for m in modes]
+
+
 def cmd_compare_predictors(args) -> int:
     manifest, out, effective = _stage(args)
-    modes, futures = ([], []), []
-    for block in _scene_blocks(manifest, "observed_map", "trajectories"):
-        maps = [_scaled_map(scene, observed) for scene, observed, _, _ in block]
-        histories = [[agent.history for agent in agents] for _, _, agents, _ in block]
-        for predicted, weighted in zip(modes, (False, True)):
-            predicted += chain.from_iterable(synth.predict_scenes(
-                histories, maps, args.modes, args.lam, args.b0, weighted))
-        for scene, _, agents, _ in block:
-            for ai, agent in enumerate(agents):
-                key, a = f"scene {scene['id']} agent {ai}", len(futures)
-                if len(agent.future) != synth.FUTURE_STEPS:
-                    raise io.DataError(f"{key}: modes must be (K, T, 2) matching gt")
-                if not all(np.isfinite(m[a]).all() for m in modes):  # a prediction overflowed
-                    raise io.DataError(f"{key}: trajectories must be finite")
-                futures.append(agent.future)
-    if not futures:
+    parts = [_predicted_errors(block, args) for block in synth.scene_blocks(
+        io.iter_scene_files(manifest, "observed_map", "trajectories"))]
+    if not sum(len(blind[0]) for blind, _ in parts):
         raise io.DataError("manifest contains no agents")
     blind, weighted = (vars(pred_eval.PredEvalReport.from_errors(
-        *pred_eval.agent_errors(m, futures, args.miss_threshold))) for m in modes)
+        *(np.concatenate(column) for column in zip(*predictor))))
+        for predictor in zip(*parts))
     deltas = {name: (weighted[name] - blind[name]) / blind[name] * 100.0 if blind[name] else None
               for name in ("minADE", "minFDE", "MR")}
     io.write_report(out / "compare_predictors.json",

@@ -58,7 +58,7 @@ import orjson
 from . import __version__
 from .geometry import ElementClass, Pose2
 from .probmap import MapElement, VectorMap
-from .synth import RATE_HZ, AgentTrack, DatasetConfig, NoiseModel, SyntheticDataset
+from .synth import RATE_HZ, AgentTrack, DatasetConfig, NoiseModel
 
 MAP_SCHEMA = "uncmap/1"
 TRAJ_SCHEMA = "uncmap-traj/1"
@@ -221,12 +221,17 @@ def config_hash(obj: dict) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-def write_dataset(dataset: SyntheticDataset, out_dir) -> Path:
-    """Write maps, trajectories, and the run manifest; returns manifest path."""
+def write_dataset(records, config: DatasetConfig, out_dir) -> Path:
+    """Write the maps and trajectories of each scene record as it arrives
+    from the iterable ``records``, then the run manifest of the dataset
+    ``config`` describes; returns the manifest path. Only the manifest's
+    scene entries are kept, so a generator of records is written one block
+    at a time, and one that raises leaves the scene files written before it
+    and no manifest."""
     out = Path(out_dir)
-    cfg_dict = _plain(dataset.config)
+    cfg_dict = _plain(config)
     scenes = []
-    for rec in dataset.records:
+    for rec in records:
         gt_rel = f"maps/{rec.scene_id}_gt.json"
         obs_rel = f"maps/{rec.scene_id}_obs.json"
         traj_rel = f"traj/{rec.scene_id}.json"
@@ -246,7 +251,7 @@ def write_dataset(dataset: SyntheticDataset, out_dir) -> Path:
         })
     manifest = {
         "schema_version": MANIFEST_SCHEMA,
-        "master_seed": dataset.config.seed,
+        "master_seed": config.seed,
         "config": cfg_dict,
         "config_hash": config_hash(cfg_dict),
         "tool_version": __version__,

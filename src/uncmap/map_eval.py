@@ -12,8 +12,8 @@ ground truths) groups in one :func:`~uncmap.geometry.resample` call (grouped
 by length, not padded, so every row keeps the rounding of its own polyline)
 and sends all their pairs through the kernel in blocks of one shape. It is
 the one entry from element groups to Chamfer matrices: AP evaluation calls
-it once per class over all scenes, and the calibration pairing once per
-list of map pairs.
+it once per block of scenes for every (scene, class) group, and the
+calibration pairing once per list of map pairs.
 
 AP follows the detection convention: predictions are pooled across scenes,
 sorted by confidence (ties keep input order), and greedily matched to the
@@ -33,6 +33,7 @@ import numpy as np
 
 from .geometry import ALL_CLASSES, ElementClass, resample
 from .probmap import VectorMap
+from .synth import scene_blocks
 
 
 @dataclass
@@ -246,26 +247,40 @@ class MapEvalReport:
                 "n_pred": self.n_pred, "n_gt": self.n_gt}
 
 
-def evaluate_scenes(pairs: list[tuple[VectorMap, VectorMap]],
-                    cfg: APConfig | None = None) -> MapEvalReport:
-    """Pooled multi-scene evaluation of predicted maps against ground truth."""
+def _block_matrices(block, count: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The prediction confidences and Chamfer matrix of every (scene, class)
+    group of a block of (predicted, ground-truth) map pairs, scene by scene
+    and in ``ALL_CLASSES`` order within a scene."""
+    groups = [(pred.by_class(cls), gt.by_class(cls)) for pred, gt in block for cls in ALL_CLASSES]
+    return [(np.array([p.confidence for p in preds], dtype=float), mat)
+            for (preds, _), mat in zip(groups, chamfer_matrices(groups, count))]
+
+
+def evaluate_scenes(pairs, cfg: APConfig | None = None) -> MapEvalReport:
+    """Pooled multi-scene evaluation of predicted maps against ground truth.
+
+    ``pairs`` is any iterable of (predicted, ground-truth) map pairs, read
+    in blocks of ``synth.SCENE_BLOCK`` scenes. One :func:`chamfer_matrices`
+    call per block covers all its (scene, class) groups, and the block is
+    reduced to each group's confidences and matrix before the next is read.
+    Matching and AP then run per class over every scene's matrix, as they
+    would with all the maps held at once.
+    """
     cfg = cfg or APConfig()
+    confs = [[] for _ in ALL_CLASSES]
+    mats = [[] for _ in ALL_CLASSES]
+    for block in scene_blocks(pairs):
+        for k, (conf, mat) in enumerate(_block_matrices(block, cfg.resample_count)):
+            confs[k % len(ALL_CLASSES)].append(conf)
+            mats[k % len(ALL_CLASSES)].append(mat)
+    n_pred = np.array([sum(len(conf) for conf in cls_confs) for cls_confs in confs], dtype=int)
+    n_gt = np.array([sum(mat.shape[1] for mat in cls_mats) for cls_mats in mats], dtype=int)
     ap = np.full((len(ALL_CLASSES), len(cfg.thresholds)), np.nan)
     matched_chamfer = np.full(len(ALL_CLASSES), np.nan)
-    n_pred = np.zeros(len(ALL_CLASSES), dtype=int)
-    n_gt = np.zeros(len(ALL_CLASSES), dtype=int)
     matcher = _hungarian_match if cfg.matching == "hungarian" else greedy_match
-
-    for ci, cls in enumerate(ALL_CLASSES):
-        scene_preds = [pred.by_class(cls) for pred, _ in pairs]
-        scene_gts = [gt.by_class(cls) for _, gt in pairs]
-        n_pred[ci] = sum(len(p) for p in scene_preds)
-        n_gt[ci] = sum(len(g) for g in scene_gts)
-        confs = [np.array([p.confidence for p in preds], dtype=float)
-                 for preds in scene_preds]
-        mats = chamfer_matrices(zip(scene_preds, scene_gts), cfg.resample_count)
+    for ci in range(len(ALL_CLASSES)):
         for ti, thr in enumerate(cfg.thresholds):
-            labels, matched = _pooled_labels(matcher, confs, mats, thr)
+            labels, matched = _pooled_labels(matcher, confs[ci], mats[ci], thr)
             cell = _ap_from_labels(labels, n_gt[ci])
             ap[ci, ti] = np.nan if cell is None else cell
             if thr == cfg.thresholds[-1] and len(matched):

@@ -20,7 +20,7 @@ import math
 import numbers
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import accumulate
+from itertools import accumulate, islice
 
 import numpy as np
 
@@ -46,9 +46,20 @@ FUTURE_STEPS = 30    # 3 s of future
 DEFAULT_MODES = 6
 DEFAULT_LAMBDA = 1.0
 DEFAULT_B0 = 0.5
-# Scenes per block of build_dataset, calibrate and compare-predictors. A block of
+# Scenes per block of every stage: generate builds and writes one block at a time,
+# and each report stage loads one and reduces it before the next. A block of
 # README-config scenes holds about 3 500 vertices, so its temporaries stay small.
 SCENE_BLOCK = 16
+
+
+def scene_blocks(items):
+    """``items`` in lists of up to ``SCENE_BLOCK``, in order. Each list is
+    emptied before the next is read, so a stage that reduces a block and keeps
+    none of its items holds one block of scenes at a time."""
+    items = iter(items)
+    while block := list(islice(items, SCENE_BLOCK)):
+        yield block
+        block.clear()
 
 
 class Layout(Enum):
@@ -699,15 +710,16 @@ def _sample_occluders(rng: np.random.Generator, max_count: int,
     return tuple(out)
 
 
-def build_dataset(config: DatasetConfig | None = None) -> SyntheticDataset:
-    """Generate a full deterministic dataset from one master seed.
+def generate_records(cfg: DatasetConfig):
+    """Yield the scene records of the dataset ``cfg`` describes, in order.
 
     The master stream draws only the scene specs and per-scene seeds, so
     each scene is built from its own seeds alone. Scenes are built in blocks
     of ``SCENE_BLOCK``: one call per block generates the maps and walks the
-    agents, one observes the maps and one runs the predictor.
+    agents, one observes the maps and one runs the predictor. A block is
+    built when its first record is asked for, so a consumer that writes each
+    record as it arrives holds one block at a time.
     """
-    cfg = config or DatasetConfig()
     master = np.random.default_rng(cfg.seed)
     specs, seeds = [], []
     for _ in range(cfg.n_scenes):
@@ -720,22 +732,30 @@ def build_dataset(config: DatasetConfig | None = None) -> SyntheticDataset:
                                condition=condition, occluders=occluders,
                                lane_change_prob=cfg.lane_change_prob,
                                duplicate_centerlines=cfg.duplicate_centerlines))
-    records = []
-    for start in range(0, cfg.n_scenes, SCENE_BLOCK):
-        block, block_seeds = specs[start:start + SCENE_BLOCK], seeds[start:start + SCENE_BLOCK]
-        gts, tracks = _scene_block(block)
-        observed = _observe_block(gts, cfg.noise, block, block_seeds, cfg.resample_count)
-        if cfg.predictor in ("blind", "weighted"):  # lam and b0 move no blind mode
-            modes = predict_scenes([[h for h, _ in scene] for scene in tracks], observed,
-                                   cfg.modes, cfg.lam, cfg.b0,
-                                   weighted=cfg.predictor == "weighted")
-        else:
-            modes = [[future[None] if cfg.predictor == "exact" else None
-                      for _, future in scene] for scene in tracks]
-        for i, spec, seed, gt, obs, scene, scene_modes in zip(
-                range(start, start + len(block)), block, block_seeds, gts, observed, tracks,
-                modes):
-            agents = [AgentTrack(history, future, m)
-                      for (history, future), m in zip(scene, scene_modes)]
-            records.append(SceneRecord(f"scene_{i:04d}", spec, seed, gt, obs, agents))
-    return SyntheticDataset(records, cfg)
+    for block in scene_blocks(zip(range(cfg.n_scenes), specs, seeds)):
+        yield from _record_block(cfg, block)
+
+
+def _record_block(cfg: DatasetConfig, block) -> list[SceneRecord]:
+    """The records of a block of (index, spec, observe seed) scenes."""
+    index, specs, seeds = zip(*block)
+    gts, tracks = _scene_block(specs)
+    observed = _observe_block(gts, cfg.noise, specs, seeds, cfg.resample_count)
+    if cfg.predictor in ("blind", "weighted"):  # lam and b0 move no blind mode
+        modes = predict_scenes([[h for h, _ in scene] for scene in tracks], observed,
+                               cfg.modes, cfg.lam, cfg.b0, weighted=cfg.predictor == "weighted")
+    else:
+        modes = [[future[None] if cfg.predictor == "exact" else None for _, future in scene]
+                 for scene in tracks]
+    return [SceneRecord(f"scene_{i:04d}", spec, seed, gt, obs,
+                        [AgentTrack(history, future, m)
+                         for (history, future), m in zip(scene, scene_modes)])
+            for i, spec, seed, gt, obs, scene, scene_modes in zip(
+                index, specs, seeds, gts, observed, tracks, modes)]
+
+
+def build_dataset(config: DatasetConfig | None = None) -> SyntheticDataset:
+    """Generate a full deterministic dataset from one master seed: the
+    records of :func:`generate_records`, all held in one list."""
+    cfg = config or DatasetConfig()
+    return SyntheticDataset(list(generate_records(cfg)), cfg)

@@ -7,6 +7,7 @@ import shutil
 import subprocess
 import sys
 import warnings
+import weakref
 from contextlib import redirect_stderr
 from dataclasses import dataclass
 from io import StringIO
@@ -1096,6 +1097,7 @@ class TestSceneFileReads:
                      "--out", str(tmp_path / "r")]) == 3
         err = capsys.readouterr().err
         assert err.startswith("data error:") and err.count("\n") == 1
+        assert err.startswith(f"data error: scene {manifest['scenes'][1]['id']} {key}: ")
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("command, key, damage", [
@@ -1346,6 +1348,109 @@ class TestStageBlocks:
                          "--out", str(tmp_path / "r")]) == 0
         assert 0 < calls["predict_scenes"] <= 2 * math.ceil(20 / synth.SCENE_BLOCK)
         assert not {"match_vertex_pairs", "min_ade", "min_fde", "miss"} & calls.keys()
+
+
+# 40 scenes: the default block size splits them 16 + 16 + 8.
+SEAM_CONFIG = dict(GOLDEN_CONFIG, n_scenes=40, seed=4)
+REPORT_STAGES = ("eval-map", "eval-pred", "calibrate", "analyze-uncertainty",
+                 "compare-predictors")
+
+
+def _all_outputs(root: Path) -> dict[str, str]:
+    """sha256 of every file that ``generate`` on SEAM_CONFIG, the five report
+    stages and the Hungarian ``eval-map`` write under ``root``."""
+    (root / "config.json").write_text(json.dumps(SEAM_CONFIG))
+    assert main(["generate", "--config", str(root / "config.json"),
+                 "--out", str(root / "d")]) == 0
+    manifest = str(root / "d" / "manifest.json")
+    for stage in REPORT_STAGES:
+        assert main([stage, "--manifest", manifest, "--out", str(root / "r")]) == 0
+    assert main(["eval-map", "--matching", "hungarian", "--manifest", manifest,
+                 "--out", str(root / "h")]) == 0
+    return _tree_digest(root)
+
+
+@pytest.fixture(scope="module")
+def seam_outputs(tmp_path_factory):
+    return _all_outputs(tmp_path_factory.mktemp("seams"))
+
+
+class TestBlockSeams:
+    """No output depends on where the blocks of scenes split the dataset."""
+
+    @pytest.mark.parametrize("block", [1, 7, 1000])
+    def test_outputs_byte_identical(self, block, seam_outputs, tmp_path, monkeypatch):
+        assert len(seam_outputs) == 1 + 3 * 40 + 1 + 11 + 2
+        monkeypatch.setattr(synth, "SCENE_BLOCK", block)
+        assert _all_outputs(tmp_path) == seam_outputs
+
+
+class TestWorkingSet:
+    """Each stage holds one block of scenes at a time."""
+
+    def test_generate_writes_each_block_before_building_the_next(self, tmp_path,
+                                                                 monkeypatch):
+        events = []
+        for module, name in [(synth, "_scene_block"), (uio, "save_map")]:
+            def spy(*args, _name=name, _original=getattr(module, name)):
+                events.append(_name)
+                return _original(*args)
+            monkeypatch.setattr(module, name, spy)
+        cfg = write_config(tmp_path, n_scenes=40)
+        assert main(["generate", "--config", str(cfg), "--out", str(tmp_path / "d")]) == 0
+        sizes = [16, 16, 8]
+        assert synth.SCENE_BLOCK == sizes[0]
+        assert events == [e for n in sizes for e in ["_scene_block"] + ["save_map"] * 2 * n]
+
+    @pytest.mark.parametrize("command", ["eval-map", "calibrate", "analyze-uncertainty",
+                                         "compare-predictors"])
+    def test_report_stage_holds_one_block_of_maps(self, command, tmp_path, monkeypatch):
+        cfg = write_config(tmp_path, n_scenes=40)
+        assert main(["generate", "--config", str(cfg), "--out", str(tmp_path / "d")]) == 0
+        alive, counts = weakref.WeakSet(), []
+
+        def spy(path, _load=uio.load_map):
+            loaded = _load(path)
+            alive.add(loaded)
+            counts.append(len(alive))
+            return loaded
+        monkeypatch.setattr(uio, "load_map", spy)
+        assert main([command, "--manifest", str(tmp_path / "d" / "manifest.json"),
+                     "--out", str(tmp_path / "r")]) == 0
+        assert len(counts) == 40 * sum(key != "trajectories" for key in STAGE_READS[command])
+        assert max(counts) <= 2 * synth.SCENE_BLOCK
+
+
+class TestFailedGenerate:
+    """A ``generate`` that fails writes no manifest."""
+
+    def test_overflow_exits_2_without_manifest(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, n_scenes=20, noise={"base_b": 1e308})
+        assert main(["generate", "--config", str(cfg), "--out", str(tmp_path / "d")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: cannot build the dataset: ")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "d" / "manifest.json").exists()
+
+    def test_later_block_keeps_earlier_files(self, tmp_path, monkeypatch, capsys):
+        calls = []
+
+        def observe_block(*args, _original=synth._observe_block):
+            calls.append(1)
+            if len(calls) == 2:
+                raise ValueError("overflow in the second block")
+            return _original(*args)
+        monkeypatch.setattr(synth, "_observe_block", observe_block)
+        cfg = write_config(tmp_path, n_scenes=20)
+        out = tmp_path / "d"
+        assert main(["generate", "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == ("config error: cannot build the dataset: "
+                                           "overflow in the second block\n")
+        files = sorted(str(p.relative_to(out)) for p in out.rglob("*") if p.is_file())
+        assert files == sorted(f"{part}scene_{i:04d}{suffix}" for i in range(synth.SCENE_BLOCK)
+                               for part, suffix in [("maps/", "_gt.json"),
+                                                    ("maps/", "_obs.json"),
+                                                    ("traj/", ".json")])
 
 
 # The dataset config of the README, at seed 7.
