@@ -34,6 +34,19 @@ recursion limit. Manifests and dataset configs stay on ``json``: they
 carry user seeds, and orjson reads an integer outside the 64-bit range as
 a float, which would change the ``master_seed`` a report records.
 
+The report stages load the same scene files again and again, so each file's
+bytes are decoded once. :func:`load_map` and :func:`load_trajectories` key a
+file by the sha256 of ``__version__`` and its bytes, and look for the key
+in the ``.uncmap-cache`` directory beside the file. An entry holds the
+record's columns as one little-endian float64 buffer, and the record is
+built from it by the constructor the JSON path uses, so every check runs
+and the values are the same bit for bit. A missing entry, or one that does
+not parse, means the JSON is decoded; only a record that loads is stored,
+through a temporary file and a rename, and a cache that cannot be read or
+written (a read-only dataset) is skipped. Edited bytes have another key, so
+a stale entry is never read. A manifest's scene paths must stay inside its
+directory, which is where stages read and write.
+
 Reports are written from a stage's raw values by :func:`write_report`
 (JSON, ending in a ``reproducibility`` block of config hash, tool version
 and seeds) and :func:`write_csv`, both by one rule, :func:`_plain`:
@@ -44,10 +57,12 @@ a bool is 1 or 0.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import hashlib
 import json
 import math
+import os
 import re
 from dataclasses import fields, is_dataclass
 from pathlib import Path
@@ -56,7 +71,7 @@ import numpy as np
 import orjson
 
 from . import __version__
-from .geometry import ElementClass, Pose2
+from .geometry import ALL_CLASSES, CLASS_INDEX, NUM_CLASSES, ElementClass, Pose2
 from .probmap import MapElement, VectorMap
 from .synth import RATE_HZ, AgentTrack, DatasetConfig, NoiseModel
 
@@ -134,7 +149,7 @@ def save_map(m: VectorMap, path) -> None:
 
 
 def load_map(path) -> VectorMap:
-    return map_from_dict(_read_json(path, _scene_loads))
+    return _load_scene(path, map_from_dict, _map_columns, _map_from_columns)
 
 
 # ---------------------------------------------------------------------------
@@ -178,7 +193,125 @@ def save_trajectories(agents, path) -> None:
 
 
 def load_trajectories(path) -> list[AgentTrack]:
-    return trajectories_from_dict(_read_json(path, _scene_loads))
+    return _load_scene(path, trajectories_from_dict, _track_columns, _tracks_from_columns)
+
+
+# ---------------------------------------------------------------------------
+# Cache of decoded scene files
+# ---------------------------------------------------------------------------
+
+CACHE_DIR = ".uncmap-cache"
+# The first float of an entry: the kind of record it holds.
+_MAP_ENTRY, _TRACK_ENTRY = 1.0, 2.0
+# A map entry's header: kind, element count, vertex count, whether the map
+# has scales, ego pose (x, y, heading) and perception range (lon, lat).
+_MAP_HEAD = 9
+
+
+def _load_scene(path, from_dict, columns, from_columns):
+    """The record in the scene file at ``path``. Where the cache entry of the
+    file's bytes parses, ``from_columns`` builds the record from it; otherwise
+    ``from_dict`` builds it from the file's JSON, and its ``columns`` become the
+    entry. Either way the record's constructor runs every check."""
+    path = Path(path)
+    raw = _read_bytes(path)
+    entry = path.parent / CACHE_DIR / hashlib.sha256(__version__.encode() + raw).hexdigest()
+    try:
+        return from_columns(np.frombuffer(bytearray(entry.read_bytes()), dtype="<f8"))
+    except (OSError, ValueError, TypeError, IndexError):  # no entry, or one that does not parse
+        pass
+    record = from_dict(_read_json(path, _scene_loads, raw))
+    _write_entry(entry, np.asarray(columns(record), dtype="<f8").tobytes())
+    return record
+
+
+def _write_entry(entry: Path, data: bytes) -> None:
+    """Store ``data`` as the cache entry ``entry``: written to a temporary file
+    and renamed, so a reader finds the whole entry or none. The cache only
+    saves time, so a dataset it cannot be written beside runs without it."""
+    tmp = entry.with_name(f"{entry.name}.{os.getpid()}.tmp")
+    try:
+        try:
+            tmp.write_bytes(data)
+        except FileNotFoundError:
+            entry.parent.mkdir(exist_ok=True)
+            tmp.write_bytes(data)
+        os.replace(tmp, entry)
+    except OSError:
+        with contextlib.suppress(OSError):
+            tmp.unlink(missing_ok=True)
+
+
+def _counts(values: np.ndarray) -> list[int]:
+    """The floats ``values`` as ints, if each is a whole number in [0, 2**53)."""
+    counts = values.tolist()
+    if not all(0 <= v < 2.0**53 and v.is_integer() for v in counts):
+        raise ValueError("a count in the cache entry is not a whole number")
+    return [int(v) for v in counts]
+
+
+def _map_columns(m: VectorMap) -> np.ndarray:
+    """The floats of a map's entry: the header, per element its class index,
+    confidence, closed flag and vertex count, then ``mu`` and, on a map with
+    scales, ``b`` and ``class_logits``."""
+    pose = m.ego_pose
+    head = [_MAP_ENTRY, len(m.elements), len(m.mu), m.b is not None,
+            pose.x, pose.y, pose.heading, *m.perception_range]
+    rows = [(CLASS_INDEX[el.element_class], el.confidence, el.closed, n)
+            for el, n in zip(m.elements, np.diff(m.offsets).tolist())]
+    scales = [] if m.b is None else [m.b, m.class_logits]
+    return np.concatenate([head, np.ravel(rows)] + [np.ravel(c) for c in [m.mu] + scales])
+
+
+def _map_from_columns(buf: np.ndarray) -> VectorMap:
+    if buf[0] != _MAP_ENTRY:
+        raise ValueError("not a map entry")
+    n_elements, n_vertices, has_b = _counts(buf[1:4])
+    width = 2 + NUM_CLASSES + 2 if has_b else 2
+    at = _MAP_HEAD + 4 * n_elements
+    if has_b > 1 or len(buf) != at + width * n_vertices:
+        raise ValueError("map entry has the wrong size")
+    x, y, heading, lon, lat = buf[4:_MAP_HEAD].tolist()
+    rows = buf[_MAP_HEAD:at].reshape(n_elements, 4)
+    labels = [MapElement(None, ALL_CLASSES[c], confidence, bool(closed))
+              for c, confidence, closed in zip(_counts(rows[:, 0]), rows[:, 1].tolist(),
+                                                rows[:, 2].tolist())]
+    mu = buf[at:at + 2 * n_vertices].reshape(n_vertices, 2)
+    b = logits = None
+    if has_b:
+        at += 2 * n_vertices
+        b = buf[at:at + 2 * n_vertices].reshape(n_vertices, 2)
+        logits = buf[at + 2 * n_vertices:].reshape(n_vertices, NUM_CLASSES)
+    return VectorMap.from_columns(labels, np.cumsum([0] + _counts(rows[:, 3])), mu, b, logits,
+                                  Pose2(x, y, heading), (lon, lat))
+
+
+def _track_columns(agents: list[AgentTrack]) -> np.ndarray:
+    """The floats of a trajectory file's entry: the kind, the agent count, per
+    agent its history, future and mode counts, then per agent its history,
+    future and modes."""
+    head = [_TRACK_ENTRY, len(agents)]
+    head += [n for a in agents for n in (len(a.history), len(a.future), len(a.modes))]
+    return np.concatenate([head] + [np.ravel(c) for a in agents
+                                    for c in (a.history, a.future, a.modes)])
+
+
+def _tracks_from_columns(buf: np.ndarray) -> list[AgentTrack]:
+    if buf[0] != _TRACK_ENTRY:
+        raise ValueError("not a trajectory entry")
+    n_agents, = _counts(buf[1:2])
+    at = 2 + 3 * n_agents
+    agents = []
+    for h, f, k in np.reshape(_counts(buf[2:at]), (n_agents, 3)).tolist():
+        history = buf[at:at + 2 * h].reshape(h, 2)
+        future = buf[at + 2 * h:at + 2 * (h + f)].reshape(f, 2)
+        at += 2 * (h + f)
+        modes = buf[at:at + 2 * k * f].reshape(k, f, 2)
+        at += 2 * k * f
+        agents.append(AgentTrack(history, future, modes if k else None))
+    if at != len(buf):
+        raise ValueError("trajectory entry has the wrong size")
+    return agents
 
 
 # ---------------------------------------------------------------------------
@@ -275,7 +408,14 @@ def load_manifest(path) -> dict:
         for key in ("id", "condition") + SCENE_FILES:
             if not isinstance(scene, dict) or not isinstance(scene.get(key), str):
                 raise DataError(f"manifest scene {i} has no {key!r} string")
+    for scene in data["scenes"]:
         for key in SCENE_FILES:
+            # Stages read scene files, and write their cache entries, only
+            # inside the manifest's directory.
+            rel = os.path.normpath(scene[key])
+            if os.path.isabs(rel) or rel.split(os.sep)[0] == os.pardir:
+                raise DataError(f"scene {scene['id']} {key}: path {scene[key]!r} "
+                                "leaves the manifest's directory")
             if not (root / scene[key]).exists():
                 raise DataError(f"manifest references missing file {scene[key]!r}")
     data["_root"] = root
@@ -328,15 +468,21 @@ def _scene_loads(raw: bytes):
         return _json_loads(raw)
 
 
-def _read_json(path, loads=_json_loads) -> dict:
-    """The JSON object in the file at ``path``, decoded by ``loads``."""
-    path = Path(path)
+def _read_bytes(path: Path) -> bytes:
     try:
-        raw = path.read_bytes()
+        return path.read_bytes()
     except (FileNotFoundError, NotADirectoryError) as exc:  # as Path.exists sees it
         raise DataError(f"file not found: {path}") from exc
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc.strerror or exc}") from exc
+
+
+def _read_json(path, loads=_json_loads, raw=None) -> dict:
+    """The JSON object in the file at ``path``, decoded by ``loads`` from the
+    file's bytes ``raw``, which are read here when not given."""
+    path = Path(path)
+    if raw is None:
+        raw = _read_bytes(path)
     try:
         data = loads(raw)
     except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError, int digit limit

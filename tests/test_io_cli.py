@@ -215,20 +215,22 @@ class TestBitExactRoundTrip:
         path = tmp_path_factory.mktemp("map") / "m.json"
         uio.save_map(m, path)
         assert path.read_text() == json.dumps(uio.map_to_dict(m), indent=2) + "\n"
-        back = uio.load_map(path)
-        assert type(back) is type(m)
-        assert _bits_equal([back.ego_pose.x, back.ego_pose.y, back.ego_pose.heading],
-                           [m.ego_pose.x, m.ego_pose.y, m.ego_pose.heading])
-        assert _bits_equal(back.perception_range, m.perception_range)
-        assert len(back.elements) == len(m.elements)
-        for a, b in zip(back.elements, m.elements):
-            assert (a.element_class, a.closed) == (b.element_class, b.closed)
-            assert _bits_equal(a.confidence, b.confidence)
-            assert _bits_equal(a.mu, b.mu)
-            if b.b is None:
-                assert a.b is None and a.class_logits is None
-            else:
-                assert _bits_equal(a.b, b.b) and _bits_equal(a.class_logits, b.class_logits)
+        # The second load builds the map from the cache entry the first wrote.
+        for back in [uio.load_map(path) for _ in range(2)]:
+            assert type(back) is type(m)
+            assert _bits_equal([back.ego_pose.x, back.ego_pose.y, back.ego_pose.heading],
+                               [m.ego_pose.x, m.ego_pose.y, m.ego_pose.heading])
+            assert _bits_equal(back.perception_range, m.perception_range)
+            assert len(back.elements) == len(m.elements)
+            for a, b in zip(back.elements, m.elements):
+                assert (a.element_class, a.closed) == (b.element_class, b.closed)
+                assert _bits_equal(a.confidence, b.confidence)
+                assert _bits_equal(a.mu, b.mu)
+                if b.b is None:
+                    assert a.b is None and a.class_logits is None
+                else:
+                    assert _bits_equal(a.b, b.b) and _bits_equal(a.class_logits, b.class_logits)
+        assert _entry(path).is_file()
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
@@ -245,9 +247,11 @@ class TestBitExactRoundTrip:
         path = tmp_path_factory.mktemp("traj") / "t.json"
         uio.save_trajectories(agents, path)
         assert path.read_text() == json.dumps(uio.trajectories_to_dict(agents), indent=2) + "\n"
-        for a, b in zip(uio.load_trajectories(path), agents, strict=True):
-            assert _bits_equal(a.history, b.history) and _bits_equal(a.future, b.future)
-            assert _bits_equal(a.modes, b.modes)
+        for back in [uio.load_trajectories(path) for _ in range(2)]:
+            for a, b in zip(back, agents, strict=True):
+                assert _bits_equal(a.history, b.history) and _bits_equal(a.future, b.future)
+                assert _bits_equal(a.modes, b.modes)
+        assert _entry(path).is_file()
 
 
 class TestTrajectoryRoundTrip:
@@ -575,6 +579,35 @@ def _read_as_before(path):
         return f"{path} is not valid JSON: {exc}"
 
 
+@pytest.fixture
+def decoded(monkeypatch):
+    """The bytes of every ``orjson.loads`` call, in order."""
+    calls = []
+
+    def spy(raw, _loads=orjson.loads):
+        calls.append(bytes(raw))
+        return _loads(raw)
+    monkeypatch.setattr(orjson, "loads", spy)
+    return calls
+
+
+def _fresh_copy(dataset_dir: Path, tmp_path: Path) -> Path:
+    """A copy of the dataset at ``dataset_dir`` without cache entries."""
+    data = tmp_path / "data"
+    shutil.copytree(dataset_dir, data, ignore=shutil.ignore_patterns(uio.CACHE_DIR))
+    return data
+
+
+def _load_scene_file(path: Path):
+    return (uio.load_trajectories if path.parent.name == "traj" else uio.load_map)(path)
+
+
+def _entry(path: Path) -> Path:
+    """Where the cache entry of the scene file at ``path``'s current bytes lives."""
+    key = hashlib.sha256(__version__.encode() + path.read_bytes()).hexdigest()
+    return path.parent / uio.CACHE_DIR / key
+
+
 def _read_scene(path):
     try:
         return uio._read_json(path, uio._scene_loads)
@@ -615,20 +648,24 @@ class TestReadSceneJson:
                     load(path)
                 assert str(exc.value) == expected
 
-    def test_orjson_once_per_scene_file(self, dataset_dir, monkeypatch):
-        decoded = []
-
-        def spy(raw, _loads=orjson.loads):
-            decoded.append(raw)
-            return _loads(raw)
-        monkeypatch.setattr(orjson, "loads", spy)
-        manifest = uio.load_manifest(dataset_dir / "manifest.json")
+    def test_orjson_once_per_scene_file(self, dataset_dir, tmp_path, decoded):
+        data = _fresh_copy(dataset_dir, tmp_path)
+        manifest = uio.load_manifest(data / "manifest.json")
         assert decoded == []
-        files = [dataset_dir / scene[key] for scene in manifest["scenes"]
-                 for key in uio.SCENE_FILES]
+        files = [data / scene[key] for scene in manifest["scenes"] for key in uio.SCENE_FILES]
         for path in files:
-            (uio.load_trajectories if path.parent.name == "traj" else uio.load_map)(path)
-        assert decoded == [path.read_bytes() for path in files]
+            _load_scene_file(path)
+        # Once per distinct content: a file with the bytes of one loaded before
+        # reads that file's entry.
+        assert decoded == list(dict.fromkeys(path.read_bytes() for path in files))
+        decoded.clear()
+        for path in files:
+            _load_scene_file(path)
+        assert decoded == []
+        files[0].write_bytes(files[0].read_bytes() + b"\n")
+        for path in files:
+            _load_scene_file(path)
+        assert decoded == [files[0].read_bytes()]
 
 
 class TestConfigParsing:
@@ -1028,6 +1065,36 @@ class TestCliEval:
             assert err.startswith("data error:") and err.count("\n") == 1
 
 
+    @pytest.mark.parametrize("where", ["absolute", "parent", "through_a_subdirectory"])
+    def test_scene_path_leaving_the_dataset_exits_3(self, where, dataset_dir, tmp_path,
+                                                    capsys):
+        data = _fresh_copy(dataset_dir, tmp_path)
+        manifest = json.loads((data / "manifest.json").read_text())
+        scene = manifest["scenes"][1]
+        outside = tmp_path / "outside" / "gt.json"
+        outside.parent.mkdir()
+        shutil.copy(data / scene["gt_map"], outside)
+        scene["gt_map"] = {"absolute": str(outside), "parent": "../outside/gt.json",
+                           "through_a_subdirectory": "maps/../../outside/gt.json"}[where]
+        uio.write_json(data / "manifest.json", manifest)
+        for command in ("eval-map", "eval-pred"):
+            assert main([command, "--manifest", str(data / "manifest.json"),
+                         "--out", str(tmp_path / "r")]) == 3
+            assert capsys.readouterr().err == (
+                f"data error: scene {scene['id']} gt_map: path {scene['gt_map']!r} "
+                "leaves the manifest's directory\n")
+        assert sorted(p.name for p in outside.parent.iterdir()) == ["gt.json"]
+
+    def test_scene_path_through_a_subdirectory_inside_the_dataset(self, dataset_dir,
+                                                                   tmp_path):
+        data = _fresh_copy(dataset_dir, tmp_path)
+        manifest = json.loads((data / "manifest.json").read_text())
+        for scene in manifest["scenes"]:
+            scene["gt_map"] = f"traj/../{scene['gt_map']}"
+        uio.write_json(data / "manifest.json", manifest)
+        assert main(["eval-map", "--manifest", str(data / "manifest.json"),
+                     "--out", str(tmp_path / "r")]) == 0
+
     def test_scene_without_id_or_condition_exits_3(self, dataset_dir, tmp_path, capsys):
         manifest = json.loads((dataset_dir / "manifest.json").read_text())
         for scene in manifest["scenes"]:
@@ -1213,6 +1280,135 @@ class TestSceneFileReads:
         assert err.count("\n") == 1
 
 
+def _record_bits(record):
+    """All a loaded map or trajectory list holds, each array and float as its
+    dtype, shape and bytes."""
+    def bits(value):
+        a = np.asarray(value)
+        return a.dtype.str, a.shape, a.tobytes()
+    if isinstance(record, VectorMap):
+        pose = record.ego_pose
+        return (bits(record.mu), bits(record.offsets),
+                record.b is None or (bits(record.b), bits(record.class_logits)),
+                [(el.element_class, bits(el.confidence), el.closed) for el in record.elements],
+                bits([pose.x, pose.y, pose.heading]), bits(record.perception_range),
+                record.out_of_range)
+    return [(bits(a.history), bits(a.future), bits(a.modes)) for a in record]
+
+
+def _from_json(path: Path):
+    """The scene file at ``path`` read from its JSON alone, as before the cache."""
+    from_dict = (uio.trajectories_from_dict if path.parent.name == "traj"
+                 else uio.map_from_dict)
+    return from_dict(uio._read_json(path, uio._scene_loads))
+
+
+class TestSceneCache:
+    """A scene file's bytes decode once: later loads of the same bytes build
+    the record from its entry in the ``.uncmap-cache`` beside the file."""
+
+    def test_warm_load_bit_identical(self, dataset_dir, tmp_path, decoded):
+        data = _fresh_copy(dataset_dir, tmp_path)
+        manifest = uio.load_manifest(data / "manifest.json")
+        files = [data / scene[key] for scene in manifest["scenes"] for key in uio.SCENE_FILES]
+        reference = [_record_bits(_from_json(path)) for path in files]
+        decoded.clear()
+        assert [_record_bits(_load_scene_file(path)) for path in files] == reference
+        n_cold = len(decoded)
+        assert [_record_bits(_load_scene_file(path)) for path in files] == reference
+        assert len(decoded) == n_cold > 0
+        assert any(_from_json(path).out_of_range for path in files if path.parent.name == "maps")
+        for path in files:
+            names = [p.name for p in (path.parent / uio.CACHE_DIR).iterdir()]
+            assert _entry(path).name in names
+            assert all(len(name) == 64 for name in names)  # no temporary file is left
+
+    def test_file_rewritten_at_same_length_decodes_again(self, dataset_dir, tmp_path,
+                                                         decoded):
+        data = _fresh_copy(dataset_dir, tmp_path)
+        manifest = uio.load_manifest(data / "manifest.json")
+        target = data / manifest["scenes"][0]["gt_map"]
+        assert uio.load_map(target).elements[0].confidence == 1.0
+        raw, stat = target.read_bytes(), target.stat()
+        edited = raw.replace(b'"confidence": 1.0', b'"confidence": 0.5', 1)
+        assert edited != raw and len(edited) == len(raw)
+        target.write_bytes(edited)
+        os.utime(target, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+        decoded.clear()
+        assert uio.load_map(target).elements[0].confidence == 0.5
+        assert decoded == [edited]
+
+    @pytest.mark.parametrize("key", ["observed_map", "trajectories"])
+    @pytest.mark.parametrize("damage", ["truncated", "one_float_short", "garbage",
+                                        "other_kind"])
+    def test_bad_entry_is_decoded_again_and_rewritten(self, key, damage, dataset_dir,
+                                                      tmp_path, decoded):
+        data = _fresh_copy(dataset_dir, tmp_path)
+        scene = uio.load_manifest(data / "manifest.json")["scenes"][0]
+        target, other = (data / scene[k] for k in (key, {"observed_map": "trajectories",
+                                                         "trajectories": "observed_map"}[key]))
+        reference = _record_bits(_load_scene_file(target))
+        _load_scene_file(other)
+        entry = _entry(target)
+        good = entry.read_bytes()
+        entry.write_bytes({"truncated": good[:len(good) // 2 + 3],
+                           "one_float_short": good[:-8],
+                           "garbage": b"\xff" * len(good),
+                           "other_kind": _entry(other).read_bytes()}[damage])
+        decoded.clear()
+        assert _record_bits(_load_scene_file(target)) == reference
+        assert decoded == [target.read_bytes()]
+        assert entry.read_bytes() == good
+
+    @pytest.mark.parametrize("key, damage", [
+        ("observed_map", "truncated"), ("gt_map", "coincident_vertices"),
+        ("trajectories", "rate_hz"), ("trajectories", "short_modes")])
+    def test_malformed_file_writes_no_entry(self, key, damage, dataset_dir, tmp_path,
+                                            capsys):
+        data = _fresh_copy(dataset_dir, tmp_path)
+        scene = uio.load_manifest(data / "manifest.json")["scenes"][1]
+        target = data / scene[key]
+        if damage == "truncated":
+            target.write_bytes(target.read_bytes()[:-40])
+        else:
+            tree = json.loads(target.read_text())
+            if damage == "coincident_vertices":
+                vertices = tree["elements"][0]["vertices"]
+                vertices[:] = [vertices[0]] * len(vertices)
+            elif damage == "rate_hz":
+                tree["rate_hz"] = 20
+            else:
+                tree["agents"][0]["modes"][0].pop()
+            target.write_text(json.dumps(tree))
+        with pytest.raises(uio.DataError) as expected:
+            _from_json(target)
+        command = "eval-pred" if key == "trajectories" else "eval-map"
+        assert main([command, "--manifest", str(data / "manifest.json"),
+                     "--out", str(tmp_path / "r")]) == 3
+        assert capsys.readouterr().err == (
+            f"data error: scene {scene['id']} {key}: {expected.value}\n")
+        assert not _entry(target).exists()
+
+    def test_cache_path_taken_by_a_regular_file(self, dataset_dir, tmp_path, capsys):
+        reports = []
+        for blocked in (False, True):
+            data = _fresh_copy(dataset_dir, tmp_path / str(blocked))
+            if blocked:
+                for sub in ("maps", "traj"):
+                    (data / sub / uio.CACHE_DIR).write_bytes(b"")
+            for command in STAGE_READS:
+                assert main([command, "--manifest", str(data / "manifest.json"),
+                             "--out", str(tmp_path / str(blocked) / "r")]) == 0
+            assert capsys.readouterr().err == ""
+            reports.append(_tree_digest(tmp_path / str(blocked) / "r"))
+            caches = [data / sub / uio.CACHE_DIR for sub in ("maps", "traj")]
+            if blocked:
+                assert all(c.is_file() and c.read_bytes() == b"" for c in caches)
+            else:
+                assert all(any(c.iterdir()) for c in caches)
+        assert len(reports[0]) == 11 and reports[1] == reports[0]
+
+
 def _strip_scales(dataset_dir, tmp_path) -> Path:
     """A copy of the dataset whose scene 0 observed map is a mean map."""
     data = tmp_path / "data"
@@ -1380,7 +1576,13 @@ class TestBlockSeams:
 
     @pytest.mark.parametrize("block", [1, 7, 1000])
     def test_outputs_byte_identical(self, block, seam_outputs, tmp_path, monkeypatch):
-        assert len(seam_outputs) == 1 + 3 * 40 + 1 + 11 + 2
+        # Beside the dataset, reports and Hungarian report: one cache entry per
+        # distinct scene file content, byte-identical across block sizes too.
+        entries = [name for name in seam_outputs if f"/{uio.CACHE_DIR}/" in name]
+        contents = {digest for name, digest in seam_outputs.items()
+                    if name.startswith(("d/maps/", "d/traj/")) and name.endswith(".json")}
+        assert len(entries) == len(contents)
+        assert len(seam_outputs) - len(entries) == 1 + 3 * 40 + 1 + 11 + 2
         monkeypatch.setattr(synth, "SCENE_BLOCK", block)
         assert _all_outputs(tmp_path) == seam_outputs
 
