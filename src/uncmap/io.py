@@ -36,16 +36,21 @@ a float, which would change the ``master_seed`` a report records.
 
 The report stages load the same scene files again and again, so each file's
 bytes are decoded once. :func:`load_map` and :func:`load_trajectories` key a
-file by the sha256 of ``__version__`` and its bytes, and look for the key
-in the ``.uncmap-cache`` directory beside the file. An entry holds the
-record's columns as one little-endian float64 buffer, and the record is
-built from it by the constructor the JSON path uses, so every check runs
-and the values are the same bit for bit. A missing entry, or one that does
-not parse, means the JSON is decoded; only a record that loads is stored,
-through a temporary file and a rename, and a cache that cannot be read or
-written (a read-only dataset) is skipped. Edited bytes have another key, so
-a stale entry is never read. A manifest's scene paths must stay inside its
-directory, which is where stages read and write.
+file by the sha256 of its bytes and of what decodes them (the tool version,
+this module's code and the class order), and look for the key in the packs
+of the ``.uncmap-cache`` directory beside the file. An entry holds the
+record's columns as one little-endian float64 buffer ending in a CRC-32, and
+the record is built from it by the constructor the JSON path uses, so every
+check runs and the values are the same bit for bit. A missing entry, or one
+that does not parse or fails its checksum, means the JSON is decoded; only a
+record that loads gets an entry. A process writes the entries it made in a
+directory as one pack (:func:`iter_scene_files` does so once its scenes are
+read), so a stage creates a file or two, not one per scene file. Edited
+bytes, or edited decoders, have another key, so a stale entry is never read.
+A cache directory that cannot be made is not used, one a pack cannot be
+written to is sent no more, and a scene file a manifest names outside its
+own directory is read without the cache, so stages write only inside the
+dataset.
 
 Reports are written from a stage's raw values by :func:`write_report`
 (JSON, ending in a ``reproducibility`` block of config hash, tool version
@@ -57,13 +62,16 @@ a bool is 1 or 0.
 
 from __future__ import annotations
 
+import atexit
 import contextlib
 import csv
+import functools
 import hashlib
 import json
 import math
 import os
 import re
+import zlib
 from dataclasses import fields, is_dataclass
 from pathlib import Path
 
@@ -148,8 +156,10 @@ def save_map(m: VectorMap, path) -> None:
                                       m.perception_range, [el.confidence for el in m.elements]])
 
 
-def load_map(path) -> VectorMap:
-    return _load_scene(path, map_from_dict, _map_columns, _map_from_columns)
+def load_map(path, cache: bool = True) -> VectorMap:
+    """The map in the file at ``path``; ``cache=False`` neither reads nor
+    writes a cache entry."""
+    return _load_scene(path, cache, map_from_dict, _map_columns, _map_from_columns)
 
 
 # ---------------------------------------------------------------------------
@@ -192,8 +202,11 @@ def save_trajectories(agents, path) -> None:
                [a for agent in agents for a in (agent.history, agent.future, agent.modes)])
 
 
-def load_trajectories(path) -> list[AgentTrack]:
-    return _load_scene(path, trajectories_from_dict, _track_columns, _tracks_from_columns)
+def load_trajectories(path, cache: bool = True) -> list[AgentTrack]:
+    """The agents in the trajectory file at ``path``; ``cache=False`` neither
+    reads nor writes a cache entry."""
+    return _load_scene(path, cache, trajectories_from_dict, _track_columns,
+                       _tracks_from_columns)
 
 
 # ---------------------------------------------------------------------------
@@ -206,40 +219,157 @@ _MAP_ENTRY, _TRACK_ENTRY = 1.0, 2.0
 # A map entry's header: kind, element count, vertex count, whether the map
 # has scales, ego pose (x, y, heading) and perception range (lon, lat).
 _MAP_HEAD = 9
+# A cache directory holds packs, each named by the sha256 of its bytes. A
+# pack is a run of records: an entry's key (32 bytes), the entry's size (a
+# little-endian uint64) and the entry, a float64 buffer of the record's
+# columns and then the CRC-32 of the key and the columns.
+_PACK_NAME = re.compile(r"[0-9a-f]{64}")
+# A process writes the entries it made in a directory as one pack once a
+# stage has read its scenes, or sooner, when they reach this many bytes.
+_PACK_BYTES = 1 << 20
 
 
-def _load_scene(path, from_dict, columns, from_columns):
-    """The record in the scene file at ``path``. Where the cache entry of the
-    file's bytes parses, ``from_columns`` builds the record from it; otherwise
-    ``from_dict`` builds it from the file's JSON, and its ``columns`` become the
-    entry. Either way the record's constructor runs every check."""
+@functools.cache
+def _key_salt() -> bytes:
+    """What a key covers besides a file's bytes: the tool version, this
+    module's code (the decoders and the entry layout) and the class order an
+    entry's class indices refer to. A change to any of them gives every file
+    a new key, so an entry is only read by the code that wrote it."""
+    classes = ",".join(c.value for c in ALL_CLASSES).encode()
+    return hashlib.sha256(b"\0".join([__version__.encode(), Path(__file__).read_bytes(),
+                                      classes])).digest()
+
+
+def _cache_key(raw: bytes) -> bytes:
+    """The key of the entry of a scene file holding ``raw``."""
+    return hashlib.sha256(_key_salt() + raw).digest()
+
+
+class _Cache:
+    """One cache directory as this process knows it: where the entries of its
+    packs are, read once, and the entries made since, which :meth:`flush`
+    writes as one more pack. A directory that cannot be made is not used, and
+    one a pack cannot be written to is sent no more."""
+
+    def __init__(self, path: Path):
+        self.path, self.found, self.new, self.new_bytes = path, {}, {}, 0
+        self.usable = self.writable = True
+        try:
+            names = sorted(os.listdir(path))
+        except FileNotFoundError:
+            names = []
+            try:
+                path.mkdir(exist_ok=True)
+            except OSError:  # a read-only dataset
+                self.usable = False
+        except OSError:  # e.g. a regular file has the directory's name
+            names, self.usable = [], False
+        for name in names:
+            if _PACK_NAME.fullmatch(name):
+                self._scan(path / name)
+
+    def _scan(self, pack: Path) -> None:
+        """Note where each entry of ``pack`` is, up to a record the file cuts."""
+        with contextlib.suppress(OSError), open(pack, "rb") as f:
+            end = os.fstat(f.fileno()).st_size
+            while len(head := f.read(40)) == 40:
+                at, size = f.tell(), int.from_bytes(head[32:], "little")
+                if at + size > end:
+                    break
+                self.found.setdefault(head[:32], []).append((pack, at, size))
+                f.seek(size, os.SEEK_CUR)
+
+    def get(self, key: bytes):
+        """Yield the floats of each entry of ``key`` whose checksum matches."""
+        if key in self.new:
+            yield _entry_floats(key, self.new[key])
+        for pack, at, size in self.found.get(key, ()):
+            try:
+                with open(pack, "rb") as f:
+                    f.seek(at)
+                    floats = _entry_floats(key, f.read(size))
+            except (OSError, ValueError):  # a pack that is gone or damaged
+                continue
+            yield floats
+
+    def put(self, key: bytes, floats) -> None:
+        if self.writable:
+            body = np.asarray(floats, dtype="<f8").tobytes()
+            crc = zlib.crc32(body, zlib.crc32(key))
+            self.new[key] = body + np.array([crc], dtype="<f8").tobytes()
+            self.new_bytes += len(self.new[key])
+            if self.new_bytes >= _PACK_BYTES:
+                self.flush()
+
+    def flush(self) -> None:
+        """Write the new entries as a pack: a temporary file renamed, so a
+        reader finds the whole pack or none."""
+        new, self.new, self.new_bytes = self.new, {}, 0
+        if not new or not self.writable:
+            return
+        data = b"".join(key + len(entry).to_bytes(8, "little") + entry
+                        for key, entry in new.items())
+        pack = self.path / hashlib.sha256(data).hexdigest()
+        tmp = pack.with_name(f"{pack.name}.{os.getpid()}.tmp")
+        try:
+            try:
+                tmp.write_bytes(data)
+            except FileNotFoundError:  # the directory was removed since
+                self.path.mkdir(exist_ok=True)
+                tmp.write_bytes(data)
+            os.replace(tmp, pack)
+        except OSError:
+            self.writable = False
+            with contextlib.suppress(OSError):
+                tmp.unlink(missing_ok=True)
+        else:
+            self._scan(pack)
+
+
+# The cache of each scene directory this process has read from.
+_caches: dict[Path, _Cache] = {}
+
+
+def _cache_beside(path: Path) -> _Cache:
+    folder = path.parent
+    if folder not in _caches:
+        _caches[folder] = _Cache(folder / CACHE_DIR)
+    return _caches[folder]
+
+
+@atexit.register
+def _flush_caches() -> None:
+    """Write the entries this process made that are not yet in a pack."""
+    for cache in _caches.values():
+        cache.flush()
+
+
+def _load_scene(path, cache, from_dict, columns, from_columns):
+    """The record in the scene file at ``path``. With ``cache``, where an
+    entry of the file's bytes parses, ``from_columns`` builds the record from
+    it; otherwise ``from_dict`` builds it from the file's JSON, and its
+    ``columns`` become the entry. Either way the record's constructor runs
+    every check."""
     path = Path(path)
     raw = _read_bytes(path)
-    entry = path.parent / CACHE_DIR / hashlib.sha256(__version__.encode() + raw).hexdigest()
-    try:
-        return from_columns(np.frombuffer(bytearray(entry.read_bytes()), dtype="<f8"))
-    except (OSError, ValueError, TypeError, IndexError):  # no entry, or one that does not parse
-        pass
+    store = _cache_beside(path) if cache else None
+    if store is None or not store.usable:
+        return from_dict(_read_json(path, _scene_loads, raw))
+    key = _cache_key(raw)
+    for floats in store.get(key):
+        with contextlib.suppress(ValueError, TypeError, IndexError):  # an entry that does not parse
+            return from_columns(floats)
     record = from_dict(_read_json(path, _scene_loads, raw))
-    _write_entry(entry, np.asarray(columns(record), dtype="<f8").tobytes())
+    store.put(key, columns(record))
     return record
 
 
-def _write_entry(entry: Path, data: bytes) -> None:
-    """Store ``data`` as the cache entry ``entry``: written to a temporary file
-    and renamed, so a reader finds the whole entry or none. The cache only
-    saves time, so a dataset it cannot be written beside runs without it."""
-    tmp = entry.with_name(f"{entry.name}.{os.getpid()}.tmp")
-    try:
-        try:
-            tmp.write_bytes(data)
-        except FileNotFoundError:
-            entry.parent.mkdir(exist_ok=True)
-            tmp.write_bytes(data)
-        os.replace(tmp, entry)
-    except OSError:
-        with contextlib.suppress(OSError):
-            tmp.unlink(missing_ok=True)
+def _entry_floats(key: bytes, entry: bytes) -> np.ndarray:
+    """The columns an entry of ``key`` holds, once its checksum matches."""
+    floats = np.frombuffer(bytearray(entry), dtype="<f8")
+    if not len(floats) or floats[-1] != zlib.crc32(memoryview(entry)[:-8], zlib.crc32(key)):
+        raise ValueError("cache entry fails its checksum")
+    return floats[:-1]
 
 
 def _counts(values: np.ndarray) -> list[int]:
@@ -408,18 +538,17 @@ def load_manifest(path) -> dict:
         for key in ("id", "condition") + SCENE_FILES:
             if not isinstance(scene, dict) or not isinstance(scene.get(key), str):
                 raise DataError(f"manifest scene {i} has no {key!r} string")
-    for scene in data["scenes"]:
         for key in SCENE_FILES:
-            # Stages read scene files, and write their cache entries, only
-            # inside the manifest's directory.
-            rel = os.path.normpath(scene[key])
-            if os.path.isabs(rel) or rel.split(os.sep)[0] == os.pardir:
-                raise DataError(f"scene {scene['id']} {key}: path {scene[key]!r} "
-                                "leaves the manifest's directory")
             if not (root / scene[key]).exists():
                 raise DataError(f"manifest references missing file {scene[key]!r}")
     data["_root"] = root
     return data
+
+
+def _inside(rel: str) -> bool:
+    """Whether the manifest path ``rel`` stays in the manifest's directory."""
+    rel = os.path.normpath(rel)
+    return not os.path.isabs(rel) and rel.split(os.sep)[0] != os.pardir
 
 
 def iter_scene_files(manifest: dict, *parts: str):
@@ -439,15 +568,19 @@ def iter_scene_files(manifest: dict, *parts: str):
     for scene in manifest["scenes"]:
         row = [scene]
         for part in parts:
+            # Cache entries are kept only inside the manifest's directory: a
+            # scene file named from elsewhere is read from its JSON alone.
+            kw = {} if _inside(scene[part]) else {"cache": False}
             try:
                 if part == "trajectories":
-                    agents = load_trajectories(root / scene[part])
+                    agents = load_trajectories(root / scene[part], **kw)
                     row += [agents, [agent.modes for agent in agents]]
                 else:
-                    row.append(load_map(root / scene[part]))
+                    row.append(load_map(root / scene[part], **kw))
             except DataError as exc:
                 raise DataError(f"scene {scene['id']} {part}: {exc}") from exc
         yield tuple(row)
+    _flush_caches()
 
 
 # ---------------------------------------------------------------------------

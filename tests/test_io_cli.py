@@ -230,7 +230,7 @@ class TestBitExactRoundTrip:
                     assert a.b is None and a.class_logits is None
                 else:
                     assert _bits_equal(a.b, b.b) and _bits_equal(a.class_logits, b.class_logits)
-        assert _entry(path).is_file()
+        assert _stored(path)
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
@@ -251,7 +251,7 @@ class TestBitExactRoundTrip:
             for a, b in zip(back, agents, strict=True):
                 assert _bits_equal(a.history, b.history) and _bits_equal(a.future, b.future)
                 assert _bits_equal(a.modes, b.modes)
-        assert _entry(path).is_file()
+        assert _stored(path)
 
 
 class TestTrajectoryRoundTrip:
@@ -602,10 +602,29 @@ def _load_scene_file(path: Path):
     return (uio.load_trajectories if path.parent.name == "traj" else uio.load_map)(path)
 
 
-def _entry(path: Path) -> Path:
-    """Where the cache entry of the scene file at ``path``'s current bytes lives."""
-    key = hashlib.sha256(__version__.encode() + path.read_bytes()).hexdigest()
-    return path.parent / uio.CACHE_DIR / key
+def _pack_keys(cache_dir: Path) -> list[bytes]:
+    """The key of every entry in the packs of ``cache_dir``, repeats kept."""
+    keys = []
+    for pack in sorted(cache_dir.iterdir()) if cache_dir.is_dir() else []:
+        data, at = pack.read_bytes(), 0
+        while at < len(data):
+            keys.append(data[at:at + 32])
+            at += 40 + int.from_bytes(data[at + 32:at + 40], "little")
+    return keys
+
+
+def _stored(path: Path) -> bool:
+    """Whether a pack beside the scene file at ``path`` holds an entry of its
+    current bytes, once this process has written the entries it made."""
+    uio._flush_caches()
+    return uio._cache_key(path.read_bytes()) in _pack_keys(path.parent / uio.CACHE_DIR)
+
+
+def _new_process(monkeypatch) -> None:
+    """Write the entries made so far and forget the packs read, as a new
+    process would start."""
+    uio._flush_caches()
+    monkeypatch.setattr(uio, "_caches", {})
 
 
 def _read_scene(path):
@@ -1066,24 +1085,24 @@ class TestCliEval:
 
 
     @pytest.mark.parametrize("where", ["absolute", "parent", "through_a_subdirectory"])
-    def test_scene_path_leaving_the_dataset_exits_3(self, where, dataset_dir, tmp_path,
-                                                    capsys):
+    def test_scene_path_outside_the_dataset_reads_without_cache(self, where, dataset_dir,
+                                                                tmp_path, capsys):
         data = _fresh_copy(dataset_dir, tmp_path)
         manifest = json.loads((data / "manifest.json").read_text())
         scene = manifest["scenes"][1]
-        outside = tmp_path / "outside" / "gt.json"
-        outside.parent.mkdir()
-        shutil.copy(data / scene["gt_map"], outside)
-        scene["gt_map"] = {"absolute": str(outside), "parent": "../outside/gt.json",
-                           "through_a_subdirectory": "maps/../../outside/gt.json"}[where]
+        outside = tmp_path / "outside"
+        outside.mkdir()
+        for key, name in (("gt_map", "gt.json"), ("trajectories", "traj.json")):
+            shutil.copy(data / scene[key], outside / name)
+            scene[key] = {"absolute": str(outside / name), "parent": f"../outside/{name}",
+                          "through_a_subdirectory": f"maps/../../outside/{name}"}[where]
         uio.write_json(data / "manifest.json", manifest)
-        for command in ("eval-map", "eval-pred"):
+        for command in ("eval-map", "eval-pred", "eval-map"):
             assert main([command, "--manifest", str(data / "manifest.json"),
-                         "--out", str(tmp_path / "r")]) == 3
-            assert capsys.readouterr().err == (
-                f"data error: scene {scene['id']} gt_map: path {scene['gt_map']!r} "
-                "leaves the manifest's directory\n")
-        assert sorted(p.name for p in outside.parent.iterdir()) == ["gt.json"]
+                         "--out", str(tmp_path / "r")]) == 0
+            assert capsys.readouterr().err == ""
+        assert sorted(p.name for p in outside.iterdir()) == ["gt.json", "traj.json"]
+        assert _stored(data / manifest["scenes"][0]["gt_map"])
 
     def test_scene_path_through_a_subdirectory_inside_the_dataset(self, dataset_dir,
                                                                    tmp_path):
@@ -1307,7 +1326,7 @@ class TestSceneCache:
     """A scene file's bytes decode once: later loads of the same bytes build
     the record from its entry in the ``.uncmap-cache`` beside the file."""
 
-    def test_warm_load_bit_identical(self, dataset_dir, tmp_path, decoded):
+    def test_warm_load_bit_identical(self, dataset_dir, tmp_path, decoded, monkeypatch):
         data = _fresh_copy(dataset_dir, tmp_path)
         manifest = uio.load_manifest(data / "manifest.json")
         files = [data / scene[key] for scene in manifest["scenes"] for key in uio.SCENE_FILES]
@@ -1315,13 +1334,20 @@ class TestSceneCache:
         decoded.clear()
         assert [_record_bits(_load_scene_file(path)) for path in files] == reference
         n_cold = len(decoded)
+        # Warm from the entries this process made, then from the packs alone.
+        assert [_record_bits(_load_scene_file(path)) for path in files] == reference
+        _new_process(monkeypatch)
         assert [_record_bits(_load_scene_file(path)) for path in files] == reference
         assert len(decoded) == n_cold > 0
         assert any(_from_json(path).out_of_range for path in files if path.parent.name == "maps")
-        for path in files:
-            names = [p.name for p in (path.parent / uio.CACHE_DIR).iterdir()]
-            assert _entry(path).name in names
-            assert all(len(name) == 64 for name in names)  # no temporary file is left
+        keys = []
+        for sub in ("maps", "traj"):
+            packs = list((data / sub / uio.CACHE_DIR).iterdir())
+            assert packs  # and no temporary file is left
+            assert all(p.name == hashlib.sha256(p.read_bytes()).hexdigest() for p in packs)
+            keys += _pack_keys(data / sub / uio.CACHE_DIR)
+        # One entry per distinct content.
+        assert sorted(keys) == sorted({uio._cache_key(path.read_bytes()) for path in files})
 
     def test_file_rewritten_at_same_length_decodes_again(self, dataset_dir, tmp_path,
                                                          decoded):
@@ -1340,25 +1366,35 @@ class TestSceneCache:
 
     @pytest.mark.parametrize("key", ["observed_map", "trajectories"])
     @pytest.mark.parametrize("damage", ["truncated", "one_float_short", "garbage",
-                                        "other_kind"])
+                                        "one_byte_flipped", "other_kind"])
     def test_bad_entry_is_decoded_again_and_rewritten(self, key, damage, dataset_dir,
-                                                      tmp_path, decoded):
+                                                      tmp_path, decoded, monkeypatch):
         data = _fresh_copy(dataset_dir, tmp_path)
         scene = uio.load_manifest(data / "manifest.json")["scenes"][0]
         target, other = (data / scene[k] for k in (key, {"observed_map": "trajectories",
                                                          "trajectories": "observed_map"}[key]))
         reference = _record_bits(_load_scene_file(target))
         _load_scene_file(other)
-        entry = _entry(target)
-        good = entry.read_bytes()
-        entry.write_bytes({"truncated": good[:len(good) // 2 + 3],
-                           "one_float_short": good[:-8],
-                           "garbage": b"\xff" * len(good),
-                           "other_kind": _entry(other).read_bytes()}[damage])
+        uio._flush_caches()
+        (pack,), (other_pack,) = ([*(path.parent / uio.CACHE_DIR).iterdir()]
+                                  for path in (target, other))
+        good = pack.read_bytes()
+        assert _pack_keys(pack.parent) == [uio._cache_key(target.read_bytes())]
+        entry = good[40:]
+        bad = {"one_float_short": entry[:-8], "garbage": b"\xff" * len(entry),
+               "one_byte_flipped": entry[:40] + bytes([entry[40] ^ 1]) + entry[41:],
+               "other_kind": other_pack.read_bytes()[40:]}.get(damage)
+        pack.write_bytes(good[:len(good) // 2 + 3] if damage == "truncated"
+                         else good[:32] + len(bad).to_bytes(8, "little") + bad)
+        _new_process(monkeypatch)
         decoded.clear()
         assert _record_bits(_load_scene_file(target)) == reference
         assert decoded == [target.read_bytes()]
-        assert entry.read_bytes() == good
+        # The entry is written again, in a pack of the same bytes and name.
+        _new_process(monkeypatch)
+        assert pack.read_bytes() == good
+        assert _record_bits(_load_scene_file(target)) == reference
+        assert len(decoded) == 1
 
     @pytest.mark.parametrize("key, damage", [
         ("observed_map", "truncated"), ("gt_map", "coincident_vertices"),
@@ -1387,7 +1423,62 @@ class TestSceneCache:
                      "--out", str(tmp_path / "r")]) == 3
         assert capsys.readouterr().err == (
             f"data error: scene {scene['id']} {key}: {expected.value}\n")
-        assert not _entry(target).exists()
+        assert not _stored(target)
+
+    @pytest.mark.parametrize("blocked_by", ["a_regular_file", "a_read_only_directory"])
+    def test_cache_that_cannot_be_made_is_not_used(self, blocked_by, dataset_dir, tmp_path,
+                                                   monkeypatch):
+        data = _fresh_copy(dataset_dir, tmp_path)
+        if blocked_by == "a_regular_file":
+            (data / "maps" / uio.CACHE_DIR).write_bytes(b"")
+        else:  # tests run as root, so chmod cannot refuse the mkdir
+            def mkdir(self, *args, _mkdir=Path.mkdir, **kwargs):
+                if self.parent.name == "maps":
+                    raise PermissionError(13, "Permission denied", str(self))
+                return _mkdir(self, *args, **kwargs)
+            monkeypatch.setattr(Path, "mkdir", mkdir)
+        hashed = []
+        monkeypatch.setattr(uio, "_cache_key", lambda raw, _key=uio._cache_key: (
+            hashed.append(raw), _key(raw))[1])
+        maps, traj = (sorted((data / sub).glob("*.json")) for sub in ("maps", "traj"))
+        for _ in range(2):
+            for path in maps + traj:
+                _load_scene_file(path)
+        assert hashed == [path.read_bytes() for path in traj] * 2
+        uio._flush_caches()
+        assert _pack_keys(data / "traj" / uio.CACHE_DIR)
+
+    def test_directory_a_pack_cannot_be_written_to_gets_no_more(self, dataset_dir, tmp_path,
+                                                                monkeypatch, decoded):
+        data = _fresh_copy(dataset_dir, tmp_path)
+        tried = []
+
+        def refuse(src, dst):
+            tried.append(Path(dst).parent)
+            raise PermissionError(13, "Permission denied")
+        monkeypatch.setattr(os, "replace", refuse)
+        maps = sorted((data / "maps").glob("*.json"))[:3]
+        for path in maps:
+            uio.load_map(path)
+            uio._flush_caches()
+        assert tried == [data / "maps" / uio.CACHE_DIR]
+        assert list((data / "maps" / uio.CACHE_DIR).iterdir()) == []
+        decoded.clear()
+        uio.load_map(maps[0])
+        assert len(decoded) == 1
+
+    def test_key_covers_the_decoding_code(self, tmp_path, monkeypatch):
+        edited = tmp_path / "io.py"
+        edited.write_bytes(Path(uio.__file__).read_bytes() + b"# edited\n")
+        keys = [uio._cache_key(b"{}")]
+        for name, value in (("__file__", str(edited)), ("ALL_CLASSES", uio.ALL_CLASSES[::-1])):
+            with monkeypatch.context() as patch:
+                patch.setattr(uio, name, value)
+                uio._key_salt.cache_clear()
+                keys.append(uio._cache_key(b"{}"))
+        uio._key_salt.cache_clear()
+        assert uio._cache_key(b"{}") == keys[0]
+        assert len(set(keys)) == 3
 
     def test_cache_path_taken_by_a_regular_file(self, dataset_dir, tmp_path, capsys):
         reports = []
@@ -1576,13 +1667,11 @@ class TestBlockSeams:
 
     @pytest.mark.parametrize("block", [1, 7, 1000])
     def test_outputs_byte_identical(self, block, seam_outputs, tmp_path, monkeypatch):
-        # Beside the dataset, reports and Hungarian report: one cache entry per
-        # distinct scene file content, byte-identical across block sizes too.
-        entries = [name for name in seam_outputs if f"/{uio.CACHE_DIR}/" in name]
-        contents = {digest for name, digest in seam_outputs.items()
-                    if name.startswith(("d/maps/", "d/traj/")) and name.endswith(".json")}
-        assert len(entries) == len(contents)
-        assert len(seam_outputs) - len(entries) == 1 + 3 * 40 + 1 + 11 + 2
+        # Beside the dataset, reports and Hungarian report: one cache pack in
+        # each scene directory, byte-identical across block sizes too.
+        packs = [name for name in seam_outputs if f"/{uio.CACHE_DIR}/" in name]
+        assert sorted(name.split("/")[1] for name in packs) == ["maps", "traj"]
+        assert len(seam_outputs) - len(packs) == 1 + 3 * 40 + 1 + 11 + 2
         monkeypatch.setattr(synth, "SCENE_BLOCK", block)
         assert _all_outputs(tmp_path) == seam_outputs
 
