@@ -35,22 +35,22 @@ carry user seeds, and orjson reads an integer outside the 64-bit range as
 a float, which would change the ``master_seed`` a report records.
 
 The report stages load the same scene files again and again, so each file's
-bytes are decoded once. :func:`load_map` and :func:`load_trajectories` key a
-file by the sha256 of its bytes and of what decodes them (the tool version,
-this module's code and the class order), and look for the key in the packs
-of the ``.uncmap-cache`` directory beside the file. An entry holds the
-record's columns as one little-endian float64 buffer ending in a CRC-32, and
-the record is built from it by the constructor the JSON path uses, so every
+bytes are decoded once. :func:`iter_scene_files` opens the
+``.uncmap-cache`` directory beside the manifest and passes it to
+:func:`load_map` and :func:`load_trajectories`; called without it, they
+decode the JSON and write nothing. A file is keyed by the sha256 of its
+bytes and of what decodes them (the tool version, this module's code and
+the class order), not by its path, so a scene file named outside the
+manifest's directory is cached there too. An entry holds the record's
+columns as one little-endian float64 buffer ending in a CRC-32, and the
+record is built from it by the constructor the JSON path uses, so every
 check runs and the values are the same bit for bit. A missing entry, or one
 that does not parse or fails its checksum, means the JSON is decoded; only a
-record that loads gets an entry. A process writes the entries it made in a
-directory as one pack (:func:`iter_scene_files` does so once its scenes are
-read), so a stage creates a file or two, not one per scene file. Edited
-bytes, or edited decoders, have another key, so a stale entry is never read.
-A cache directory that cannot be made is not used, one a pack cannot be
-written to is sent no more, and a scene file a manifest names outside its
-own directory is read without the cache, so stages write only inside the
-dataset.
+record that loads gets an entry. A stage writes the entries it made as one
+pack once its scenes are read or it stops, so it creates a file or two, not
+one per scene file. Edited bytes, or edited decoders, have another key, so a
+stale entry is never read. A cache directory that cannot be made is not
+used, and one a pack cannot be written to is sent no more.
 
 Reports are written from a stage's raw values by :func:`write_report`
 (JSON, ending in a ``reproducibility`` block of config hash, tool version
@@ -62,7 +62,6 @@ a bool is 1 or 0.
 
 from __future__ import annotations
 
-import atexit
 import contextlib
 import csv
 import functools
@@ -156,9 +155,9 @@ def save_map(m: VectorMap, path) -> None:
                                       m.perception_range, [el.confidence for el in m.elements]])
 
 
-def load_map(path, cache: bool = True) -> VectorMap:
-    """The map in the file at ``path``; ``cache=False`` neither reads nor
-    writes a cache entry."""
+def load_map(path, *, cache: _Cache | None = None) -> VectorMap:
+    """The map in the file at ``path``, built from its entry in ``cache``
+    where there is one."""
     return _load_scene(path, cache, map_from_dict, _map_columns, _map_from_columns)
 
 
@@ -202,9 +201,9 @@ def save_trajectories(agents, path) -> None:
                [a for agent in agents for a in (agent.history, agent.future, agent.modes)])
 
 
-def load_trajectories(path, cache: bool = True) -> list[AgentTrack]:
-    """The agents in the trajectory file at ``path``; ``cache=False`` neither
-    reads nor writes a cache entry."""
+def load_trajectories(path, *, cache: _Cache | None = None) -> list[AgentTrack]:
+    """The agents in the trajectory file at ``path``, built from their entry
+    in ``cache`` where there is one."""
     return _load_scene(path, cache, trajectories_from_dict, _track_columns,
                        _tracks_from_columns)
 
@@ -224,8 +223,8 @@ _MAP_HEAD = 9
 # little-endian uint64) and the entry, a float64 buffer of the record's
 # columns and then the CRC-32 of the key and the columns.
 _PACK_NAME = re.compile(r"[0-9a-f]{64}")
-# A process writes the entries it made in a directory as one pack once a
-# stage has read its scenes, or sooner, when they reach this many bytes.
+# A stage writes the entries it made as one pack once it has read its
+# scenes, or sooner, when they reach this many bytes.
 _PACK_BYTES = 1 << 20
 
 
@@ -326,24 +325,6 @@ class _Cache:
             self._scan(pack)
 
 
-# The cache of each scene directory this process has read from.
-_caches: dict[Path, _Cache] = {}
-
-
-def _cache_beside(path: Path) -> _Cache:
-    folder = path.parent
-    if folder not in _caches:
-        _caches[folder] = _Cache(folder / CACHE_DIR)
-    return _caches[folder]
-
-
-@atexit.register
-def _flush_caches() -> None:
-    """Write the entries this process made that are not yet in a pack."""
-    for cache in _caches.values():
-        cache.flush()
-
-
 def _load_scene(path, cache, from_dict, columns, from_columns):
     """The record in the scene file at ``path``. With ``cache``, where an
     entry of the file's bytes parses, ``from_columns`` builds the record from
@@ -352,15 +333,14 @@ def _load_scene(path, cache, from_dict, columns, from_columns):
     every check."""
     path = Path(path)
     raw = _read_bytes(path)
-    store = _cache_beside(path) if cache else None
-    if store is None or not store.usable:
+    if cache is None or not cache.usable:
         return from_dict(_read_json(path, _scene_loads, raw))
     key = _cache_key(raw)
-    for floats in store.get(key):
+    for floats in cache.get(key):
         with contextlib.suppress(ValueError, TypeError, IndexError):  # an entry that does not parse
             return from_columns(floats)
     record = from_dict(_read_json(path, _scene_loads, raw))
-    store.put(key, columns(record))
+    cache.put(key, columns(record))
     return record
 
 
@@ -545,12 +525,6 @@ def load_manifest(path) -> dict:
     return data
 
 
-def _inside(rel: str) -> bool:
-    """Whether the manifest path ``rel`` stays in the manifest's directory."""
-    rel = os.path.normpath(rel)
-    return not os.path.isabs(rel) and rel.split(os.sep)[0] != os.pardir
-
-
 def iter_scene_files(manifest: dict, *parts: str):
     """Yield ``(scene entry, *loaded parts)`` per scene, reading only ``parts``.
 
@@ -558,29 +532,30 @@ def iter_scene_files(manifest: dict, *parts: str):
     (default: all three). A map loads as one value and the trajectory file
     as two, the agents and each agent's modes, so the default yields
     ``(scene, gt map, observed map, agents, modes)``. A load error names the
-    scene and the file part.
+    scene and the file part. The loads share the ``.uncmap-cache`` beside the
+    manifest, whose new entries are written when the iteration stops.
     """
     parts = parts or SCENE_FILES
     unknown = set(parts) - set(SCENE_FILES)
     if unknown:
         raise ValueError(f"unknown scene files {sorted(unknown)}")
     root = manifest["_root"]
-    for scene in manifest["scenes"]:
-        row = [scene]
-        for part in parts:
-            # Cache entries are kept only inside the manifest's directory: a
-            # scene file named from elsewhere is read from its JSON alone.
-            kw = {} if _inside(scene[part]) else {"cache": False}
-            try:
-                if part == "trajectories":
-                    agents = load_trajectories(root / scene[part], **kw)
-                    row += [agents, [agent.modes for agent in agents]]
-                else:
-                    row.append(load_map(root / scene[part], **kw))
-            except DataError as exc:
-                raise DataError(f"scene {scene['id']} {part}: {exc}") from exc
-        yield tuple(row)
-    _flush_caches()
+    cache = _Cache(root / CACHE_DIR)
+    try:
+        for scene in manifest["scenes"]:
+            row = [scene]
+            for part in parts:
+                try:
+                    if part == "trajectories":
+                        agents = load_trajectories(root / scene[part], cache=cache)
+                        row += [agents, [agent.modes for agent in agents]]
+                    else:
+                        row.append(load_map(root / scene[part], cache=cache))
+                except DataError as exc:
+                    raise DataError(f"scene {scene['id']} {part}: {exc}") from exc
+            yield tuple(row)
+    finally:
+        cache.flush()
 
 
 # ---------------------------------------------------------------------------

@@ -212,11 +212,13 @@ class TestBitExactRoundTrip:
     @settings(max_examples=80, deadline=None)
     @given(m=_maps())
     def test_maps(self, m, tmp_path_factory):
-        path = tmp_path_factory.mktemp("map") / "m.json"
+        folder = tmp_path_factory.mktemp("map")
+        path = folder / "m.json"
         uio.save_map(m, path)
         assert path.read_text() == json.dumps(uio.map_to_dict(m), indent=2) + "\n"
         # The second load builds the map from the cache entry the first wrote.
-        for back in [uio.load_map(path) for _ in range(2)]:
+        cache = uio._Cache(folder / uio.CACHE_DIR)
+        for back in [uio.load_map(path, cache=cache) for _ in range(2)]:
             assert type(back) is type(m)
             assert _bits_equal([back.ego_pose.x, back.ego_pose.y, back.ego_pose.heading],
                                [m.ego_pose.x, m.ego_pose.y, m.ego_pose.heading])
@@ -230,7 +232,8 @@ class TestBitExactRoundTrip:
                     assert a.b is None and a.class_logits is None
                 else:
                     assert _bits_equal(a.b, b.b) and _bits_equal(a.class_logits, b.class_logits)
-        assert _stored(path)
+        cache.flush()
+        assert _stored(path, folder)
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
@@ -244,14 +247,17 @@ class TestBitExactRoundTrip:
         agents = [AgentTrack(points(data.draw(st.integers(1, 4)), 2), points(horizon, 2),
                              points(data.draw(st.integers(0, 3)), horizon, 2))
                   for _ in range(n_agents)]
-        path = tmp_path_factory.mktemp("traj") / "t.json"
+        folder = tmp_path_factory.mktemp("traj")
+        path = folder / "t.json"
         uio.save_trajectories(agents, path)
         assert path.read_text() == json.dumps(uio.trajectories_to_dict(agents), indent=2) + "\n"
-        for back in [uio.load_trajectories(path) for _ in range(2)]:
+        cache = uio._Cache(folder / uio.CACHE_DIR)
+        for back in [uio.load_trajectories(path, cache=cache) for _ in range(2)]:
             for a, b in zip(back, agents, strict=True):
                 assert _bits_equal(a.history, b.history) and _bits_equal(a.future, b.future)
                 assert _bits_equal(a.modes, b.modes)
-        assert _stored(path)
+        cache.flush()
+        assert _stored(path, folder)
 
 
 class TestTrajectoryRoundTrip:
@@ -598,14 +604,17 @@ def _fresh_copy(dataset_dir: Path, tmp_path: Path) -> Path:
     return data
 
 
-def _load_scene_file(path: Path):
-    return (uio.load_trajectories if path.parent.name == "traj" else uio.load_map)(path)
+def _load_scene_file(path: Path, cache=None):
+    load = uio.load_trajectories if path.parent.name == "traj" else uio.load_map
+    return load(path, cache=cache)
 
 
-def _pack_keys(cache_dir: Path) -> list[bytes]:
-    """The key of every entry in the packs of ``cache_dir``, repeats kept."""
+def _pack_keys(where: Path) -> list[bytes]:
+    """The key of every entry in the pack ``where``, or in the packs of the
+    cache directory ``where``, repeats kept."""
     keys = []
-    for pack in sorted(cache_dir.iterdir()) if cache_dir.is_dir() else []:
+    packs = sorted(where.iterdir()) if where.is_dir() else [where] if where.is_file() else []
+    for pack in packs:
         data, at = pack.read_bytes(), 0
         while at < len(data):
             keys.append(data[at:at + 32])
@@ -613,18 +622,17 @@ def _pack_keys(cache_dir: Path) -> list[bytes]:
     return keys
 
 
-def _stored(path: Path) -> bool:
-    """Whether a pack beside the scene file at ``path`` holds an entry of its
-    current bytes, once this process has written the entries it made."""
-    uio._flush_caches()
-    return uio._cache_key(path.read_bytes()) in _pack_keys(path.parent / uio.CACHE_DIR)
+def _stored(path: Path, dataset: Path) -> bool:
+    """Whether a pack in the cache directory of ``dataset`` holds an entry of
+    the current bytes of the scene file at ``path``."""
+    return uio._cache_key(path.read_bytes()) in _pack_keys(dataset / uio.CACHE_DIR)
 
 
-def _new_process(monkeypatch) -> None:
-    """Write the entries made so far and forget the packs read, as a new
-    process would start."""
-    uio._flush_caches()
-    monkeypatch.setattr(uio, "_caches", {})
+def _new_process(cache):
+    """Write the entries ``cache`` made and open its directory again, as a new
+    process would."""
+    cache.flush()
+    return uio._Cache(cache.path)
 
 
 def _read_scene(path):
@@ -672,18 +680,19 @@ class TestReadSceneJson:
         manifest = uio.load_manifest(data / "manifest.json")
         assert decoded == []
         files = [data / scene[key] for scene in manifest["scenes"] for key in uio.SCENE_FILES]
+        cache = uio._Cache(data / uio.CACHE_DIR)
         for path in files:
-            _load_scene_file(path)
+            _load_scene_file(path, cache)
         # Once per distinct content: a file with the bytes of one loaded before
         # reads that file's entry.
         assert decoded == list(dict.fromkeys(path.read_bytes() for path in files))
         decoded.clear()
         for path in files:
-            _load_scene_file(path)
+            _load_scene_file(path, cache)
         assert decoded == []
         files[0].write_bytes(files[0].read_bytes() + b"\n")
         for path in files:
-            _load_scene_file(path)
+            _load_scene_file(path, cache)
         assert decoded == [files[0].read_bytes()]
 
 
@@ -1085,24 +1094,34 @@ class TestCliEval:
 
 
     @pytest.mark.parametrize("where", ["absolute", "parent", "through_a_subdirectory"])
-    def test_scene_path_outside_the_dataset_reads_without_cache(self, where, dataset_dir,
-                                                                tmp_path, capsys):
-        data = _fresh_copy(dataset_dir, tmp_path)
-        manifest = json.loads((data / "manifest.json").read_text())
-        scene = manifest["scenes"][1]
-        outside = tmp_path / "outside"
-        outside.mkdir()
-        for key, name in (("gt_map", "gt.json"), ("trajectories", "traj.json")):
-            shutil.copy(data / scene[key], outside / name)
-            scene[key] = {"absolute": str(outside / name), "parent": f"../outside/{name}",
-                          "through_a_subdirectory": f"maps/../../outside/{name}"}[where]
-        uio.write_json(data / "manifest.json", manifest)
-        for command in ("eval-map", "eval-pred", "eval-map"):
-            assert main([command, "--manifest", str(data / "manifest.json"),
-                         "--out", str(tmp_path / "r")]) == 0
-            assert capsys.readouterr().err == ""
+    def test_scene_path_outside_the_dataset_is_cached_in_the_dataset(self, where, dataset_dir,
+                                                                     tmp_path, capsys):
+        data, outside = _outside_scene_files(dataset_dir, tmp_path, where)
+        plain = _fresh_copy(dataset_dir, tmp_path / "plain")
+        reports = {}
+        for i, command in enumerate(("eval-map", "eval-pred", "eval-map")):
+            for name, root in (("outside", data), ("plain", plain)):
+                out = tmp_path / "r" / name / str(i)
+                assert main([command, "--manifest", str(root / "manifest.json"),
+                             "--out", str(out)]) == 0
+                assert capsys.readouterr().err == ""
+                reports.setdefault(name, []).append(_tree_digest(out))
+        assert reports["outside"] == reports["plain"]
+        assert reports["outside"][0] == reports["outside"][2]
         assert sorted(p.name for p in outside.iterdir()) == ["gt.json", "traj.json"]
-        assert _stored(data / manifest["scenes"][0]["gt_map"])
+        assert _stored(outside / "gt.json", data) and _stored(outside / "traj.json", data)
+        assert _stored(data / "maps" / "scene_0000_gt.json", data)
+
+    def test_scene_path_outside_the_dataset_decodes_once(self, dataset_dir, tmp_path,
+                                                         decoded):
+        data, outside = _outside_scene_files(dataset_dir, tmp_path, "parent")
+        assert main(["eval-map", "--manifest", str(data / "manifest.json"),
+                     "--out", str(tmp_path / "r")]) == 0
+        assert (outside / "gt.json").read_bytes() in decoded
+        decoded.clear()
+        assert main(["calibrate", "--manifest", str(data / "manifest.json"),
+                     "--out", str(tmp_path / "r")]) == 0
+        assert decoded == []
 
     def test_scene_path_through_a_subdirectory_inside_the_dataset(self, dataset_dir,
                                                                    tmp_path):
@@ -1129,6 +1148,23 @@ class TestCliEval:
                          "--out", str(tmp_path / "r")]) == 3
             err = capsys.readouterr().err
             assert err.startswith("data error:") and err.count("\n") == 1
+
+
+def _outside_scene_files(dataset_dir, tmp_path, where):
+    """A fresh copy of the dataset whose manifest names scene 1's ground-truth
+    map and trajectory file by ``where`` in a directory ``outside`` it;
+    returns the copy and that directory."""
+    data = _fresh_copy(dataset_dir, tmp_path)
+    manifest = json.loads((data / "manifest.json").read_text())
+    scene = manifest["scenes"][1]
+    outside = tmp_path / "outside"
+    outside.mkdir()
+    for key, name in (("gt_map", "gt.json"), ("trajectories", "traj.json")):
+        shutil.copy(data / scene[key], outside / name)
+        scene[key] = {"absolute": str(outside / name), "parent": f"../outside/{name}",
+                      "through_a_subdirectory": f"maps/../../outside/{name}"}[where]
+    uio.write_json(data / "manifest.json", manifest)
+    return data, outside
 
 
 # The scene files each report stage reads.
@@ -1162,9 +1198,9 @@ class TestSceneFileReads:
                 for key in uio.SCENE_FILES}
         read = []
         for name in ("load_map", "load_trajectories"):
-            def spy(path, _load=getattr(uio, name)):
+            def spy(path, _load=getattr(uio, name), **kwargs):
                 read.append(kind[Path(path)])
-                return _load(path)
+                return _load(path, **kwargs)
             monkeypatch.setattr(uio, name, spy)
         assert main([command, "--manifest", str(dataset_dir / "manifest.json"),
                      "--out", str(tmp_path)]) == 0
@@ -1324,76 +1360,89 @@ def _from_json(path: Path):
 
 class TestSceneCache:
     """A scene file's bytes decode once: later loads of the same bytes build
-    the record from its entry in the ``.uncmap-cache`` beside the file."""
+    the record from its entry in the ``.uncmap-cache`` beside the manifest."""
 
-    def test_warm_load_bit_identical(self, dataset_dir, tmp_path, decoded, monkeypatch):
+    def test_warm_load_bit_identical(self, dataset_dir, tmp_path, decoded):
         data = _fresh_copy(dataset_dir, tmp_path)
         manifest = uio.load_manifest(data / "manifest.json")
         files = [data / scene[key] for scene in manifest["scenes"] for key in uio.SCENE_FILES]
         reference = [_record_bits(_from_json(path)) for path in files]
         decoded.clear()
-        assert [_record_bits(_load_scene_file(path)) for path in files] == reference
+        cache = uio._Cache(data / uio.CACHE_DIR)
+        assert [_record_bits(_load_scene_file(path, cache)) for path in files] == reference
         n_cold = len(decoded)
         # Warm from the entries this process made, then from the packs alone.
-        assert [_record_bits(_load_scene_file(path)) for path in files] == reference
-        _new_process(monkeypatch)
-        assert [_record_bits(_load_scene_file(path)) for path in files] == reference
+        assert [_record_bits(_load_scene_file(path, cache)) for path in files] == reference
+        cache = _new_process(cache)
+        assert [_record_bits(_load_scene_file(path, cache)) for path in files] == reference
         assert len(decoded) == n_cold > 0
         assert any(_from_json(path).out_of_range for path in files if path.parent.name == "maps")
-        keys = []
-        for sub in ("maps", "traj"):
-            packs = list((data / sub / uio.CACHE_DIR).iterdir())
-            assert packs  # and no temporary file is left
-            assert all(p.name == hashlib.sha256(p.read_bytes()).hexdigest() for p in packs)
-            keys += _pack_keys(data / sub / uio.CACHE_DIR)
+        packs = list((data / uio.CACHE_DIR).iterdir())
+        assert packs  # and no temporary file is left
+        assert all(p.name == hashlib.sha256(p.read_bytes()).hexdigest() for p in packs)
         # One entry per distinct content.
-        assert sorted(keys) == sorted({uio._cache_key(path.read_bytes()) for path in files})
+        assert sorted(_pack_keys(data / uio.CACHE_DIR)) == sorted(
+            {uio._cache_key(path.read_bytes()) for path in files})
+
+    def test_loader_without_cache_writes_nothing(self, tmp_path):
+        uio.save_map(small_prob_map(), tmp_path / "m.json")
+        uio.save_trajectories([AgentTrack(np.zeros((2, 2)), np.ones((3, 2)))],
+                              tmp_path / "t.json")
+        before = _tree_digest(tmp_path)
+        for _ in range(2):
+            uio.load_map(tmp_path / "m.json")
+            uio.load_trajectories(tmp_path / "t.json")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["m.json", "t.json"]
+        assert _tree_digest(tmp_path) == before
 
     def test_file_rewritten_at_same_length_decodes_again(self, dataset_dir, tmp_path,
                                                          decoded):
         data = _fresh_copy(dataset_dir, tmp_path)
         manifest = uio.load_manifest(data / "manifest.json")
         target = data / manifest["scenes"][0]["gt_map"]
-        assert uio.load_map(target).elements[0].confidence == 1.0
+        cache = uio._Cache(data / uio.CACHE_DIR)
+        assert uio.load_map(target, cache=cache).elements[0].confidence == 1.0
         raw, stat = target.read_bytes(), target.stat()
         edited = raw.replace(b'"confidence": 1.0', b'"confidence": 0.5', 1)
         assert edited != raw and len(edited) == len(raw)
         target.write_bytes(edited)
         os.utime(target, ns=(stat.st_atime_ns, stat.st_mtime_ns))
         decoded.clear()
-        assert uio.load_map(target).elements[0].confidence == 0.5
+        assert uio.load_map(target, cache=cache).elements[0].confidence == 0.5
         assert decoded == [edited]
 
     @pytest.mark.parametrize("key", ["observed_map", "trajectories"])
     @pytest.mark.parametrize("damage", ["truncated", "one_float_short", "garbage",
                                         "one_byte_flipped", "other_kind"])
     def test_bad_entry_is_decoded_again_and_rewritten(self, key, damage, dataset_dir,
-                                                      tmp_path, decoded, monkeypatch):
+                                                      tmp_path, decoded):
         data = _fresh_copy(dataset_dir, tmp_path)
         scene = uio.load_manifest(data / "manifest.json")["scenes"][0]
         target, other = (data / scene[k] for k in (key, {"observed_map": "trajectories",
                                                          "trajectories": "observed_map"}[key]))
-        reference = _record_bits(_load_scene_file(target))
-        _load_scene_file(other)
-        uio._flush_caches()
-        (pack,), (other_pack,) = ([*(path.parent / uio.CACHE_DIR).iterdir()]
-                                  for path in (target, other))
+        cache = uio._Cache(data / uio.CACHE_DIR)
+        reference = _record_bits(_load_scene_file(target, cache))
+        cache.flush()
+        (pack,) = cache.path.iterdir()
+        _load_scene_file(other, cache)
+        cache.flush()
+        (other_pack,) = set(cache.path.iterdir()) - {pack}
         good = pack.read_bytes()
-        assert _pack_keys(pack.parent) == [uio._cache_key(target.read_bytes())]
+        assert _pack_keys(pack) == [uio._cache_key(target.read_bytes())]
         entry = good[40:]
         bad = {"one_float_short": entry[:-8], "garbage": b"\xff" * len(entry),
                "one_byte_flipped": entry[:40] + bytes([entry[40] ^ 1]) + entry[41:],
                "other_kind": other_pack.read_bytes()[40:]}.get(damage)
         pack.write_bytes(good[:len(good) // 2 + 3] if damage == "truncated"
                          else good[:32] + len(bad).to_bytes(8, "little") + bad)
-        _new_process(monkeypatch)
+        cache = _new_process(cache)
         decoded.clear()
-        assert _record_bits(_load_scene_file(target)) == reference
+        assert _record_bits(_load_scene_file(target, cache)) == reference
         assert decoded == [target.read_bytes()]
         # The entry is written again, in a pack of the same bytes and name.
-        _new_process(monkeypatch)
+        cache = _new_process(cache)
         assert pack.read_bytes() == good
-        assert _record_bits(_load_scene_file(target)) == reference
+        assert _record_bits(_load_scene_file(target, cache)) == reference
         assert len(decoded) == 1
 
     @pytest.mark.parametrize("key, damage", [
@@ -1423,30 +1472,39 @@ class TestSceneCache:
                      "--out", str(tmp_path / "r")]) == 3
         assert capsys.readouterr().err == (
             f"data error: scene {scene['id']} {key}: {expected.value}\n")
-        assert not _stored(target)
+        assert not _stored(target, data)
 
     @pytest.mark.parametrize("blocked_by", ["a_regular_file", "a_read_only_directory"])
     def test_cache_that_cannot_be_made_is_not_used(self, blocked_by, dataset_dir, tmp_path,
                                                    monkeypatch):
+        # The maps load through the dataset's blocked cache, the trajectory
+        # files through one that works.
         data = _fresh_copy(dataset_dir, tmp_path)
+        blocked = data / uio.CACHE_DIR
         if blocked_by == "a_regular_file":
-            (data / "maps" / uio.CACHE_DIR).write_bytes(b"")
+            blocked.write_bytes(b"")
         else:  # tests run as root, so chmod cannot refuse the mkdir
             def mkdir(self, *args, _mkdir=Path.mkdir, **kwargs):
-                if self.parent.name == "maps":
+                if self == blocked:
                     raise PermissionError(13, "Permission denied", str(self))
                 return _mkdir(self, *args, **kwargs)
             monkeypatch.setattr(Path, "mkdir", mkdir)
+        caches = {"maps": uio._Cache(blocked), "traj": uio._Cache(data / "traj" / uio.CACHE_DIR)}
         hashed = []
         monkeypatch.setattr(uio, "_cache_key", lambda raw, _key=uio._cache_key: (
             hashed.append(raw), _key(raw))[1])
         maps, traj = (sorted((data / sub).glob("*.json")) for sub in ("maps", "traj"))
         for _ in range(2):
             for path in maps + traj:
-                _load_scene_file(path)
+                _load_scene_file(path, caches[path.parent.name])
         assert hashed == [path.read_bytes() for path in traj] * 2
-        uio._flush_caches()
+        for cache in caches.values():
+            cache.flush()
         assert _pack_keys(data / "traj" / uio.CACHE_DIR)
+        if blocked_by == "a_regular_file":
+            assert blocked.read_bytes() == b""
+        else:
+            assert not blocked.exists()
 
     def test_directory_a_pack_cannot_be_written_to_gets_no_more(self, dataset_dir, tmp_path,
                                                                 monkeypatch, decoded):
@@ -1458,13 +1516,14 @@ class TestSceneCache:
             raise PermissionError(13, "Permission denied")
         monkeypatch.setattr(os, "replace", refuse)
         maps = sorted((data / "maps").glob("*.json"))[:3]
+        cache = uio._Cache(data / uio.CACHE_DIR)
         for path in maps:
-            uio.load_map(path)
-            uio._flush_caches()
-        assert tried == [data / "maps" / uio.CACHE_DIR]
-        assert list((data / "maps" / uio.CACHE_DIR).iterdir()) == []
+            uio.load_map(path, cache=cache)
+            cache.flush()
+        assert tried == [data / uio.CACHE_DIR]
+        assert list((data / uio.CACHE_DIR).iterdir()) == []
         decoded.clear()
-        uio.load_map(maps[0])
+        uio.load_map(maps[0], cache=cache)
         assert len(decoded) == 1
 
     def test_key_covers_the_decoding_code(self, tmp_path, monkeypatch):
@@ -1484,20 +1543,36 @@ class TestSceneCache:
         reports = []
         for blocked in (False, True):
             data = _fresh_copy(dataset_dir, tmp_path / str(blocked))
+            cache = data / uio.CACHE_DIR
             if blocked:
-                for sub in ("maps", "traj"):
-                    (data / sub / uio.CACHE_DIR).write_bytes(b"")
+                cache.write_bytes(b"")
+            before = _tree_digest(data)
             for command in STAGE_READS:
                 assert main([command, "--manifest", str(data / "manifest.json"),
                              "--out", str(tmp_path / str(blocked) / "r")]) == 0
             assert capsys.readouterr().err == ""
             reports.append(_tree_digest(tmp_path / str(blocked) / "r"))
-            caches = [data / sub / uio.CACHE_DIR for sub in ("maps", "traj")]
             if blocked:
-                assert all(c.is_file() and c.read_bytes() == b"" for c in caches)
+                assert cache.is_file() and cache.read_bytes() == b""
+                assert _tree_digest(data) == before
             else:
-                assert all(any(c.iterdir()) for c in caches)
+                # The stages write only in the cache directory.
+                assert any(cache.iterdir())
+                assert {name: digest for name, digest in _tree_digest(data).items()
+                        if not name.startswith(f"{uio.CACHE_DIR}/")} == before
         assert len(reports[0]) == 11 and reports[1] == reports[0]
+
+    def test_failed_stage_writes_the_entries_it_made(self, dataset_dir, tmp_path, capsys):
+        data = _fresh_copy(dataset_dir, tmp_path)
+        scenes = uio.load_manifest(data / "manifest.json")["scenes"]
+        bad = data / scenes[2]["observed_map"]
+        bad.write_bytes(bad.read_bytes()[:-40])
+        assert main(["eval-map", "--manifest", str(data / "manifest.json"),
+                     "--out", str(tmp_path / "r")]) == 3
+        assert capsys.readouterr().err.startswith(f"data error: scene {scenes[2]['id']} ")
+        loaded = [data / scene[key] for scene in scenes[:2] for key in ("gt_map", "observed_map")]
+        assert all(_stored(path, data) for path in loaded + [data / scenes[2]["gt_map"]])
+        assert not _stored(bad, data)
 
 
 def _strip_scales(dataset_dir, tmp_path) -> Path:
@@ -1667,10 +1742,11 @@ class TestBlockSeams:
 
     @pytest.mark.parametrize("block", [1, 7, 1000])
     def test_outputs_byte_identical(self, block, seam_outputs, tmp_path, monkeypatch):
-        # Beside the dataset, reports and Hungarian report: one cache pack in
-        # each scene directory, byte-identical across block sizes too.
+        # Beside the dataset, reports and Hungarian report: the cache packs at
+        # the dataset root, one per stage that made entries, byte-identical
+        # across block sizes too.
         packs = [name for name in seam_outputs if f"/{uio.CACHE_DIR}/" in name]
-        assert sorted(name.split("/")[1] for name in packs) == ["maps", "traj"]
+        assert [name.split("/")[:2] for name in packs] == [["d", uio.CACHE_DIR]] * 2
         assert len(seam_outputs) - len(packs) == 1 + 3 * 40 + 1 + 11 + 2
         monkeypatch.setattr(synth, "SCENE_BLOCK", block)
         assert _all_outputs(tmp_path) == seam_outputs
@@ -1700,8 +1776,8 @@ class TestWorkingSet:
         assert main(["generate", "--config", str(cfg), "--out", str(tmp_path / "d")]) == 0
         alive, counts = weakref.WeakSet(), []
 
-        def spy(path, _load=uio.load_map):
-            loaded = _load(path)
+        def spy(path, _load=uio.load_map, **kwargs):
+            loaded = _load(path, **kwargs)
             alive.add(loaded)
             counts.append(len(alive))
             return loaded
