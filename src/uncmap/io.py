@@ -34,23 +34,29 @@ recursion limit. Manifests and dataset configs stay on ``json``: they
 carry user seeds, and orjson reads an integer outside the 64-bit range as
 a float, which would change the ``master_seed`` a report records.
 
-The report stages load the same scene files again and again, so each file's
-bytes are decoded once. :func:`iter_scene_files` opens the
-``.uncmap-cache`` directory beside the manifest and passes it to
-:func:`load_map` and :func:`load_trajectories`; called without it, they
-decode the JSON and write nothing. A file is keyed by the sha256 of its
+The report stages load the same map files again and again, and a map's
+per-vertex JSON is slow to decode, so each map file's bytes are decoded
+once. Trajectory files decode from their JSON on every load: an entry saves
+them too little to pay for itself. When a stage reads maps,
+:func:`iter_scene_files` opens the ``.uncmap-cache`` directory beside the
+manifest and passes it to :func:`load_map`; called without it, ``load_map``
+decodes the JSON and writes nothing. A file is keyed by the sha256 of its
 bytes and of what decodes them (the tool version, this module's code and
-the class order), not by its path, so a scene file named outside the
-manifest's directory is cached there too. An entry holds the record's
-columns as one little-endian float64 buffer ending in a CRC-32, and the
-record is built from it by the constructor the JSON path uses, so every
-check runs and the values are the same bit for bit. A missing entry, or one
-that does not parse or fails its checksum, means the JSON is decoded; only a
-record that loads gets an entry. A stage writes the entries it made as one
-pack once its scenes are read or it stops, so it creates a file or two, not
-one per scene file. Edited bytes, or edited decoders, have another key, so a
-stale entry is never read. A cache directory that cannot be made is not
-used, and one a pack cannot be written to is sent no more.
+the class order), not by its path, so a map file named outside the
+manifest's directory is cached there too. An entry holds the map's columns
+as one little-endian float64 buffer ending in a CRC-32, and the map is
+built from it by the constructor the JSON path uses, so every check runs
+and the values are the same bit for bit. A missing entry, or one that does
+not parse or fails its checksum, means the JSON is decoded; only a map that
+loads gets an entry. A stage writes the entries it made as one pack once
+its scenes are read or it stops, so it creates a file or two, not one per
+map file. Edited bytes, or edited decoders, have another key, so a stale
+entry is never read. A cache directory that cannot be made is not used,
+and one a pack cannot be written to is sent no more.
+
+:func:`load_manifest` checks each scene entry's keys and types but not that
+its files exist: a missing scene file is a data error of the load that
+reads it, so a stage does not notice a file it does not read.
 
 Reports are written from a stage's raw values by :func:`write_report`
 (JSON, ending in a ``reproducibility`` block of config hash, tool version
@@ -156,9 +162,21 @@ def save_map(m: VectorMap, path) -> None:
 
 
 def load_map(path, *, cache: _Cache | None = None) -> VectorMap:
-    """The map in the file at ``path``, built from its entry in ``cache``
-    where there is one."""
-    return _load_scene(path, cache, map_from_dict, _map_columns, _map_from_columns)
+    """The map in the file at ``path``. With ``cache``, where an entry of the
+    file's bytes parses, the map is built from it; otherwise from the file's
+    JSON, and its columns become the entry. Either way
+    :meth:`VectorMap.from_columns` runs every check."""
+    path = Path(path)
+    raw = _read_bytes(path)
+    if cache is None or not cache.usable:
+        return map_from_dict(_read_json(path, _scene_loads, raw))
+    key = _cache_key(raw)
+    for floats in cache.get(key):
+        with contextlib.suppress(ValueError, TypeError, IndexError):  # an entry that does not parse
+            return _map_from_columns(floats)
+    m = map_from_dict(_read_json(path, _scene_loads, raw))
+    cache.put(key, _map_columns(m))
+    return m
 
 
 # ---------------------------------------------------------------------------
@@ -201,26 +219,22 @@ def save_trajectories(agents, path) -> None:
                [a for agent in agents for a in (agent.history, agent.future, agent.modes)])
 
 
-def load_trajectories(path, *, cache: _Cache | None = None) -> list[AgentTrack]:
-    """The agents in the trajectory file at ``path``, built from their entry
-    in ``cache`` where there is one."""
-    return _load_scene(path, cache, trajectories_from_dict, _track_columns,
-                       _tracks_from_columns)
+def load_trajectories(path) -> list[AgentTrack]:
+    """The agents in the trajectory file at ``path``, decoded from its JSON."""
+    return trajectories_from_dict(_read_json(path, _scene_loads))
 
 
 # ---------------------------------------------------------------------------
-# Cache of decoded scene files
+# Cache of decoded map files
 # ---------------------------------------------------------------------------
 
 CACHE_DIR = ".uncmap-cache"
-# The first float of an entry: the kind of record it holds.
-_MAP_ENTRY, _TRACK_ENTRY = 1.0, 2.0
-# A map entry's header: kind, element count, vertex count, whether the map
-# has scales, ego pose (x, y, heading) and perception range (lon, lat).
-_MAP_HEAD = 9
+# A map entry's header: element count, vertex count, whether the map has
+# scales, ego pose (x, y, heading) and perception range (lon, lat).
+_MAP_HEAD = 8
 # A cache directory holds packs, each named by the sha256 of its bytes. A
 # pack is a run of records: an entry's key (32 bytes), the entry's size (a
-# little-endian uint64) and the entry, a float64 buffer of the record's
+# little-endian uint64) and the entry, a float64 buffer of the map's
 # columns and then the CRC-32 of the key and the columns.
 _PACK_NAME = re.compile(r"[0-9a-f]{64}")
 # A stage writes the entries it made as one pack once it has read its
@@ -240,7 +254,7 @@ def _key_salt() -> bytes:
 
 
 def _cache_key(raw: bytes) -> bytes:
-    """The key of the entry of a scene file holding ``raw``."""
+    """The key of the entry of a map file holding ``raw``."""
     return hashlib.sha256(_key_salt() + raw).digest()
 
 
@@ -325,25 +339,6 @@ class _Cache:
             self._scan(pack)
 
 
-def _load_scene(path, cache, from_dict, columns, from_columns):
-    """The record in the scene file at ``path``. With ``cache``, where an
-    entry of the file's bytes parses, ``from_columns`` builds the record from
-    it; otherwise ``from_dict`` builds it from the file's JSON, and its
-    ``columns`` become the entry. Either way the record's constructor runs
-    every check."""
-    path = Path(path)
-    raw = _read_bytes(path)
-    if cache is None or not cache.usable:
-        return from_dict(_read_json(path, _scene_loads, raw))
-    key = _cache_key(raw)
-    for floats in cache.get(key):
-        with contextlib.suppress(ValueError, TypeError, IndexError):  # an entry that does not parse
-            return from_columns(floats)
-    record = from_dict(_read_json(path, _scene_loads, raw))
-    cache.put(key, columns(record))
-    return record
-
-
 def _entry_floats(key: bytes, entry: bytes) -> np.ndarray:
     """The columns an entry of ``key`` holds, once its checksum matches."""
     floats = np.frombuffer(bytearray(entry), dtype="<f8")
@@ -365,7 +360,7 @@ def _map_columns(m: VectorMap) -> np.ndarray:
     confidence, closed flag and vertex count, then ``mu`` and, on a map with
     scales, ``b`` and ``class_logits``."""
     pose = m.ego_pose
-    head = [_MAP_ENTRY, len(m.elements), len(m.mu), m.b is not None,
+    head = [len(m.elements), len(m.mu), m.b is not None,
             pose.x, pose.y, pose.heading, *m.perception_range]
     rows = [(CLASS_INDEX[el.element_class], el.confidence, el.closed, n)
             for el, n in zip(m.elements, np.diff(m.offsets).tolist())]
@@ -374,14 +369,12 @@ def _map_columns(m: VectorMap) -> np.ndarray:
 
 
 def _map_from_columns(buf: np.ndarray) -> VectorMap:
-    if buf[0] != _MAP_ENTRY:
-        raise ValueError("not a map entry")
-    n_elements, n_vertices, has_b = _counts(buf[1:4])
+    n_elements, n_vertices, has_b = _counts(buf[:3])
     width = 2 + NUM_CLASSES + 2 if has_b else 2
     at = _MAP_HEAD + 4 * n_elements
     if has_b > 1 or len(buf) != at + width * n_vertices:
         raise ValueError("map entry has the wrong size")
-    x, y, heading, lon, lat = buf[4:_MAP_HEAD].tolist()
+    x, y, heading, lon, lat = buf[3:_MAP_HEAD].tolist()
     rows = buf[_MAP_HEAD:at].reshape(n_elements, 4)
     labels = [MapElement(None, ALL_CLASSES[c], confidence, bool(closed))
               for c, confidence, closed in zip(_counts(rows[:, 0]), rows[:, 1].tolist(),
@@ -394,34 +387,6 @@ def _map_from_columns(buf: np.ndarray) -> VectorMap:
         logits = buf[at + 2 * n_vertices:].reshape(n_vertices, NUM_CLASSES)
     return VectorMap.from_columns(labels, np.cumsum([0] + _counts(rows[:, 3])), mu, b, logits,
                                   Pose2(x, y, heading), (lon, lat))
-
-
-def _track_columns(agents: list[AgentTrack]) -> np.ndarray:
-    """The floats of a trajectory file's entry: the kind, the agent count, per
-    agent its history, future and mode counts, then per agent its history,
-    future and modes."""
-    head = [_TRACK_ENTRY, len(agents)]
-    head += [n for a in agents for n in (len(a.history), len(a.future), len(a.modes))]
-    return np.concatenate([head] + [np.ravel(c) for a in agents
-                                    for c in (a.history, a.future, a.modes)])
-
-
-def _tracks_from_columns(buf: np.ndarray) -> list[AgentTrack]:
-    if buf[0] != _TRACK_ENTRY:
-        raise ValueError("not a trajectory entry")
-    n_agents, = _counts(buf[1:2])
-    at = 2 + 3 * n_agents
-    agents = []
-    for h, f, k in np.reshape(_counts(buf[2:at]), (n_agents, 3)).tolist():
-        history = buf[at:at + 2 * h].reshape(h, 2)
-        future = buf[at + 2 * h:at + 2 * (h + f)].reshape(f, 2)
-        at += 2 * (h + f)
-        modes = buf[at:at + 2 * k * f].reshape(k, f, 2)
-        at += 2 * k * f
-        agents.append(AgentTrack(history, future, modes if k else None))
-    if at != len(buf):
-        raise ValueError("trajectory entry has the wrong size")
-    return agents
 
 
 # ---------------------------------------------------------------------------
@@ -513,15 +478,11 @@ def load_manifest(path) -> dict:
                         f"got {data.get('schema_version')!r}")
     if not isinstance(data.get("scenes"), list):
         raise DataError("manifest has no scene list")
-    root = path.parent
     for i, scene in enumerate(data["scenes"]):
         for key in ("id", "condition") + SCENE_FILES:
             if not isinstance(scene, dict) or not isinstance(scene.get(key), str):
                 raise DataError(f"manifest scene {i} has no {key!r} string")
-        for key in SCENE_FILES:
-            if not (root / scene[key]).exists():
-                raise DataError(f"manifest references missing file {scene[key]!r}")
-    data["_root"] = root
+    data["_root"] = path.parent
     return data
 
 
@@ -531,23 +492,24 @@ def iter_scene_files(manifest: dict, *parts: str):
     ``parts`` names files of :data:`SCENE_FILES`, in the order wanted
     (default: all three). A map loads as one value and the trajectory file
     as two, the agents and each agent's modes, so the default yields
-    ``(scene, gt map, observed map, agents, modes)``. A load error names the
-    scene and the file part. The loads share the ``.uncmap-cache`` beside the
-    manifest, whose new entries are written when the iteration stops.
+    ``(scene, gt map, observed map, agents, modes)``. A load error, a
+    missing file among them, names the scene and the file part. The map
+    loads share the ``.uncmap-cache`` beside the manifest, opened only when
+    a map is read, whose new entries are written when the iteration stops.
     """
     parts = parts or SCENE_FILES
     unknown = set(parts) - set(SCENE_FILES)
     if unknown:
         raise ValueError(f"unknown scene files {sorted(unknown)}")
     root = manifest["_root"]
-    cache = _Cache(root / CACHE_DIR)
+    cache = _Cache(root / CACHE_DIR) if set(parts) != {"trajectories"} else None
     try:
         for scene in manifest["scenes"]:
             row = [scene]
             for part in parts:
                 try:
                     if part == "trajectories":
-                        agents = load_trajectories(root / scene[part], cache=cache)
+                        agents = load_trajectories(root / scene[part])
                         row += [agents, [agent.modes for agent in agents]]
                     else:
                         row.append(load_map(root / scene[part], cache=cache))
@@ -555,7 +517,8 @@ def iter_scene_files(manifest: dict, *parts: str):
                     raise DataError(f"scene {scene['id']} {part}: {exc}") from exc
             yield tuple(row)
     finally:
-        cache.flush()
+        if cache is not None:
+            cache.flush()
 
 
 # ---------------------------------------------------------------------------

@@ -86,8 +86,10 @@ def _element_point_sets(elements, count: int) -> list[np.ndarray]:
 # Matching and AP
 # ---------------------------------------------------------------------------
 
-# Pairs per block of the pooled kernel. Each (64, 20, 20) float64 array of a
-# block is 200 KB, so evaluating thousands of pairs does not raise peak memory.
+# Pairs of 20-point sets per block of the pooled kernel. A block of larger
+# sets holds fewer pairs, so each of its float64 arrays stays within the
+# 200 KB of a (64, 20, 20) one, and evaluating thousands of pairs does not
+# raise peak memory; one pair too large for that gets a block of its own.
 _BLOCK = 64
 
 
@@ -97,8 +99,9 @@ def chamfer_matrices(groups, count: int) -> list[np.ndarray]:
     Every element is resampled to ``count`` points in one
     :func:`_element_point_sets` call (a tiny element may merge to fewer),
     and the pairs of all groups go through :func:`_chamfer_block` in blocks
-    of up to ``_BLOCK`` pairs of one shape. Each value equals
-    :func:`chamfer` of the two point sets bit for bit.
+    of pairs of one (V, W) shape, each holding at most ``_BLOCK * 20 * 20``
+    distances, or one pair. Each value equals :func:`chamfer` of the two
+    point sets bit for bit.
     """
     groups = [(list(preds), list(gts)) for preds, gts in groups]
     sets = _element_point_sets([el for preds, gts in groups for el in preds + gts], count)
@@ -111,11 +114,14 @@ def chamfer_matrices(groups, count: int) -> list[np.ndarray]:
         start = b.stop
     rows, cols = np.array(rows, dtype=int), np.array(cols, dtype=int)
     sizes = np.array([len(s) for s in sets], dtype=int)
-    shapes = sizes[rows] * (sizes.max(initial=0) + 1) + sizes[cols]  # one key per (V, W)
+    top = int(sizes.max(initial=0)) + 1
+    shapes = sizes[rows] * top + sizes[cols]  # one key per (V, W)
     values = np.empty(len(rows))
     for shape in dict.fromkeys(shapes.tolist()):  # np.unique would import numpy.ma
         pairs = np.flatnonzero(shapes == shape)
-        for block in np.split(pairs, range(_BLOCK, len(pairs), _BLOCK)):
+        v, w = divmod(shape, top)
+        step = max(1, _BLOCK * 20 * 20 // (v * w))
+        for block in np.split(pairs, range(step, len(pairs), step)):
             values[block] = _chamfer_block(np.array([sets[i] for i in rows[block].tolist()]),
                                            np.array([sets[j] for j in cols[block].tolist()]))
     ends = np.cumsum([len(preds) * len(gts) for preds, gts in groups], dtype=int)

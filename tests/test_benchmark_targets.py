@@ -44,26 +44,36 @@ def test_target_resolves(name, module, path):
 
 def test_report_stages_trace_the_walks(tmp_path):
     """The report stages walk polylines through the names the tracer wraps,
-    so the benchmark's per-layer walk metrics of ``evaluate`` are live."""
+    so the benchmark's per-layer walk metrics of ``evaluate`` are live, and
+    pass each file they read to a traced loader as its first positional
+    argument, which the tracer reads for ``io.bytes_read``."""
+    from test_io_cli import STAGE_READS
+
     from uncmap import cli
 
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"n_scenes": 3, "seed": 7}))
     manifest = tmp_path / "data" / "manifest.json"
     assert cli.main(["generate", "--config", str(config), "--out", str(manifest.parent)]) == 0
+    stages = ("eval-map", "calibrate", "compare-predictors")
     tracing = load_tracer()
     tracer = tracing.Tracer()
     uninstall = tracing.install(tracer)
     try:
-        for stage in ("eval-map", "calibrate", "compare-predictors"):
+        for stage in stages:
             assert tracer.stage(stage, cli.main, [stage, "--manifest", str(manifest),
                                                   "--out", str(tmp_path / "r")]) == 0
     finally:
         uninstall()
-    calls = tracer.aggregate()["calls"]
+    aggregate = tracer.aggregate()
     for name in ("geometry.resample", "geometry.point_along",
                  "geometry.nearest_point_on_polyline"):
-        assert calls.get(name, 0) > 0, name
+        assert aggregate["calls"].get(name, 0) > 0, name
+    scenes = json.loads(manifest.read_text())["scenes"]
+    read = sum(manifest.stat().st_size + sum((manifest.parent / scene[key]).stat().st_size
+                                             for scene in scenes for key in STAGE_READS[stage])
+               for stage in stages)
+    assert aggregate["counters"]["io.bytes_read"] == read
 
 
 def test_generate_writes_every_file_through_write_json(tmp_path, monkeypatch):

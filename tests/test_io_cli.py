@@ -247,17 +247,12 @@ class TestBitExactRoundTrip:
         agents = [AgentTrack(points(data.draw(st.integers(1, 4)), 2), points(horizon, 2),
                              points(data.draw(st.integers(0, 3)), horizon, 2))
                   for _ in range(n_agents)]
-        folder = tmp_path_factory.mktemp("traj")
-        path = folder / "t.json"
+        path = tmp_path_factory.mktemp("traj") / "t.json"
         uio.save_trajectories(agents, path)
         assert path.read_text() == json.dumps(uio.trajectories_to_dict(agents), indent=2) + "\n"
-        cache = uio._Cache(folder / uio.CACHE_DIR)
-        for back in [uio.load_trajectories(path, cache=cache) for _ in range(2)]:
-            for a, b in zip(back, agents, strict=True):
-                assert _bits_equal(a.history, b.history) and _bits_equal(a.future, b.future)
-                assert _bits_equal(a.modes, b.modes)
-        cache.flush()
-        assert _stored(path, folder)
+        for a, b in zip(uio.load_trajectories(path), agents, strict=True):
+            assert _bits_equal(a.history, b.history) and _bits_equal(a.future, b.future)
+            assert _bits_equal(a.modes, b.modes)
 
 
 class TestTrajectoryRoundTrip:
@@ -605,8 +600,11 @@ def _fresh_copy(dataset_dir: Path, tmp_path: Path) -> Path:
 
 
 def _load_scene_file(path: Path, cache=None):
-    load = uio.load_trajectories if path.parent.name == "traj" else uio.load_map
-    return load(path, cache=cache)
+    """The scene file at ``path`` loaded as a stage loads it: a map through
+    ``cache``, a trajectory file from its JSON."""
+    if path.parent.name == "traj":
+        return uio.load_trajectories(path)
+    return uio.load_map(path, cache=cache)
 
 
 def _pack_keys(where: Path) -> list[bytes]:
@@ -683,17 +681,22 @@ class TestReadSceneJson:
         cache = uio._Cache(data / uio.CACHE_DIR)
         for path in files:
             _load_scene_file(path, cache)
-        # Once per distinct content: a file with the bytes of one loaded before
-        # reads that file's entry.
-        assert decoded == list(dict.fromkeys(path.read_bytes() for path in files))
+        # A map file once per distinct content (a file with the bytes of one
+        # loaded before reads that file's entry), a trajectory file on every load.
+        maps = {path.read_bytes() for path in files if path.parent.name == "maps"}
+        traj = [path.read_bytes() for path in files if path.parent.name == "traj"]
+        first = [raw for raw in dict.fromkeys(path.read_bytes() for path in files) if raw in maps]
+        assert [raw for raw in decoded if raw in maps] == first
+        assert [raw for raw in decoded if raw not in maps] == traj
         decoded.clear()
         for path in files:
             _load_scene_file(path, cache)
-        assert decoded == []
+        assert decoded == traj
+        decoded.clear()
         files[0].write_bytes(files[0].read_bytes() + b"\n")
         for path in files:
             _load_scene_file(path, cache)
-        assert decoded == [files[0].read_bytes()]
+        assert decoded == [files[0].read_bytes()] + traj
 
 
 class TestConfigParsing:
@@ -1109,7 +1112,7 @@ class TestCliEval:
         assert reports["outside"] == reports["plain"]
         assert reports["outside"][0] == reports["outside"][2]
         assert sorted(p.name for p in outside.iterdir()) == ["gt.json", "traj.json"]
-        assert _stored(outside / "gt.json", data) and _stored(outside / "traj.json", data)
+        assert _stored(outside / "gt.json", data) and not _stored(outside / "traj.json", data)
         assert _stored(data / "maps" / "scene_0000_gt.json", data)
 
     def test_scene_path_outside_the_dataset_decodes_once(self, dataset_dir, tmp_path,
@@ -1221,6 +1224,22 @@ class TestSceneFileReads:
         assert err.startswith("data error:") and err.count("\n") == 1
         assert err.startswith(f"data error: scene {manifest['scenes'][1]['id']} {key}: ")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("key", uio.SCENE_FILES)
+    def test_missing_file_exits_3_in_the_stages_that_read_it(self, key, dataset_dir, tmp_path,
+                                                             capsys):
+        data = _fresh_copy(dataset_dir, tmp_path)
+        scene = json.loads((data / "manifest.json").read_text())["scenes"][1]
+        target = data / scene[key]
+        target.unlink()
+        for command, reads in STAGE_READS.items():
+            rc = main([command, "--manifest", str(data / "manifest.json"),
+                       "--out", str(tmp_path / "r")])
+            if key in reads:
+                assert (rc, capsys.readouterr().err) == (
+                    3, f"data error: scene {scene['id']} {key}: file not found: {target}\n")
+            else:
+                assert (rc, capsys.readouterr().err) == (0, "")
 
     @pytest.mark.parametrize("command, key, damage", [
         ("eval-map", "observed_map", "undecodable"),
@@ -1358,25 +1377,36 @@ def _from_json(path: Path):
     return from_dict(uio._read_json(path, uio._scene_loads))
 
 
+def _reports_without_cache(dataset_dir: Path, tmp_path: Path, command: str) -> dict:
+    """The digest of the reports ``command`` writes for a copy of the dataset
+    whose cache directory cannot be made."""
+    data = _fresh_copy(dataset_dir, tmp_path / "no_cache")
+    (data / uio.CACHE_DIR).write_bytes(b"")
+    out = tmp_path / "no_cache" / "r"
+    assert main([command, "--manifest", str(data / "manifest.json"), "--out", str(out)]) == 0
+    return _tree_digest(out)
+
+
 class TestSceneCache:
-    """A scene file's bytes decode once: later loads of the same bytes build
-    the record from its entry in the ``.uncmap-cache`` beside the manifest."""
+    """A map file's bytes decode once: later loads of the same bytes build the
+    map from its entry in the ``.uncmap-cache`` beside the manifest."""
 
     def test_warm_load_bit_identical(self, dataset_dir, tmp_path, decoded):
         data = _fresh_copy(dataset_dir, tmp_path)
         manifest = uio.load_manifest(data / "manifest.json")
-        files = [data / scene[key] for scene in manifest["scenes"] for key in uio.SCENE_FILES]
+        files = [data / scene[key] for scene in manifest["scenes"] for key in ("gt_map",
+                                                                                "observed_map")]
         reference = [_record_bits(_from_json(path)) for path in files]
         decoded.clear()
         cache = uio._Cache(data / uio.CACHE_DIR)
-        assert [_record_bits(_load_scene_file(path, cache)) for path in files] == reference
+        assert [_record_bits(uio.load_map(path, cache=cache)) for path in files] == reference
         n_cold = len(decoded)
         # Warm from the entries this process made, then from the packs alone.
-        assert [_record_bits(_load_scene_file(path, cache)) for path in files] == reference
+        assert [_record_bits(uio.load_map(path, cache=cache)) for path in files] == reference
         cache = _new_process(cache)
-        assert [_record_bits(_load_scene_file(path, cache)) for path in files] == reference
+        assert [_record_bits(uio.load_map(path, cache=cache)) for path in files] == reference
         assert len(decoded) == n_cold > 0
-        assert any(_from_json(path).out_of_range for path in files if path.parent.name == "maps")
+        assert any(_from_json(path).out_of_range for path in files)
         packs = list((data / uio.CACHE_DIR).iterdir())
         assert packs  # and no temporary file is left
         assert all(p.name == hashlib.sha256(p.read_bytes()).hexdigest() for p in packs)
@@ -1395,6 +1425,13 @@ class TestSceneCache:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["m.json", "t.json"]
         assert _tree_digest(tmp_path) == before
 
+    def test_stage_that_reads_no_map_writes_nothing(self, dataset_dir, tmp_path):
+        data = _fresh_copy(dataset_dir, tmp_path)
+        before = _tree_digest(data)
+        assert main(["eval-pred", "--manifest", str(data / "manifest.json"),
+                     "--out", str(tmp_path / "r")]) == 0
+        assert _tree_digest(data) == before and not (data / uio.CACHE_DIR).exists()
+
     def test_file_rewritten_at_same_length_decodes_again(self, dataset_dir, tmp_path,
                                                          decoded):
         data = _fresh_copy(dataset_dir, tmp_path)
@@ -1411,15 +1448,17 @@ class TestSceneCache:
         assert uio.load_map(target, cache=cache).elements[0].confidence == 0.5
         assert decoded == [edited]
 
-    @pytest.mark.parametrize("key", ["observed_map", "trajectories"])
+    @pytest.mark.parametrize("key", ["observed_map", "gt_map"])
     @pytest.mark.parametrize("damage", ["truncated", "one_float_short", "garbage",
                                         "one_byte_flipped", "other_kind"])
     def test_bad_entry_is_decoded_again_and_rewritten(self, key, damage, dataset_dir,
                                                       tmp_path, decoded):
+        # "other_kind": the entry of the other kind of map, a mean map's for a
+        # map with scales and the other way round.
         data = _fresh_copy(dataset_dir, tmp_path)
         scene = uio.load_manifest(data / "manifest.json")["scenes"][0]
-        target, other = (data / scene[k] for k in (key, {"observed_map": "trajectories",
-                                                         "trajectories": "observed_map"}[key]))
+        target, other = (data / scene[k] for k in (key, {"observed_map": "gt_map",
+                                                         "gt_map": "observed_map"}[key]))
         cache = uio._Cache(data / uio.CACHE_DIR)
         reference = _record_bits(_load_scene_file(target, cache))
         cache.flush()
@@ -1477,8 +1516,8 @@ class TestSceneCache:
     @pytest.mark.parametrize("blocked_by", ["a_regular_file", "a_read_only_directory"])
     def test_cache_that_cannot_be_made_is_not_used(self, blocked_by, dataset_dir, tmp_path,
                                                    monkeypatch):
-        # The maps load through the dataset's blocked cache, the trajectory
-        # files through one that works.
+        # The ground-truth maps load through the dataset's blocked cache, the
+        # observed maps through one that works.
         data = _fresh_copy(dataset_dir, tmp_path)
         blocked = data / uio.CACHE_DIR
         if blocked_by == "a_regular_file":
@@ -1489,18 +1528,19 @@ class TestSceneCache:
                     raise PermissionError(13, "Permission denied", str(self))
                 return _mkdir(self, *args, **kwargs)
             monkeypatch.setattr(Path, "mkdir", mkdir)
-        caches = {"maps": uio._Cache(blocked), "traj": uio._Cache(data / "traj" / uio.CACHE_DIR)}
+        working = data / "maps" / uio.CACHE_DIR
+        caches = {"gt": uio._Cache(blocked), "obs": uio._Cache(working)}
         hashed = []
         monkeypatch.setattr(uio, "_cache_key", lambda raw, _key=uio._cache_key: (
             hashed.append(raw), _key(raw))[1])
-        maps, traj = (sorted((data / sub).glob("*.json")) for sub in ("maps", "traj"))
+        gt, obs = (sorted((data / "maps").glob(f"*_{kind}.json")) for kind in caches)
         for _ in range(2):
-            for path in maps + traj:
-                _load_scene_file(path, caches[path.parent.name])
-        assert hashed == [path.read_bytes() for path in traj] * 2
+            for path in gt + obs:
+                uio.load_map(path, cache=caches[path.stem.rpartition("_")[2]])
+        assert hashed == [path.read_bytes() for path in obs] * 2
         for cache in caches.values():
             cache.flush()
-        assert _pack_keys(data / "traj" / uio.CACHE_DIR)
+        assert _pack_keys(working)
         if blocked_by == "a_regular_file":
             assert blocked.read_bytes() == b""
         else:
@@ -1561,6 +1601,44 @@ class TestSceneCache:
                 assert {name: digest for name, digest in _tree_digest(data).items()
                         if not name.startswith(f"{uio.CACHE_DIR}/")} == before
         assert len(reports[0]) == 11 and reports[1] == reports[0]
+
+    def test_stage_writes_a_pack_whenever_its_entries_fill_one(self, dataset_dir, tmp_path,
+                                                                 monkeypatch, decoded):
+        reference = _reports_without_cache(dataset_dir, tmp_path, "eval-map")
+        data = _fresh_copy(dataset_dir, tmp_path)
+        monkeypatch.setattr(uio, "_PACK_BYTES", 1 << 15)
+        maps = sorted((data / "maps").glob("*.json"))
+        for i in range(2):
+            decoded.clear()
+            assert main(["eval-map", "--manifest", str(data / "manifest.json"),
+                         "--out", str(tmp_path / f"r{i}")]) == 0
+            assert _tree_digest(tmp_path / f"r{i}") == reference
+            if i == 0:
+                assert len(list((data / uio.CACHE_DIR).iterdir())) > 1
+                assert all(_stored(path, data) for path in maps)
+        assert decoded == []
+
+    @pytest.mark.parametrize("warm", [False, True])
+    def test_cache_directory_removed_during_a_stage(self, warm, dataset_dir, tmp_path,
+                                                    monkeypatch):
+        reference = _reports_without_cache(dataset_dir, tmp_path, "calibrate")
+        data = _fresh_copy(dataset_dir, tmp_path)
+        manifest = str(data / "manifest.json")
+        if warm:
+            assert main(["eval-map", "--manifest", manifest, "--out", str(tmp_path / "r0")]) == 0
+        loaded = []
+
+        def load_map(path, _load=uio.load_map, **kwargs):
+            if len(loaded) == 1:
+                shutil.rmtree(data / uio.CACHE_DIR)
+            loaded.append(path)
+            return _load(path, **kwargs)
+        monkeypatch.setattr(uio, "load_map", load_map)
+        assert main(["calibrate", "--manifest", manifest, "--out", str(tmp_path / "r")]) == 0
+        assert _tree_digest(tmp_path / "r") == reference
+        # Every map loaded after the removal has its entry written again, and
+        # so has the first one of a cold stage.
+        assert all(_stored(path, data) for path in loaded[int(warm):])
 
     def test_failed_stage_writes_the_entries_it_made(self, dataset_dir, tmp_path, capsys):
         data = _fresh_copy(dataset_dir, tmp_path)
@@ -1742,11 +1820,11 @@ class TestBlockSeams:
 
     @pytest.mark.parametrize("block", [1, 7, 1000])
     def test_outputs_byte_identical(self, block, seam_outputs, tmp_path, monkeypatch):
-        # Beside the dataset, reports and Hungarian report: the cache packs at
-        # the dataset root, one per stage that made entries, byte-identical
-        # across block sizes too.
+        # Beside the dataset, reports and Hungarian report: the cache pack at
+        # the dataset root, written by the first stage to read the maps,
+        # byte-identical across block sizes too.
         packs = [name for name in seam_outputs if f"/{uio.CACHE_DIR}/" in name]
-        assert [name.split("/")[:2] for name in packs] == [["d", uio.CACHE_DIR]] * 2
+        assert [name.split("/")[:2] for name in packs] == [["d", uio.CACHE_DIR]]
         assert len(seam_outputs) - len(packs) == 1 + 3 * 40 + 1 + 11 + 2
         monkeypatch.setattr(synth, "SCENE_BLOCK", block)
         assert _all_outputs(tmp_path) == seam_outputs

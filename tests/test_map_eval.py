@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -203,8 +204,30 @@ class TestChamferMatrices:
         count, preds0, gts0, preds, gts = problem
         preds = preds[:4] + [tiny(0.0, 0.0)] + preds[4:]
         assert len(_element_point_sets([preds[4]], count)[0]) < count
-        assert len(preds) * len(gts) > map_eval._BLOCK
-        assert_equals_per_pair_chamfer([(preds0, gts0), (preds, gts), ([], gts)], count)
+        # A block of count-point sets then holds 400 // count**2 <= 8 pairs.
+        with mock.patch.object(map_eval, "_BLOCK", 1):
+            assert len(preds) * len(gts) > 400 // count**2
+            assert_equals_per_pair_chamfer([(preds0, gts0), (preds, gts), ([], gts)], count)
+
+    @pytest.mark.parametrize("count", [20, 100, 300])
+    def test_block_holds_bounded_distances(self, count, monkeypatch):
+        blocks, kernel = [], map_eval._chamfer_block
+
+        def spy(a, b):
+            blocks.append((len(a), a.shape[1] * b.shape[1]))
+            return kernel(a, b)
+        monkeypatch.setattr(map_eval, "_chamfer_block", spy)
+        rng = np.random.default_rng(count)
+        preds = [line(rng.uniform(-20, 20, size=(5, 2))) for _ in range(12)]
+        gts = [line(rng.uniform(-20, 20, size=(4, 2))) for _ in range(9)]
+        (mat,) = chamfer_matrices([(preds, gts)], count)
+        assert sum(n for n, _ in blocks) == mat.size
+        assert all(n * entries <= map_eval._BLOCK * 400 for n, entries in blocks if n > 1)
+        assert [n for n, _ in blocks] == {20: [64, 44], 100: [2] * 54, 300: [1] * 108}[count]
+        monkeypatch.undo()
+        sets = _element_point_sets(preds + gts, count)
+        assert mat.tolist() == [[chamfer(p, g) for g in sets[len(preds):]]
+                                for p in sets[:len(preds)]]
 
     @given(st.integers(7, 9).flatmap(lambda count: st.tuples(st.just(count), st.lists(
         st.tuples(mixed_elements(count), mixed_elements(count)), min_size=1, max_size=3))))
