@@ -10,12 +10,12 @@ trajectory file onto an :class:`~uncmap.synth.AgentTrack` (an empty
 data error); each record checks itself, and one it refuses is a data
 error. A trajectory file's ``rate_hz`` must be the int ``RATE_HZ``.
 
-Every file is byte-identical to ``json.dumps(obj, indent=2)`` plus a final
-newline. Reports and manifests are written by ``json.dumps`` itself. Scene
-files are written one way, by ``orjson.dumps`` with ``OPT_INDENT_2``: the
-records they come from hold only finite Python floats (a map, its pose and
-an agent track check and convert their values), and orjson writes such a
-float as repr does, many times faster, when it is 0 or has a magnitude in
+Every JSON file is byte-identical to ``json.dumps(obj, indent=2)`` plus a
+final newline. Reports and manifests are written by ``json.dumps`` itself.
+Scene files are written one way, by ``orjson.dumps`` with ``OPT_INDENT_2``:
+the records they come from hold only finite Python floats (a map, its pose
+and an agent track check and convert their values), and orjson writes such
+a float as repr does, many times faster, when it is 0 or has a magnitude in
 [1e-4, 1e16). Outside that range its float text differs (``0.00005`` for
 ``5e-05``, ``1e16`` for ``1e+16``), and those tokens are rewritten in
 repr's text. ``save_map`` and ``save_trajectories`` pass the arrays that
@@ -35,24 +35,19 @@ carry user seeds, and orjson reads an integer outside the 64-bit range as
 a float, which would change the ``master_seed`` a report records.
 
 The report stages load the same map files again and again, and a map's
-per-vertex JSON is slow to decode, so each map file's bytes are decoded
-once. Trajectory files decode from their JSON on every load: an entry saves
-them too little to pay for itself. When a stage reads maps,
-:func:`iter_scene_files` opens the ``.uncmap-cache`` directory beside the
-manifest and passes it to :func:`load_map`; called without it, ``load_map``
-decodes the JSON and writes nothing. A file is keyed by the sha256 of its
-bytes and of what decodes them (the tool version, this module's code and
-the class order), not by its path, so a map file named outside the
-manifest's directory is cached there too. An entry holds the map's columns
-as one little-endian float64 buffer ending in a CRC-32, and the map is
-built from it by the constructor the JSON path uses, so every check runs
-and the values are the same bit for bit. A missing entry, or one that does
-not parse or fails its checksum, means the JSON is decoded; only a map that
-loads gets an entry. A stage writes the entries it made as one pack once
-its scenes are read or it stops, so it creates a file or two, not one per
-map file. Edited bytes, or edited decoders, have another key, so a stale
-entry is never read. A cache directory that cannot be made is not used,
-and one a pack cannot be written to is sent no more.
+per-vertex JSON is slow to decode, so a stage decodes each map file's bytes
+once (a trajectory file decodes on every load: an entry saves it too
+little). :func:`iter_scene_files` opens the cache file ``.uncmap-cache``
+beside the manifest for :func:`load_map`, which without it decodes the
+JSON and writes nothing. The file holds an entry per map file the manifest
+names: its columns and a CRC-32, under the file's name and the sha256 of
+its bytes and of what decodes them (the tool version, this module's code
+and the class order). The map is built from an entry by the constructor
+the JSON path uses, so every check runs and the values are the same bit
+for bit. A stage that decoded a map writes the cache file anew when it
+stops, unless it cannot (a read-only dataset, or a directory of that
+name). Of two stages that run at once the last to write wins, and an entry
+lost so costs one decode; two manifests in one directory share the file.
 
 :func:`load_manifest` checks each scene entry's keys and types but not that
 its files exist: a missing scene file is a data error of the load that
@@ -168,14 +163,13 @@ def load_map(path, *, cache: _Cache | None = None) -> VectorMap:
     :meth:`VectorMap.from_columns` runs every check."""
     path = Path(path)
     raw = _read_bytes(path)
-    if cache is None or not cache.usable:
+    if cache is None:
         return map_from_dict(_read_json(path, _scene_loads, raw))
     key = _cache_key(raw)
-    for floats in cache.get(key):
-        with contextlib.suppress(ValueError, TypeError, IndexError):  # an entry that does not parse
-            return _map_from_columns(floats)
+    with contextlib.suppress(KeyError, OSError, ValueError, TypeError, IndexError):
+        return _map_from_columns(cache.get(path, key))  # unless it has no entry that parses
     m = map_from_dict(_read_json(path, _scene_loads, raw))
-    cache.put(key, _map_columns(m))
+    cache.put(path, key, _map_columns(m))
     return m
 
 
@@ -228,18 +222,10 @@ def load_trajectories(path) -> list[AgentTrack]:
 # Cache of decoded map files
 # ---------------------------------------------------------------------------
 
-CACHE_DIR = ".uncmap-cache"
+CACHE_FILE = ".uncmap-cache"
 # A map entry's header: element count, vertex count, whether the map has
 # scales, ego pose (x, y, heading) and perception range (lon, lat).
 _MAP_HEAD = 8
-# A cache directory holds packs, each named by the sha256 of its bytes. A
-# pack is a run of records: an entry's key (32 bytes), the entry's size (a
-# little-endian uint64) and the entry, a float64 buffer of the map's
-# columns and then the CRC-32 of the key and the columns.
-_PACK_NAME = re.compile(r"[0-9a-f]{64}")
-# A stage writes the entries it made as one pack once it has read its
-# scenes, or sooner, when they reach this many bytes.
-_PACK_BYTES = 1 << 20
 
 
 @functools.cache
@@ -259,92 +245,75 @@ def _cache_key(raw: bytes) -> bytes:
 
 
 class _Cache:
-    """One cache directory as this process knows it: where the entries of its
-    packs are, read once, and the entries made since, which :meth:`flush`
-    writes as one more pack. A directory that cannot be made is not used, and
-    one a pack cannot be written to is sent no more."""
+    """The cache file of a manifest's dataset as one stage sees it: a run of
+    records, one per map file the manifest names, each the key of the bytes
+    its entry was made from (32 bytes), the sizes of its name and its entry
+    (little-endian uint64s), the name as the manifest gives it and the
+    entry, a float64 buffer of the map's columns and then the CRC-32 of the
+    key and the columns. The records are indexed when the file is opened,
+    and each entry is read when asked for from the file opened then."""
 
-    def __init__(self, path: Path):
-        self.path, self.found, self.new, self.new_bytes = path, {}, {}, 0
-        self.usable = self.writable = True
-        try:
-            names = sorted(os.listdir(path))
-        except FileNotFoundError:
-            names = []
-            try:
-                path.mkdir(exist_ok=True)
-            except OSError:  # a read-only dataset
-                self.usable = False
-        except OSError:  # e.g. a regular file has the directory's name
-            names, self.usable = [], False
-        for name in names:
-            if _PACK_NAME.fullmatch(name):
-                self._scan(path / name)
-
-    def _scan(self, pack: Path) -> None:
-        """Note where each entry of ``pack`` is, up to a record the file cuts."""
-        with contextlib.suppress(OSError), open(pack, "rb") as f:
-            end = os.fstat(f.fileno()).st_size
-            while len(head := f.read(40)) == 40:
-                at, size = f.tell(), int.from_bytes(head[32:], "little")
+    def __init__(self, manifest: dict):
+        root = manifest["_root"]
+        self.path, self.found, self.new, self.file = root / CACHE_FILE, {}, {}, None
+        self.names = {root / scene[key]: scene[key].encode("utf-8", "surrogatepass")
+                      for scene in manifest["scenes"] for key in ("gt_map", "observed_map")}
+        with contextlib.suppress(OSError):  # none yet, or a directory has its name
+            self.file = open(self.path, "rb")
+            end = os.fstat(self.file.fileno()).st_size
+            while len(head := self.file.read(48)) == 48:
+                n, size = (int.from_bytes(head[i:i + 8], "little") for i in (32, 40))
+                at = self.file.tell() + n
                 if at + size > end:
                     break
-                self.found.setdefault(head[:32], []).append((pack, at, size))
-                f.seek(size, os.SEEK_CUR)
+                self.found[self.file.read(n)] = (head[:32], at, size)
+                self.file.seek(size, os.SEEK_CUR)
 
-    def get(self, key: bytes):
-        """Yield the floats of each entry of ``key`` whose checksum matches."""
-        if key in self.new:
-            yield _entry_floats(key, self.new[key])
-        for pack, at, size in self.found.get(key, ()):
-            try:
-                with open(pack, "rb") as f:
-                    f.seek(at)
-                    floats = _entry_floats(key, f.read(size))
-            except (OSError, ValueError):  # a pack that is gone or damaged
-                continue
-            yield floats
+    def _record(self, name: bytes) -> tuple[bytes, bytes]:
+        """The key and the entry of the map file ``name``, the one made in
+        this stage or else the one in the cache file."""
+        if name in self.new:
+            return self.new[name]
+        key, at, size = self.found[name]
+        self.file.seek(at)
+        return key, self.file.read(size)
 
-    def put(self, key: bytes, floats) -> None:
-        if self.writable:
-            body = np.asarray(floats, dtype="<f8").tobytes()
-            crc = zlib.crc32(body, zlib.crc32(key))
-            self.new[key] = body + np.array([crc], dtype="<f8").tobytes()
-            self.new_bytes += len(self.new[key])
-            if self.new_bytes >= _PACK_BYTES:
-                self.flush()
+    def get(self, path: Path, key: bytes) -> np.ndarray:
+        """The floats of the entry of the manifest's map file at ``path``: a
+        ``KeyError`` where it has none, a ``ValueError`` where it was made
+        from other bytes than those of ``key`` or fails its checksum."""
+        record_key, entry = self._record(self.names[path])
+        floats = np.frombuffer(bytearray(entry), dtype="<f8")
+        crc = zlib.crc32(memoryview(entry)[:-8], zlib.crc32(key))
+        if record_key != key or not len(floats) or floats[-1] != crc:
+            raise ValueError("no cache entry of these bytes")
+        return floats[:-1]
 
-    def flush(self) -> None:
-        """Write the new entries as a pack: a temporary file renamed, so a
-        reader finds the whole pack or none."""
-        new, self.new, self.new_bytes = self.new, {}, 0
-        if not new or not self.writable:
-            return
-        data = b"".join(key + len(entry).to_bytes(8, "little") + entry
-                        for key, entry in new.items())
-        pack = self.path / hashlib.sha256(data).hexdigest()
-        tmp = pack.with_name(f"{pack.name}.{os.getpid()}.tmp")
+    def put(self, path: Path, key: bytes, floats) -> None:
+        body = np.asarray(floats, dtype="<f8").tobytes()
+        crc = zlib.crc32(body, zlib.crc32(key))
+        self.new[self.names[path]] = key, body + np.array([crc], dtype="<f8").tobytes()
+
+    def close(self) -> None:
+        """If this stage made entries, write the entry of each map file the
+        manifest names that has one, in its order, as a new cache file renamed
+        over the old one, so a reader finds either whole; then close the old."""
+        tmp = self.path.with_name(f"{CACHE_FILE}.{os.getpid()}.tmp")
         try:
-            try:
-                tmp.write_bytes(data)
-            except FileNotFoundError:  # the directory was removed since
-                self.path.mkdir(exist_ok=True)
-                tmp.write_bytes(data)
-            os.replace(tmp, pack)
-        except OSError:
-            self.writable = False
+            if self.new:
+                with open(tmp, "wb") as f:
+                    for name in self.names.values():
+                        if name in self.new or name in self.found:
+                            key, entry = self._record(name)
+                            f.write(key + len(name).to_bytes(8, "little")
+                                    + len(entry).to_bytes(8, "little") + name + entry)
+                os.replace(tmp, self.path)
+        except OSError:  # a read-only dataset, or a directory has the name
             with contextlib.suppress(OSError):
                 tmp.unlink(missing_ok=True)
-        else:
-            self._scan(pack)
-
-
-def _entry_floats(key: bytes, entry: bytes) -> np.ndarray:
-    """The columns an entry of ``key`` holds, once its checksum matches."""
-    floats = np.frombuffer(bytearray(entry), dtype="<f8")
-    if not len(floats) or floats[-1] != zlib.crc32(memoryview(entry)[:-8], zlib.crc32(key)):
-        raise ValueError("cache entry fails its checksum")
-    return floats[:-1]
+        finally:
+            if self.file is not None:
+                self.file.close()
 
 
 def _counts(values: np.ndarray) -> list[int]:
@@ -494,15 +463,15 @@ def iter_scene_files(manifest: dict, *parts: str):
     as two, the agents and each agent's modes, so the default yields
     ``(scene, gt map, observed map, agents, modes)``. A load error, a
     missing file among them, names the scene and the file part. The map
-    loads share the ``.uncmap-cache`` beside the manifest, opened only when
-    a map is read, whose new entries are written when the iteration stops.
+    loads share the cache file beside the manifest, opened only when a map
+    is read and written anew when the iteration stops if a load made an entry.
     """
     parts = parts or SCENE_FILES
     unknown = set(parts) - set(SCENE_FILES)
     if unknown:
         raise ValueError(f"unknown scene files {sorted(unknown)}")
     root = manifest["_root"]
-    cache = _Cache(root / CACHE_DIR) if set(parts) != {"trajectories"} else None
+    cache = _Cache(manifest) if set(parts) != {"trajectories"} else None
     try:
         for scene in manifest["scenes"]:
             row = [scene]
@@ -518,7 +487,7 @@ def iter_scene_files(manifest: dict, *parts: str):
             yield tuple(row)
     finally:
         if cache is not None:
-            cache.flush()
+            cache.close()
 
 
 # ---------------------------------------------------------------------------

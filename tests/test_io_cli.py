@@ -8,6 +8,7 @@ import subprocess
 import sys
 import warnings
 import weakref
+import zlib
 from contextlib import redirect_stderr
 from dataclasses import dataclass
 from io import StringIO
@@ -216,9 +217,14 @@ class TestBitExactRoundTrip:
         path = folder / "m.json"
         uio.save_map(m, path)
         assert path.read_text() == json.dumps(uio.map_to_dict(m), indent=2) + "\n"
-        # The second load builds the map from the cache entry the first wrote.
-        cache = uio._Cache(folder / uio.CACHE_DIR)
-        for back in [uio.load_map(path, cache=cache) for _ in range(2)]:
+        # The second load builds the map from the entry the first made, and
+        # the third from the cache file it was written to.
+        manifest = {"_root": folder, "scenes": [{"gt_map": "m.json", "observed_map": "m.json"}]}
+        cache = uio._Cache(manifest)
+        loaded = [uio.load_map(path, cache=cache) for _ in range(2)]
+        cache.close()
+        cache = uio._Cache(manifest)
+        for back in loaded + [uio.load_map(path, cache=cache)]:
             assert type(back) is type(m)
             assert _bits_equal([back.ego_pose.x, back.ego_pose.y, back.ego_pose.heading],
                                [m.ego_pose.x, m.ego_pose.y, m.ego_pose.heading])
@@ -232,8 +238,8 @@ class TestBitExactRoundTrip:
                     assert a.b is None and a.class_logits is None
                 else:
                     assert _bits_equal(a.b, b.b) and _bits_equal(a.class_logits, b.class_logits)
-        cache.flush()
-        assert _stored(path, folder)
+        assert b"m.json" in cache.found and not cache.new
+        cache.close()
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
@@ -593,9 +599,9 @@ def decoded(monkeypatch):
 
 
 def _fresh_copy(dataset_dir: Path, tmp_path: Path) -> Path:
-    """A copy of the dataset at ``dataset_dir`` without cache entries."""
+    """A copy of the dataset at ``dataset_dir`` without its cache file."""
     data = tmp_path / "data"
-    shutil.copytree(dataset_dir, data, ignore=shutil.ignore_patterns(uio.CACHE_DIR))
+    shutil.copytree(dataset_dir, data, ignore=shutil.ignore_patterns(f"{uio.CACHE_FILE}*"))
     return data
 
 
@@ -607,30 +613,40 @@ def _load_scene_file(path: Path, cache=None):
     return uio.load_map(path, cache=cache)
 
 
-def _pack_keys(where: Path) -> list[bytes]:
-    """The key of every entry in the pack ``where``, or in the packs of the
-    cache directory ``where``, repeats kept."""
-    keys = []
-    packs = sorted(where.iterdir()) if where.is_dir() else [where] if where.is_file() else []
-    for pack in packs:
-        data, at = pack.read_bytes(), 0
-        while at < len(data):
-            keys.append(data[at:at + 32])
-            at += 40 + int.from_bytes(data[at + 32:at + 40], "little")
-    return keys
+def _records(dataset: Path) -> list[tuple[str, bytes, bytes]]:
+    """The name, key and entry of every record in the cache file of
+    ``dataset``, in file order; none where it has no cache file."""
+    path = dataset / uio.CACHE_FILE
+    data, at, records = path.read_bytes() if path.is_file() else b"", 0, []
+    while at < len(data):
+        key, n, size = (data[at:at + 32], int.from_bytes(data[at + 32:at + 40], "little"),
+                        int.from_bytes(data[at + 40:at + 48], "little"))
+        at += 48 + n + size
+        assert at <= len(data)
+        records.append((data[at - size - n:at - size].decode(), key, data[at - size:at]))
+    return records
+
+
+def _write_records(dataset: Path, records) -> None:
+    """Write ``records``, each a name, a key and an entry, as the cache file
+    of ``dataset``."""
+    (dataset / uio.CACHE_FILE).write_bytes(b"".join(
+        key + len(name.encode()).to_bytes(8, "little") + len(entry).to_bytes(8, "little")
+        + name.encode() + entry for name, key, entry in records))
 
 
 def _stored(path: Path, dataset: Path) -> bool:
-    """Whether a pack in the cache directory of ``dataset`` holds an entry of
-    the current bytes of the scene file at ``path``."""
-    return uio._cache_key(path.read_bytes()) in _pack_keys(dataset / uio.CACHE_DIR)
+    """Whether the cache file of ``dataset`` holds the entry of the current
+    bytes of the scene file at ``path``."""
+    return any((dataset / name).resolve() == path.resolve()
+               and key == uio._cache_key(path.read_bytes())
+               for name, key, _ in _records(dataset))
 
 
-def _new_process(cache):
-    """Write the entries ``cache`` made and open its directory again, as a new
-    process would."""
-    cache.flush()
-    return uio._Cache(cache.path)
+def _manifest_maps(dataset: Path) -> list[str]:
+    """The map file names of the manifest of ``dataset``, in its order."""
+    scenes = json.loads((dataset / "manifest.json").read_text())["scenes"]
+    return [scene[key] for scene in scenes for key in ("gt_map", "observed_map")]
 
 
 def _read_scene(path):
@@ -678,15 +694,14 @@ class TestReadSceneJson:
         manifest = uio.load_manifest(data / "manifest.json")
         assert decoded == []
         files = [data / scene[key] for scene in manifest["scenes"] for key in uio.SCENE_FILES]
-        cache = uio._Cache(data / uio.CACHE_DIR)
+        cache = uio._Cache(manifest)
         for path in files:
             _load_scene_file(path, cache)
-        # A map file once per distinct content (a file with the bytes of one
-        # loaded before reads that file's entry), a trajectory file on every load.
-        maps = {path.read_bytes() for path in files if path.parent.name == "maps"}
+        # A map file on its first load (a file with the bytes of another has an
+        # entry of its own), a trajectory file on every load.
+        maps = [path.read_bytes() for path in files if path.parent.name == "maps"]
         traj = [path.read_bytes() for path in files if path.parent.name == "traj"]
-        first = [raw for raw in dict.fromkeys(path.read_bytes() for path in files) if raw in maps]
-        assert [raw for raw in decoded if raw in maps] == first
+        assert [raw for raw in decoded if raw in maps] == maps
         assert [raw for raw in decoded if raw not in maps] == traj
         decoded.clear()
         for path in files:
@@ -696,6 +711,7 @@ class TestReadSceneJson:
         files[0].write_bytes(files[0].read_bytes() + b"\n")
         for path in files:
             _load_scene_file(path, cache)
+        cache.close()
         assert decoded == [files[0].read_bytes()] + traj
 
 
@@ -1379,40 +1395,49 @@ def _from_json(path: Path):
 
 def _reports_without_cache(dataset_dir: Path, tmp_path: Path, command: str) -> dict:
     """The digest of the reports ``command`` writes for a copy of the dataset
-    whose cache directory cannot be made."""
+    whose cache path is taken by a directory."""
     data = _fresh_copy(dataset_dir, tmp_path / "no_cache")
-    (data / uio.CACHE_DIR).write_bytes(b"")
+    (data / uio.CACHE_FILE).mkdir()
     out = tmp_path / "no_cache" / "r"
     assert main([command, "--manifest", str(data / "manifest.json"), "--out", str(out)]) == 0
     return _tree_digest(out)
 
 
+def _run(command: str, data: Path, out: Path) -> None:
+    assert main([command, "--manifest", str(data / "manifest.json"), "--out", str(out)]) == 0
+
+
+def _records_match_files(data: Path) -> bool:
+    """Whether the cache file of ``data`` holds one record per map file its
+    manifest names, in its order, each of the file's current bytes."""
+    return [(name, key) for name, key, _ in _records(data)] == [
+        (name, uio._cache_key((data / name).read_bytes())) for name in _manifest_maps(data)]
+
+
 class TestSceneCache:
     """A map file's bytes decode once: later loads of the same bytes build the
-    map from its entry in the ``.uncmap-cache`` beside the manifest."""
+    map from its entry in the ``.uncmap-cache`` file beside the manifest."""
 
     def test_warm_load_bit_identical(self, dataset_dir, tmp_path, decoded):
         data = _fresh_copy(dataset_dir, tmp_path)
         manifest = uio.load_manifest(data / "manifest.json")
-        files = [data / scene[key] for scene in manifest["scenes"] for key in ("gt_map",
-                                                                                "observed_map")]
+        files = [data / name for name in _manifest_maps(data)]
         reference = [_record_bits(_from_json(path)) for path in files]
         decoded.clear()
-        cache = uio._Cache(data / uio.CACHE_DIR)
+        cache = uio._Cache(manifest)
         assert [_record_bits(uio.load_map(path, cache=cache)) for path in files] == reference
         n_cold = len(decoded)
-        # Warm from the entries this process made, then from the packs alone.
+        # Warm from the entries this stage made, then from the cache file alone.
         assert [_record_bits(uio.load_map(path, cache=cache)) for path in files] == reference
-        cache = _new_process(cache)
+        cache.close()
+        cache = uio._Cache(manifest)
         assert [_record_bits(uio.load_map(path, cache=cache)) for path in files] == reference
-        assert len(decoded) == n_cold > 0
+        cache.close()
+        assert len(decoded) == n_cold == len(files)
         assert any(_from_json(path).out_of_range for path in files)
-        packs = list((data / uio.CACHE_DIR).iterdir())
-        assert packs  # and no temporary file is left
-        assert all(p.name == hashlib.sha256(p.read_bytes()).hexdigest() for p in packs)
-        # One entry per distinct content.
-        assert sorted(_pack_keys(data / uio.CACHE_DIR)) == sorted(
-            {uio._cache_key(path.read_bytes()) for path in files})
+        # One record per map file, and no temporary file left.
+        assert [p.name for p in data.glob(f"{uio.CACHE_FILE}*")] == [uio.CACHE_FILE]
+        assert _records_match_files(data)
 
     def test_loader_without_cache_writes_nothing(self, tmp_path):
         uio.save_map(small_prob_map(), tmp_path / "m.json")
@@ -1428,16 +1453,15 @@ class TestSceneCache:
     def test_stage_that_reads_no_map_writes_nothing(self, dataset_dir, tmp_path):
         data = _fresh_copy(dataset_dir, tmp_path)
         before = _tree_digest(data)
-        assert main(["eval-pred", "--manifest", str(data / "manifest.json"),
-                     "--out", str(tmp_path / "r")]) == 0
-        assert _tree_digest(data) == before and not (data / uio.CACHE_DIR).exists()
+        _run("eval-pred", data, tmp_path / "r")
+        assert _tree_digest(data) == before and not (data / uio.CACHE_FILE).exists()
 
     def test_file_rewritten_at_same_length_decodes_again(self, dataset_dir, tmp_path,
                                                          decoded):
         data = _fresh_copy(dataset_dir, tmp_path)
         manifest = uio.load_manifest(data / "manifest.json")
         target = data / manifest["scenes"][0]["gt_map"]
-        cache = uio._Cache(data / uio.CACHE_DIR)
+        cache = uio._Cache(manifest)
         assert uio.load_map(target, cache=cache).elements[0].confidence == 1.0
         raw, stat = target.read_bytes(), target.stat()
         edited = raw.replace(b'"confidence": 1.0', b'"confidence": 0.5', 1)
@@ -1446,42 +1470,59 @@ class TestSceneCache:
         os.utime(target, ns=(stat.st_atime_ns, stat.st_mtime_ns))
         decoded.clear()
         assert uio.load_map(target, cache=cache).elements[0].confidence == 0.5
+        cache.close()
         assert decoded == [edited]
 
     @pytest.mark.parametrize("key", ["observed_map", "gt_map"])
     @pytest.mark.parametrize("damage", ["truncated", "one_float_short", "garbage",
-                                        "one_byte_flipped", "other_kind"])
+                                        "one_byte_flipped", "other_kind", "other_bytes",
+                                        "other_key"])
     def test_bad_entry_is_decoded_again_and_rewritten(self, key, damage, dataset_dir,
                                                       tmp_path, decoded):
-        # "other_kind": the entry of the other kind of map, a mean map's for a
-        # map with scales and the other way round.
+        # "other_kind": the entry of the other kind of map (a mean map's for a
+        # map with scales and the other way round) under the file's key;
+        # "other_bytes": that map's whole record under the file's name;
+        # "other_key": that record with its checksum made with the file's key.
         data = _fresh_copy(dataset_dir, tmp_path)
-        scene = uio.load_manifest(data / "manifest.json")["scenes"][0]
-        target, other = (data / scene[k] for k in (key, {"observed_map": "gt_map",
-                                                         "gt_map": "observed_map"}[key]))
-        cache = uio._Cache(data / uio.CACHE_DIR)
-        reference = _record_bits(_load_scene_file(target, cache))
-        cache.flush()
-        (pack,) = cache.path.iterdir()
-        _load_scene_file(other, cache)
-        cache.flush()
-        (other_pack,) = set(cache.path.iterdir()) - {pack}
-        good = pack.read_bytes()
-        assert _pack_keys(pack) == [uio._cache_key(target.read_bytes())]
-        entry = good[40:]
+        manifest = uio.load_manifest(data / "manifest.json")
+        scene = manifest["scenes"][0]
+        name, other = scene[key], scene[{"observed_map": "gt_map",
+                                         "gt_map": "observed_map"}[key]]
+        target = data / name
+        cache = uio._Cache(manifest)
+        reference = _record_bits(uio.load_map(target, cache=cache))
+        cache.close()
+        good = (data / uio.CACHE_FILE).read_bytes()
+        cache = uio._Cache(manifest)
+        uio.load_map(data / other, cache=cache)
+        cache.close()
+        records = {record[0]: record for record in _records(data)}
+        assert sorted(records) == sorted([name, other])
+        _, target_key, entry = records[name]
+        other_entry = records[other][2][:-8]
+        other_entry += np.array([zlib.crc32(other_entry, zlib.crc32(target_key))],
+                                dtype="<f8").tobytes()
         bad = {"one_float_short": entry[:-8], "garbage": b"\xff" * len(entry),
                "one_byte_flipped": entry[:40] + bytes([entry[40] ^ 1]) + entry[41:],
-               "other_kind": other_pack.read_bytes()[40:]}.get(damage)
-        pack.write_bytes(good[:len(good) // 2 + 3] if damage == "truncated"
-                         else good[:32] + len(bad).to_bytes(8, "little") + bad)
-        cache = _new_process(cache)
+               "other_kind": records[other][2]}.get(damage)
+        if damage == "truncated":
+            (data / uio.CACHE_FILE).write_bytes(good[:len(good) // 2 + 3])
+        elif damage == "other_bytes":
+            _write_records(data, [(name, *records[other][1:])])
+        elif damage == "other_key":
+            _write_records(data, [(name, records[other][1], other_entry)])
+        else:
+            _write_records(data, [(name, target_key, bad)])
+        cache = uio._Cache(manifest)
         decoded.clear()
-        assert _record_bits(_load_scene_file(target, cache)) == reference
+        assert _record_bits(uio.load_map(target, cache=cache)) == reference
         assert decoded == [target.read_bytes()]
-        # The entry is written again, in a pack of the same bytes and name.
-        cache = _new_process(cache)
-        assert pack.read_bytes() == good
-        assert _record_bits(_load_scene_file(target, cache)) == reference
+        # The entry is written again, in a cache file of the same bytes.
+        cache.close()
+        assert (data / uio.CACHE_FILE).read_bytes() == good
+        cache = uio._Cache(manifest)
+        assert _record_bits(uio.load_map(target, cache=cache)) == reference
+        cache.close()
         assert len(decoded) == 1
 
     @pytest.mark.parametrize("key, damage", [
@@ -1513,59 +1554,6 @@ class TestSceneCache:
             f"data error: scene {scene['id']} {key}: {expected.value}\n")
         assert not _stored(target, data)
 
-    @pytest.mark.parametrize("blocked_by", ["a_regular_file", "a_read_only_directory"])
-    def test_cache_that_cannot_be_made_is_not_used(self, blocked_by, dataset_dir, tmp_path,
-                                                   monkeypatch):
-        # The ground-truth maps load through the dataset's blocked cache, the
-        # observed maps through one that works.
-        data = _fresh_copy(dataset_dir, tmp_path)
-        blocked = data / uio.CACHE_DIR
-        if blocked_by == "a_regular_file":
-            blocked.write_bytes(b"")
-        else:  # tests run as root, so chmod cannot refuse the mkdir
-            def mkdir(self, *args, _mkdir=Path.mkdir, **kwargs):
-                if self == blocked:
-                    raise PermissionError(13, "Permission denied", str(self))
-                return _mkdir(self, *args, **kwargs)
-            monkeypatch.setattr(Path, "mkdir", mkdir)
-        working = data / "maps" / uio.CACHE_DIR
-        caches = {"gt": uio._Cache(blocked), "obs": uio._Cache(working)}
-        hashed = []
-        monkeypatch.setattr(uio, "_cache_key", lambda raw, _key=uio._cache_key: (
-            hashed.append(raw), _key(raw))[1])
-        gt, obs = (sorted((data / "maps").glob(f"*_{kind}.json")) for kind in caches)
-        for _ in range(2):
-            for path in gt + obs:
-                uio.load_map(path, cache=caches[path.stem.rpartition("_")[2]])
-        assert hashed == [path.read_bytes() for path in obs] * 2
-        for cache in caches.values():
-            cache.flush()
-        assert _pack_keys(working)
-        if blocked_by == "a_regular_file":
-            assert blocked.read_bytes() == b""
-        else:
-            assert not blocked.exists()
-
-    def test_directory_a_pack_cannot_be_written_to_gets_no_more(self, dataset_dir, tmp_path,
-                                                                monkeypatch, decoded):
-        data = _fresh_copy(dataset_dir, tmp_path)
-        tried = []
-
-        def refuse(src, dst):
-            tried.append(Path(dst).parent)
-            raise PermissionError(13, "Permission denied")
-        monkeypatch.setattr(os, "replace", refuse)
-        maps = sorted((data / "maps").glob("*.json"))[:3]
-        cache = uio._Cache(data / uio.CACHE_DIR)
-        for path in maps:
-            uio.load_map(path, cache=cache)
-            cache.flush()
-        assert tried == [data / uio.CACHE_DIR]
-        assert list((data / uio.CACHE_DIR).iterdir()) == []
-        decoded.clear()
-        uio.load_map(maps[0], cache=cache)
-        assert len(decoded) == 1
-
     def test_key_covers_the_decoding_code(self, tmp_path, monkeypatch):
         edited = tmp_path / "io.py"
         edited.write_bytes(Path(uio.__file__).read_bytes() + b"# edited\n")
@@ -1579,66 +1567,117 @@ class TestSceneCache:
         assert uio._cache_key(b"{}") == keys[0]
         assert len(set(keys)) == 3
 
-    def test_cache_path_taken_by_a_regular_file(self, dataset_dir, tmp_path, capsys):
+    @pytest.mark.parametrize("blocked_by", ["a_directory", "a_read_only_dataset",
+                                            "a_refused_rename"])
+    def test_cache_file_that_cannot_be_written(self, blocked_by, dataset_dir, tmp_path,
+                                               monkeypatch, capsys):
         reports = []
         for blocked in (False, True):
             data = _fresh_copy(dataset_dir, tmp_path / str(blocked))
-            cache = data / uio.CACHE_DIR
-            if blocked:
-                cache.write_bytes(b"")
-            before = _tree_digest(data)
-            for command in STAGE_READS:
-                assert main([command, "--manifest", str(data / "manifest.json"),
-                             "--out", str(tmp_path / str(blocked) / "r")]) == 0
+            cache = data / uio.CACHE_FILE
+            with monkeypatch.context() as patch:
+                if blocked and blocked_by == "a_directory":
+                    cache.mkdir()
+                elif blocked and blocked_by == "a_read_only_dataset":
+                    # Tests run as root, so chmod cannot refuse the write.
+                    def refuse(file, mode="r", *args, _open=open, **kwargs):
+                        if "w" in mode and Path(file).parent == data:
+                            raise PermissionError(13, "Permission denied", str(file))
+                        return _open(file, mode, *args, **kwargs)
+                    patch.setattr(uio, "open", refuse, raising=False)
+                elif blocked:
+                    def refuse(src, dst, _replace=os.replace):
+                        if Path(dst) == cache:
+                            raise PermissionError(13, "Permission denied", str(dst))
+                        return _replace(src, dst)
+                    patch.setattr(os, "replace", refuse)
+                before = _tree_digest(data)
+                for command in STAGE_READS:
+                    _run(command, data, tmp_path / str(blocked) / "r")
             assert capsys.readouterr().err == ""
             reports.append(_tree_digest(tmp_path / str(blocked) / "r"))
             if blocked:
-                assert cache.is_file() and cache.read_bytes() == b""
+                # No cache file and no temporary file: the dataset is as it was.
                 assert _tree_digest(data) == before
+                assert [p.name for p in data.glob(f"{uio.CACHE_FILE}*")] == (
+                    [uio.CACHE_FILE] if blocked_by == "a_directory" else [])
+                assert blocked_by != "a_directory" or not any(cache.iterdir())
             else:
-                # The stages write only in the cache directory.
-                assert any(cache.iterdir())
-                assert {name: digest for name, digest in _tree_digest(data).items()
-                        if not name.startswith(f"{uio.CACHE_DIR}/")} == before
+                # The stages write only the cache file.
+                assert dict(before, **{uio.CACHE_FILE: mock.ANY}) == _tree_digest(data)
+                assert _records_match_files(data)
         assert len(reports[0]) == 11 and reports[1] == reports[0]
 
-    def test_stage_writes_a_pack_whenever_its_entries_fill_one(self, dataset_dir, tmp_path,
-                                                                 monkeypatch, decoded):
-        reference = _reports_without_cache(dataset_dir, tmp_path, "eval-map")
+    @pytest.mark.parametrize("damage", ["truncated", "garbage", "empty"])
+    def test_damaged_cache_file(self, damage, dataset_dir, tmp_path):
         data = _fresh_copy(dataset_dir, tmp_path)
-        monkeypatch.setattr(uio, "_PACK_BYTES", 1 << 15)
-        maps = sorted((data / "maps").glob("*.json"))
-        for i in range(2):
-            decoded.clear()
-            assert main(["eval-map", "--manifest", str(data / "manifest.json"),
-                         "--out", str(tmp_path / f"r{i}")]) == 0
-            assert _tree_digest(tmp_path / f"r{i}") == reference
-            if i == 0:
-                assert len(list((data / uio.CACHE_DIR).iterdir())) > 1
-                assert all(_stored(path, data) for path in maps)
-        assert decoded == []
+        for command in STAGE_READS:
+            _run(command, data, tmp_path / "cold")
+        cache = data / uio.CACHE_FILE
+        raw = cache.read_bytes()
+        cache.write_bytes({"truncated": raw[:len(raw) // 2], "garbage": bytes(range(256)) * 64,
+                           "empty": b""}[damage])
+        for command in STAGE_READS:
+            _run(command, data, tmp_path / "damaged")
+        assert _tree_digest(tmp_path / "damaged") == _tree_digest(tmp_path / "cold")
+        assert cache.read_bytes() == raw
+
+    def test_cache_file_keeps_one_record_per_map_file_of_the_manifest(self, dataset_dir,
+                                                                       tmp_path):
+        data = _fresh_copy(dataset_dir, tmp_path)
+        manifest = json.loads((data / "manifest.json").read_text())
+        target = data / manifest["scenes"][1]["observed_map"]
+        raw = target.read_bytes()
+        for edit in range(3):
+            target.write_bytes(raw + b"\n" * (edit + 1))
+            if edit < 2:
+                _run("eval-map", data, tmp_path / "r")
+                assert _records_match_files(data)
+        # A manifest without scene 0: its map files' records are dropped.
+        manifest["scenes"] = manifest["scenes"][1:]
+        uio.write_json(data / "manifest.json", manifest)
+        _run("calibrate", data, tmp_path / "r")
+        assert _records_match_files(data)
+        # A stage that reads only the observed maps keeps the other records.
+        target.write_bytes(raw)
+        _run("analyze-uncertainty", data, tmp_path / "r")
+        assert _records_match_files(data)
 
     @pytest.mark.parametrize("warm", [False, True])
-    def test_cache_directory_removed_during_a_stage(self, warm, dataset_dir, tmp_path,
-                                                    monkeypatch):
+    def test_cache_file_replaced_during_a_stage(self, warm, dataset_dir, tmp_path,
+                                                monkeypatch, decoded):
+        # A stage reads entries from the cache file it opened. Halfway through
+        # it another is renamed over it, holding valid records: those of the
+        # whole dataset (cold), or each map file's record under the name of
+        # the other map file of its scene (warm). No load reads that file.
         reference = _reports_without_cache(dataset_dir, tmp_path, "calibrate")
         data = _fresh_copy(dataset_dir, tmp_path)
-        manifest = str(data / "manifest.json")
+        donor = _fresh_copy(dataset_dir, tmp_path / "donor")
+        _run("eval-map", donor, tmp_path / "r0")
         if warm:
-            assert main(["eval-map", "--manifest", manifest, "--out", str(tmp_path / "r0")]) == 0
+            _run("eval-map", data, tmp_path / "r0")
+            records = _records(donor)
+            _write_records(donor, [(records[i ^ 1][0], key, entry)
+                                   for i, (_, key, entry) in enumerate(records)])
+        maps = [data / name for name in _manifest_maps(data)]
+        expected = {path: _record_bits(_from_json(path)) for path in maps}
         loaded = []
 
         def load_map(path, _load=uio.load_map, **kwargs):
-            if len(loaded) == 1:
-                shutil.rmtree(data / uio.CACHE_DIR)
+            if len(loaded) == len(maps) // 2:
+                os.replace(donor / uio.CACHE_FILE, data / uio.CACHE_FILE)
             loaded.append(path)
-            return _load(path, **kwargs)
+            m = _load(path, **kwargs)
+            assert _record_bits(m) == expected[path]
+            return m
         monkeypatch.setattr(uio, "load_map", load_map)
-        assert main(["calibrate", "--manifest", manifest, "--out", str(tmp_path / "r")]) == 0
+        decoded.clear()
+        _run("calibrate", data, tmp_path / "r")
         assert _tree_digest(tmp_path / "r") == reference
-        # Every map loaded after the removal has its entry written again, and
-        # so has the first one of a cold stage.
-        assert all(_stored(path, data) for path in loaded[int(warm):])
+        assert sorted(loaded) == sorted(maps)
+        assert decoded == ([] if warm else [path.read_bytes() for path in loaded])
+        # Cold, the stage made entries and wrote its own cache file over the other.
+        assert _records_match_files(data) != warm
 
     def test_failed_stage_writes_the_entries_it_made(self, dataset_dir, tmp_path, capsys):
         data = _fresh_copy(dataset_dir, tmp_path)
@@ -1820,12 +1859,12 @@ class TestBlockSeams:
 
     @pytest.mark.parametrize("block", [1, 7, 1000])
     def test_outputs_byte_identical(self, block, seam_outputs, tmp_path, monkeypatch):
-        # Beside the dataset, reports and Hungarian report: the cache pack at
+        # Beside the dataset, reports and Hungarian report: the cache file at
         # the dataset root, written by the first stage to read the maps,
         # byte-identical across block sizes too.
-        packs = [name for name in seam_outputs if f"/{uio.CACHE_DIR}/" in name]
-        assert [name.split("/")[:2] for name in packs] == [["d", uio.CACHE_DIR]]
-        assert len(seam_outputs) - len(packs) == 1 + 3 * 40 + 1 + 11 + 2
+        assert [name for name in seam_outputs if uio.CACHE_FILE in name] == [
+            f"d/{uio.CACHE_FILE}"]
+        assert len(seam_outputs) == 1 + 3 * 40 + 1 + 11 + 2 + 1
         monkeypatch.setattr(synth, "SCENE_BLOCK", block)
         assert _all_outputs(tmp_path) == seam_outputs
 
